@@ -41,7 +41,7 @@ b = inhom_solve(rho0, uf, 0.1, 1e-3, snapshot_stride=20)
 rep = density_contraction_check(a, b, 1e-5)
 print(f"density contraction 128 vs 256: pass = {rep.passed}, "
       f"max D = {max(rep.values):.2e}, budget = {rep.budget:.2e}")
-print(f"  mass ledger drift: {abs(b.mass_ledger[-1] - b.mass_ledger[0]):.2e}")
+print(f"  mass ledger drift: {abs(b.ledgers['mass'][-1] - b.ledgers['mass'][0]):.2e}")
 
 # Boussinesq reductions
 th0 = grid.sample_scalar(lambda x, y: 0.0 * x)

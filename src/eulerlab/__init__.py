@@ -91,10 +91,8 @@ from .uniqueness import (
 )
 from .extensions import (
     BoussinesqState,
-    BoussinesqTrajectory,
     DensityContractionReport,
     InhomState,
-    InhomTrajectory,
     boussinesq_solve,
     boussinesq_uniqueness_experiment,
     density_contraction_check,

@@ -44,6 +44,7 @@ from .solver import (
     enstrophy,
     linear_window,
     solve,
+    steps_for_horizon,
     weak_residual,
 )
 from .synth import SynthSpec, field_from_spec, low_mode_divfree, low_mode_scalar
@@ -64,6 +65,12 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CERT_FAIL = 2
 EXIT_HYPOTHESIS = 3
+
+_VERDICT_CODES = {
+    "pass": EXIT_OK,
+    "certificate-failed": EXIT_CERT_FAIL,
+    "hypothesis-not-met": EXIT_HYPOTHESIS,
+}
 
 OUTPUT_ROOT_ENV = "EULERLAB_OUT"
 
@@ -137,6 +144,9 @@ class ExperimentConfig:
 
     def get_float(self, section, key, default=None) -> float:
         return self._convert(section, key, float, default)
+
+    def get_optional_float(self, section, key) -> Optional[float]:
+        return self.get_float(section, key) if self.has(section, key) else None
 
     def get_floats(self, section, key, default=None) -> list:
         return self._convert(
@@ -240,7 +250,7 @@ def _range_checks(cfg: ExperimentConfig) -> list:
         T = cfg.get_float("solver", "T")
         if dt <= 0 or T <= 0:
             diags.append("dt and T must be positive")
-        elif abs(round(T / dt) * dt - T) > 1e-9 * max(1.0, T):
+        elif not steps_for_horizon(T, dt):
             diags.append(f"T={T} is not an integer multiple of dt={dt}")
     return diags
 
@@ -275,7 +285,7 @@ def _exp_scaling(cfg: ExperimentConfig, outdir: Path, quantity: str):
     v = field_from_spec(spec, grid)
     epsilons = cfg.get_floats("sweep", "epsilons")
     p = cfg.get_float("sweep", "p", 3.0)
-    alpha = cfg.get_float("sweep", "alpha") if cfg.has("sweep", "alpha") else None
+    alpha = cfg.get_optional_float("sweep", "alpha")
     tol = cfg.get_float("sweep", "slope_tolerance", 0.15)
     if quantity == "cet_trilinear":
         spec_u = SynthSpec(
@@ -305,21 +315,30 @@ def _exp_scaling(cfg: ExperimentConfig, outdir: Path, quantity: str):
     return code, line, report, {"scaling": "scaling.csv"}
 
 
-def _exp_energy_conservation(cfg: ExperimentConfig, outdir: Path):
+def _single_run(cfg: ExperimentConfig):
+    """Solve from the configured initial data on the configured grid."""
     grid = _build_grid(cfg)
-    spec = _build_synth_spec(cfg)
-    u0 = field_from_spec(spec, grid)
-    T = cfg.get_float("solver", "T")
-    dt = cfg.get_float("solver", "dt")
-    traj = solve(
-        u0, T, dt,
+    u0 = field_from_spec(_build_synth_spec(cfg), grid)
+    return solve(
+        u0, cfg.get_float("solver", "T"), cfg.get_float("solver", "dt"),
         snapshot_stride=cfg.get_int("solver", "snapshot_stride", 1),
         cfl=cfg.get_float("solver", "cfl", 0.5),
     )
+
+
+def _pair_initial(cfg: ExperimentConfig):
+    """Both legs' run configs and the initial velocity on the finer grid."""
+    cfg_a, cfg_b = _run_configs(cfg)
+    spec = _build_synth_spec(cfg)
+    fine = make_grid(2, max(cfg_a.grid_n, cfg_b.grid_n))
+    return cfg_a, cfg_b, fine, field_from_spec(spec, fine)
+
+
+def _exp_energy_conservation(cfg: ExperimentConfig, outdir: Path):
+    traj = _single_run(cfg)
     drift_tol = cfg.get_float("solver", "drift_tolerance", 1e-6)
     adm_tol = cfg.get_float("solver", "admissibility_tolerance", 1e-7)
-    e0 = traj.energy_ledger[0]
-    drift = max(abs(e - e0) for e in traj.energy_ledger) / max(e0, 1e-300)
+    drift = traj.energy_drift() / max(traj.energy_ledger[0], 1e-300)
     adm = admissibility_check(traj, adm_tol)
     dump_csv(
         outdir / "energy.csv",
@@ -348,24 +367,15 @@ def _exp_energy_conservation(cfg: ExperimentConfig, outdir: Path):
 
 
 def _exp_uniqueness(cfg: ExperimentConfig, outdir: Path):
-    cfg_a, cfg_b = _run_configs(cfg)
-    spec = _build_synth_spec(cfg)
-    fine = make_grid(2, max(cfg_a.grid_n, cfg_b.grid_n))
-    u0 = field_from_spec(spec, fine)
+    cfg_a, cfg_b, _, u0 = _pair_initial(cfg)
     report_obj = uniqueness_experiment(
         u0, cfg_a, cfg_b,
         alpha=cfg.get_float("sweep", "alpha", 0.6),
         p_int=cfg.get_float("sweep", "p", 3.0),
         epsilons=cfg.get_floats("sweep", "epsilons"),
         budget_route=cfg.get_str("sweep", "budget_route", "convective"),
-        working_epsilon=(
-            cfg.get_float("sweep", "working_epsilon")
-            if cfg.has("sweep", "working_epsilon") else None
-        ),
-        certify_tolerance=(
-            cfg.get_float("sweep", "certify_tolerance")
-            if cfg.has("sweep", "certify_tolerance") else None
-        ),
+        working_epsilon=cfg.get_optional_float("sweep", "working_epsilon"),
+        certify_tolerance=cfg.get_optional_float("sweep", "certify_tolerance"),
     )
     dump_csv(
         outdir / "series.csv",
@@ -382,11 +392,7 @@ def _exp_uniqueness(cfg: ExperimentConfig, outdir: Path):
     )
     report = report_obj.to_json_dict()
     report["experiment"] = "uniqueness"
-    code = {
-        "pass": EXIT_OK,
-        "certificate-failed": EXIT_CERT_FAIL,
-        "hypothesis-not-met": EXIT_HYPOTHESIS,
-    }[report_obj.verdict]
+    code = _VERDICT_CODES[report_obj.verdict]
     line = (
         f"uniqueness: verdict={report_obj.verdict} maxE={max(report_obj.energy):.3e} "
         f"slack={report_obj.certificate.slack:.3e}"
@@ -403,19 +409,13 @@ def _theta_profile(cfg: ExperimentConfig, grid):
 
 
 def _exp_extended(cfg: ExperimentConfig, outdir: Path):
-    cfg_a, cfg_b = _run_configs(cfg)
-    spec = _build_synth_spec(cfg)
-    fine = make_grid(2, max(cfg_a.grid_n, cfg_b.grid_n))
-    u0 = field_from_spec(spec, fine)
+    cfg_a, cfg_b, fine, u0 = _pair_initial(cfg)
     alpha = cfg.get_float("sweep", "alpha", 0.6)
     p = cfg.get_float("sweep", "p", 3.0)
     epsilons = cfg.get_floats("sweep", "epsilons")
     kw = dict(
         contraction_tolerance=cfg.get_float("sweep", "contraction_tolerance", 1e-5),
-        certify_tolerance=(
-            cfg.get_float("sweep", "certify_tolerance")
-            if cfg.has("sweep", "certify_tolerance") else None
-        ),
+        certify_tolerance=cfg.get_optional_float("sweep", "certify_tolerance"),
     )
     if cfg.kind == "inhom_uniqueness":
         amp = cfg.get_float("density", "amplitude", 0.2)
@@ -443,11 +443,7 @@ def _exp_extended(cfg: ExperimentConfig, outdir: Path):
     )
     report = report_obj.to_json_dict()
     report["experiment"] = cfg.kind
-    code = {
-        "pass": EXIT_OK,
-        "certificate-failed": EXIT_CERT_FAIL,
-        "hypothesis-not-met": EXIT_HYPOTHESIS,
-    }[report_obj.verdict]
+    code = _VERDICT_CODES[report_obj.verdict]
     line = (
         f"{cfg.kind}: verdict={report_obj.verdict} maxE={max(report_obj.energy):.3e} "
         f"contraction_pass={report_obj.contraction.passed}"
@@ -456,15 +452,9 @@ def _exp_extended(cfg: ExperimentConfig, outdir: Path):
 
 
 def _exp_weak_residual(cfg: ExperimentConfig, outdir: Path):
-    grid = _build_grid(cfg)
-    spec = _build_synth_spec(cfg)
-    u0 = field_from_spec(spec, grid)
+    traj = _single_run(cfg)
+    grid = traj.grid
     T = cfg.get_float("solver", "T")
-    traj = solve(
-        u0, T, cfg.get_float("solver", "dt"),
-        snapshot_stride=cfg.get_int("solver", "snapshot_stride", 1),
-        cfl=cfg.get_float("solver", "cfl", 0.5),
-    )
     count = cfg.get_int("weak", "count", 10)
     kmax = cfg.get_int("weak", "kmax", 3)
     w1_tol = cfg.get_float("weak", "w1_tolerance", 1e-6)

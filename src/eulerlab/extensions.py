@@ -7,15 +7,22 @@ variable-coefficient equation ``div(grad(p)/rho) = -div((u.grad)u)`` by
 preconditioned conjugate gradients (the constant-density spectral inverse is
 the preconditioner), so the velocity stays exactly solenoidal.
 
-The Boussinesq system keeps the homogeneous vorticity loop and adds the
-buoyancy torque ``curl(theta g)`` plus conservative transport of ``theta``.
-With ``theta = 0`` the torque is an exact zero array and the vorticity
-arithmetic is identical to the homogeneous solver, so the reduction holds
-value-for-value, not merely to a tolerance.
+The Boussinesq system advances the vorticity with the homogeneous advection
+tendency plus the buoyancy torque ``curl(theta g)``, and transports
+``theta`` conservatively.  With ``theta = 0`` the torque is an exact zero
+array and the vorticity arithmetic is identical to the homogeneous solver, so
+the reduction holds value-for-value, not merely to a tolerance.
+
+Both systems step through the homogeneous solver's single integrator
+(``solver.integrate``) and return its ``Trajectory`` with one extra named
+ledger: ``"mass"`` or ``"theta"``.  Their A/B certifications share the
+homogeneous pipeline's leg runner, per-snapshot series, default tolerance and
+verdict mapping.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -33,36 +40,41 @@ from .grid_fields import (
     ScalarField,
     VelocityField,
     curl_2d,
-    divergence,
     gradient,
-    make_grid,
-    max_norm,
     resample,
 )
 from .mollify import make_kernel, resolved_epsilon
 from .solver import (
     DEFAULT_CFL,
+    Trajectory,
     _advection_tendency,
     _check_cfl,
-    _rk4,
+    _check_initial_velocity,
+    _rk4_stage,
+    _run_config,
+    _velocity_field,
     _velocity_hats,
+    integrate,
     kinetic_energy,
+    ordered_pair_audit,
 )
 from .uniqueness import (
     GronwallCertificate,
     LipschitzSeries,
-    RelativeEnergySeries,
     RunConfig,
+    _drift_tolerance,
+    _pair_series,
+    _plain_energy,
+    _shared_times,
+    _trapz,
+    _verdict,
     gronwall_certify,
-    one_sided_lipschitz,
-    relative_energy,
+    run_pair,
 )
 
 __all__ = [
     "InhomState",
-    "InhomTrajectory",
     "BoussinesqState",
-    "BoussinesqTrajectory",
     "transport_step",
     "inhom_solve",
     "density_contraction_check",
@@ -112,10 +124,10 @@ def transport_step(
     _check_cfl(u.max_speed(), grid, dt, cfl)
     uvals = [c.values for c in u.components]
 
-    def rhs(rho_hat: np.ndarray) -> np.ndarray:
-        return _transport_tendency(grid, grid.irfftn(rho_hat), uvals)
+    def rhs(hats: tuple) -> tuple:
+        return (_transport_tendency(grid, grid.irfftn(hats[0]), uvals),)
 
-    new_hat = _rk4(grid, rho.hat * grid.dealias_mask, dt, rhs)
+    (new_hat,) = _rk4_stage((rho.hat * grid.dealias_mask,), dt, rhs)
     return ScalarField.from_hat(grid, new_hat)
 
 
@@ -144,26 +156,6 @@ class InhomState:
         for c in self.velocity.components:
             mag2 += c.values * c.values
         return 0.5 * float(np.sum(self.density.values * mag2) * self.grid.cell_volume)
-
-
-@dataclass
-class InhomTrajectory:
-    states: list[InhomState]
-    dt: float
-    config: dict
-    energy_ledger: list[float]
-    mass_ledger: list[float]
-
-    @property
-    def times(self) -> list[float]:
-        return [s.time for s in self.states]
-
-    @property
-    def grid(self) -> PeriodicGrid:
-        return self.states[0].grid
-
-    def final(self) -> InhomState:
-        return self.states[-1]
 
 
 def _pressure_gradient_over_rho(
@@ -269,9 +261,10 @@ def inhom_solve(
     poisson_tol: float = POISSON_TOLERANCE,
     poisson_max_iter: int = POISSON_MAX_ITER,
     config: Optional[dict] = None,
-) -> InhomTrajectory:
+) -> Trajectory:
     """Integrate the variable-density system from positive density and
-    solenoidal velocity; the ledger records ``0.5 int rho |u|^2``."""
+    solenoidal velocity; the energy ledger records ``0.5 int rho |u|^2`` and
+    the ``"mass"`` ledger ``int rho``."""
     grid = rho0.grid
     if grid.dims != 2:
         raise ConfigurationError("the inhomogeneous solver supports dims=2 only")
@@ -279,66 +272,28 @@ def inhom_solve(
         raise ConfigurationError("density and velocity must share a grid")
     if float(rho0.values.min()) <= 0.0:
         raise ConfigurationError("initial density must be strictly positive")
-    if max_norm(divergence(u0)) > 1e-8 * max(max_norm(u0), 1e-300):
-        raise ConfigurationError("initial velocity is not divergence-free")
-    n_steps = round(T / dt)
-    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(1.0, abs(T)):
-        raise ConfigurationError(f"T={T} must be a positive integer multiple of dt={dt}")
+    _check_initial_velocity(u0)
 
-    rho_hat = rho0.hat * grid.dealias_mask
-    u_hats = [c.hat * grid.dealias_mask for c in u0.components]
-
-    def materialize(t: float) -> InhomState:
-        rho = ScalarField.from_hat(grid, rho_hat.copy())
-        vel = VelocityField(
-            [ScalarField.from_hat(grid, h.copy()) for h in u_hats], divergence_free=True
-        )
+    def materialize(t: float, hats: tuple) -> InhomState:
+        rho = ScalarField.from_hat(grid, hats[0])
+        vel = VelocityField([ScalarField.from_hat(grid, h) for h in hats[1:]],
+                            divergence_free=True)
+        if float(rho.values.min()) <= 0.0:
+            raise SolverAbort(f"density lost positivity at t={t}", t)
         return InhomState(t, rho, vel)
 
-    def coupled_rhs(rh, uh):
-        rho_phys = grid.irfftn(rh)
-        u_phys = [grid.irfftn(h) for h in uh]
+    def rhs(hats: tuple) -> tuple:
+        rho_phys = grid.irfftn(hats[0])
+        u_phys = [grid.irfftn(h) for h in hats[1:]]
         d_rho = _transport_tendency(grid, rho_phys, u_phys)
         d_u = _inhom_velocity_tendency(grid, rho_phys, u_phys, poisson_tol, poisson_max_iter)
-        return d_rho, d_u
+        return (d_rho, *d_u)
 
-    states = [materialize(0.0)]
-    _check_cfl(states[0].velocity.max_speed(), grid, dt, cfl)
-    for k in range(1, n_steps + 1):
-        k1 = coupled_rhs(rho_hat, u_hats)
-        k2 = coupled_rhs(
-            rho_hat + 0.5 * dt * k1[0], [u + 0.5 * dt * d for u, d in zip(u_hats, k1[1])]
-        )
-        k3 = coupled_rhs(
-            rho_hat + 0.5 * dt * k2[0], [u + 0.5 * dt * d for u, d in zip(u_hats, k2[1])]
-        )
-        k4 = coupled_rhs(
-            rho_hat + dt * k3[0], [u + dt * d for u, d in zip(u_hats, k3[1])]
-        )
-        rho_hat = rho_hat + (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        u_hats = [
-            u + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-            for u, a, b, c, d in zip(u_hats, k1[1], k2[1], k3[1], k4[1])
-        ]
-        t = k * dt
-        if not all(np.all(np.isfinite(h)) for h in [rho_hat] + u_hats):
-            raise SolverAbort(f"non-finite state at t={t}", t)
-        if k % snapshot_stride == 0 or k == n_steps:
-            state = materialize(t)
-            if float(state.density.values.min()) <= 0.0:
-                raise SolverAbort(f"density lost positivity at t={t}", t)
-            _check_cfl(state.velocity.max_speed(), grid, dt, cfl)
-            states.append(state)
-    cfg = dict(config or {})
-    cfg.update({"T": T, "dt": dt, "snapshot_stride": snapshot_stride, "cfl": cfl,
-                "grid_n": grid.n_per_axis})
-    return InhomTrajectory(
-        states,
-        dt,
-        cfg,
-        [s.weighted_energy() for s in states],
-        [s.mass() for s in states],
-    )
+    hats = tuple(f.hat * grid.dealias_mask for f in (rho0, *u0.components))
+    states = integrate(grid, hats, rhs, materialize, T, dt, snapshot_stride, cfl)
+    return Trajectory(states, dt, _run_config(config, grid, T, dt, snapshot_stride, cfl),
+                      [s.weighted_energy() for s in states],
+                      {"mass": [s.mass() for s in states]})
 
 
 @dataclass
@@ -384,24 +339,17 @@ def density_contraction_check(
     system, theta for Boussinesq); both trajectories must share snapshot
     times.
     """
-    times = traj_a.times
-    if len(times) != len(traj_b.times) or any(
-        abs(a - b) > 1e-12 for a, b in zip(times, traj_b.times)
-    ):
-        raise ConfigurationError("trajectories recorded different time axes")
+    times = _shared_times(traj_a, traj_b)
     grid_a, grid_b = traj_a.grid, traj_b.grid
     cmp_grid = grid_a if grid_a.n_per_axis <= grid_b.n_per_axis else grid_b
     eps = working_epsilon if working_epsilon is not None else resolved_epsilon(cmp_grid)
     kernel = make_kernel(cmp_grid, eps)
 
-    def scalar_of(state):
-        return getattr(state, field) if field != "density" else state.density
-
     values = []
     pairing = []
     for sa, sb in zip(traj_a.states, traj_b.states):
-        ra = resample(scalar_of(sa), cmp_grid)
-        rb = resample(scalar_of(sb), cmp_grid)
+        ra = resample(getattr(sa, field), cmp_grid)
+        rb = resample(getattr(sb, field), cmp_grid)
         ua = resample(sa.velocity, cmp_grid)
         ub = resample(sb.velocity, cmp_grid)
         values.append(_scalar_l2_half(cmp_grid, ra.values, rb.values))
@@ -420,22 +368,8 @@ def density_contraction_check(
                 )
             )
         pairing.append(abs(s * cmp_grid.cell_volume))
-    budget = 0.0
-    for i in range(len(times) - 1):
-        budget += 0.5 * (pairing[i] + pairing[i + 1]) * (times[i + 1] - times[i])
-
-    worst = 0.0
-    worst_pair = None
-    run_min = values[0]
-    run_min_t = times[0]
-    for t, d in zip(times[1:], values[1:]):
-        gain = d - run_min - budget
-        if gain > worst:
-            worst = gain
-            worst_pair = (run_min_t, t)
-        if d < run_min:
-            run_min = d
-            run_min_t = t
+    budget = _trapz(pairing, times)
+    worst, worst_pair = ordered_pair_audit(times, values, budget)
     return DensityContractionReport(
         passed=worst <= tolerance,
         max_violation=worst,
@@ -468,26 +402,6 @@ class BoussinesqState:
         return float(self.theta.values.sum() * self.grid.cell_volume)
 
 
-@dataclass
-class BoussinesqTrajectory:
-    states: list[BoussinesqState]
-    dt: float
-    config: dict
-    energy_ledger: list[float]
-    theta_ledger: list[float]
-
-    @property
-    def times(self) -> list[float]:
-        return [s.time for s in self.states]
-
-    @property
-    def grid(self) -> PeriodicGrid:
-        return self.states[0].grid
-
-    def final(self) -> BoussinesqState:
-        return self.states[-1]
-
-
 def boussinesq_solve(
     theta0: ScalarField,
     u0: VelocityField,
@@ -497,9 +411,10 @@ def boussinesq_solve(
     snapshot_stride: int = 1,
     cfl: float = DEFAULT_CFL,
     config: Optional[dict] = None,
-) -> BoussinesqTrajectory:
+) -> Trajectory:
     """Vorticity dynamics with buoyancy torque ``curl(theta g)`` and
-    conservative transport of ``theta``.
+    conservative transport of ``theta``; the ``"theta"`` ledger records
+    ``int theta``.
 
     The vorticity tendency is the homogeneous advection term plus the torque,
     added afterwards; a vanishing ``theta`` therefore reproduces the
@@ -511,60 +426,26 @@ def boussinesq_solve(
     if grid != u0.grid:
         raise ConfigurationError("theta and velocity must share a grid")
     g = (float(g[0]), float(g[1]))
-    if max_norm(divergence(u0)) > 1e-8 * max(max_norm(u0), 1e-300):
-        raise ConfigurationError("initial velocity is not divergence-free")
-    n_steps = round(T / dt)
-    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(1.0, abs(T)):
-        raise ConfigurationError(f"T={T} must be a positive integer multiple of dt={dt}")
-
-    w_hat = curl_2d(u0).hat * grid.dealias_mask
-    th_hat = theta0.hat * grid.dealias_mask
+    _check_initial_velocity(u0)
     torque_symbol = 1j * (g[1] * grid.deriv_wavenumber(0) - g[0] * grid.deriv_wavenumber(1))
 
-    def velocity_from(wh):
-        u1, u2 = _velocity_hats(grid, wh)
-        return [grid.irfftn(u1), grid.irfftn(u2)]
-
-    def rhs(wh, th):
+    def rhs(hats: tuple) -> tuple:
+        wh, th = hats
         dw = _advection_tendency(grid, wh) + torque_symbol * th
-        u = velocity_from(wh)
-        dth = _transport_tendency(grid, grid.irfftn(th), u)
+        u1, u2 = _velocity_hats(grid, wh)
+        dth = _transport_tendency(grid, grid.irfftn(th), [grid.irfftn(u1), grid.irfftn(u2)])
         return dw, dth
 
-    def materialize(t):
-        u1, u2 = _velocity_hats(grid, w_hat)
-        vel = VelocityField(
-            [ScalarField.from_hat(grid, u1), ScalarField.from_hat(grid, u2)],
-            divergence_free=True,
-        )
-        return BoussinesqState(t, ScalarField.from_hat(grid, th_hat.copy()), vel, g)
+    def materialize(t: float, hats: tuple) -> BoussinesqState:
+        vel = _velocity_field(grid, hats[0])
+        return BoussinesqState(t, ScalarField.from_hat(grid, hats[1]), vel, g)
 
-    states = [materialize(0.0)]
-    _check_cfl(states[0].velocity.max_speed(), grid, dt, cfl)
-    for k in range(1, n_steps + 1):
-        k1 = rhs(w_hat, th_hat)
-        k2 = rhs(w_hat + 0.5 * dt * k1[0], th_hat + 0.5 * dt * k1[1])
-        k3 = rhs(w_hat + 0.5 * dt * k2[0], th_hat + 0.5 * dt * k2[1])
-        k4 = rhs(w_hat + dt * k3[0], th_hat + dt * k3[1])
-        w_hat = w_hat + (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        th_hat = th_hat + (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        t = k * dt
-        if not (np.all(np.isfinite(w_hat)) and np.all(np.isfinite(th_hat))):
-            raise SolverAbort(f"non-finite state at t={t}", t)
-        if k % snapshot_stride == 0 or k == n_steps:
-            state = materialize(t)
-            _check_cfl(state.velocity.max_speed(), grid, dt, cfl)
-            states.append(state)
-    cfg = dict(config or {})
-    cfg.update({"T": T, "dt": dt, "snapshot_stride": snapshot_stride, "cfl": cfl,
-                "grid_n": grid.n_per_axis, "g": list(g)})
-    return BoussinesqTrajectory(
-        states,
-        dt,
-        cfg,
-        [kinetic_energy(s.velocity) for s in states],
-        [s.theta_total() for s in states],
-    )
+    hats = (curl_2d(u0).hat * grid.dealias_mask, theta0.hat * grid.dealias_mask)
+    states = integrate(grid, hats, rhs, materialize, T, dt, snapshot_stride, cfl)
+    cfg = _run_config(config, grid, T, dt, snapshot_stride, cfl)
+    cfg["g"] = list(g)
+    return Trajectory(states, dt, cfg, [kinetic_energy(s.velocity) for s in states],
+                      {"theta": [s.theta_total() for s in states]})
 
 
 # ---------------------------------------------------------------------------
@@ -626,47 +507,34 @@ def _product_field(rho: ScalarField, u: VelocityField) -> VelocityField:
     )
 
 
+def _weighted_energy(sa: InhomState, ua: VelocityField, ub: VelocityField) -> float:
+    """``0.5 int rho_a |u_a - u_b|^2`` on the velocities' grid."""
+    grid = ua.grid
+    w = resample(sa.density, grid).values
+    d2 = np.zeros(grid.shape)
+    for x, y in zip(ua.components, ub.components):
+        d = x.values - y.values
+        d2 += d * d
+    return 0.5 * float(np.sum(w * d2) * grid.cell_volume)
+
+
 def _extended_experiment(
-    solve_pair,
+    traj_a: Trajectory,
+    traj_b: Trajectory,
     scalar_name: str,
+    energy_of,
     alpha: float,
     p_int: float,
     epsilons: Sequence[float],
     contraction_tolerance: float,
     certify_tolerance: Optional[float],
 ) -> ExtendedUniquenessReport:
-    traj_a, traj_b = solve_pair
-    grid_a, grid_b = traj_a.grid, traj_b.grid
-    if grid_a.n_per_axis > grid_b.n_per_axis:
-        traj_a, traj_b = traj_b, traj_a
-        grid_a, grid_b = grid_b, grid_a
-    cmp_grid = grid_a
-    times = traj_a.times
-    if len(times) != len(traj_b.times) or any(
-        abs(a - b) > 1e-12 for a, b in zip(times, traj_b.times)
-    ):
-        raise ConfigurationError("trajectories recorded different time axes")
-
     epsilons = sorted((float(e) for e in epsilons), reverse=True)
     reg_eps = resolved_epsilon(traj_b.grid)
-    energy = []
-    c_vals = []
-    seminorms = []
-    for sa, sb in zip(traj_a.states, traj_b.states):
-        ua = resample(sa.velocity, cmp_grid)
-        ub = resample(sb.velocity, cmp_grid)
-        if scalar_name == "density":
-            w = resample(sa.density, cmp_grid).values
-            d2 = np.zeros(cmp_grid.shape)
-            for x, y in zip(ua.components, ub.components):
-                d = x.values - y.values
-                d2 += d * d
-            energy.append(0.5 * float(np.sum(w * d2) * cmp_grid.cell_volume))
-        else:
-            energy.append(relative_energy(ua, ub))
-        v = sb.velocity
-        c_vals.append(one_sided_lipschitz(v, reg_eps))
-        seminorms.append(besov_seminorm(v, alpha, p_int).seminorm)
+    e_series, c_series, seminorms = _pair_series(
+        traj_a, traj_b, energy_of, reg_eps, alpha, p_int
+    )
+    times = e_series.times
 
     # Besov hypothesis over every quantity the uniqueness statement lists,
     # for both legs.
@@ -691,48 +559,31 @@ def _extended_experiment(
         v0, "convective_commutator_lp", epsilons, p_int, alpha=alpha
     )
     rate = 2.0 * alpha - 1.0
-    weight = 0.0
-    for i in range(len(times) - 1):
-        weight += 0.5 * (seminorms[i] ** 2 + seminorms[i + 1] ** 2) * (
-            times[i + 1] - times[i]
-        )
+    weight = _trapz([s ** 2 for s in seminorms], times)
     c_fit = max(sweep.intercepts) if not sweep.vacuous else 0.0
     work_eps = min(epsilons)
     budget = c_fit * work_eps**rate * weight
 
-    if certify_tolerance is None:
-        def drift(tr):
-            e0 = tr.energy_ledger[0]
-            return max(abs(e - e0) for e in tr.energy_ledger)
-
-        certify_tolerance = 10.0 * max(drift(traj_a), drift(traj_b), 1e-16)
-    e_series = RelativeEnergySeries(times, energy)
-    c_series = LipschitzSeries(times, c_vals, reg_eps)
-    certificate = gronwall_certify(e_series, c_series, budget, certify_tolerance)
+    certificate = gronwall_certify(
+        e_series, c_series, budget, _drift_tolerance(certify_tolerance, traj_a, traj_b)
+    )
     # the contraction audit mollifies on the comparison grid, whose resolved
     # scale may be coarser than the velocity sweep's smallest epsilon
     contraction = density_contraction_check(
         traj_a, traj_b, contraction_tolerance,
-        working_epsilon=max(work_eps, resolved_epsilon(cmp_grid)),
+        working_epsilon=max(work_eps, resolved_epsilon(traj_a.grid)),
         field=scalar_name,
     )
-
-    if not met:
-        verdict = "hypothesis-not-met"
-    elif certificate.passed and contraction.passed:
-        verdict = "pass"
-    else:
-        verdict = "certificate-failed"
     return ExtendedUniquenessReport(
         times=times,
-        energy=energy,
+        energy=e_series.values,
         lipschitz=c_series,
         certificate=certificate,
         contraction=contraction,
         fitted_alpha=fitted_alpha,
         required_alpha=required,
         hypothesis_met=met,
-        verdict=verdict,
+        verdict=_verdict(met, certificate.passed, contraction.passed),
         alpha=float(alpha),
         p_int=float(p_int),
         working_epsilon=work_eps,
@@ -754,19 +605,9 @@ def inhom_uniqueness_experiment(
 ) -> ExtendedUniquenessReport:
     """A/B certification for the inhomogeneous system: weighted relative
     energy with C(t) from the finer run, plus the density contraction audit."""
-    if abs(cfg_a.T - cfg_b.T) > 1e-12 or abs(cfg_a.cadence() - cfg_b.cadence()) > 1e-12:
-        raise ConfigurationError("runs must share horizon and snapshot cadence")
-    trajs = []
-    for cfg in (cfg_a, cfg_b):
-        grid = make_grid(2, cfg.grid_n)
-        trajs.append(
-            inhom_solve(
-                resample(rho0, grid), resample(u0, grid), cfg.T, cfg.dt,
-                snapshot_stride=cfg.snapshot_stride, cfl=cfg.cfl,
-            )
-        )
+    traj_a, traj_b = run_pair((rho0, u0), cfg_a, cfg_b, inhom_solve)
     return _extended_experiment(
-        tuple(trajs), "density", alpha, p_int, epsilons,
+        traj_a, traj_b, "density", _weighted_energy, alpha, p_int, epsilons,
         contraction_tolerance, certify_tolerance,
     )
 
@@ -787,18 +628,10 @@ def boussinesq_uniqueness_experiment(
     """A/B certification for the Boussinesq system: homogeneous-style
     relative-energy certificate plus the theta contraction audit, with C(t)
     estimated from the finer run's velocity."""
-    if abs(cfg_a.T - cfg_b.T) > 1e-12 or abs(cfg_a.cadence() - cfg_b.cadence()) > 1e-12:
-        raise ConfigurationError("runs must share horizon and snapshot cadence")
-    trajs = []
-    for cfg in (cfg_a, cfg_b):
-        grid = make_grid(2, cfg.grid_n)
-        trajs.append(
-            boussinesq_solve(
-                resample(theta0, grid), resample(u0, grid), g, cfg.T, cfg.dt,
-                snapshot_stride=cfg.snapshot_stride, cfl=cfg.cfl,
-            )
-        )
+    traj_a, traj_b = run_pair(
+        (theta0, u0), cfg_a, cfg_b, functools.partial(boussinesq_solve, g=g)
+    )
     return _extended_experiment(
-        tuple(trajs), "theta", alpha, p_int, epsilons,
+        traj_a, traj_b, "theta", _plain_energy, alpha, p_int, epsilons,
         contraction_tolerance, certify_tolerance,
     )

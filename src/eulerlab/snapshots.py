@@ -17,8 +17,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError
+from .extensions import BoussinesqState, InhomState
 from .grid_fields import Field, PeriodicGrid, ScalarField, VelocityField, curl_2d
 from .reporting import config_hash, dump_json
+from .solver import SolverState, Trajectory
 
 __all__ = [
     "write_field",
@@ -103,24 +105,45 @@ def _state_components(state) -> tuple[list[str], list[np.ndarray]]:
     return names, arrays
 
 
-def save_trajectory(traj, outdir) -> Path:
+def _solver_state(t, grid, comps, vel, config) -> SolverState:
+    # vorticity is derived data: recompute it when it was not written
+    w = ScalarField(grid, comps["vorticity"]) if "vorticity" in comps else curl_2d(vel)
+    return SolverState(t, vel, w)
+
+
+def _inhom_state(t, grid, comps, vel, config) -> InhomState:
+    return InhomState(t, ScalarField(grid, comps["density"]), vel)
+
+
+def _boussinesq_state(t, grid, comps, vel, config) -> BoussinesqState:
+    g = tuple(config.get("g", (0.0, 0.0)))
+    return BoussinesqState(t, ScalarField(grid, comps["theta"]), vel, g)
+
+
+# manifest kind -> (state class, state builder, extra ledger name)
+_KINDS = {
+    "Trajectory": (SolverState, _solver_state, None),
+    "InhomTrajectory": (InhomState, _inhom_state, "mass"),
+    "BoussinesqTrajectory": (BoussinesqState, _boussinesq_state, "theta"),
+}
+
+
+def save_trajectory(traj: Trajectory, outdir) -> Path:
     """Write one snapshot per state plus the manifest; returns the manifest
     path."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    names = None
+    kind = next(k for k, (cls, _, _) in _KINDS.items() if isinstance(traj.states[0], cls))
+    names = _state_components(traj.states[0])[0]
     files = []
     for idx, state in enumerate(traj.states):
         fname = f"state_{idx:06d}.eulb"
-        state_names, arrays = _state_components(state)
-        if names is None:
-            names = state_names
-        _write_snapshot(outdir / fname, state.velocity.grid, arrays)
+        _write_snapshot(outdir / fname, state.velocity.grid, _state_components(state)[1])
         files.append(fname)
     config_text = json.dumps(traj.config, sort_keys=True)
     manifest = {
         "format_version": FORMAT_VERSION,
-        "kind": type(traj).__name__,
+        "kind": kind,
         "components": names,
         "times": traj.times,
         "energy_ledger": traj.energy_ledger,
@@ -129,22 +152,20 @@ def save_trajectory(traj, outdir) -> Path:
         "config_hash": config_hash(config_text),
         "files": files,
     }
-    for extra in ("mass_ledger", "theta_ledger"):
-        if hasattr(traj, extra):
-            manifest[extra] = getattr(traj, extra)
+    for name, ledger in traj.ledgers.items():
+        manifest[f"{name}_ledger"] = ledger
     path = outdir / "manifest.json"
     dump_json(manifest, path)
     return path
 
 
-def load_trajectory(outdir):
-    """Rebuild a trajectory from a snapshot directory.
-
-    Velocity components are reloaded as stored; vorticity is recomputed when
-    it was not written (it is derived data).
-    """
+def load_trajectory(outdir) -> Trajectory:
+    """Rebuild a trajectory from a snapshot directory."""
     outdir = Path(outdir)
     manifest = json.loads((outdir / "manifest.json").read_text())
+    if manifest["kind"] not in _KINDS:
+        raise ConfigurationError(f"unknown trajectory kind {manifest['kind']!r}")
+    _, build, ledger = _KINDS[manifest["kind"]]
     names = manifest["components"]
     states = []
     for t, fname in zip(manifest["times"], manifest["files"]):
@@ -154,37 +175,7 @@ def load_trajectory(outdir):
             grid, [by_name[f"u{i + 1}"] for i in range(grid.dims)],
             divergence_free=True,
         )
-        if manifest["kind"] == "Trajectory":
-            from .solver import SolverState
-
-            w = (
-                ScalarField(grid, by_name["vorticity"])
-                if "vorticity" in by_name
-                else curl_2d(vel)
-            )
-            states.append(SolverState(t, vel, w))
-        elif manifest["kind"] == "InhomTrajectory":
-            from .extensions import InhomState
-
-            states.append(InhomState(t, ScalarField(grid, by_name["density"]), vel))
-        elif manifest["kind"] == "BoussinesqTrajectory":
-            from .extensions import BoussinesqState
-
-            g = tuple(manifest["config"].get("g", (0.0, 0.0)))
-            states.append(BoussinesqState(t, ScalarField(grid, by_name["theta"]), vel, g))
-        else:
-            raise ConfigurationError(f"unknown trajectory kind {manifest['kind']!r}")
-    if manifest["kind"] == "Trajectory":
-        from .solver import Trajectory
-
-        return Trajectory(states, manifest["dt"], manifest["config"],
-                          manifest["energy_ledger"])
-    if manifest["kind"] == "InhomTrajectory":
-        from .extensions import InhomTrajectory
-
-        return InhomTrajectory(states, manifest["dt"], manifest["config"],
-                               manifest["energy_ledger"], manifest["mass_ledger"])
-    from .extensions import BoussinesqTrajectory
-
-    return BoussinesqTrajectory(states, manifest["dt"], manifest["config"],
-                                manifest["energy_ledger"], manifest["theta_ledger"])
+        states.append(build(t, grid, by_name, vel, manifest["config"]))
+    ledgers = {ledger: manifest[f"{ledger}_ledger"]} if ledger else {}
+    return Trajectory(states, manifest["dt"], manifest["config"],
+                      manifest["energy_ledger"], ledgers)

@@ -45,6 +45,9 @@ __all__ = [
     "linear_window",
     "step",
     "solve",
+    "integrate",
+    "steps_for_horizon",
+    "ordered_pair_audit",
     "recover_pressure",
     "admissibility_check",
     "AdmissibilityReport",
@@ -87,23 +90,33 @@ def _advection_tendency(grid: PeriodicGrid, w_hat: np.ndarray) -> np.ndarray:
     return -(1j * grid.deriv_wavenumber(0) * f1 + 1j * grid.deriv_wavenumber(1) * f2)
 
 
-def _rk4(grid: PeriodicGrid, w_hat: np.ndarray, dt: float,
-         rhs: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    k1 = rhs(w_hat)
-    k2 = rhs(w_hat + (0.5 * dt) * k1)
-    k3 = rhs(w_hat + (0.5 * dt) * k2)
-    k4 = rhs(w_hat + dt * k3)
-    return w_hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_stage(hats: tuple, dt: float, rhs: Callable[[tuple], tuple]) -> tuple:
+    """One classical 4-stage step of ``d(hats)/dt = rhs(hats)``, elementwise
+    over a tuple of spectral arrays."""
+    k1 = rhs(hats)
+    k2 = rhs(tuple(h + (0.5 * dt) * k for h, k in zip(hats, k1)))
+    k3 = rhs(tuple(h + (0.5 * dt) * k for h, k in zip(hats, k2)))
+    k4 = rhs(tuple(h + dt * k for h, k in zip(hats, k3)))
+    return tuple(
+        h + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+        for h, a, b, c, d in zip(hats, k1, k2, k3, k4)
+    )
 
 
-def _materialize(grid: PeriodicGrid, time: float, w_hat: np.ndarray) -> "SolverState":
+def _vorticity_rhs(grid: PeriodicGrid) -> Callable[[tuple], tuple]:
+    return lambda hats: (_advection_tendency(grid, hats[0]),)
+
+
+def _velocity_field(grid: PeriodicGrid, w_hat: np.ndarray) -> VelocityField:
     u1_hat, u2_hat = _velocity_hats(grid, w_hat)
-    velocity = VelocityField(
+    return VelocityField(
         [ScalarField.from_hat(grid, u1_hat), ScalarField.from_hat(grid, u2_hat)],
         divergence_free=True,
     )
-    vorticity = ScalarField.from_hat(grid, w_hat.copy())
-    return SolverState(time, velocity, vorticity)
+
+
+def _materialize(grid: PeriodicGrid, time: float, w_hat: np.ndarray) -> "SolverState":
+    return SolverState(time, _velocity_field(grid, w_hat), ScalarField.from_hat(grid, w_hat))
 
 
 @dataclass
@@ -138,19 +151,23 @@ class SolverState:
 
 @dataclass
 class Trajectory:
-    """Time-ordered solver states with the kinetic-energy ledger."""
+    """Time-ordered solver states with the kinetic-energy ledger and any
+    further named ledgers (``"mass"`` for variable density, ``"theta"`` for
+    Boussinesq), each holding one entry per state."""
 
-    states: list[SolverState]
+    states: list
     dt: float
     config: dict
     energy_ledger: list[float]
+    ledgers: dict[str, list[float]] = field(default_factory=dict)
 
     def __post_init__(self):
         times = [s.time for s in self.states]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ConfigurationError("trajectory times must be strictly increasing")
-        if len(self.energy_ledger) != len(self.states):
-            raise ConfigurationError("energy ledger must have one entry per state")
+        for name, ledger in {"energy": self.energy_ledger, **self.ledgers}.items():
+            if len(ledger) != len(self.states):
+                raise ConfigurationError(f"{name} ledger must have one entry per state")
 
     @property
     def times(self) -> list[float]:
@@ -160,8 +177,13 @@ class Trajectory:
     def grid(self) -> PeriodicGrid:
         return self.states[0].grid
 
-    def final(self) -> SolverState:
+    def final(self):
         return self.states[-1]
+
+    def energy_drift(self) -> float:
+        """Largest deviation of the energy ledger from its initial entry."""
+        e0 = self.energy_ledger[0]
+        return max(abs(e - e0) for e in self.energy_ledger)
 
 
 def _check_cfl(state_speed: float, grid: PeriodicGrid, dt: float, cfl: float) -> None:
@@ -176,43 +198,74 @@ def _check_cfl(state_speed: float, grid: PeriodicGrid, dt: float, cfl: float) ->
         )
 
 
+def steps_for_horizon(T: float, dt: float) -> int:
+    """Number of ``dt`` steps spanning ``T``; 0 unless ``T`` is a positive
+    integer multiple of ``dt``."""
+    n_steps = round(T / dt)
+    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(1.0, abs(T)):
+        return 0
+    return n_steps
+
+
+def _check_initial_velocity(u0: VelocityField) -> None:
+    if max_norm(divergence(u0)) > 1e-8 * max(max_norm(u0), 1e-300):
+        raise ConfigurationError("initial velocity is not divergence-free")
+
+
+def _run_config(config: Optional[dict], grid: PeriodicGrid, T: float, dt: float,
+               snapshot_stride: int, cfl: float) -> dict:
+    """The caller's config plus the integration parameters of one run."""
+    cfg = dict(config or {})
+    cfg.update({"T": T, "dt": dt, "snapshot_stride": snapshot_stride, "cfl": cfl,
+                "grid_n": grid.n_per_axis})
+    return cfg
+
+
+def integrate(
+    grid: PeriodicGrid,
+    hats: tuple,
+    rhs: Callable[[tuple], tuple],
+    materialize: Callable[[float, tuple], object],
+    T: float,
+    dt: float,
+    snapshot_stride: int,
+    cfl: float,
+) -> list:
+    """Advance the spectral state ``hats`` to ``T`` in RK4 steps of ``dt``.
+
+    ``materialize(t, hats)`` builds the recorded state (with a ``velocity``)
+    at t = 0, every ``snapshot_stride`` steps and at ``T``; CFL is audited
+    against each recorded velocity.  A non-finite state aborts the run.
+    """
+    if snapshot_stride < 1:
+        raise ConfigurationError("snapshot_stride must be >= 1")
+    n_steps = steps_for_horizon(T, dt)
+    if not n_steps:
+        raise ConfigurationError(f"T={T} must be a positive integer multiple of dt={dt}")
+    states = [materialize(0.0, hats)]
+    _check_cfl(states[0].velocity.max_speed(), grid, dt, cfl)
+    for k in range(1, n_steps + 1):
+        hats = _rk4_stage(hats, dt, rhs)
+        t = k * dt
+        if not all(np.all(np.isfinite(h)) for h in hats):
+            raise SolverAbort(f"non-finite state at t={t}", t)
+        if k % snapshot_stride == 0 or k == n_steps:
+            state = materialize(t, hats)
+            # CFL is re-audited at snapshot cadence against the evolved speed.
+            _check_cfl(state.velocity.max_speed(), grid, dt, cfl)
+            states.append(state)
+    return states
+
+
 def step(state: SolverState, dt: float, cfl: float = DEFAULT_CFL) -> SolverState:
     """Advance one RK4 step; rejects steps beyond the CFL bound."""
     grid = state.grid
     _check_cfl(state.max_speed(), grid, dt, cfl)
     w_hat = state.vorticity.hat * grid.dealias_mask
-    new_hat = _rk4(grid, w_hat, dt, lambda w: _advection_tendency(grid, w))
+    (new_hat,) = _rk4_stage((w_hat,), dt, _vorticity_rhs(grid))
     if not np.all(np.isfinite(new_hat)):
         raise SolverAbort(f"non-finite vorticity after step at t={state.time}", state.time)
     return _materialize(grid, state.time + dt, new_hat)
-
-
-def _run_loop(
-    grid: PeriodicGrid,
-    w_hat: np.ndarray,
-    T: float,
-    dt: float,
-    snapshot_stride: int,
-    cfl: float,
-    rhs: Callable[[np.ndarray], np.ndarray],
-    materialize: Callable[[float, np.ndarray], SolverState],
-) -> list[SolverState]:
-    n_steps = round(T / dt)
-    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(1.0, abs(T)):
-        raise ConfigurationError(f"T={T} must be a positive integer multiple of dt={dt}")
-    states = [materialize(0.0, w_hat)]
-    _check_cfl(states[0].max_speed(), grid, dt, cfl)
-    for k in range(1, n_steps + 1):
-        w_hat = _rk4(grid, w_hat, dt, rhs)
-        t = k * dt
-        if not np.all(np.isfinite(w_hat)):
-            raise SolverAbort(f"non-finite state at t={t}", t)
-        if k % snapshot_stride == 0 or k == n_steps:
-            state = materialize(t, w_hat)
-            # CFL is re-audited at snapshot cadence against the evolved speed.
-            _check_cfl(state.max_speed(), grid, dt, cfl)
-            states.append(state)
-    return states
 
 
 def solve(
@@ -228,22 +281,15 @@ def solve(
     grid = u0.grid
     if grid.dims != 2:
         raise ConfigurationError("the solver supports dims=2 only")
-    if snapshot_stride < 1:
-        raise ConfigurationError("snapshot_stride must be >= 1")
-    ref = max(max_norm(u0), 1e-300)
-    if max_norm(divergence(u0)) > 1e-8 * ref:
-        raise ConfigurationError("initial velocity is not divergence-free")
+    _check_initial_velocity(u0)
     w_hat = curl_2d(u0).hat * grid.dealias_mask
-    states = _run_loop(
-        grid, w_hat, T, dt, snapshot_stride, cfl,
-        lambda w: _advection_tendency(grid, w),
-        lambda t, w: _materialize(grid, t, w),
+    states = integrate(
+        grid, (w_hat,), _vorticity_rhs(grid),
+        lambda t, hats: _materialize(grid, t, hats[0]),
+        T, dt, snapshot_stride, cfl,
     )
-    ledger = [kinetic_energy(s.velocity) for s in states]
-    cfg = dict(config or {})
-    cfg.update({"T": T, "dt": dt, "snapshot_stride": snapshot_stride, "cfl": cfl,
-                "grid_n": grid.n_per_axis})
-    return Trajectory(states, dt, cfg, ledger)
+    return Trajectory(states, dt, _run_config(config, grid, T, dt, snapshot_stride, cfl),
+                      [kinetic_energy(s.velocity) for s in states])
 
 
 def recover_pressure(u: VelocityField) -> ScalarField:
@@ -270,23 +316,34 @@ class AdmissibilityReport:
     tolerance: float
 
 
-def admissibility_check(traj: Trajectory, tolerance: float) -> AdmissibilityReport:
-    """Verify the ledger never rises by more than ``tolerance`` between any
-    ordered pair of recorded times."""
-    times = traj.times
-    ledger = traj.energy_ledger
+def ordered_pair_audit(
+    times: Sequence[float], values: Sequence[float], budget: float
+) -> tuple[float, Optional[tuple[float, float]]]:
+    """Largest ``(values[j] - values[i]) - budget`` over ordered pairs i < j,
+    clamped at 0, and the time pair attaining it (None when nothing gains).
+
+    One pass with a running minimum: on ties the earliest minimum and the
+    earliest maximizing j win.
+    """
     worst = 0.0
     worst_pair = None
-    run_min = ledger[0]
+    run_min = values[0]
     run_min_t = times[0]
-    for t, e in zip(times[1:], ledger[1:]):
-        gain = e - run_min
+    for t, v in zip(times[1:], values[1:]):
+        gain = (v - run_min) - budget
         if gain > worst:
             worst = gain
             worst_pair = (run_min_t, t)
-        if e < run_min:
-            run_min = e
+        if v < run_min:
+            run_min = v
             run_min_t = t
+    return worst, worst_pair
+
+
+def admissibility_check(traj: Trajectory, tolerance: float) -> AdmissibilityReport:
+    """Verify the ledger never rises by more than ``tolerance`` between any
+    ordered pair of recorded times."""
+    worst, worst_pair = ordered_pair_audit(traj.times, traj.energy_ledger, 0.0)
     return AdmissibilityReport(worst <= tolerance, worst, worst_pair, tolerance)
 
 

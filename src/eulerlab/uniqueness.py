@@ -31,7 +31,7 @@ from .grid_fields import (
     resample,
 )
 from .mollify import make_kernel, mollify, resolved_epsilon
-from .solver import Trajectory, solve
+from .solver import solve
 
 __all__ = [
     "RelativeEnergySeries",
@@ -123,12 +123,7 @@ class LipschitzSeries:
 
     def integral(self) -> float:
         """Trapezoid of C over the whole axis."""
-        acc = 0.0
-        for i in range(len(self.times) - 1):
-            acc += 0.5 * (self.c_values[i] + self.c_values[i + 1]) * (
-                self.times[i + 1] - self.times[i]
-            )
-        return acc
+        return _trapz(self.c_values, self.times)
 
 
 @dataclass
@@ -275,16 +270,22 @@ def _trapz(values: Sequence[float], times: Sequence[float]) -> float:
     return acc
 
 
-def _ledger_drift(traj: Trajectory) -> float:
-    e0 = traj.energy_ledger[0]
-    return max(abs(e - e0) for e in traj.energy_ledger)
+def _shared_times(traj_a, traj_b) -> list[float]:
+    times = traj_a.times
+    if len(times) != len(traj_b.times) or any(
+        abs(a - b) > 1e-12 for a, b in zip(times, traj_b.times)
+    ):
+        raise ConfigurationError("trajectories recorded different time axes")
+    return times
 
 
-def run_pair(
-    u0: VelocityField, cfg_a: RunConfig, cfg_b: RunConfig
-) -> tuple[Trajectory, Trajectory]:
-    """Integrate both legs from shared initial data (restricted spectrally to
-    each leg's grid); snapshot cadences must agree in physical time."""
+def run_pair(fields: Sequence, cfg_a: RunConfig, cfg_b: RunConfig, solve_leg):
+    """Integrate both legs from shared initial ``fields`` (restricted
+    spectrally to each leg's grid) with ``solve_leg(*fields, T=, dt=,
+    snapshot_stride=, cfl=)``; snapshot cadences must agree in physical time.
+
+    Returns ``(A, B)`` with B the finer leg, the designated regular solution.
+    """
     if abs(cfg_a.T - cfg_b.T) > 1e-12:
         raise ConfigurationError("both runs must share the horizon T")
     if abs(cfg_a.cadence() - cfg_b.cadence()) > 1e-12:
@@ -294,14 +295,54 @@ def run_pair(
         )
     traj = []
     for cfg in (cfg_a, cfg_b):
-        grid = make_grid(u0.grid.dims, cfg.grid_n)
+        grid = make_grid(fields[0].grid.dims, cfg.grid_n)
         traj.append(
-            solve(
-                resample(u0, grid), cfg.T, cfg.dt,
+            solve_leg(
+                *(resample(f, grid) for f in fields), T=cfg.T, dt=cfg.dt,
                 snapshot_stride=cfg.snapshot_stride, cfl=cfg.cfl,
             )
         )
+    if cfg_a.grid_n > cfg_b.grid_n:
+        traj.reverse()
     return traj[0], traj[1]
+
+
+def _plain_energy(sa, ua: VelocityField, ub: VelocityField) -> float:
+    return relative_energy(ua, ub)
+
+
+def _pair_series(traj_a, traj_b, energy, reg_epsilon: float, alpha: float, p_int: float):
+    """Per-snapshot relative energy ``energy(state_a, u_a, u_b)`` (velocities
+    on A's grid), C(t) and the Besov seminorm of B's velocity, as
+    ``(E series, C series, seminorms)``."""
+    times = _shared_times(traj_a, traj_b)
+    cmp_grid = traj_a.grid
+    energies = []
+    c_vals = []
+    seminorms = []
+    for sa, sb in zip(traj_a.states, traj_b.states):
+        ua = resample(sa.velocity, cmp_grid)
+        ub = resample(sb.velocity, cmp_grid)
+        energies.append(energy(sa, ua, ub))
+        v = sb.velocity
+        c_vals.append(one_sided_lipschitz(v, reg_epsilon))
+        seminorms.append(besov_seminorm(v, alpha, p_int).seminorm)
+    return (RelativeEnergySeries(times, energies),
+            LipschitzSeries(times, c_vals, reg_epsilon), seminorms)
+
+
+def _drift_tolerance(certify_tolerance: Optional[float], traj_a, traj_b) -> float:
+    """The given tolerance, or ten times the pair's larger energy drift, so
+    discretization error cannot masquerade as non-uniqueness."""
+    if certify_tolerance is not None:
+        return float(certify_tolerance)
+    return 10.0 * max(traj_a.energy_drift(), traj_b.energy_drift(), 1e-16)
+
+
+def _verdict(hypothesis_met: bool, *audits_passed: bool) -> str:
+    if not hypothesis_met:
+        return "hypothesis-not-met"
+    return "pass" if all(audits_passed) else "certificate-failed"
 
 
 def uniqueness_experiment(
@@ -334,33 +375,14 @@ def uniqueness_experiment(
     if not epsilons:
         raise ConfigurationError("need at least one epsilon for the budget sweep")
 
-    traj_a, traj_b = run_pair(u0, cfg_a, cfg_b)
-    # B is the designated regular solution; swap so it is the finer leg.
-    if cfg_a.grid_n > cfg_b.grid_n:
-        traj_a, traj_b = traj_b, traj_a
-        cfg_a, cfg_b = cfg_b, cfg_a
+    traj_a, traj_b = run_pair((u0,), cfg_a, cfg_b, solve)
     grid_v = traj_b.grid
-    cmp_grid = traj_a.grid if traj_a.grid.n_per_axis <= grid_v.n_per_axis else grid_v
-
-    times = traj_a.times
-    if len(times) != len(traj_b.times) or any(
-        abs(a - b) > 1e-12 for a, b in zip(times, traj_b.times)
-    ):
-        raise ConfigurationError("trajectories recorded different time axes")
-
     reg_eps = reg_epsilon if reg_epsilon is not None else resolved_epsilon(grid_v)
-    energy = []
-    c_vals = []
-    seminorms = []
-    alphas = []
-    for sa, sb in zip(traj_a.states, traj_b.states):
-        ua = resample(sa.velocity, cmp_grid)
-        ub = resample(sb.velocity, cmp_grid)
-        energy.append(relative_energy(ua, ub))
-        v = sb.velocity
-        c_vals.append(one_sided_lipschitz(v, reg_eps))
-        seminorms.append(besov_seminorm(v, alpha, p_int).seminorm)
-        alphas.append(fit_regularity_exponent(v, p_int))
+    e_series, c_series, seminorms = _pair_series(
+        traj_a, traj_b, _plain_energy, reg_eps, alpha, p_int
+    )
+    times = e_series.times
+    alphas = [fit_regularity_exponent(s.velocity, p_int) for s in traj_b.states]
 
     fitted_alpha = float(np.median(alphas))
     required = ROUTE_THRESHOLDS[budget_route]
@@ -391,24 +413,12 @@ def uniqueness_experiment(
     work_eps = float(working_epsilon) if working_epsilon is not None else min(epsilons)
     budget = c_fit * work_eps**rate * weight
 
-    tol = (
-        float(certify_tolerance)
-        if certify_tolerance is not None
-        else 10.0 * max(_ledger_drift(traj_a), _ledger_drift(traj_b), 1e-16)
+    certificate = gronwall_certify(
+        e_series, c_series, budget, _drift_tolerance(certify_tolerance, traj_a, traj_b)
     )
-    e_series = RelativeEnergySeries(times, energy, (cfg_a.label(), cfg_b.label()))
-    c_series = LipschitzSeries(times, c_vals, reg_eps)
-    certificate = gronwall_certify(e_series, c_series, budget, tol)
-
-    if not met:
-        verdict = "hypothesis-not-met"
-    elif certificate.passed:
-        verdict = "pass"
-    else:
-        verdict = "certificate-failed"
     return UniquenessReport(
         times=times,
-        energy=energy,
+        energy=e_series.values,
         lipschitz=c_series,
         budgets_epsilons=epsilons,
         budgets_values=budgets,
@@ -416,7 +426,7 @@ def uniqueness_experiment(
         fitted_alpha=fitted_alpha,
         required_alpha=required,
         hypothesis_met=met,
-        verdict=verdict,
+        verdict=_verdict(met, certificate.passed),
         alpha=float(alpha),
         p_int=float(p_int),
         working_epsilon=work_eps,

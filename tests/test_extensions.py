@@ -121,7 +121,7 @@ class TestInhomSolve:
         rho = smooth_density(grid)
         u0 = random_divfree(grid, 3.0, seed=7)
         traj = inhom_solve(rho, u0, 0.1, 1e-3, snapshot_stride=50)
-        m = traj.mass_ledger
+        m = traj.ledgers["mass"]
         assert abs(m[-1] - m[0]) / m[0] <= 1e-8
 
     def test_velocity_stays_divergence_free(self):
@@ -214,7 +214,7 @@ class TestBoussinesq:
         u0 = random_divfree(grid, 3.0, seed=21)
         th0 = grid.sample_scalar(lambda x, y: 1.0 + 0.3 * np.sin(np.pi * x))
         tb = boussinesq_solve(th0, u0, (0.0, -1.0), 0.05, 1e-3, snapshot_stride=25)
-        led = tb.theta_ledger
+        led = tb.ledgers["theta"]
         assert abs(led[-1] - led[0]) / abs(led[0]) <= 1e-8
 
     def test_duhamel_short_time(self):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -68,7 +70,7 @@ class TestTrajectoryRoundTrip:
         traj = inhom_solve(rho, taylor_green(grid, 0.5), 0.01, 1e-3, snapshot_stride=5)
         save_trajectory(traj, tmp_path / "run")
         back = load_trajectory(tmp_path / "run")
-        assert back.mass_ledger == pytest.approx(traj.mass_ledger)
+        assert back.ledgers["mass"] == pytest.approx(traj.ledgers["mass"])
         assert np.array_equal(
             back.final().density.values, traj.final().density.values
         )
@@ -81,12 +83,10 @@ class TestTrajectoryRoundTrip:
         )
         save_trajectory(traj, tmp_path / "run")
         back = load_trajectory(tmp_path / "run")
-        assert back.theta_ledger == pytest.approx(traj.theta_ledger)
+        assert back.ledgers["theta"] == pytest.approx(traj.ledgers["theta"])
         assert np.array_equal(back.final().theta.values, traj.final().theta.values)
 
     def test_manifest_contents(self, tmp_path):
-        import json
-
         grid = make_grid(2, 64)
         traj = solve(taylor_green(grid, 1.0), 0.01, 1e-3, snapshot_stride=5)
         save_trajectory(traj, tmp_path / "run")
@@ -95,3 +95,72 @@ class TestTrajectoryRoundTrip:
                     "components"):
             assert key in manifest
         assert len(manifest["files"]) == len(traj.states)
+
+
+def small_runs(grid):
+    """One short run of each system, keyed by the manifest kind it writes."""
+    rho = grid.sample_scalar(lambda x, y: 1.0 + 0.1 * np.sin(np.pi * x))
+    th = grid.sample_scalar(lambda x, y: 0.1 * np.sin(np.pi * x))
+    u0 = taylor_green(grid, 0.5)
+    return {
+        "Trajectory": solve(u0, 0.004, 1e-3, snapshot_stride=2),
+        "InhomTrajectory": inhom_solve(rho, u0, 0.004, 1e-3, snapshot_stride=2),
+        "BoussinesqTrajectory": boussinesq_solve(
+            th, u0, (0.0, -1.0), 0.004, 1e-3, snapshot_stride=2
+        ),
+    }
+
+
+class TestManifestValidation:
+    EXTRA_LEDGER = {
+        "Trajectory": None,
+        "InhomTrajectory": "mass_ledger",
+        "BoussinesqTrajectory": "theta_ledger",
+    }
+
+    def save(self, traj, path):
+        save_trajectory(traj, path)
+        return json.loads((path / "manifest.json").read_text())
+
+    def rewrite(self, path, manifest):
+        (path / "manifest.json").write_text(json.dumps(manifest))
+
+    def test_kind_and_ledger_keys_per_system(self, tmp_path):
+        for kind, traj in small_runs(make_grid(2, 32)).items():
+            manifest = self.save(traj, tmp_path / kind)
+            assert manifest["kind"] == kind
+            ledgers = {k for k in manifest if k.endswith("_ledger")}
+            extra = self.EXTRA_LEDGER[kind]
+            assert ledgers == {"energy_ledger"} | ({extra} if extra else set())
+            back = load_trajectory(tmp_path / kind)
+            assert back.ledgers == traj.ledgers
+            assert type(back.final()) is type(traj.final())
+
+    def test_rejects_short_extra_ledger(self, tmp_path):
+        runs = small_runs(make_grid(2, 32))
+        for kind in ("InhomTrajectory", "BoussinesqTrajectory"):
+            path = tmp_path / kind
+            manifest = self.save(runs[kind], path)
+            manifest[self.EXTRA_LEDGER[kind]].pop()
+            self.rewrite(path, manifest)
+            with pytest.raises(ConfigurationError, match="ledger"):
+                load_trajectory(path)
+
+    def test_rejects_unordered_times(self, tmp_path):
+        runs = small_runs(make_grid(2, 32))
+        for kind in ("InhomTrajectory", "BoussinesqTrajectory"):
+            path = tmp_path / kind
+            manifest = self.save(runs[kind], path)
+            manifest["times"][1], manifest["times"][2] = (
+                manifest["times"][2], manifest["times"][1]
+            )
+            self.rewrite(path, manifest)
+            with pytest.raises(ConfigurationError, match="increasing"):
+                load_trajectory(path)
+
+    def test_rejects_unknown_kind_without_files(self, tmp_path):
+        manifest = self.save(small_runs(make_grid(2, 32))["Trajectory"], tmp_path)
+        manifest.update(kind="MysteryTrajectory", files=[], times=[])
+        self.rewrite(tmp_path, manifest)
+        with pytest.raises(ConfigurationError, match="unknown trajectory kind"):
+            load_trajectory(tmp_path)

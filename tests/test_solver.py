@@ -23,9 +23,26 @@ from eulerlab.solver import (
     step,
     weak_residual,
 )
+from eulerlab.extensions import boussinesq_solve, inhom_solve
 from eulerlab.synth import taylor_green, taylor_green_pressure, random_divfree
 
 from _utils import random_band_limited_scalar, random_band_limited_velocity
+
+
+SYSTEMS = ("solve", "inhom_solve", "boussinesq_solve")
+
+
+def run_system(system, u0, T, dt, scalar=None):
+    """Integrate ``u0`` with one of the three solvers; the extensions start
+    from ``scalar``, by default unit density or zero temperature."""
+    grid = u0.grid
+    if system == "solve":
+        return solve(u0, T, dt)
+    if system == "inhom_solve":
+        rho = scalar if scalar is not None else grid.sample_scalar(lambda x, y: 1.0 + 0.0 * x)
+        return inhom_solve(rho, u0, T, dt)
+    theta = scalar if scalar is not None else grid.sample_scalar(lambda x, y: 0.0 * x)
+    return boussinesq_solve(theta, u0, (0.0, -1.0), T, dt)
 
 
 def velocity_l2_diff(a, b):
@@ -65,11 +82,12 @@ class TestStep:
         for s in state[1:]:
             assert np.array_equal(s.vorticity.values, w0)
 
-    def test_cfl_violation(self):
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_cfl_violation(self, system):
         grid = make_grid(2, 64)
         tg = taylor_green(grid, 1.0)
         with pytest.raises(StepSizeError) as err:
-            solve(tg, 1.0, 0.5)
+            run_system(system, tg, 1.0, 0.5)
         assert err.value.admissible_dt <= 0.5 * grid.spacing
 
     def test_single_step_matches_solve(self):
@@ -80,18 +98,31 @@ class TestStep:
         s2 = step(s1, 0.002)
         assert np.array_equal(s2.vorticity.values, traj.final().vorticity.values)
 
-    def test_nan_abort(self):
-        # |u|^2 stays finite (CFL check passes) but u*omega overflows inside
-        # the first tendency evaluation.
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_nan_abort(self, system):
         grid = make_grid(2, 64)
-        big = 1.2e154
-        u0 = grid.sample_velocity(
-            lambda x, y: big * np.sin(np.pi * x) * np.cos(np.pi * y),
-            lambda x, y: -big * np.cos(np.pi * x) * np.sin(np.pi * y),
-        )
+        if system == "inhom_solve":
+            # On vortex data the pressure solve would fail first; a shear flow
+            # has no pressure, and rho*u overflows in the density transport.
+            u0 = grid.sample_velocity(
+                lambda x, y: 1e7 * np.sin(np.pi * y), lambda x, y: 0.0 * x
+            )
+            rho = grid.sample_scalar(lambda x, y: 1e300 * (1.0 + 0.5 * np.sin(np.pi * x)))
+            T, dt = 2e-9, 1e-9
+        else:
+            # |u|^2 stays finite (CFL check passes) but u*omega overflows
+            # inside the first tendency evaluation.
+            big = 1.2e154
+            u0 = grid.sample_velocity(
+                lambda x, y: big * np.sin(np.pi * x) * np.cos(np.pi * y),
+                lambda x, y: -big * np.cos(np.pi * x) * np.sin(np.pi * y),
+            )
+            rho = None
+            T, dt = 2e-160, 1e-160
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(SolverAbort):
-                solve(u0, 2e-160, 1e-160)
+            with pytest.raises(SolverAbort) as err:
+                run_system(system, u0, T, dt, scalar=rho)
+        assert err.value.time == dt
 
 
 class TestSolve:
@@ -103,11 +134,12 @@ class TestSolve:
         with pytest.raises(ConfigurationError, match="divergence-free"):
             solve(u0, 0.1, 1e-3)
 
-    def test_mismatched_horizon(self):
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_mismatched_horizon(self, system):
         grid = make_grid(2, 64)
         tg = taylor_green(grid, 1.0)
         with pytest.raises(ConfigurationError, match="integer multiple"):
-            solve(tg, 0.0105, 1e-3)
+            run_system(system, tg, 0.0105, 1e-3)
 
     def test_snapshot_cadence_and_ledger(self):
         grid = make_grid(2, 64)
