@@ -4,8 +4,12 @@ The inhomogeneous system evolves ``(rho, u)`` with conservative spectral
 transport of the density and the velocity form of the momentum equation,
 ``du/dt = -(u.grad)u - grad(p)/rho``; the pressure solves the
 variable-coefficient equation ``div(grad(p)/rho) = -div((u.grad)u)`` by
-preconditioned conjugate gradients (the constant-density spectral inverse is
-the preconditioner), so the velocity stays exactly solenoidal.
+preconditioned conjugate gradients, so the velocity stays exactly solenoidal.
+The CG iterate lives on half-spectrum coefficients: inner products are the
+grid inner products through Parseval (weight 1 on the first and last columns
+of the last axis, 2 elsewhere), the constant-density spectral inverse
+preconditions by a pure multiply, each iteration costs four transforms, and
+each RK stage starts from the previous stage's pressure.
 
 The Boussinesq system advances the vorticity with the homogeneous advection
 tendency plus the buoyancy torque ``curl(theta g)``, and transports
@@ -23,6 +27,7 @@ verdict mapping.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -47,13 +52,13 @@ from .mollify import make_kernel, resolved_epsilon
 from .solver import (
     DEFAULT_CFL,
     Trajectory,
-    _advection_tendency,
     _check_cfl,
     _check_initial_velocity,
     _rk4_stage,
     _run_config,
     _velocity_field,
     _velocity_hats,
+    _vorticity_flux_tendency,
     integrate,
     kinetic_energy,
     ordered_pair_audit,
@@ -158,71 +163,111 @@ class InhomState:
         return 0.5 * float(np.sum(self.density.values * mag2) * self.grid.cell_volume)
 
 
+def _parseval_weights(grid: PeriodicGrid) -> np.ndarray:
+    """Half-spectrum weights ``w`` with ``sum_x f g = sum_k w Re(conj(F) G)``
+    for real fields ``f``, ``g`` on ``N`` points: ``1/N`` on the first and
+    last columns of the last axis, which are their own mirror images, and
+    ``2/N`` elsewhere, where each coefficient also stands for its mirror."""
+    size = float(np.prod(grid.shape))
+    w = np.full(grid.rshape, 2.0 / size)
+    w[..., 0] = 1.0 / size
+    w[..., -1] = 1.0 / size
+    return w
+
+
 def _pressure_gradient_over_rho(
     grid: PeriodicGrid,
     beta: np.ndarray,
     rhs_div: np.ndarray,
     tol: float,
     max_iter: int,
+    p0: Optional[np.ndarray] = None,
 ):
-    """Solve ``div(beta grad p) = rhs_div`` (beta = 1/rho) by preconditioned
-    CG in physical space and return ``beta * grad p``.
+    """Solve ``div(beta grad p) = rhs_div`` (beta = 1/rho, both sides
+    spectral) by preconditioned CG on half-spectrum coefficients.
 
     ``-div(beta grad .)`` is symmetric positive definite on zero-mean fields
-    in the plain grid inner product; the preconditioner is the
-    constant-coefficient spectral inverse with the mean of beta, exact for
-    uniform density (then CG converges in a single iteration).
+    in the grid inner product, evaluated here through Parseval with the
+    half-spectrum weights, so the iteration is the physical-space one without
+    its transforms.  The preconditioner is the constant-coefficient inverse
+    with the mean of beta, a pure multiply (exact for uniform density, where
+    CG converges in a single iteration); one operator application costs two
+    inverse and two forward transforms.  ``p0`` warm-starts the iterate: when
+    its residual already meets ``tol`` the solve returns after 0 iterations.
+
+    Returns ``(flux_hats, p_hat, iterations)`` with ``flux_hats`` the
+    spectral components of ``beta * grad p``, accumulated alongside the
+    iterate so no transform is spent on them at the end.  ``p_hat`` is None
+    where there is nothing to warm-start from: a zero right-hand side (exact
+    zero fluxes) or non-finite input (non-finite fluxes, returned at once for
+    the integrator to report).
     """
-    beta_mean = float(beta.mean())
+    w = _parseval_weights(grid)
+    ik = [1j * grid.deriv_wavenumber(a) for a in range(grid.dims)]
+    precondition = grid.inv_k_squared / float(beta.mean())
 
-    def grad_of(p_phys: np.ndarray):
-        p_hat = grid.rfftn(p_phys)
-        return [
-            grid.irfftn(1j * grid.deriv_wavenumber(a) * p_hat)
-            for a in range(grid.dims)
-        ], p_hat
+    def dot(a: np.ndarray, b: np.ndarray) -> float:
+        return float(np.vdot(a, w * b).real)
 
-    def apply_op(p_phys: np.ndarray) -> np.ndarray:
-        grads, _ = grad_of(p_phys)
-        flux_hat = _div_from_hats(grid, [grid.rfftn(beta * gc) for gc in grads])
-        return -grid.irfftn(flux_hat)
+    def apply_op(p_hat: np.ndarray):
+        """``-div(beta grad p)`` and the flux ``beta grad p``, spectral."""
+        flux = [grid.rfftn(beta * grid.irfftn(k * p_hat)) for k in ik]
+        div = ik[0] * flux[0]
+        for k, f in zip(ik[1:], flux[1:]):
+            div += k * f
+        return -div, flux
 
-    def precondition(r_phys: np.ndarray) -> np.ndarray:
-        r_hat = grid.rfftn(r_phys)
-        return grid.irfftn(r_hat * grid.inv_k_squared) / beta_mean
+    def filled(value: float) -> list[np.ndarray]:
+        return [np.full(grid.rshape, value, dtype=complex) for _ in range(grid.dims)]
 
-    b = -grid.irfftn(rhs_div)
-    b_norm = float(np.linalg.norm(b))
+    b = -rhs_div
+    b_norm = math.sqrt(dot(b, b))
     if b_norm == 0.0:
-        return [np.zeros(grid.shape) for _ in range(grid.dims)], 0
-    x = np.zeros(grid.shape)
-    r = b.copy()
-    z = precondition(r)
-    d = z.copy()
-    rz = float(np.sum(r * z))
+        return filled(0.0), None, 0
+    if not math.isfinite(b_norm):
+        return filled(np.nan), None, 0
+    if p0 is None:
+        x = np.zeros(grid.rshape, dtype=complex)
+        flux = filled(0.0)
+        r = b
+    else:
+        Ax, flux = apply_op(p0)
+        x = p0.copy()
+        r = b - Ax
+    r_norm = math.sqrt(dot(r, r))
+    if r_norm <= tol * b_norm:
+        return flux, x, 0
+    # updates run in place: fewer short-lived arrays keep the heap small
+    d = r * precondition
+    rz = dot(r, d)
     for it in range(1, max_iter + 1):
-        Ad = apply_op(d)
-        dAd = float(np.sum(d * Ad))
+        Ad, flux_d = apply_op(d)
+        dAd = dot(d, Ad)
+        if not math.isfinite(dAd):
+            return filled(np.nan), None, it
         if dAd <= 0.0:
             raise PoissonConvergenceError(
                 "pressure operator lost positivity (density too irregular?)",
                 it,
-                float(np.linalg.norm(r)),
+                r_norm,
             )
         step = rz / dAd
-        x = x + step * d
-        r = r - step * Ad
-        if float(np.linalg.norm(r)) <= tol * b_norm:
-            grads, _ = grad_of(x)
-            return [beta * gc for gc in grads], it
-        z = precondition(r)
-        rz_new = float(np.sum(r * z))
-        d = z + (rz_new / rz) * d
+        x += step * d
+        for f, fd in zip(flux, flux_d):
+            f += step * fd
+        r -= step * Ad
+        r_norm = math.sqrt(dot(r, r))
+        if r_norm <= tol * b_norm:
+            return flux, x, it
+        z = r * precondition
+        rz_new = dot(r, z)
+        d *= rz_new / rz
+        d += z
         rz = rz_new
     raise PoissonConvergenceError(
         f"pressure solve did not reach {tol} in {max_iter} iterations",
         max_iter,
-        float(np.linalg.norm(r)) / b_norm,
+        r_norm / b_norm,
     )
 
 
@@ -232,23 +277,28 @@ def _inhom_velocity_tendency(
     u: Sequence[np.ndarray],
     tol: float,
     max_iter: int,
-) -> list[np.ndarray]:
+    p0: Optional[np.ndarray],
+) -> tuple[list[np.ndarray], Optional[np.ndarray]]:
     """``-(u.grad)u - grad(p)/rho`` with the constraint-enforcing pressure,
-    returned in spectral form and Leray-scrubbed of the CG residual."""
-    adv_hats = []
+    returned in spectral form and Leray-scrubbed of the CG residual, together
+    with the pressure (the next stage's warm start)."""
+    # u_i u_j is symmetric in (i, j): transform each product once
+    prods = {}
     for i in range(grid.dims):
-        row = [_dealias_product_hat(grid, u[i], u[j]) for j in range(grid.dims)]
-        adv_hats.append(_div_from_hats(grid, row))
+        for j in range(i, grid.dims):
+            prods[i, j] = prods[j, i] = _dealias_product_hat(grid, u[i], u[j])
+    adv_hats = [_div_from_hats(grid, [prods[i, j] for j in range(grid.dims)])
+                for i in range(grid.dims)]
     beta = 1.0 / rho
     rhs_div = _div_from_hats(grid, adv_hats)  # div((u.grad)u) for div-free u
-    bgp, _ = _pressure_gradient_over_rho(grid, beta, -rhs_div, tol, max_iter)
-    f_hats = [-adv_hats[i] - grid.rfftn(bgp[i]) for i in range(grid.dims)]
+    bgp_hats, p_hat, _ = _pressure_gradient_over_rho(grid, beta, -rhs_div, tol, max_iter, p0)
+    f_hats = [-adv_hats[i] - bgp_hats[i] for i in range(grid.dims)]
     # scrub the leftover CG residual so stage velocities stay solenoidal
     k_dot = np.zeros(grid.rshape, dtype=complex)
     for a in range(grid.dims):
         k_dot = k_dot + grid.deriv_wavenumber(a) * f_hats[a]
     scale = k_dot * grid.inv_k_squared
-    return [f_hats[a] - grid.deriv_wavenumber(a) * scale for a in range(grid.dims)]
+    return [f_hats[a] - grid.deriv_wavenumber(a) * scale for a in range(grid.dims)], p_hat
 
 
 def inhom_solve(
@@ -282,11 +332,16 @@ def inhom_solve(
             raise SolverAbort(f"density lost positivity at t={t}", t)
         return InhomState(t, rho, vel)
 
+    p_hat = None  # the last stage's pressure warm-starts the next solve
+
     def rhs(hats: tuple) -> tuple:
+        nonlocal p_hat
         rho_phys = grid.irfftn(hats[0])
         u_phys = [grid.irfftn(h) for h in hats[1:]]
         d_rho = _transport_tendency(grid, rho_phys, u_phys)
-        d_u = _inhom_velocity_tendency(grid, rho_phys, u_phys, poisson_tol, poisson_max_iter)
+        d_u, p_hat = _inhom_velocity_tendency(
+            grid, rho_phys, u_phys, poisson_tol, poisson_max_iter, p_hat
+        )
         return (d_rho, *d_u)
 
     hats = tuple(f.hat * grid.dealias_mask for f in (rho0, *u0.components))
@@ -431,9 +486,9 @@ def boussinesq_solve(
 
     def rhs(hats: tuple) -> tuple:
         wh, th = hats
-        dw = _advection_tendency(grid, wh) + torque_symbol * th
-        u1, u2 = _velocity_hats(grid, wh)
-        dth = _transport_tendency(grid, grid.irfftn(th), [grid.irfftn(u1), grid.irfftn(u2)])
+        u1, u2 = (grid.irfftn(h) for h in _velocity_hats(grid, wh))
+        dw = _vorticity_flux_tendency(grid, wh, u1, u2) + torque_symbol * th
+        dth = _transport_tendency(grid, grid.irfftn(th), [u1, u2])
         return dw, dth
 
     def materialize(t: float, hats: tuple) -> BoussinesqState:

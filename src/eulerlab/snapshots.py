@@ -163,9 +163,15 @@ def load_trajectory(outdir) -> Trajectory:
     """Rebuild a trajectory from a snapshot directory."""
     outdir = Path(outdir)
     manifest = json.loads((outdir / "manifest.json").read_text())
-    if manifest["kind"] not in _KINDS:
-        raise ConfigurationError(f"unknown trajectory kind {manifest['kind']!r}")
+    if manifest.get("kind") not in _KINDS:
+        raise ConfigurationError(f"unknown trajectory kind {manifest.get('kind')!r}")
     _, build, ledger = _KINDS[manifest["kind"]]
+    required = ["components", "times", "files", "dt", "config", "energy_ledger"]
+    if ledger:
+        required.append(f"{ledger}_ledger")
+    missing = [k for k in required if k not in manifest]
+    if missing:
+        raise ConfigurationError(f"{outdir}: manifest lacks {', '.join(missing)}")
     names = manifest["components"]
     states = []
     for t, fname in zip(manifest["times"], manifest["files"]):

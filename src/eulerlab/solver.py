@@ -80,8 +80,13 @@ def _velocity_hats(grid: PeriodicGrid, w_hat: np.ndarray) -> tuple[np.ndarray, n
 def _advection_tendency(grid: PeriodicGrid, w_hat: np.ndarray) -> np.ndarray:
     """``-div(u w)`` with dealiased pointwise products (zero mean exactly)."""
     u1_hat, u2_hat = _velocity_hats(grid, w_hat)
-    u1 = grid.irfftn(u1_hat)
-    u2 = grid.irfftn(u2_hat)
+    return _vorticity_flux_tendency(grid, w_hat, grid.irfftn(u1_hat), grid.irfftn(u2_hat))
+
+
+def _vorticity_flux_tendency(
+    grid: PeriodicGrid, w_hat: np.ndarray, u1: np.ndarray, u2: np.ndarray
+) -> np.ndarray:
+    """``-div(u w)`` from the physical velocity ``(u1, u2)`` of ``w_hat``."""
     w = grid.irfftn(w_hat)
     f1 = grid.rfftn(u1 * w)
     f2 = grid.rfftn(u2 * w)

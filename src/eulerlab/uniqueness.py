@@ -98,7 +98,6 @@ class RelativeEnergySeries:
 
     times: list[float]
     values: list[float]
-    pair_id: tuple[str, str] = ("A", "B")
 
     def __post_init__(self):
         if len(self.times) != len(self.values):
@@ -210,9 +209,6 @@ class RunConfig:
 
     def cadence(self) -> float:
         return self.dt * self.snapshot_stride
-
-    def label(self) -> str:
-        return f"n{self.grid_n}_dt{self.dt}"
 
 
 @dataclass

@@ -1,0 +1,135 @@
+"""The variable-density pressure solve: half-spectrum PCG against a dense
+oracle, exactness of the preconditioner, the warm start, the transform budget
+and non-finite input."""
+
+import numpy as np
+import pytest
+
+from eulerlab.errors import SolverAbort
+from eulerlab.extensions import (
+    POISSON_MAX_ITER,
+    POISSON_TOLERANCE,
+    _parseval_weights,
+    _pressure_gradient_over_rho,
+    inhom_solve,
+)
+from eulerlab.grid_fields import PeriodicGrid, make_grid
+from eulerlab.synth import taylor_green
+
+from _utils import random_band_limited_scalar, random_band_limited_velocity
+
+
+def problem(n, seed=0, amp=0.3):
+    """Smooth random ``beta = 1/rho`` and the spectral divergence of a random
+    band-limited vector field as right-hand side."""
+    grid = make_grid(2, n)
+    rho = 1.0 + amp * random_band_limited_scalar(grid, 3, seed).values
+    v = random_band_limited_velocity(grid, 5, seed + 1)
+    rhs_div = sum(1j * grid.deriv_wavenumber(a) * c.hat for a, c in enumerate(v.components))
+    return grid, 1.0 / rho, rhs_div
+
+
+def solve(grid, beta, rhs_div, p0=None):
+    return _pressure_gradient_over_rho(
+        grid, beta, rhs_div, POISSON_TOLERANCE, POISSON_MAX_ITER, p0
+    )
+
+
+def physical(grid, hats):
+    return np.stack([np.fft.irfftn(h, s=grid.shape, axes=(0, 1)) for h in hats])
+
+
+def dense_reference(grid, beta, rhs_div):
+    """``beta grad p`` from a least-squares solve of the assembled matrix of
+    ``-div(beta grad .)`` in physical space."""
+    size = beta.size
+    axes = (1, 2)
+    basis_hat = np.fft.rfftn(np.eye(size).reshape((size,) + grid.shape), axes=axes)
+    ks = [1j * grid.deriv_wavenumber(a) for a in range(grid.dims)]
+    out_hat = 0.0
+    for k in ks:
+        g = np.fft.irfftn(k * basis_hat, s=grid.shape, axes=axes)
+        out_hat = out_hat + k * np.fft.rfftn(beta * g, axes=axes)
+    columns = -np.fft.irfftn(out_hat, s=grid.shape, axes=axes).reshape(size, size)
+    b = -np.fft.irfftn(rhs_div, s=grid.shape, axes=(0, 1)).ravel()
+    p, *_ = np.linalg.lstsq(columns.T, b, rcond=None)
+    p_hat = np.fft.rfftn(p.reshape(grid.shape))
+    return np.stack([beta * np.fft.irfftn(k * p_hat, s=grid.shape, axes=(0, 1)) for k in ks])
+
+
+def test_parseval_weights_give_the_grid_inner_product():
+    grid = make_grid(2, 16)
+    f = random_band_limited_scalar(grid, 8, 1)
+    g = random_band_limited_scalar(grid, 8, 2)
+    spectral = np.sum(_parseval_weights(grid) * (np.conj(f.hat) * g.hat).real)
+    assert spectral == pytest.approx(np.sum(f.values * g.values), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_matches_dense_solve(n):
+    grid, beta, rhs_div = problem(n)
+    flux_hats, _, iterations = solve(grid, beta, rhs_div)
+    assert iterations > 1
+    ref = dense_reference(grid, beta, rhs_div)
+    got = physical(grid, flux_hats)
+    assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_uniform_density_converges_in_one_iteration():
+    grid, _, rhs_div = problem(32)
+    _, _, iterations = solve(grid, np.full(grid.shape, 0.8), rhs_div)
+    assert iterations == 1
+
+
+def test_warm_start_from_converged_pressure():
+    grid, beta, rhs_div = problem(32, seed=4)
+    flux_hats, p_hat, _ = solve(grid, beta, rhs_div)
+    warm_hats, warm_p, iterations = solve(grid, beta, rhs_div, p0=p_hat)
+    assert iterations == 0
+    assert np.array_equal(warm_p, p_hat)
+    cold, warm = physical(grid, flux_hats), physical(grid, warm_hats)
+    assert np.max(np.abs(warm - cold)) <= 1e-13 * np.max(np.abs(cold))
+
+
+def test_four_transforms_per_iteration(monkeypatch):
+    grid, beta, rhs_div = problem(32, seed=2)
+    calls = []
+    for name in ("rfftn", "irfftn"):
+        method = getattr(PeriodicGrid, name)
+
+        def counted(self, arr, _method=method):
+            calls.append(1)
+            return _method(self, arr)
+
+        monkeypatch.setattr(PeriodicGrid, name, counted)
+    _, p_hat, iterations = solve(grid, beta, rhs_div)
+    assert iterations > 1
+    assert len(calls) == 4 * iterations
+    # a warm start pays one operator application for its initial residual
+    calls.clear()
+    _, _, iterations = solve(grid, beta, rhs_div, p0=0.5 * p_hat)
+    assert iterations > 0
+    assert len(calls) == 4 * (iterations + 1)
+
+
+def test_non_finite_input_returns_at_once():
+    grid, beta, rhs_div = problem(16)
+    with np.errstate(invalid="ignore"):
+        flux_hats, _, iterations = solve(grid, beta, rhs_div * np.nan)
+        assert iterations == 0
+        assert not np.all(np.isfinite(flux_hats[0]))
+        flux_hats, _, iterations = solve(grid, beta * np.nan, rhs_div)
+    assert iterations == 1
+    assert not np.all(np.isfinite(flux_hats[0]))
+
+
+def test_overflowing_velocity_aborts_with_time():
+    # u*u overflows in the first pressure right-hand side: the solve must hand
+    # non-finite values to the integrator, not spin until its iteration cap
+    grid = make_grid(2, 32)
+    u0 = taylor_green(grid, 1.2e154)
+    rho = grid.sample_scalar(lambda x, y: 1.0 + 0.2 * np.sin(np.pi * x) * np.cos(np.pi * y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SolverAbort) as err:
+            inhom_solve(rho, u0, 2e-160, 1e-160)
+    assert err.value.time == 1e-160

@@ -164,3 +164,17 @@ class TestManifestValidation:
         self.rewrite(tmp_path, manifest)
         with pytest.raises(ConfigurationError, match="unknown trajectory kind"):
             load_trajectory(tmp_path)
+
+    @pytest.mark.parametrize("kind,key", [
+        ("Trajectory", "times"),
+        ("Trajectory", "files"),
+        ("Trajectory", "energy_ledger"),
+        ("InhomTrajectory", "mass_ledger"),
+        ("BoussinesqTrajectory", "theta_ledger"),
+    ])
+    def test_rejects_missing_key(self, tmp_path, kind, key):
+        manifest = self.save(small_runs(make_grid(2, 32))[kind], tmp_path)
+        del manifest[key]
+        self.rewrite(tmp_path, manifest)
+        with pytest.raises(ConfigurationError, match=key):
+            load_trajectory(tmp_path)

@@ -102,8 +102,8 @@ class TestStep:
     def test_nan_abort(self, system):
         grid = make_grid(2, 64)
         if system == "inhom_solve":
-            # On vortex data the pressure solve would fail first; a shear flow
-            # has no pressure, and rho*u overflows in the density transport.
+            # A shear flow has no pressure, so the overflow of rho*u in the
+            # density transport aborts; test_pressure_solve covers vortex data.
             u0 = grid.sample_velocity(
                 lambda x, y: 1e7 * np.sin(np.pi * y), lambda x, y: 0.0 * x
             )
