@@ -175,6 +175,19 @@ def besov_seminorm(
     return BesovEstimate(alpha, p_int, seminorm, table, fitted)
 
 
+def _check_usable(grid: PeriodicGrid, rows) -> None:
+    """Raise ConfigurationError unless at least three shift magnitudes in the
+    fit range carry a nonzero difference in the probe ``rows`` (``(|xi|,
+    ||delta_xi h||_p, ...)``) of a field on ``grid``."""
+    fit_min, fit_max = _fit_bounds(grid)
+    usable = {r[0] for r in rows if fit_min <= r[0] <= fit_max and r[1] > 0.0}
+    if len(usable) < 3:
+        raise ConfigurationError(
+            f"only {len(usable)} usable shift magnitudes (need >= 3); "
+            "enlarge the grid or the shift policy"
+        )
+
+
 def fit_regularity_exponent(
     h: Field,
     p_int: float,
@@ -183,11 +196,5 @@ def fit_regularity_exponent(
     """Log-log slope of the difference norms with the default shift policy."""
     policy = shifts if shifts is not None else ShiftPolicy.default(h.grid)
     rows = _probe(h, policy, p_int)
-    fit_min, fit_max = _fit_bounds(h.grid)
-    usable = {m for m, v in rows if fit_min <= m <= fit_max and v > 0.0}
-    if len(usable) < 3:
-        raise ConfigurationError(
-            f"only {len(usable)} usable shift magnitudes (need >= 3); "
-            "enlarge the grid or the shift policy"
-        )
-    return _fit_slope(rows, fit_min, fit_max)
+    _check_usable(h.grid, rows)
+    return _fit_slope(rows, *_fit_bounds(h.grid))

@@ -48,7 +48,7 @@ from .solver import (
     weak_residual,
 )
 from .synth import SynthSpec, field_from_spec, low_mode_divfree, low_mode_scalar
-from .uniqueness import RunConfig, uniqueness_experiment
+from .uniqueness import ROUTE_THRESHOLDS, RunConfig, uniqueness_experiment
 
 EXPERIMENTS = (
     "besov_fit",
@@ -88,6 +88,18 @@ _SCHEMA = {
     "buoyancy": {"g", "theta_amplitude", "theta_axis"},
     "weak": {"count", "kmax", "w1_tolerance", "w2_tolerance", "window"},
     "output": {"dir", "save_snapshots"},
+}
+
+# [sweep] keys that only some kinds read; the other kinds reject them instead
+# of ignoring them.  The extended kinds charge the convective budget at the
+# smallest epsilon; which route suits the rho-weighted energy is open
+# (ROADMAP item 4).
+_SWEEP_KEY_KINDS = {
+    "budget_route": {"uniqueness"},
+    "working_epsilon": {"uniqueness"},
+    "certify_tolerance": {"uniqueness", "inhom_uniqueness", "boussinesq_uniqueness"},
+    "contraction_tolerance": {"inhom_uniqueness", "boussinesq_uniqueness"},
+    "slope_tolerance": {"commutator_scaling", "cet_scaling"},
 }
 
 
@@ -243,6 +255,13 @@ def _range_checks(cfg: ExperimentConfig) -> list:
                 )
             if eps > 0.5:
                 diags.append(f"epsilon {eps} above the maximum 0.5")
+    for key, kinds in _SWEEP_KEY_KINDS.items():
+        if cfg.has("sweep", key) and cfg.kind not in kinds:
+            diags.append(f"[sweep] {key} does not apply to kind '{cfg.kind}'")
+    if cfg.has("sweep", "budget_route"):
+        route = cfg.get_str("sweep", "budget_route")
+        if route not in ROUTE_THRESHOLDS:
+            diags.append(f"budget_route '{route}' is not one of {sorted(ROUTE_THRESHOLDS)}")
     if cfg._p.has_section("synth"):
         _build_synth_spec(cfg)
     if cfg._p.has_section("solver"):
@@ -366,40 +385,6 @@ def _exp_energy_conservation(cfg: ExperimentConfig, outdir: Path):
     return (EXIT_OK if passed else EXIT_CERT_FAIL), line, report, {"energy": "energy.csv"}
 
 
-def _exp_uniqueness(cfg: ExperimentConfig, outdir: Path):
-    cfg_a, cfg_b, _, u0 = _pair_initial(cfg)
-    report_obj = uniqueness_experiment(
-        u0, cfg_a, cfg_b,
-        alpha=cfg.get_float("sweep", "alpha", 0.6),
-        p_int=cfg.get_float("sweep", "p", 3.0),
-        epsilons=cfg.get_floats("sweep", "epsilons"),
-        budget_route=cfg.get_str("sweep", "budget_route", "convective"),
-        working_epsilon=cfg.get_optional_float("sweep", "working_epsilon"),
-        certify_tolerance=cfg.get_optional_float("sweep", "certify_tolerance"),
-    )
-    dump_csv(
-        outdir / "series.csv",
-        ["t", "E", "C", "seminorm", "fitted_alpha"],
-        zip(
-            report_obj.times, report_obj.energy, report_obj.lipschitz.c_values,
-            report_obj.seminorm_series, report_obj.fitted_alpha_series,
-        ),
-    )
-    dump_csv(
-        outdir / "budgets.csv",
-        ["epsilon", "budget"],
-        zip(report_obj.budgets_epsilons, report_obj.budgets_values),
-    )
-    report = report_obj.to_json_dict()
-    report["experiment"] = "uniqueness"
-    code = _VERDICT_CODES[report_obj.verdict]
-    line = (
-        f"uniqueness: verdict={report_obj.verdict} maxE={max(report_obj.energy):.3e} "
-        f"slack={report_obj.certificate.slack:.3e}"
-    )
-    return code, line, report, {"series": "series.csv", "budgets": "budgets.csv"}
-
-
 def _theta_profile(cfg: ExperimentConfig, grid):
     amp = cfg.get_float("buoyancy", "theta_amplitude", 0.2)
     axis = cfg.get_int("buoyancy", "theta_axis", 0)
@@ -408,47 +393,56 @@ def _theta_profile(cfg: ExperimentConfig, grid):
     return grid.sample_scalar(lambda *xs: amp * np.sin(np.pi * xs[axis]))
 
 
-def _exp_extended(cfg: ExperimentConfig, outdir: Path):
+def _exp_certify(cfg: ExperimentConfig, outdir: Path):
+    """The three A/B certifications: one report, per-kind series columns."""
     cfg_a, cfg_b, fine, u0 = _pair_initial(cfg)
-    alpha = cfg.get_float("sweep", "alpha", 0.6)
-    p = cfg.get_float("sweep", "p", 3.0)
-    epsilons = cfg.get_floats("sweep", "epsilons")
-    kw = dict(
-        contraction_tolerance=cfg.get_float("sweep", "contraction_tolerance", 1e-5),
-        certify_tolerance=cfg.get_optional_float("sweep", "certify_tolerance"),
+    args = (
+        cfg_a, cfg_b,
+        cfg.get_float("sweep", "alpha", 0.6),
+        cfg.get_float("sweep", "p", 3.0),
+        cfg.get_floats("sweep", "epsilons"),
     )
-    if cfg.kind == "inhom_uniqueness":
-        amp = cfg.get_float("density", "amplitude", 0.2)
-        rho0 = fine.sample_scalar(
-            lambda x, y: 1.0 + amp * np.sin(np.pi * x) * np.cos(np.pi * y)
+    certify_tolerance = cfg.get_optional_float("sweep", "certify_tolerance")
+    if cfg.kind == "uniqueness":
+        rep = uniqueness_experiment(
+            u0, *args, certify_tolerance=certify_tolerance,
+            budget_route=cfg.get_str("sweep", "budget_route", "convective"),
+            working_epsilon=cfg.get_optional_float("sweep", "working_epsilon"),
         )
-        report_obj = inhom_uniqueness_experiment(
-            rho0, u0, cfg_a, cfg_b, alpha, p, epsilons, **kw
-        )
+        columns = {"seminorm": rep.seminorm_series, "fitted_alpha": rep.fitted_alpha_series}
+        dump_csv(outdir / "budgets.csv", ["epsilon", "budget"],
+                 zip(rep.budgets_epsilons, rep.budgets_values))
+        artifacts = {"series": "series.csv", "budgets": "budgets.csv"}
+        tail = f"slack={rep.certificate.slack:.3e}"
     else:
-        g = cfg.get_floats("buoyancy", "g", [0.0, -1.0])
-        if len(g) != 2:
-            raise ConfigurationError("buoyancy g needs two components")
-        theta0 = _theta_profile(cfg, fine)
-        report_obj = boussinesq_uniqueness_experiment(
-            theta0, u0, g, cfg_a, cfg_b, alpha, p, epsilons, **kw
+        kw = dict(
+            contraction_tolerance=cfg.get_float("sweep", "contraction_tolerance", 1e-5),
+            certify_tolerance=certify_tolerance,
         )
+        if cfg.kind == "inhom_uniqueness":
+            amp = cfg.get_float("density", "amplitude", 0.2)
+            rho0 = fine.sample_scalar(
+                lambda x, y: 1.0 + amp * np.sin(np.pi * x) * np.cos(np.pi * y)
+            )
+            rep = inhom_uniqueness_experiment(rho0, u0, *args, **kw)
+        else:
+            g = cfg.get_floats("buoyancy", "g", [0.0, -1.0])
+            if len(g) != 2:
+                raise ConfigurationError("buoyancy g needs two components")
+            theta0 = _theta_profile(cfg, fine)
+            rep = boussinesq_uniqueness_experiment(theta0, u0, g, *args, **kw)
+        columns = {"D_scalar": rep.contraction.values}
+        artifacts = {"series": "series.csv"}
+        tail = f"contraction_pass={rep.contraction.passed}"
     dump_csv(
         outdir / "series.csv",
-        ["t", "E", "C", "D_scalar"],
-        zip(
-            report_obj.times, report_obj.energy, report_obj.lipschitz.c_values,
-            report_obj.contraction.values,
-        ),
+        ["t", "E", "C", *columns],
+        zip(rep.times, rep.energy, rep.lipschitz.c_values, *columns.values()),
     )
-    report = report_obj.to_json_dict()
+    report = rep.to_json_dict()
     report["experiment"] = cfg.kind
-    code = _VERDICT_CODES[report_obj.verdict]
-    line = (
-        f"{cfg.kind}: verdict={report_obj.verdict} maxE={max(report_obj.energy):.3e} "
-        f"contraction_pass={report_obj.contraction.passed}"
-    )
-    return code, line, report, {"series": "series.csv"}
+    line = f"{cfg.kind}: verdict={rep.verdict} maxE={max(rep.energy):.3e} {tail}"
+    return _VERDICT_CODES[rep.verdict], line, report, artifacts
 
 
 def _exp_weak_residual(cfg: ExperimentConfig, outdir: Path):
@@ -498,9 +492,9 @@ _BODIES = {
     "commutator_scaling": lambda c, o: _exp_scaling(c, o, "convective_commutator_lp"),
     "cet_scaling": lambda c, o: _exp_scaling(c, o, "cet_trilinear"),
     "energy_conservation": _exp_energy_conservation,
-    "uniqueness": _exp_uniqueness,
-    "inhom_uniqueness": _exp_extended,
-    "boussinesq_uniqueness": _exp_extended,
+    "uniqueness": _exp_certify,
+    "inhom_uniqueness": _exp_certify,
+    "boussinesq_uniqueness": _exp_certify,
     "weak_residual": _exp_weak_residual,
 }
 

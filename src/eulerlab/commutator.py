@@ -24,9 +24,10 @@ import numpy as np
 from .besov import besov_seminorm, fit_regularity_exponent
 from .errors import ConfigurationError, GridMismatchError
 from .grid_fields import (
-    PeriodicGrid,
     ScalarField,
     VelocityField,
+    _dealiased_product,
+    _div_hat,
     lp_norm,
 )
 from .mollify import MollifierKernel, make_kernel, min_epsilon, mollify
@@ -51,23 +52,6 @@ VACUOUS_MAGNITUDE = 1e-14
 QUANTITIES = ("convective_commutator_lp", "cet_trilinear")
 
 
-def _dealiased_product(grid: PeriodicGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    hat = grid.rfftn(a * b)
-    hat *= grid.dealias_mask
-    return hat  # returned in spectral form
-
-
-def _div_of_tensor(grid: PeriodicGrid, tensor_hats) -> list[np.ndarray]:
-    """Spectral divergence of a symmetric-tensor row: out_i = sum_j d_j T_ij."""
-    out = []
-    for i in range(grid.dims):
-        acc = np.zeros(grid.rshape, dtype=complex)
-        for j in range(grid.dims):
-            acc = acc + 1j * grid.deriv_wavenumber(j) * tensor_hats[i][j]
-        out.append(acc)
-    return out
-
-
 def convective_commutator(v: VelocityField, kernel: MollifierKernel) -> VelocityField:
     """``div(v_eps (x) v_eps) - (div(v (x) v))_eps`` as a vector field."""
     grid = v.grid
@@ -84,8 +68,8 @@ def convective_commutator(v: VelocityField, kernel: MollifierKernel) -> Velocity
         [_dealiased_product(grid, vv[i], vv[j]) for j in range(grid.dims)]
         for i in range(grid.dims)
     ]
-    div_smooth = _div_of_tensor(grid, smooth_hats)
-    div_raw = _div_of_tensor(grid, raw_hats)
+    div_smooth = [_div_hat(grid, row) for row in smooth_hats]
+    div_raw = [_div_hat(grid, row) for row in raw_hats]
     comps = []
     for i in range(grid.dims):
         hat = div_smooth[i] - div_raw[i] * kernel.multiplier

@@ -19,9 +19,13 @@ the reduction holds value-for-value, not merely to a tolerance.
 
 Both systems step through the homogeneous solver's single integrator
 (``solver.integrate``) and return its ``Trajectory`` with one extra named
-ledger: ``"mass"`` or ``"theta"``.  Their A/B certifications share the
-homogeneous pipeline's leg runner, per-snapshot series, default tolerance and
-verdict mapping.
+ledger: ``"mass"`` or ``"theta"``.  Their A/B certifications run the legs
+through ``uniqueness.run_pair`` and certify through the homogeneous pipeline's
+one ``uniqueness._certify_pair``; all they add is data: the relative energy
+(rho-weighted for the variable-density system), the exponents of every
+quantity the uniqueness statement lists, and the scalar-contraction audit.
+They charge the convective budget at the sweep's smallest epsilon.  The
+result is the one ``UniquenessReport``.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .besov import besov_seminorm, fit_regularity_exponent
-from .commutator import scaling_experiment, transport_commutator
+from .besov import fit_regularity_exponent
+from .commutator import transport_commutator
 from .errors import (
     ConfigurationError,
     PoissonConvergenceError,
@@ -44,6 +48,9 @@ from .grid_fields import (
     PeriodicGrid,
     ScalarField,
     VelocityField,
+    _dealiased_product,
+    _div_hat,
+    _leray_hats,
     curl_2d,
     gradient,
     resample,
@@ -64,16 +71,13 @@ from .solver import (
     ordered_pair_audit,
 )
 from .uniqueness import (
-    GronwallCertificate,
-    LipschitzSeries,
     RunConfig,
-    _drift_tolerance,
-    _pair_series,
+    UniquenessReport,
+    _certify_pair,
+    _check_sweep,
     _plain_energy,
     _shared_times,
     _trapz,
-    _verdict,
-    gronwall_certify,
     run_pair,
 )
 
@@ -94,29 +98,12 @@ POISSON_MAX_ITER = 500
 
 
 # ---------------------------------------------------------------------------
-# shared spectral helpers
-
-
-def _dealias_product_hat(grid: PeriodicGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    hat = grid.rfftn(a * b)
-    hat *= grid.dealias_mask
-    return hat
-
-
-def _div_from_hats(grid: PeriodicGrid, hats: Sequence[np.ndarray]) -> np.ndarray:
-    acc = np.zeros(grid.rshape, dtype=complex)
-    for axis, h in enumerate(hats):
-        acc = acc + 1j * grid.deriv_wavenumber(axis) * h
-    return acc
+# density transport
 
 
 def _transport_tendency(grid: PeriodicGrid, rho: np.ndarray, u: Sequence[np.ndarray]) -> np.ndarray:
     """``-div(rho u)`` in spectral form (zero mode exactly untouched)."""
-    return -_div_from_hats(grid, [_dealias_product_hat(grid, rho, ui) for ui in u])
-
-
-# ---------------------------------------------------------------------------
-# density transport
+    return -_div_hat(grid, [_dealiased_product(grid, rho, ui) for ui in u])
 
 
 def transport_step(
@@ -286,19 +273,15 @@ def _inhom_velocity_tendency(
     prods = {}
     for i in range(grid.dims):
         for j in range(i, grid.dims):
-            prods[i, j] = prods[j, i] = _dealias_product_hat(grid, u[i], u[j])
-    adv_hats = [_div_from_hats(grid, [prods[i, j] for j in range(grid.dims)])
+            prods[i, j] = prods[j, i] = _dealiased_product(grid, u[i], u[j])
+    adv_hats = [_div_hat(grid, [prods[i, j] for j in range(grid.dims)])
                 for i in range(grid.dims)]
     beta = 1.0 / rho
-    rhs_div = _div_from_hats(grid, adv_hats)  # div((u.grad)u) for div-free u
+    rhs_div = _div_hat(grid, adv_hats)  # div((u.grad)u) for div-free u
     bgp_hats, p_hat, _ = _pressure_gradient_over_rho(grid, beta, -rhs_div, tol, max_iter, p0)
     f_hats = [-adv_hats[i] - bgp_hats[i] for i in range(grid.dims)]
     # scrub the leftover CG residual so stage velocities stay solenoidal
-    k_dot = np.zeros(grid.rshape, dtype=complex)
-    for a in range(grid.dims):
-        k_dot = k_dot + grid.deriv_wavenumber(a) * f_hats[a]
-    scale = k_dot * grid.inv_k_squared
-    return [f_hats[a] - grid.deriv_wavenumber(a) * scale for a in range(grid.dims)], p_hat
+    return _leray_hats(grid, f_hats), p_hat
 
 
 def inhom_solve(
@@ -507,46 +490,6 @@ def boussinesq_solve(
 # uniqueness experiments for the extended systems
 
 
-@dataclass
-class ExtendedUniquenessReport:
-    """Homogeneous-style certificate plus the scalar-contraction audit."""
-
-    times: list[float]
-    energy: list[float]
-    lipschitz: LipschitzSeries
-    certificate: GronwallCertificate
-    contraction: DensityContractionReport
-    fitted_alpha: float
-    required_alpha: float
-    hypothesis_met: bool
-    verdict: str
-    alpha: float
-    p_int: float
-    working_epsilon: float
-    quantity_alphas: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "series": {
-                "t": list(self.times),
-                "E": list(self.energy),
-                "C": list(self.lipschitz.c_values),
-            },
-            "certificate": self.certificate.to_json_dict(),
-            "contraction": self.contraction.to_json_dict(),
-            "hypothesis": {
-                "fitted_alpha": self.fitted_alpha,
-                "required_alpha": self.required_alpha,
-                "met": self.hypothesis_met,
-                "per_quantity": dict(self.quantity_alphas),
-            },
-            "verdict": self.verdict,
-            "alpha": self.alpha,
-            "p": self.p_int,
-            "working_epsilon": self.working_epsilon,
-        }
-
-
 def _fit_quantity(f, p_int: float) -> float:
     """Exponent fit that treats degenerate (constant) fields as maximally
     regular instead of unfittable."""
@@ -581,68 +524,39 @@ def _extended_experiment(
     alpha: float,
     p_int: float,
     epsilons: Sequence[float],
+    *,
     contraction_tolerance: float,
     certify_tolerance: Optional[float],
-) -> ExtendedUniquenessReport:
-    epsilons = sorted((float(e) for e in epsilons), reverse=True)
-    reg_eps = resolved_epsilon(traj_b.grid)
-    e_series, c_series, seminorms = _pair_series(
-        traj_a, traj_b, energy_of, reg_eps, alpha, p_int
-    )
-    times = e_series.times
-
-    # Besov hypothesis over every quantity the uniqueness statement lists,
-    # for both legs.
-    mid = len(times) // 2
+) -> UniquenessReport:
+    """Fit the Besov hypothesis over every quantity the uniqueness statement
+    lists, for both legs at mid-horizon (B's velocity is fitted from the
+    pair series), audit the scalar contraction, and certify the pair against
+    the convective budget at the sweep's smallest epsilon."""
+    mid = len(traj_a.times) // 2
     sa, sb = traj_a.states[mid], traj_b.states[mid]
     scal_a = getattr(sa, scalar_name)
     scal_b = getattr(sb, scalar_name)
-    quantity_alphas = {
-        scalar_name + "_a": _fit_quantity(scal_a, p_int),
-        scalar_name + "_b": _fit_quantity(scal_b, p_int),
-        "momentum_a": _fit_quantity(_product_field(scal_a, sa.velocity), p_int),
-        "momentum_b": _fit_quantity(_product_field(scal_b, sb.velocity), p_int),
-        "velocity_a": _fit_quantity(sa.velocity, p_int),
-        "velocity_b": _fit_quantity(sb.velocity, p_int),
+    fields = {
+        scalar_name + "_a": scal_a,
+        scalar_name + "_b": scal_b,
+        "momentum_a": _product_field(scal_a, sa.velocity),
+        "momentum_b": _product_field(scal_b, sb.velocity),
+        "velocity_a": sa.velocity,
     }
-    fitted_alpha = float(min(quantity_alphas.values()))
-    required = 1.0 / 3.0
-    met = fitted_alpha > required
-
-    v0 = traj_b.states[0].velocity
-    sweep = scaling_experiment(
-        v0, "convective_commutator_lp", epsilons, p_int, alpha=alpha
-    )
-    rate = 2.0 * alpha - 1.0
-    weight = _trapz([s ** 2 for s in seminorms], times)
-    c_fit = max(sweep.intercepts) if not sweep.vacuous else 0.0
-    work_eps = min(epsilons)
-    budget = c_fit * work_eps**rate * weight
-
-    certificate = gronwall_certify(
-        e_series, c_series, budget, _drift_tolerance(certify_tolerance, traj_a, traj_b)
-    )
+    hypothesis = {name: _fit_quantity(f, p_int) for name, f in fields.items()}
     # the contraction audit mollifies on the comparison grid, whose resolved
     # scale may be coarser than the velocity sweep's smallest epsilon
+    work_eps = min(float(e) for e in epsilons)
     contraction = density_contraction_check(
         traj_a, traj_b, contraction_tolerance,
         working_epsilon=max(work_eps, resolved_epsilon(traj_a.grid)),
         field=scalar_name,
     )
-    return ExtendedUniquenessReport(
-        times=times,
-        energy=e_series.values,
-        lipschitz=c_series,
-        certificate=certificate,
-        contraction=contraction,
-        fitted_alpha=fitted_alpha,
-        required_alpha=required,
-        hypothesis_met=met,
-        verdict=_verdict(met, certificate.passed, contraction.passed),
-        alpha=float(alpha),
-        p_int=float(p_int),
-        working_epsilon=work_eps,
-        quantity_alphas=quantity_alphas,
+    return _certify_pair(
+        traj_a, traj_b, alpha, p_int, epsilons, energy=energy_of,
+        budget_route="convective", working_epsilon=None,
+        reg_epsilon=None, certify_tolerance=certify_tolerance,
+        hypothesis=hypothesis, audit=contraction,
     )
 
 
@@ -657,13 +571,15 @@ def inhom_uniqueness_experiment(
     *,
     contraction_tolerance: float = 1e-5,
     certify_tolerance: Optional[float] = None,
-) -> ExtendedUniquenessReport:
+) -> UniquenessReport:
     """A/B certification for the inhomogeneous system: weighted relative
     energy with C(t) from the finer run, plus the density contraction audit."""
+    _check_sweep("convective", epsilons)
     traj_a, traj_b = run_pair((rho0, u0), cfg_a, cfg_b, inhom_solve)
     return _extended_experiment(
         traj_a, traj_b, "density", _weighted_energy, alpha, p_int, epsilons,
-        contraction_tolerance, certify_tolerance,
+        contraction_tolerance=contraction_tolerance,
+        certify_tolerance=certify_tolerance,
     )
 
 
@@ -679,14 +595,16 @@ def boussinesq_uniqueness_experiment(
     *,
     contraction_tolerance: float = 1e-5,
     certify_tolerance: Optional[float] = None,
-) -> ExtendedUniquenessReport:
+) -> UniquenessReport:
     """A/B certification for the Boussinesq system: homogeneous-style
     relative-energy certificate plus the theta contraction audit, with C(t)
     estimated from the finer run's velocity."""
+    _check_sweep("convective", epsilons)
     traj_a, traj_b = run_pair(
         (theta0, u0), cfg_a, cfg_b, functools.partial(boussinesq_solve, g=g)
     )
     return _extended_experiment(
         traj_a, traj_b, "theta", _plain_energy, alpha, p_int, epsilons,
-        contraction_tolerance, certify_tolerance,
+        contraction_tolerance=contraction_tolerance,
+        certify_tolerance=certify_tolerance,
     )

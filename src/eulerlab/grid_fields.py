@@ -308,13 +308,34 @@ def gradient(f: ScalarField) -> VelocityField:
     return VelocityField(comps)
 
 
+def _dealiased_product(grid: PeriodicGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Half-spectrum of the pointwise product ``a * b``, 2/3-dealiased."""
+    hat = grid.rfftn(a * b)
+    hat *= grid.dealias_mask
+    return hat
+
+
+def _div_hat(grid: PeriodicGrid, hats: Sequence[np.ndarray]) -> np.ndarray:
+    """Spectral divergence ``sum_j i k_j h_j`` of one spectrum per axis."""
+    acc = np.zeros(grid.rshape, dtype=complex)
+    for axis, h in enumerate(hats):
+        acc = acc + 1j * grid.deriv_wavenumber(axis) * h
+    return acc
+
+
+def _leray_hats(grid: PeriodicGrid, hats: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """``h - k (k.h)/|k|^2`` on one spectrum per axis."""
+    k_dot = np.zeros(grid.rshape, dtype=complex)
+    for axis, h in enumerate(hats):
+        k_dot = k_dot + grid.deriv_wavenumber(axis) * h
+    scale = k_dot * grid.inv_k_squared
+    return [h - grid.deriv_wavenumber(axis) * scale for axis, h in enumerate(hats)]
+
+
 def divergence(u: VelocityField) -> ScalarField:
     """Spectral divergence, summed over axes."""
     grid = u.grid
-    acc = np.zeros(grid.rshape, dtype=complex)
-    for axis, c in enumerate(u.components):
-        acc = acc + 1j * grid.deriv_wavenumber(axis) * c.hat
-    return ScalarField(grid, grid.irfftn(acc))
+    return ScalarField(grid, grid.irfftn(_div_hat(grid, [c.hat for c in u.components])))
 
 
 def curl_2d(u: VelocityField) -> ScalarField:
@@ -336,17 +357,8 @@ def leray_project(u: VelocityField) -> VelocityField:
     see); idempotent; the result is flagged divergence-free.
     """
     grid = u.grid
-    hats = [c.hat for c in u.components]
-    k_dot_u = np.zeros(grid.rshape, dtype=complex)
-    for axis in range(grid.dims):
-        k_dot_u = k_dot_u + grid.deriv_wavenumber(axis) * hats[axis]
-    scale = k_dot_u * grid.inv_k_squared
-    comps = []
-    for axis in range(grid.dims):
-        comps.append(
-            ScalarField.from_hat(grid, hats[axis] - grid.deriv_wavenumber(axis) * scale)
-        )
-    return VelocityField(comps, divergence_free=True)
+    hats = _leray_hats(grid, [c.hat for c in u.components])
+    return VelocityField([ScalarField.from_hat(grid, h) for h in hats], divergence_free=True)
 
 
 def lp_norm(f: Field, p_int: float) -> float:

@@ -11,17 +11,25 @@ the smallest constant with ``zeta . grad(v_eps) . zeta >= -C |zeta|^2``
 pointwise (the largest eigenvalue of the negated symmetric mollified
 gradient, estimated from the designated regular solution only), and the
 budget is the commutator bound at the working mollifier scale.
+
+One pipeline certifies all three systems: ``_certify_pair`` takes a solved
+A/B pair, computes the per-snapshot series (with one Besov probe per B
+snapshot), the route budget, the Gronwall certificate and the verdict, and
+returns the one ``UniquenessReport``.  The homogeneous experiment feeds it
+``run_pair(..., solve)``; the variable-density and Boussinesq experiments
+(:mod:`~eulerlab.extensions`) add a weighted energy, a per-quantity
+hypothesis and a scalar-contraction audit as data.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .besov import besov_seminorm, fit_regularity_exponent
+from .besov import _check_usable, besov_seminorm
 from .commutator import scaling_experiment
 from .errors import ConfigurationError, GridMismatchError
 from .grid_fields import (
@@ -32,6 +40,9 @@ from .grid_fields import (
 )
 from .mollify import make_kernel, mollify, resolved_epsilon
 from .solver import solve
+
+if TYPE_CHECKING:
+    from .extensions import DensityContractionReport
 
 __all__ = [
     "RelativeEnergySeries",
@@ -51,6 +62,11 @@ __all__ = [
 # eps^(2a-1) and needs a > 1/2; the trilinear route decays like
 # eps^(3a-1) and needs a > 1/3.
 ROUTE_THRESHOLDS = {"convective": 0.5, "trilinear": 1.0 / 3.0}
+
+# The extended systems gate the smallest per-quantity exponent at the
+# trilinear threshold whatever the budget route; matching it to the route
+# (ROADMAP item 2) changes recorded verdicts.
+EXTENDED_REQUIRED_ALPHA = 1.0 / 3.0
 
 
 def relative_energy(u: VelocityField, v: VelocityField) -> float:
@@ -231,9 +247,11 @@ class UniquenessReport:
     seminorm_series: list[float]
     fitted_alpha_series: list[float]
     budget_route: str
+    quantity_alphas: Optional[dict] = None
+    contraction: Optional[DensityContractionReport] = None
 
     def to_json_dict(self) -> dict:
-        return {
+        out = {
             "series": {
                 "t": list(self.times),
                 "E": list(self.energy),
@@ -257,6 +275,11 @@ class UniquenessReport:
             "seminorm_series": list(self.seminorm_series),
             "fitted_alpha_series": list(self.fitted_alpha_series),
         }
+        if self.quantity_alphas is not None:
+            out["hypothesis"]["per_quantity"] = dict(self.quantity_alphas)
+        if self.contraction is not None:
+            out["contraction"] = self.contraction.to_json_dict()
+        return out
 
 
 def _trapz(values: Sequence[float], times: Sequence[float]) -> float:
@@ -309,79 +332,85 @@ def _plain_energy(sa, ua: VelocityField, ub: VelocityField) -> float:
 
 def _pair_series(traj_a, traj_b, energy, reg_epsilon: float, alpha: float, p_int: float):
     """Per-snapshot relative energy ``energy(state_a, u_a, u_b)`` (velocities
-    on A's grid), C(t) and the Besov seminorm of B's velocity, as
-    ``(E series, C series, seminorms)``."""
+    on A's grid), C(t) and the Besov estimate of B's velocity, as
+    ``(E series, C series, estimates)``."""
     times = _shared_times(traj_a, traj_b)
     cmp_grid = traj_a.grid
     energies = []
     c_vals = []
-    seminorms = []
+    estimates = []
     for sa, sb in zip(traj_a.states, traj_b.states):
         ua = resample(sa.velocity, cmp_grid)
         ub = resample(sb.velocity, cmp_grid)
         energies.append(energy(sa, ua, ub))
         v = sb.velocity
         c_vals.append(one_sided_lipschitz(v, reg_epsilon))
-        seminorms.append(besov_seminorm(v, alpha, p_int).seminorm)
+        estimates.append(besov_seminorm(v, alpha, p_int))
     return (RelativeEnergySeries(times, energies),
-            LipschitzSeries(times, c_vals, reg_epsilon), seminorms)
+            LipschitzSeries(times, c_vals, reg_epsilon), estimates)
 
 
-def _drift_tolerance(certify_tolerance: Optional[float], traj_a, traj_b) -> float:
-    """The given tolerance, or ten times the pair's larger energy drift, so
-    discretization error cannot masquerade as non-uniqueness."""
-    if certify_tolerance is not None:
-        return float(certify_tolerance)
-    return 10.0 * max(traj_a.energy_drift(), traj_b.energy_drift(), 1e-16)
+def _check_sweep(budget_route: str, epsilons: Sequence[float]) -> None:
+    """Reject an unknown budget route or an empty epsilon sweep, so a bad
+    configuration fails before any leg is solved."""
+    if budget_route not in ROUTE_THRESHOLDS:
+        raise ConfigurationError("budget_route must be 'convective' or 'trilinear'")
+    if len(epsilons) == 0:
+        raise ConfigurationError("need at least one epsilon for the budget sweep")
 
 
-def _verdict(hypothesis_met: bool, *audits_passed: bool) -> str:
-    if not hypothesis_met:
-        return "hypothesis-not-met"
-    return "pass" if all(audits_passed) else "certificate-failed"
-
-
-def uniqueness_experiment(
-    u0: VelocityField,
-    cfg_a: RunConfig,
-    cfg_b: RunConfig,
+def _certify_pair(
+    traj_a,
+    traj_b,
     alpha: float,
     p_int: float,
     epsilons: Sequence[float],
     *,
-    budget_route: str = "convective",
-    working_epsilon: Optional[float] = None,
-    reg_epsilon: Optional[float] = None,
-    certify_tolerance: Optional[float] = None,
+    energy,
+    budget_route: str,
+    working_epsilon: Optional[float],
+    reg_epsilon: Optional[float],
+    certify_tolerance: Optional[float],
+    hypothesis: Optional[dict] = None,
+    audit: Optional[DensityContractionReport] = None,
 ) -> UniquenessReport:
-    """Run the A/B pair and certify the relative-energy Gronwall inequality.
+    """Certify the relative-energy Gronwall inequality of a solved A/B pair.
 
-    The B leg (or the higher-resolution leg when they differ) plays the role
-    of the regular solution: C(t), the per-slice Besov statistics, and the
-    commutator budget are estimated from it alone.  ``budget_route`` selects
-    the bound: ``"convective"`` uses the convective commutator at rate
-    ``2 alpha - 1`` (hypothesis alpha > 1/2); ``"trilinear"`` uses the
-    trilinear pairing at rate ``3 alpha - 1`` (hypothesis alpha > 1/3).
-    The default tolerance is ten times the pair's measured energy drift, so
-    discretization error cannot masquerade as non-uniqueness.
+    B is the designated regular solution (see ``uniqueness_experiment`` for
+    the budget routes); ``energy(state_a, u_a, u_b)`` is the relative energy
+    of one snapshot.
+
+    Without ``hypothesis`` the median of B's per-snapshot fitted exponents
+    must exceed the route's threshold.  ``hypothesis`` maps further quantities
+    to exponents fitted at mid-horizon; B's mid-horizon velocity exponent
+    joins them as ``velocity_b``, and their minimum must exceed
+    ``EXTENDED_REQUIRED_ALPHA``.  ``audit`` (a scalar-contraction report) must
+    pass as well and is reported as ``contraction``.
     """
-    if budget_route not in ROUTE_THRESHOLDS:
-        raise ConfigurationError("budget_route must be 'convective' or 'trilinear'")
     epsilons = sorted((float(e) for e in epsilons), reverse=True)
-    if not epsilons:
-        raise ConfigurationError("need at least one epsilon for the budget sweep")
-
-    traj_a, traj_b = run_pair((u0,), cfg_a, cfg_b, solve)
     grid_v = traj_b.grid
     reg_eps = reg_epsilon if reg_epsilon is not None else resolved_epsilon(grid_v)
-    e_series, c_series, seminorms = _pair_series(
-        traj_a, traj_b, _plain_energy, reg_eps, alpha, p_int
+    e_series, c_series, estimates = _pair_series(
+        traj_a, traj_b, energy, reg_eps, alpha, p_int
     )
     times = e_series.times
-    alphas = [fit_regularity_exponent(s.velocity, p_int) for s in traj_b.states]
+    seminorms = [e.seminorm for e in estimates]
 
-    fitted_alpha = float(np.median(alphas))
-    required = ROUTE_THRESHOLDS[budget_route]
+    if hypothesis is None:
+        for e in estimates:
+            _check_usable(grid_v, e.shift_table)
+        fitted_alpha = float(np.median([e.fitted_alpha for e in estimates]))
+        required = ROUTE_THRESHOLDS[budget_route]
+    else:
+        mid = estimates[len(times) // 2]
+        try:
+            _check_usable(grid_v, mid.shift_table)
+            velocity_b = mid.fitted_alpha
+        except ConfigurationError:
+            velocity_b = 1.0  # a constant field is maximally regular
+        hypothesis = dict(hypothesis, velocity_b=velocity_b)
+        fitted_alpha = float(min(hypothesis.values()))
+        required = EXTENDED_REQUIRED_ALPHA
     met = fitted_alpha > required
 
     v0 = traj_b.states[0].velocity
@@ -409,9 +438,17 @@ def uniqueness_experiment(
     work_eps = float(working_epsilon) if working_epsilon is not None else min(epsilons)
     budget = c_fit * work_eps**rate * weight
 
-    certificate = gronwall_certify(
-        e_series, c_series, budget, _drift_tolerance(certify_tolerance, traj_a, traj_b)
-    )
+    # by default ten times the pair's larger energy drift, so discretization
+    # error cannot masquerade as non-uniqueness
+    if certify_tolerance is None:
+        certify_tolerance = 10.0 * max(traj_a.energy_drift(), traj_b.energy_drift(), 1e-16)
+    certificate = gronwall_certify(e_series, c_series, budget, float(certify_tolerance))
+    if not met:
+        verdict = "hypothesis-not-met"
+    elif certificate.passed and (audit is None or audit.passed):
+        verdict = "pass"
+    else:
+        verdict = "certificate-failed"
     return UniquenessReport(
         times=times,
         energy=e_series.values,
@@ -422,11 +459,46 @@ def uniqueness_experiment(
         fitted_alpha=fitted_alpha,
         required_alpha=required,
         hypothesis_met=met,
-        verdict=_verdict(met, certificate.passed),
+        verdict=verdict,
         alpha=float(alpha),
         p_int=float(p_int),
         working_epsilon=work_eps,
         seminorm_series=seminorms,
-        fitted_alpha_series=[float(a) for a in alphas],
+        fitted_alpha_series=[e.fitted_alpha for e in estimates],
         budget_route=budget_route,
+        quantity_alphas=hypothesis,
+        contraction=audit,
+    )
+
+
+def uniqueness_experiment(
+    u0: VelocityField,
+    cfg_a: RunConfig,
+    cfg_b: RunConfig,
+    alpha: float,
+    p_int: float,
+    epsilons: Sequence[float],
+    *,
+    budget_route: str = "convective",
+    working_epsilon: Optional[float] = None,
+    reg_epsilon: Optional[float] = None,
+    certify_tolerance: Optional[float] = None,
+) -> UniquenessReport:
+    """Run the A/B pair and certify the relative-energy Gronwall inequality.
+
+    The B leg (or the higher-resolution leg when they differ) plays the role
+    of the regular solution: C(t), the per-slice Besov statistics, and the
+    commutator budget are estimated from it alone.  ``budget_route`` selects
+    the bound: ``"convective"`` uses the convective commutator at rate
+    ``2 alpha - 1`` (hypothesis alpha > 1/2); ``"trilinear"`` uses the
+    trilinear pairing at rate ``3 alpha - 1`` (hypothesis alpha > 1/3).
+    The default tolerance is ten times the pair's measured energy drift, so
+    discretization error cannot masquerade as non-uniqueness.
+    """
+    _check_sweep(budget_route, epsilons)
+    traj_a, traj_b = run_pair((u0,), cfg_a, cfg_b, solve)
+    return _certify_pair(
+        traj_a, traj_b, alpha, p_int, epsilons, energy=_plain_energy,
+        budget_route=budget_route, working_epsilon=working_epsilon,
+        reg_epsilon=reg_epsilon, certify_tolerance=certify_tolerance,
     )

@@ -3,6 +3,7 @@ import pytest
 
 from eulerlab.besov import (
     ShiftPolicy,
+    _check_usable,
     besov_seminorm,
     fit_regularity_exponent,
     translation_difference_norm,
@@ -140,6 +141,9 @@ class TestFitRegularityExponent:
         h = grid.sample_scalar(lambda x, y: np.sin(np.pi * x))
         with pytest.raises(ConfigurationError, match="usable shift magnitudes"):
             fit_regularity_exponent(h, 2.0)
+        est = besov_seminorm(h, 0.5, 2.0)  # the estimate path: no exception
+        with pytest.raises(ConfigurationError, match="usable shift magnitudes"):
+            _check_usable(grid, est.shift_table)
 
 
 class TestShiftPolicy:

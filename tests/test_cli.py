@@ -71,6 +71,20 @@ p = 3.0
 """
 
 
+# per-kind initial-data sections of the three certify kinds
+CERTIFY_EXTRA = {
+    "uniqueness": "",
+    "inhom_uniqueness": "\n[density]\namplitude = 0.2\n",
+    "boussinesq_uniqueness": "\n[buoyancy]\ng = 0.0 -1.0\ntheta_amplitude = 0.2\n",
+}
+
+
+def certify_config(kind, sweep=""):
+    """UNIQUENESS run as ``kind``, with extra ``[sweep]`` lines."""
+    text = UNIQUENESS.replace("kind = uniqueness", f"kind = {kind}")
+    return text + sweep + CERTIFY_EXTRA[kind]
+
+
 class TestParseAndValidate:
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL_ENERGY + "\nwibble = 3\n")
@@ -148,8 +162,9 @@ class TestRun:
         assert report["verdict"] == "pass"
         assert all(e == 0.0 for e in report["series"]["E"])
 
-    def test_byte_identical_reports(self, tmp_path):
-        cfg = write_config(tmp_path, UNIQUENESS)
+    @pytest.mark.parametrize("kind", sorted(CERTIFY_EXTRA))
+    def test_byte_identical_reports(self, tmp_path, kind):
+        cfg = write_config(tmp_path, certify_config(kind))
         out1 = tmp_path / "o1"
         out2 = tmp_path / "o2"
         assert run(cfg, output_dir=out1) == 0
@@ -157,6 +172,29 @@ class TestRun:
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
         assert (out1 / "series.csv").read_bytes() == (out2 / "series.csv").read_bytes()
         assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
+        report = json.loads((out1 / "report.json").read_text())
+        extended = kind != "uniqueness"
+        assert ("contraction" in report) == extended
+        assert ("per_quantity" in report["hypothesis"]) == extended
+        for key in ("budgets", "budget_route", "seminorm_series", "fitted_alpha_series"):
+            assert key in report
+
+    @pytest.mark.parametrize("kind, line", [
+        ("inhom_uniqueness", "budget_route = convective"),
+        ("inhom_uniqueness", "working_epsilon = 0.25"),
+        ("boussinesq_uniqueness", "budget_route = trilinear"),
+        ("boussinesq_uniqueness", "working_epsilon = 0.25"),
+        ("uniqueness", "contraction_tolerance = 1e-300"),
+        ("uniqueness", "slope_tolerance = 1e-300"),
+        ("uniqueness", "budget_route = nonsense"),
+    ])
+    def test_sweep_key_the_kind_does_not_read_rejected(self, tmp_path, kind, line):
+        """A [sweep] key the kind would ignore (or an unknown route) exits 1
+        before anything runs."""
+        cfg = write_config(tmp_path, certify_config(kind, line + "\n"))
+        assert validate(cfg) == 1
+        assert run(cfg, output_dir=tmp_path / "out") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_seed_override_changes_hashless_fields(self, tmp_path):
         cfg = write_config(tmp_path, BESOV)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import eulerlab.extensions
 from eulerlab.errors import ConfigurationError
 from eulerlab.grid_fields import (
     ScalarField,
@@ -279,3 +280,21 @@ class TestExtendedExperiments:
         )
         assert report.contraction.passed
         assert max(report.energy) <= 1e-5
+
+    def test_empty_sweep_rejected_before_solving(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solved a pair with an empty sweep")
+
+        monkeypatch.setattr(eulerlab.extensions, "run_pair", no_solve)
+        grid = make_grid(2, 64)
+        u0 = taylor_green(grid, 0.8)
+        cfg = RunConfig(64, 2e-3, 0.004)
+        with pytest.raises(ConfigurationError, match="epsilon"):
+            inhom_uniqueness_experiment(
+                smooth_density(grid), u0, cfg, cfg, alpha=0.6, p_int=3.0, epsilons=[]
+            )
+        with pytest.raises(ConfigurationError, match="epsilon"):
+            boussinesq_uniqueness_experiment(
+                grid.sample_scalar(lambda x, y: 0.0 * x), u0, (0.0, -1.0), cfg, cfg,
+                alpha=0.6, p_int=3.0, epsilons=[],
+            )

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import eulerlab.besov
+import eulerlab.uniqueness
 from eulerlab.errors import ConfigurationError, GridMismatchError
 from eulerlab.grid_fields import (
     VelocityField,
@@ -273,3 +275,46 @@ class TestUniquenessExperiment:
             assert key in d["certificate"]
         for key in ("fitted_alpha", "required_alpha", "met"):
             assert key in d["hypothesis"]
+        assert "per_quantity" not in d["hypothesis"]
+        assert "contraction" not in d
+
+    def test_one_probe_per_b_snapshot(self, monkeypatch):
+        calls = []
+        probe = eulerlab.besov._probe
+
+        def counted(*args):
+            calls.append(args)
+            return probe(*args)
+
+        monkeypatch.setattr(eulerlab.besov, "_probe", counted)
+        u0 = taylor_green(make_grid(2, 64), 1.0)
+        cfg = RunConfig(64, 2e-3, 0.02, snapshot_stride=2)
+        report = uniqueness_experiment(
+            u0, cfg, cfg, alpha=0.6, p_int=3.0, epsilons=self.EPS
+        )
+        # one probe per B snapshot (seminorm and fitted exponent together)
+        # plus the budget sweep's seminorm of B's initial velocity
+        assert len(report.times) == 6
+        assert len(calls) == len(report.times) + 1
+
+    @pytest.mark.parametrize("route, eps", [("nonsense", EPS), ("convective", [])])
+    def test_bad_sweep_rejected_before_solving(self, monkeypatch, route, eps):
+        def no_solve(*args):
+            raise AssertionError("solved a pair with a bad sweep")
+
+        monkeypatch.setattr(eulerlab.uniqueness, "run_pair", no_solve)
+        u0 = taylor_green(make_grid(2, 64), 1.0)
+        cfg = RunConfig(64, 2e-3, 0.004)
+        with pytest.raises(ConfigurationError):
+            uniqueness_experiment(
+                u0, cfg, cfg, alpha=0.6, p_int=3.0, epsilons=eps, budget_route=route
+            )
+
+    def test_degenerate_b_snapshot_rejected(self):
+        grid = make_grid(2, 64)
+        zero = VelocityField.from_arrays(grid, [np.zeros(grid.shape)] * 2)
+        cfg = RunConfig(64, 2e-3, 0.004)
+        with pytest.raises(ConfigurationError, match="usable shift magnitudes"):
+            uniqueness_experiment(
+                zero, cfg, cfg, alpha=0.6, p_int=3.0, epsilons=self.EPS
+            )
