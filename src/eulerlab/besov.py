@@ -10,14 +10,14 @@ discretization-dominated.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .grid_fields import Field, PeriodicGrid, ScalarField
+from .reporting import dump_csv
 
 __all__ = [
     "ShiftPolicy",
@@ -90,11 +90,7 @@ class BesovEstimate:
     fitted_alpha: float
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["xi_magnitude", "lp_diff_norm", "ratio"])
-            for row in self.shift_table:
-                writer.writerow([repr(row[0]), repr(row[1]), repr(row[2])])
+        dump_csv(path, ["xi_magnitude", "lp_diff_norm", "ratio"], self.shift_table)
 
 
 def _steps_from_xi(grid: PeriodicGrid, xi: Sequence[float]) -> tuple[int, ...]:
@@ -156,19 +152,14 @@ def _fit_slope(rows: list[tuple[float, float]], fit_min: float, fit_max: float) 
     return float(slope)
 
 
-def besov_seminorm(
-    h: Field,
-    alpha: float,
-    p_int: float,
-    shifts: Optional[ShiftPolicy] = None,
-) -> BesovEstimate:
-    """Estimate the seminorm and the realized exponent under a shift policy."""
+def besov_seminorm(h: Field, alpha: float, p_int: float) -> BesovEstimate:
+    """Estimate the seminorm and the realized exponent under the default
+    shift policy."""
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
     if p_int < 1.0:
         raise ConfigurationError(f"p must be >= 1, got {p_int}")
-    policy = shifts if shifts is not None else ShiftPolicy.default(h.grid)
-    rows = _probe(h, policy, p_int)
+    rows = _probe(h, ShiftPolicy.default(h.grid), p_int)
     table = [(m, v, v / m**alpha) for m, v in rows]
     seminorm = max((r[2] for r in table), default=0.0)
     fitted = _fit_slope(rows, *_fit_bounds(h.grid))
@@ -188,13 +179,8 @@ def _check_usable(grid: PeriodicGrid, rows) -> None:
         )
 
 
-def fit_regularity_exponent(
-    h: Field,
-    p_int: float,
-    shifts: Optional[ShiftPolicy] = None,
-) -> float:
+def fit_regularity_exponent(h: Field, p_int: float) -> float:
     """Log-log slope of the difference norms with the default shift policy."""
-    policy = shifts if shifts is not None else ShiftPolicy.default(h.grid)
-    rows = _probe(h, policy, p_int)
+    rows = _probe(h, ShiftPolicy.default(h.grid), p_int)
     _check_usable(h.grid, rows)
     return _fit_slope(rows, *_fit_bounds(h.grid))

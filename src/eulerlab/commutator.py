@@ -14,7 +14,6 @@ Galerkin product of band-limited fields.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -27,10 +26,12 @@ from .grid_fields import (
     ScalarField,
     VelocityField,
     _dealiased_product,
+    _dealiased_product_tensor,
     _div_hat,
     lp_norm,
 )
 from .mollify import MollifierKernel, make_kernel, min_epsilon, mollify
+from .reporting import dump_json
 
 __all__ = [
     "ScalingReport",
@@ -58,16 +59,8 @@ def convective_commutator(v: VelocityField, kernel: MollifierKernel) -> Velocity
     if grid != kernel.grid:
         raise GridMismatchError("field and kernel live on different grids")
     v_eps = mollify(v, kernel)
-    vv = [c.values for c in v.components]
-    ve = [c.values for c in v_eps.components]
-    smooth_hats = [
-        [_dealiased_product(grid, ve[i], ve[j]) for j in range(grid.dims)]
-        for i in range(grid.dims)
-    ]
-    raw_hats = [
-        [_dealiased_product(grid, vv[i], vv[j]) for j in range(grid.dims)]
-        for i in range(grid.dims)
-    ]
+    smooth_hats = _dealiased_product_tensor(grid, [c.values for c in v_eps.components])
+    raw_hats = _dealiased_product_tensor(grid, [c.values for c in v.components])
     div_smooth = [_div_hat(grid, row) for row in smooth_hats]
     div_raw = [_div_hat(grid, row) for row in raw_hats]
     comps = []
@@ -79,7 +72,12 @@ def convective_commutator(v: VelocityField, kernel: MollifierKernel) -> Velocity
 
 def cet_trilinear(u: VelocityField, v: VelocityField, kernel: MollifierKernel) -> float:
     """Single-slice trilinear pairing
-    ``int [(u (x) u)_eps - u_eps (x) u_eps] : grad(v_eps - u_eps) dx``."""
+    ``int [(u (x) u)_eps - u_eps (x) u_eps] : grad(v_eps - u_eps) dx``.
+
+    ``m_ij = (u_i u_j)_eps - u_eps,i u_eps,j`` is symmetric, so each unordered
+    pair is transformed once and paired with both ``d_j(v_eps - u_eps)_i``
+    and ``d_i(v_eps - u_eps)_j``; the terms are summed in row-major order.
+    """
     grid = u.grid
     if grid != v.grid or grid != kernel.grid:
         raise GridMismatchError("fields and kernel live on different grids")
@@ -87,17 +85,21 @@ def cet_trilinear(u: VelocityField, v: VelocityField, kernel: MollifierKernel) -
     v_eps = mollify(v, kernel)
     uu = [c.values for c in u.components]
     ue = [c.values for c in u_eps.components]
-    total = 0.0
+    terms = [[0.0] * grid.dims for _ in range(grid.dims)]
     for i in range(grid.dims):
-        diff_hat = v_eps.components[i].hat - u_eps.components[i].hat
-        for j in range(grid.dims):
-            m_hat = (
+        for j in range(i, grid.dims):
+            m = grid.irfftn(
                 _dealiased_product(grid, uu[i], uu[j]) * kernel.multiplier
                 - _dealiased_product(grid, ue[i], ue[j])
             )
-            m = grid.irfftn(m_hat)
-            g = grid.irfftn(1j * grid.deriv_wavenumber(j) * diff_hat)
-            total += float(np.sum(m * g))
+            for a, b in {(i, j), (j, i)}:
+                diff_hat = v_eps.components[a].hat - u_eps.components[a].hat
+                g = grid.irfftn(1j * grid.deriv_wavenumber(b) * diff_hat)
+                terms[a][b] = float(np.sum(m * g))
+    total = 0.0
+    for row in terms:
+        for t in row:
+            total += t
     return total * grid.cell_volume
 
 
@@ -160,9 +162,7 @@ class ScalingReport:
         }
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        dump_json(self.to_json_dict(), path)
 
 
 def _as_pair(fields) -> tuple[VelocityField, Optional[VelocityField]]:

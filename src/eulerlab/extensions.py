@@ -49,6 +49,7 @@ from .grid_fields import (
     ScalarField,
     VelocityField,
     _dealiased_product,
+    _dealiased_product_tensor,
     _div_hat,
     _leray_hats,
     curl_2d,
@@ -262,23 +263,17 @@ def _inhom_velocity_tendency(
     grid: PeriodicGrid,
     rho: np.ndarray,
     u: Sequence[np.ndarray],
-    tol: float,
-    max_iter: int,
     p0: Optional[np.ndarray],
 ) -> tuple[list[np.ndarray], Optional[np.ndarray]]:
     """``-(u.grad)u - grad(p)/rho`` with the constraint-enforcing pressure,
     returned in spectral form and Leray-scrubbed of the CG residual, together
     with the pressure (the next stage's warm start)."""
-    # u_i u_j is symmetric in (i, j): transform each product once
-    prods = {}
-    for i in range(grid.dims):
-        for j in range(i, grid.dims):
-            prods[i, j] = prods[j, i] = _dealiased_product(grid, u[i], u[j])
-    adv_hats = [_div_hat(grid, [prods[i, j] for j in range(grid.dims)])
-                for i in range(grid.dims)]
+    adv_hats = [_div_hat(grid, row) for row in _dealiased_product_tensor(grid, u)]
     beta = 1.0 / rho
     rhs_div = _div_hat(grid, adv_hats)  # div((u.grad)u) for div-free u
-    bgp_hats, p_hat, _ = _pressure_gradient_over_rho(grid, beta, -rhs_div, tol, max_iter, p0)
+    bgp_hats, p_hat, _ = _pressure_gradient_over_rho(
+        grid, beta, -rhs_div, POISSON_TOLERANCE, POISSON_MAX_ITER, p0
+    )
     f_hats = [-adv_hats[i] - bgp_hats[i] for i in range(grid.dims)]
     # scrub the leftover CG residual so stage velocities stay solenoidal
     return _leray_hats(grid, f_hats), p_hat
@@ -291,9 +286,6 @@ def inhom_solve(
     dt: float,
     snapshot_stride: int = 1,
     cfl: float = DEFAULT_CFL,
-    poisson_tol: float = POISSON_TOLERANCE,
-    poisson_max_iter: int = POISSON_MAX_ITER,
-    config: Optional[dict] = None,
 ) -> Trajectory:
     """Integrate the variable-density system from positive density and
     solenoidal velocity; the energy ledger records ``0.5 int rho |u|^2`` and
@@ -322,14 +314,12 @@ def inhom_solve(
         rho_phys = grid.irfftn(hats[0])
         u_phys = [grid.irfftn(h) for h in hats[1:]]
         d_rho = _transport_tendency(grid, rho_phys, u_phys)
-        d_u, p_hat = _inhom_velocity_tendency(
-            grid, rho_phys, u_phys, poisson_tol, poisson_max_iter, p_hat
-        )
+        d_u, p_hat = _inhom_velocity_tendency(grid, rho_phys, u_phys, p_hat)
         return (d_rho, *d_u)
 
     hats = tuple(f.hat * grid.dealias_mask for f in (rho0, *u0.components))
     states = integrate(grid, hats, rhs, materialize, T, dt, snapshot_stride, cfl)
-    return Trajectory(states, dt, _run_config(config, grid, T, dt, snapshot_stride, cfl),
+    return Trajectory(states, dt, _run_config(grid, T, dt, snapshot_stride, cfl),
                       [s.weighted_energy() for s in states],
                       {"mass": [s.mass() for s in states]})
 
@@ -448,7 +438,6 @@ def boussinesq_solve(
     dt: float,
     snapshot_stride: int = 1,
     cfl: float = DEFAULT_CFL,
-    config: Optional[dict] = None,
 ) -> Trajectory:
     """Vorticity dynamics with buoyancy torque ``curl(theta g)`` and
     conservative transport of ``theta``; the ``"theta"`` ledger records
@@ -480,7 +469,7 @@ def boussinesq_solve(
 
     hats = (curl_2d(u0).hat * grid.dealias_mask, theta0.hat * grid.dealias_mask)
     states = integrate(grid, hats, rhs, materialize, T, dt, snapshot_stride, cfl)
-    cfg = _run_config(config, grid, T, dt, snapshot_stride, cfl)
+    cfg = _run_config(grid, T, dt, snapshot_stride, cfl)
     cfg["g"] = list(g)
     return Trajectory(states, dt, cfg, [kinetic_energy(s.velocity) for s in states],
                       {"theta": [s.theta_total() for s in states]})
@@ -555,7 +544,7 @@ def _extended_experiment(
     return _certify_pair(
         traj_a, traj_b, alpha, p_int, epsilons, energy=energy_of,
         budget_route="convective", working_epsilon=None,
-        reg_epsilon=None, certify_tolerance=certify_tolerance,
+        certify_tolerance=certify_tolerance,
         hypothesis=hypothesis, audit=contraction,
     )
 

@@ -55,7 +55,9 @@ class PeriodicGrid:
 
     Precomputed attributes include per-axis wavenumbers (integer multiples of
     pi), broadcastable derivative multipliers for the half-spectrum layout,
-    the inverse Laplacian symbol, and the 2/3-rule dealias mask.
+    the inverse Laplacian symbol, and the 2/3-rule dealias mask
+    ``band_mask(dealias_kmax)``.  Every transform goes through :meth:`rfftn`
+    and :meth:`irfftn`.
     """
 
     def __init__(self, dims: int, n_per_axis: int):
@@ -80,19 +82,18 @@ class PeriodicGrid:
         # Per-axis wavenumbers pi*k over the symmetric integer range.
         self.wavenumbers = [np.pi * self._freq_full.copy() for _ in range(dims)]
 
-        # Derivative multipliers broadcast against the half-spectrum, with the
-        # Nyquist entry zeroed per axis.
-        self._k_deriv = []
+        # Integer frequencies per axis, broadcastable against the half-spectrum.
+        self._frequencies = []
         for axis in range(dims):
-            if axis == dims - 1:
-                f = self._freq_half.copy()
-                f[-1] = 0.0
-            else:
-                f = self._freq_full.copy()
-                f[n // 2] = 0.0
+            f = self._freq_half if axis == dims - 1 else self._freq_full
             shape = [1] * dims
             shape[axis] = -1
-            self._k_deriv.append((np.pi * f).reshape(shape))
+            self._frequencies.append(f.reshape(shape))
+
+        # Derivative multipliers, with the Nyquist entry zeroed per axis.
+        self._k_deriv = [
+            np.pi * np.where(np.abs(f) == n // 2, 0.0, f) for f in self._frequencies
+        ]
 
         k2 = np.zeros(self.rshape)
         for k in self._k_deriv:
@@ -105,17 +106,26 @@ class PeriodicGrid:
         # 2/3-rule mask: keep |k| <= kmax_int with 3*kmax_int < n, so aliases
         # of products of kept modes land outside the kept band.
         self.dealias_kmax = (n - 1) // 3
-        mask = np.ones(self.rshape, dtype=bool)
-        for axis in range(dims):
-            f = self._freq_half if axis == dims - 1 else self._freq_full
-            keep = np.abs(f) <= self.dealias_kmax
-            shape = [1] * dims
-            shape[axis] = -1
-            mask &= keep.reshape(shape)
-        self.dealias_mask = mask
+        self.dealias_mask = self.band_mask(self.dealias_kmax)
 
         for arr in (self.k_squared, self.inv_k_squared, self.dealias_mask):
             arr.setflags(write=False)
+
+    def band_mask(self, kmax: int) -> np.ndarray:
+        """Half-spectrum modes whose integer frequencies all satisfy
+        ``|k_i| <= kmax``."""
+        mask = np.ones(self.rshape, dtype=bool)
+        for f in self._frequencies:
+            mask &= np.abs(f) <= kmax
+        return mask
+
+    def integer_k_squared(self) -> np.ndarray:
+        """``|k|^2`` in integer frequency units on the half-spectrum (Nyquist
+        modes included)."""
+        acc = np.zeros(self.rshape)
+        for f in self._frequencies:
+            acc = acc + f**2
+        return acc
 
     def axis_coordinate(self, axis: int) -> np.ndarray:
         """Sample coordinates along one axis."""
@@ -313,6 +323,22 @@ def _dealiased_product(grid: PeriodicGrid, a: np.ndarray, b: np.ndarray) -> np.n
     hat = grid.rfftn(a * b)
     hat *= grid.dealias_mask
     return hat
+
+
+def _dealiased_product_tensor(
+    grid: PeriodicGrid, arrays: Sequence[np.ndarray]
+) -> list[list[np.ndarray]]:
+    """Symmetric table of the half-spectra of ``a_i * a_j``, 2/3-dealiased.
+
+    Entries ``[i][j]`` and ``[j][i]`` are one array, transformed once: the
+    pointwise product commutes exactly in floating point.
+    """
+    dims = len(arrays)
+    table = [[None] * dims for _ in range(dims)]
+    for i in range(dims):
+        for j in range(i, dims):
+            table[i][j] = table[j][i] = _dealiased_product(grid, arrays[i], arrays[j])
+    return table
 
 
 def _div_hat(grid: PeriodicGrid, hats: Sequence[np.ndarray]) -> np.ndarray:

@@ -101,7 +101,7 @@ def make_kernel(grid: PeriodicGrid, epsilon: float) -> MollifierKernel:
         vals[interior] = np.exp(-1.0 / (1.0 - s[interior]))
     vals /= vals.sum() * grid.cell_volume
 
-    multiplier = np.fft.rfftn(vals) * grid.cell_volume
+    multiplier = grid.rfftn(vals) * grid.cell_volume
     multiplier.setflags(write=False)
     return MollifierKernel(
         grid,

@@ -28,6 +28,8 @@ from .grid_fields import (
     PeriodicGrid,
     ScalarField,
     VelocityField,
+    _dealiased_product,
+    _dealiased_product_tensor,
     curl_2d,
     divergence,
     gradient,
@@ -88,10 +90,8 @@ def _vorticity_flux_tendency(
 ) -> np.ndarray:
     """``-div(u w)`` from the physical velocity ``(u1, u2)`` of ``w_hat``."""
     w = grid.irfftn(w_hat)
-    f1 = grid.rfftn(u1 * w)
-    f2 = grid.rfftn(u2 * w)
-    f1 *= grid.dealias_mask
-    f2 *= grid.dealias_mask
+    f1 = _dealiased_product(grid, u1, w)
+    f2 = _dealiased_product(grid, u2, w)
     return -(1j * grid.deriv_wavenumber(0) * f1 + 1j * grid.deriv_wavenumber(1) * f2)
 
 
@@ -217,13 +217,11 @@ def _check_initial_velocity(u0: VelocityField) -> None:
         raise ConfigurationError("initial velocity is not divergence-free")
 
 
-def _run_config(config: Optional[dict], grid: PeriodicGrid, T: float, dt: float,
-               snapshot_stride: int, cfl: float) -> dict:
-    """The caller's config plus the integration parameters of one run."""
-    cfg = dict(config or {})
-    cfg.update({"T": T, "dt": dt, "snapshot_stride": snapshot_stride, "cfl": cfl,
-                "grid_n": grid.n_per_axis})
-    return cfg
+def _run_config(grid: PeriodicGrid, T: float, dt: float, snapshot_stride: int,
+                cfl: float) -> dict:
+    """The integration parameters of one run."""
+    return {"T": T, "dt": dt, "snapshot_stride": snapshot_stride, "cfl": cfl,
+            "grid_n": grid.n_per_axis}
 
 
 def integrate(
@@ -279,7 +277,6 @@ def solve(
     dt: float,
     snapshot_stride: int = 1,
     cfl: float = DEFAULT_CFL,
-    config: Optional[dict] = None,
 ) -> Trajectory:
     """Integrate from divergence-free initial data, recording snapshots every
     ``snapshot_stride`` steps (the final state is always recorded)."""
@@ -293,21 +290,20 @@ def solve(
         lambda t, hats: _materialize(grid, t, hats[0]),
         T, dt, snapshot_stride, cfl,
     )
-    return Trajectory(states, dt, _run_config(config, grid, T, dt, snapshot_stride, cfl),
+    return Trajectory(states, dt, _run_config(grid, T, dt, snapshot_stride, cfl),
                       [kinetic_energy(s.velocity) for s in states])
 
 
 def recover_pressure(u: VelocityField) -> ScalarField:
     """Zero-mean solution of ``-lap p = div div (u (x) u)`` (spectral)."""
     grid = u.grid
+    prods = _dealiased_product_tensor(grid, [c.values for c in u.components])
     acc = np.zeros(grid.rshape, dtype=complex)
     for i in range(grid.dims):
         ki = grid.deriv_wavenumber(i)
         for j in range(grid.dims):
             kj = grid.deriv_wavenumber(j)
-            t_hat = grid.rfftn(u.components[i].values * u.components[j].values)
-            t_hat *= grid.dealias_mask
-            acc = acc + ki * kj * t_hat
+            acc = acc + ki * kj * prods[i][j]
     return ScalarField.from_hat(grid, -acc * grid.inv_k_squared)
 
 

@@ -148,31 +148,15 @@ def shear_flow(grid: PeriodicGrid, profile: ScalarField) -> VelocityField:
     )
 
 
-def random_divfree(
-    grid: PeriodicGrid, slope: float, seed: int, amplitude: float = 1.0
-) -> VelocityField:
-    """Power-law Gaussian field ``|u_hat(k)| ~ |k|^(-slope)``, solenoidal and
-    band-limited to the dealiased range; max speed normalized to ``amplitude``."""
-    gen = _rng(seed)
-    n = grid.n_per_axis
-    hats = []
-    kmag2 = np.zeros(grid.rshape)
-    for axis in range(grid.dims):
-        f = (
-            np.arange(n // 2 + 1, dtype=float)
-            if axis == grid.dims - 1
-            else np.fft.fftfreq(n, 1.0 / n)
-        )
-        shape = [1] * grid.dims
-        shape[axis] = -1
-        kmag2 = kmag2 + (f.reshape(shape)) ** 2
-    with np.errstate(divide="ignore"):
-        envelope = np.where(kmag2 > 0.0, np.sqrt(kmag2) ** (-slope), 0.0)
-    envelope *= grid.dealias_mask
-    for _ in range(grid.dims):
-        noise = gen.standard_normal(grid.shape)
-        hats.append(np.fft.rfftn(noise) * envelope)
-    comps = [grid.irfftn(h) for h in hats]
+def _filtered_noise(grid: PeriodicGrid, gen: np.random.Generator,
+                    symbol: np.ndarray) -> np.ndarray:
+    """One Gaussian white-noise sample with its half-spectrum scaled by ``symbol``."""
+    return grid.irfftn(grid.rfftn(gen.standard_normal(grid.shape)) * symbol)
+
+
+def _solenoidal_at_speed(grid: PeriodicGrid, comps, amplitude: float) -> VelocityField:
+    """Leray-project the components and scale the max speed to ``amplitude``
+    (a vanishing field is returned as projected)."""
     u = leray_project(VelocityField.from_arrays(grid, comps))
     speed = u.max_speed()
     if speed == 0.0:
@@ -181,19 +165,25 @@ def random_divfree(
     return VelocityField.from_arrays(grid, arrays, divergence_free=True)
 
 
-def _low_mode_mask(grid: PeriodicGrid, kmax: int) -> np.ndarray:
-    n = grid.n_per_axis
-    mask = np.ones(grid.rshape, dtype=bool)
-    for axis in range(grid.dims):
-        f = (
-            np.arange(n // 2 + 1, dtype=float)
-            if axis == grid.dims - 1
-            else np.fft.fftfreq(n, 1.0 / n)
+def _check_kmax(grid: PeriodicGrid, kmax: int) -> None:
+    if kmax < 1 or kmax > grid.dealias_kmax:
+        raise ConfigurationError(
+            f"kmax must lie in [1, {grid.dealias_kmax}] on n={grid.n_per_axis}"
         )
-        shape = [1] * grid.dims
-        shape[axis] = -1
-        mask &= (np.abs(f) <= kmax).reshape(shape)
-    return mask
+
+
+def random_divfree(
+    grid: PeriodicGrid, slope: float, seed: int, amplitude: float = 1.0
+) -> VelocityField:
+    """Power-law Gaussian field ``|u_hat(k)| ~ |k|^(-slope)``, solenoidal and
+    band-limited to the dealiased range; max speed normalized to ``amplitude``."""
+    gen = _rng(seed)
+    kmag2 = grid.integer_k_squared()
+    with np.errstate(divide="ignore"):
+        envelope = np.where(kmag2 > 0.0, np.sqrt(kmag2) ** (-slope), 0.0)
+    envelope *= grid.dealias_mask
+    comps = [_filtered_noise(grid, gen, envelope) for _ in range(grid.dims)]
+    return _solenoidal_at_speed(grid, comps, amplitude)
 
 
 def low_mode_scalar(
@@ -201,12 +191,8 @@ def low_mode_scalar(
 ) -> ScalarField:
     """Gaussian scalar confined to integer modes ``|k_i| <= kmax``, sup-norm
     normalized to ``amplitude``."""
-    if kmax < 1 or kmax > grid.dealias_kmax:
-        raise ConfigurationError(
-            f"kmax must lie in [1, {grid.dealias_kmax}] on n={grid.n_per_axis}"
-        )
-    noise = _rng(seed).standard_normal(grid.shape)
-    vals = grid.irfftn(np.fft.rfftn(noise) * _low_mode_mask(grid, kmax))
+    _check_kmax(grid, kmax)
+    vals = _filtered_noise(grid, _rng(seed), grid.band_mask(kmax))
     top = np.abs(vals).max()
     if top > 0.0:
         vals *= amplitude / top
@@ -219,24 +205,11 @@ def low_mode_divfree(
     """Gaussian solenoidal field confined to integer modes ``|k_i| <= kmax``;
     max speed normalized to ``amplitude``.  Useful as a weak-formulation test
     function (band-limited far below the dealias cutoff)."""
-    if kmax < 1 or kmax > grid.dealias_kmax:
-        raise ConfigurationError(
-            f"kmax must lie in [1, {grid.dealias_kmax}] on n={grid.n_per_axis}"
-        )
+    _check_kmax(grid, kmax)
     gen = _rng(seed)
-    mask = _low_mode_mask(grid, kmax)
-    comps = []
-    for _ in range(grid.dims):
-        noise = gen.standard_normal(grid.shape)
-        comps.append(grid.irfftn(np.fft.rfftn(noise) * mask))
-    u = leray_project(VelocityField.from_arrays(grid, comps))
-    speed = u.max_speed()
-    if speed == 0.0:
-        return u
-    return VelocityField.from_arrays(
-        grid, [amplitude / speed * c.values for c in u.components],
-        divergence_free=True,
-    )
+    mask = grid.band_mask(kmax)
+    comps = [_filtered_noise(grid, gen, mask) for _ in range(grid.dims)]
+    return _solenoidal_at_speed(grid, comps, amplitude)
 
 
 def rigid_rotation_gradient(grid: PeriodicGrid, rate: float = 1.0) -> np.ndarray:

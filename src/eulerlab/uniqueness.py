@@ -38,7 +38,7 @@ from .grid_fields import (
     make_grid,
     resample,
 )
-from .mollify import make_kernel, mollify, resolved_epsilon
+from .mollify import MollifierKernel, make_kernel, mollify, resolved_epsilon
 from .solver import solve
 
 if TYPE_CHECKING:
@@ -102,9 +102,9 @@ def lipschitz_from_gradient(grad: np.ndarray) -> float:
     return max(0.0, float(eigs[:, -1].max()))
 
 
-def one_sided_lipschitz(v: VelocityField, reg_epsilon: float) -> float:
-    """Smallest one-sided Lipschitz constant of the mollified field."""
-    kernel = make_kernel(v.grid, reg_epsilon)
+def one_sided_lipschitz(v: VelocityField, kernel: MollifierKernel) -> float:
+    """Smallest one-sided Lipschitz constant of the field mollified by
+    ``kernel``."""
     return lipschitz_from_gradient(gradient_tensor(mollify(v, kernel)))
 
 
@@ -330,12 +330,14 @@ def _plain_energy(sa, ua: VelocityField, ub: VelocityField) -> float:
     return relative_energy(ua, ub)
 
 
-def _pair_series(traj_a, traj_b, energy, reg_epsilon: float, alpha: float, p_int: float):
+def _pair_series(traj_a, traj_b, energy, alpha: float, p_int: float):
     """Per-snapshot relative energy ``energy(state_a, u_a, u_b)`` (velocities
-    on A's grid), C(t) and the Besov estimate of B's velocity, as
-    ``(E series, C series, estimates)``."""
+    on A's grid), C(t) at B's resolved mollifier scale and the Besov estimate
+    of B's velocity, as ``(E series, C series, estimates)``."""
     times = _shared_times(traj_a, traj_b)
     cmp_grid = traj_a.grid
+    reg_epsilon = resolved_epsilon(traj_b.grid)
+    kernel = make_kernel(traj_b.grid, reg_epsilon)
     energies = []
     c_vals = []
     estimates = []
@@ -344,7 +346,7 @@ def _pair_series(traj_a, traj_b, energy, reg_epsilon: float, alpha: float, p_int
         ub = resample(sb.velocity, cmp_grid)
         energies.append(energy(sa, ua, ub))
         v = sb.velocity
-        c_vals.append(one_sided_lipschitz(v, reg_epsilon))
+        c_vals.append(one_sided_lipschitz(v, kernel))
         estimates.append(besov_seminorm(v, alpha, p_int))
     return (RelativeEnergySeries(times, energies),
             LipschitzSeries(times, c_vals, reg_epsilon), estimates)
@@ -369,7 +371,6 @@ def _certify_pair(
     energy,
     budget_route: str,
     working_epsilon: Optional[float],
-    reg_epsilon: Optional[float],
     certify_tolerance: Optional[float],
     hypothesis: Optional[dict] = None,
     audit: Optional[DensityContractionReport] = None,
@@ -389,10 +390,7 @@ def _certify_pair(
     """
     epsilons = sorted((float(e) for e in epsilons), reverse=True)
     grid_v = traj_b.grid
-    reg_eps = reg_epsilon if reg_epsilon is not None else resolved_epsilon(grid_v)
-    e_series, c_series, estimates = _pair_series(
-        traj_a, traj_b, energy, reg_eps, alpha, p_int
-    )
+    e_series, c_series, estimates = _pair_series(traj_a, traj_b, energy, alpha, p_int)
     times = e_series.times
     seminorms = [e.seminorm for e in estimates]
 
@@ -481,7 +479,6 @@ def uniqueness_experiment(
     *,
     budget_route: str = "convective",
     working_epsilon: Optional[float] = None,
-    reg_epsilon: Optional[float] = None,
     certify_tolerance: Optional[float] = None,
 ) -> UniquenessReport:
     """Run the A/B pair and certify the relative-energy Gronwall inequality.
@@ -500,5 +497,5 @@ def uniqueness_experiment(
     return _certify_pair(
         traj_a, traj_b, alpha, p_int, epsilons, energy=_plain_energy,
         budget_route=budget_route, working_epsilon=working_epsilon,
-        reg_epsilon=reg_epsilon, certify_tolerance=certify_tolerance,
+        certify_tolerance=certify_tolerance,
     )

@@ -10,6 +10,20 @@ from eulerlab.grid_fields import (
 )
 
 
+def count_transforms(monkeypatch) -> list:
+    """Record one entry per ``PeriodicGrid.rfftn``/``irfftn`` call from now on."""
+    calls = []
+    for name in ("rfftn", "irfftn"):
+        method = getattr(PeriodicGrid, name)
+
+        def counted(self, arr, _method=method, _name=name):
+            calls.append(_name)
+            return _method(self, arr)
+
+        monkeypatch.setattr(PeriodicGrid, name, counted)
+    return calls
+
+
 def rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 

@@ -11,13 +11,20 @@ from eulerlab.errors import ConfigurationError
 from eulerlab.grid_fields import (
     ScalarField,
     VelocityField,
+    _dealiased_product,
+    _div_hat,
     make_grid,
     max_norm,
 )
-from eulerlab.mollify import make_kernel
+from eulerlab.mollify import make_kernel, mollify
 from eulerlab.synth import SynthSpec, lacunary_field, taylor_green
 
-from _utils import direct_convolution, random_band_limited_scalar, random_band_limited_velocity
+from _utils import (
+    count_transforms,
+    direct_convolution,
+    random_band_limited_scalar,
+    random_band_limited_velocity,
+)
 
 EPS_SWEEP = [0.25, 0.125, 0.0625, 0.03125]
 
@@ -216,3 +223,91 @@ class TestScalingExperiment:
         for key in ("quantity", "alpha", "p", "epsilons", "magnitudes",
                     "fitted_slope", "theory_slope", "pass"):
             assert key in data
+
+
+def old_convective_commutator(v, kernel):
+    """``convective_commutator`` before the product tensor: every ordered
+    pair transformed on its own."""
+    grid = v.grid
+    v_eps = mollify(v, kernel)
+    vv = [c.values for c in v.components]
+    ve = [c.values for c in v_eps.components]
+    smooth_hats = [
+        [_dealiased_product(grid, ve[i], ve[j]) for j in range(grid.dims)]
+        for i in range(grid.dims)
+    ]
+    raw_hats = [
+        [_dealiased_product(grid, vv[i], vv[j]) for j in range(grid.dims)]
+        for i in range(grid.dims)
+    ]
+    div_smooth = [_div_hat(grid, row) for row in smooth_hats]
+    div_raw = [_div_hat(grid, row) for row in raw_hats]
+    comps = []
+    for i in range(grid.dims):
+        hat = div_smooth[i] - div_raw[i] * kernel.multiplier
+        comps.append(ScalarField.from_hat(grid, hat))
+    return VelocityField(comps)
+
+
+def old_cet_trilinear(u, v, kernel):
+    """``cet_trilinear`` before the pair walk: one m_ij per ordered pair."""
+    grid = u.grid
+    u_eps = mollify(u, kernel)
+    v_eps = mollify(v, kernel)
+    uu = [c.values for c in u.components]
+    ue = [c.values for c in u_eps.components]
+    total = 0.0
+    for i in range(grid.dims):
+        diff_hat = v_eps.components[i].hat - u_eps.components[i].hat
+        for j in range(grid.dims):
+            m_hat = (
+                _dealiased_product(grid, uu[i], uu[j]) * kernel.multiplier
+                - _dealiased_product(grid, ue[i], ue[j])
+            )
+            m = grid.irfftn(m_hat)
+            g = grid.irfftn(1j * grid.deriv_wavenumber(j) * diff_hat)
+            total += float(np.sum(m * g))
+    return total * grid.cell_volume
+
+
+class TestPairReuse:
+    """Symmetric products are transformed once per unordered pair; the
+    results are bitwise those of the ordered-pair loops."""
+
+    @pytest.fixture
+    def fields(self):
+        grid = make_grid(2, 64)
+        u = random_band_limited_velocity(grid, 12, seed=31, divfree=True)
+        v = random_band_limited_velocity(grid, 12, seed=32, divfree=True)
+        return u, v, make_kernel(grid, 0.25)
+
+    @pytest.mark.parametrize("dims,n", [(2, 64), (3, 16)])
+    def test_convective_bitwise(self, dims, n):
+        grid = make_grid(dims, n)
+        v = random_band_limited_velocity(grid, 4, seed=33, divfree=True)
+        kernel = make_kernel(grid, 0.25)
+        new, old = convective_commutator(v, kernel), old_convective_commutator(v, kernel)
+        for a, b in zip(new.components, old.components):
+            assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("dims,n", [(2, 64), (3, 16)])
+    def test_cet_bitwise(self, dims, n):
+        grid = make_grid(dims, n)
+        u = random_band_limited_velocity(grid, 4, seed=34, divfree=True)
+        v = random_band_limited_velocity(grid, 4, seed=35, divfree=True)
+        kernel = make_kernel(grid, 0.25)
+        assert cet_trilinear(u, v, kernel) == old_cet_trilinear(u, v, kernel)
+
+    def test_convective_transform_count(self, fields, monkeypatch):
+        u, _, kernel = fields
+        calls = count_transforms(monkeypatch)
+        convective_commutator(u, kernel)
+        # 2 mollified components + 3 + 3 products + 2 result components
+        assert len(calls) == 10
+
+    def test_cet_transform_count(self, fields, monkeypatch):
+        u, v, kernel = fields
+        calls = count_transforms(monkeypatch)
+        cet_trilinear(u, v, kernel)
+        # 4 mollified components + 3 pairs * (2 products + 1 inverse) + 4 gradients
+        assert len(calls) == 17

@@ -1,10 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import eulerlab
 from eulerlab.errors import ConfigurationError, GridMismatchError
 from eulerlab.grid_fields import (
     ScalarField,
     VelocityField,
+    _dealiased_product,
+    _dealiased_product_tensor,
     divergence,
     gradient,
     gradient_tensor,
@@ -16,7 +21,12 @@ from eulerlab.grid_fields import (
     resample,
 )
 
-from _utils import fd4_gradient, random_band_limited_scalar, random_band_limited_velocity
+from _utils import (
+    count_transforms,
+    fd4_gradient,
+    random_band_limited_scalar,
+    random_band_limited_velocity,
+)
 
 
 class TestMakeGrid:
@@ -253,3 +263,97 @@ class TestResample:
         grid = make_grid(2, 32)
         f = random_band_limited_scalar(grid, 5, seed=8)
         assert resample(f, grid) is f
+
+
+def old_dealias_mask(grid):
+    """The dealias-mask loop of ``PeriodicGrid.__init__`` before ``band_mask``."""
+    mask = np.ones(grid.rshape, dtype=bool)
+    for axis in range(grid.dims):
+        f = grid._freq_half if axis == grid.dims - 1 else grid._freq_full
+        keep = np.abs(f) <= grid.dealias_kmax
+        shape = [1] * grid.dims
+        shape[axis] = -1
+        mask &= keep.reshape(shape)
+    return mask
+
+
+def old_low_mode_mask(grid, kmax):
+    """The synthesis module's private ``_low_mode_mask`` before ``band_mask``."""
+    n = grid.n_per_axis
+    mask = np.ones(grid.rshape, dtype=bool)
+    for axis in range(grid.dims):
+        f = (
+            np.arange(n // 2 + 1, dtype=float)
+            if axis == grid.dims - 1
+            else np.fft.fftfreq(n, 1.0 / n)
+        )
+        shape = [1] * grid.dims
+        shape[axis] = -1
+        mask &= (np.abs(f) <= kmax).reshape(shape)
+    return mask
+
+
+class TestBands:
+    @pytest.mark.parametrize("dims,n", [(2, 16), (2, 64), (3, 8)])
+    def test_dealias_mask_is_the_dealias_band(self, dims, n):
+        grid = make_grid(dims, n)
+        assert np.array_equal(grid.band_mask(grid.dealias_kmax), old_dealias_mask(grid))
+        assert np.array_equal(grid.dealias_mask, old_dealias_mask(grid))
+
+    @pytest.mark.parametrize("kmax", [1, 3, 10, 21])
+    def test_band_mask_matches_low_mode_mask(self, kmax):
+        grid = make_grid(2, 64)
+        assert np.array_equal(grid.band_mask(kmax), old_low_mode_mask(grid, kmax))
+
+    @pytest.mark.parametrize("dims,n", [(2, 16), (3, 8)])
+    def test_derivative_multipliers_zero_nyquist(self, dims, n):
+        grid = make_grid(dims, n)
+        for axis in range(dims):
+            if axis == dims - 1:
+                f = np.arange(n // 2 + 1, dtype=float)
+                f[-1] = 0.0
+            else:
+                f = np.fft.fftfreq(n, d=1.0 / n)
+                f[n // 2] = 0.0
+            shape = [1] * dims
+            shape[axis] = -1
+            assert np.array_equal(grid.deriv_wavenumber(axis), (np.pi * f).reshape(shape))
+
+    def test_integer_k_squared(self):
+        grid = make_grid(2, 16)
+        kx = np.fft.fftfreq(16, 1.0 / 16)[:, None]
+        ky = np.arange(9, dtype=float)[None, :]
+        assert np.array_equal(grid.integer_k_squared(), kx**2 + ky**2)
+
+
+class TestProductTensor:
+    def test_symmetric_and_equal_to_each_ordered_product(self):
+        grid = make_grid(2, 64)
+        u = random_band_limited_velocity(grid, 12, seed=21)
+        arrays = [c.values for c in u.components]
+        table = _dealiased_product_tensor(grid, arrays)
+        for i in range(grid.dims):
+            for j in range(grid.dims):
+                assert table[i][j] is table[j][i]
+                assert np.array_equal(table[i][j], _dealiased_product(grid, arrays[i], arrays[j]))
+
+    def test_one_transform_per_unordered_pair(self, monkeypatch):
+        grid = make_grid(3, 8)
+        arrays = [c.values for c in random_band_limited_velocity(grid, 2, seed=4).components]
+        calls = count_transforms(monkeypatch)
+        _dealiased_product_tensor(grid, arrays)
+        assert calls == ["rfftn"] * 6
+
+
+def test_numpy_fft_only_in_grid_fields():
+    """Every transform goes through ``PeriodicGrid.rfftn``/``irfftn``, so FFT
+    counts and any future backend have one choke point."""
+    package = Path(eulerlab.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "grid_fields.py":
+            continue
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if "np.fft" in line or "numpy.fft" in line:
+                offenders.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert offenders == []

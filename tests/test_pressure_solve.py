@@ -13,10 +13,10 @@ from eulerlab.extensions import (
     _pressure_gradient_over_rho,
     inhom_solve,
 )
-from eulerlab.grid_fields import PeriodicGrid, make_grid
+from eulerlab.grid_fields import make_grid
 from eulerlab.synth import taylor_green
 
-from _utils import random_band_limited_scalar, random_band_limited_velocity
+from _utils import count_transforms, random_band_limited_scalar, random_band_limited_velocity
 
 
 def problem(n, seed=0, amp=0.3):
@@ -93,15 +93,7 @@ def test_warm_start_from_converged_pressure():
 
 def test_four_transforms_per_iteration(monkeypatch):
     grid, beta, rhs_div = problem(32, seed=2)
-    calls = []
-    for name in ("rfftn", "irfftn"):
-        method = getattr(PeriodicGrid, name)
-
-        def counted(self, arr, _method=method):
-            calls.append(1)
-            return _method(self, arr)
-
-        monkeypatch.setattr(PeriodicGrid, name, counted)
+    calls = count_transforms(monkeypatch)
     _, p_hat, iterations = solve(grid, beta, rhs_div)
     assert iterations > 1
     assert len(calls) == 4 * iterations

@@ -26,7 +26,7 @@ from eulerlab.solver import (
 from eulerlab.extensions import boussinesq_solve, inhom_solve
 from eulerlab.synth import taylor_green, taylor_green_pressure, random_divfree
 
-from _utils import random_band_limited_scalar, random_band_limited_velocity
+from _utils import count_transforms, random_band_limited_scalar, random_band_limited_velocity
 
 
 SYSTEMS = ("solve", "inhom_solve", "boussinesq_solve")
@@ -211,6 +211,24 @@ class TestRecoverPressure:
         a = recover_pressure(u)
         b = recover_pressure(shifted)
         assert np.max(np.abs(a.values - b.values)) <= 1e-11
+
+    def test_one_transform_per_unordered_product(self, monkeypatch):
+        grid = make_grid(2, 64)
+        u = random_band_limited_velocity(grid, 8, seed=14, divfree=True)
+        # the ordered-pair loop it replaces, as the oracle
+        acc = np.zeros(grid.rshape, dtype=complex)
+        for i in range(grid.dims):
+            ki = grid.deriv_wavenumber(i)
+            for j in range(grid.dims):
+                kj = grid.deriv_wavenumber(j)
+                t_hat = grid.rfftn(u.components[i].values * u.components[j].values)
+                t_hat *= grid.dealias_mask
+                acc = acc + ki * kj * t_hat
+        expect = grid.irfftn(-acc * grid.inv_k_squared)
+        calls = count_transforms(monkeypatch)
+        p = recover_pressure(u)
+        assert len(calls) == 4  # 3 products + 1 inverse
+        assert np.array_equal(p.values, expect)
 
 
 class TestAdmissibility:

@@ -4,8 +4,10 @@ import pytest
 from eulerlab.besov import fit_regularity_exponent
 from eulerlab.errors import ConfigurationError
 from eulerlab.grid_fields import (
+    VelocityField,
     divergence,
     gradient_tensor,
+    leray_project,
     lp_norm,
     make_grid,
     max_norm,
@@ -14,6 +16,8 @@ from eulerlab.synth import (
     SynthSpec,
     field_from_spec,
     lacunary_field,
+    low_mode_divfree,
+    low_mode_scalar,
     random_divfree,
     rigid_rotation_gradient,
     shear_flow,
@@ -153,3 +157,77 @@ class TestFieldFromSpec:
         ):
             u = field_from_spec(SynthSpec(kind, seed=1, **kw), grid)
             assert u.grid == grid
+
+
+class TestGridVocabulary:
+    """The generators draw bands and transforms from the grid; the oracles
+    are the generators' former private loops and direct numpy calls."""
+
+    @staticmethod
+    def old_mask(grid, kmax):
+        n = grid.n_per_axis
+        mask = np.ones(grid.rshape, dtype=bool)
+        for axis in range(grid.dims):
+            f = (
+                np.arange(n // 2 + 1, dtype=float)
+                if axis == grid.dims - 1
+                else np.fft.fftfreq(n, 1.0 / n)
+            )
+            shape = [1] * grid.dims
+            shape[axis] = -1
+            mask &= (np.abs(f) <= kmax).reshape(shape)
+        return mask
+
+    @staticmethod
+    def normalized(grid, comps, amplitude):
+        u = leray_project(VelocityField.from_arrays(grid, comps))
+        speed = u.max_speed()
+        return [amplitude / speed * c.values for c in u.components]
+
+    def test_random_divfree_bitwise(self):
+        grid = make_grid(2, 64)
+        gen = np.random.Generator(np.random.Philox(key=3))
+        n = grid.n_per_axis
+        kmag2 = np.zeros(grid.rshape)
+        for axis in range(grid.dims):
+            f = (
+                np.arange(n // 2 + 1, dtype=float)
+                if axis == grid.dims - 1
+                else np.fft.fftfreq(n, 1.0 / n)
+            )
+            shape = [1] * grid.dims
+            shape[axis] = -1
+            kmag2 = kmag2 + (f.reshape(shape)) ** 2
+        with np.errstate(divide="ignore"):
+            envelope = np.where(kmag2 > 0.0, np.sqrt(kmag2) ** (-2.5), 0.0)
+        envelope *= grid.dealias_mask
+        hats = [np.fft.rfftn(gen.standard_normal(grid.shape)) * envelope for _ in range(2)]
+        expect = self.normalized(grid, [grid.irfftn(h) for h in hats], 0.7)
+        got = random_divfree(grid, 2.5, seed=3, amplitude=0.7)
+        for c, e in zip(got.components, expect):
+            assert np.array_equal(c.values, e)
+
+    def test_low_mode_divfree_bitwise(self):
+        grid = make_grid(2, 32)
+        gen = np.random.Generator(np.random.Philox(key=8))
+        mask = self.old_mask(grid, 3)
+        comps = [grid.irfftn(np.fft.rfftn(gen.standard_normal(grid.shape)) * mask)
+                 for _ in range(2)]
+        expect = self.normalized(grid, comps, 1.5)
+        got = low_mode_divfree(grid, 3, seed=8, amplitude=1.5)
+        for c, e in zip(got.components, expect):
+            assert np.array_equal(c.values, e)
+
+    def test_low_mode_scalar_bitwise(self):
+        grid = make_grid(2, 32)
+        noise = np.random.Generator(np.random.Philox(key=5)).standard_normal(grid.shape)
+        vals = grid.irfftn(np.fft.rfftn(noise) * self.old_mask(grid, 4))
+        vals *= 2.0 / np.abs(vals).max()
+        assert np.array_equal(low_mode_scalar(grid, 4, seed=5, amplitude=2.0).values, vals)
+
+    @pytest.mark.parametrize("kmax", [0, 11])
+    def test_kmax_outside_dealiased_band(self, kmax):
+        grid = make_grid(2, 32)
+        for make in (low_mode_scalar, low_mode_divfree):
+            with pytest.raises(ConfigurationError, match=r"kmax must lie in \[1, 10\]"):
+                make(grid, kmax, seed=0)

@@ -85,7 +85,7 @@ class TestOneSidedLipschitz:
         u = VelocityField.from_arrays(
             grid, [np.full(grid.shape, 2.0), np.full(grid.shape, -1.0)]
         )
-        assert one_sided_lipschitz(u, 4 * grid.spacing) <= 1e-12
+        assert one_sided_lipschitz(u, make_kernel(grid, 4 * grid.spacing)) <= 1e-12
 
     def test_rotation_gradient_vanishes(self):
         # No periodic field carries the rotation, so probe the estimator's
@@ -96,7 +96,7 @@ class TestOneSidedLipschitz:
     def test_shear_profile(self):
         grid = make_grid(2, 256)
         profile = grid.sample_scalar(lambda x, y: np.sin(np.pi * y))
-        c = one_sided_lipschitz(shear_flow(grid, profile), 4 * grid.spacing)
+        c = one_sided_lipschitz(shear_flow(grid, profile), make_kernel(grid, 4 * grid.spacing))
         assert c == pytest.approx(np.pi / 2.0, rel=0.02)
 
     def test_homogeneity_exact_power_of_two(self):
@@ -104,17 +104,17 @@ class TestOneSidedLipschitz:
         profile = grid.sample_scalar(lambda x, y: np.sin(np.pi * y))
         v = shear_flow(grid, profile)
         doubled = VelocityField.from_arrays(grid, [2.0 * c.values for c in v.components])
-        eps = 4 * grid.spacing
-        assert one_sided_lipschitz(doubled, eps) == 2.0 * one_sided_lipschitz(v, eps)
+        kernel = make_kernel(grid, 4 * grid.spacing)
+        assert one_sided_lipschitz(doubled, kernel) == 2.0 * one_sided_lipschitz(v, kernel)
 
     def test_homogeneity_general(self):
         grid = make_grid(2, 64)
         v = random_band_limited_velocity(grid, 8, seed=5, divfree=True)
         lam = 1.7
         scaled = VelocityField.from_arrays(grid, [lam * c.values for c in v.components])
-        eps = 4 * grid.spacing
-        assert one_sided_lipschitz(scaled, eps) == pytest.approx(
-            lam * one_sided_lipschitz(v, eps), rel=1e-10
+        kernel = make_kernel(grid, 4 * grid.spacing)
+        assert one_sided_lipschitz(scaled, kernel) == pytest.approx(
+            lam * one_sided_lipschitz(v, kernel), rel=1e-10
         )
 
     def test_bounded_by_gradient_max_norm(self):
@@ -123,7 +123,7 @@ class TestOneSidedLipschitz:
         kernel = make_kernel(grid, eps)
         for seed in (6, 7, 8):
             v = random_band_limited_velocity(grid, 10, seed=seed, divfree=True)
-            c = one_sided_lipschitz(v, eps)
+            c = one_sided_lipschitz(v, kernel)
             W = gradient_tensor(mollify(v, kernel))
             frob = np.sqrt(np.sum(W * W, axis=(0, 1)))
             assert c <= frob.max() * (1 + 1e-12)
@@ -296,6 +296,25 @@ class TestUniquenessExperiment:
         # plus the budget sweep's seminorm of B's initial velocity
         assert len(report.times) == 6
         assert len(calls) == len(report.times) + 1
+
+    def test_one_lipschitz_kernel_per_series(self, monkeypatch):
+        kernels = []
+
+        def counted(grid, epsilon):
+            kernels.append((grid.n_per_axis, epsilon))
+            return make_kernel(grid, epsilon)
+
+        monkeypatch.setattr(eulerlab.uniqueness, "make_kernel", counted)
+        u0 = taylor_green(make_grid(2, 64), 1.0)
+        cfg = RunConfig(64, 2e-3, 0.02, snapshot_stride=2)
+        report = uniqueness_experiment(
+            u0, cfg, cfg, alpha=0.6, p_int=3.0, epsilons=self.EPS
+        )
+        # the C(t) kernel is built once for all six snapshots; the budget
+        # sweep builds its own kernels in the commutator module
+        assert len(report.times) == 6
+        assert kernels == [(64, 4 * 2.0 / 64)]
+        assert report.lipschitz.reg_epsilon == 4 * 2.0 / 64
 
     @pytest.mark.parametrize("route, eps", [("nonsense", EPS), ("convective", [])])
     def test_bad_sweep_rejected_before_solving(self, monkeypatch, route, eps):
