@@ -233,10 +233,12 @@ def _derived_quantities(cfg: ExperimentConfig) -> dict:
     out["epsilon_min"] = min_epsilon(grid)
     out["epsilon_resolved"] = resolved_epsilon(grid)
     out["epsilon_max"] = 0.5
-    amp = cfg.get_float("synth", "amplitude", 1.0) if cfg._p.has_section("synth") else 1.0
-    cfl = cfg.get_float("solver", "cfl", 0.5) if cfg._p.has_section("solver") else 0.5
-    speed = amp if amp > 0 else 1.0
-    out["cfl_dt_bound_at_amplitude"] = cfl * grid.spacing / speed
+    # The CFL bound comes from the synthesized initial field: lacunary data
+    # peak well above their amplitude.
+    speed = field_from_spec(_build_synth_spec(cfg), grid).max_speed()
+    cfl = cfg.get_float("solver", "cfl", 0.5)
+    out["initial_max_speed"] = speed
+    out["cfl_dt_bound"] = cfl * grid.spacing / speed if speed > 0.0 else float("inf")
     return out
 
 

@@ -17,6 +17,7 @@ from .grid_fields import (
     PeriodicGrid,
     ScalarField,
     VelocityField,
+    _leray_hats,
     leray_project,
 )
 
@@ -72,9 +73,16 @@ def lacunary_field(spec: SynthSpec, grid: PeriodicGrid) -> VelocityField:
     Each octave carries the four lattice directions in seeded random order
     with random amplitude jitter, phase, and transverse orientation; every
     mode is transverse to its wavevector, so the field is divergence-free by
-    construction and the closing Leray projection only scrubs roundoff.
-    Translation differences then scale like |xi|^alpha between the finest and
-    coarsest octave wavelengths.
+    construction.  Translation differences then scale like |xi|^alpha between
+    the finest and coarsest octave wavelengths.
+
+    Every mode ``cos(pi k.x + phase)`` sits on the lattice at the integer
+    frequency ``k = 2^j d``, so the field is built in spectral space: each
+    mode's coefficient is written straight into a zeroed half-spectrum per
+    component and one inverse transform per component gives the samples.
+    The closing Leray projection only guards against coefficient round-off
+    (for the four lattice directions every coefficient is exactly transverse
+    and it changes nothing), and the returned components carry their spectra.
     """
     if spec.kind != "lacunary":
         raise ConfigurationError(f"spec kind is {spec.kind!r}, not 'lacunary'")
@@ -87,8 +95,8 @@ def lacunary_field(spec: SynthSpec, grid: PeriodicGrid) -> VelocityField:
             f"(|k| <= {grid.dealias_kmax}) on n={grid.n_per_axis}"
         )
     gen = _rng(spec.seed)
-    x = grid.meshgrid()
-    out = [np.zeros(grid.shape) for _ in range(grid.dims)]
+    n = grid.n_per_axis
+    hats = [np.zeros(grid.rshape, dtype=complex) for _ in range(grid.dims)]
     # The box truncates the octave ladder below frequency pi; the coarsest
     # octave absorbs the missing infrared tail (geometric sum of the Taylor
     # responses of the absent octaves), otherwise dyadic-shift statistics sag
@@ -106,10 +114,25 @@ def lacunary_field(spec: SynthSpec, grid: PeriodicGrid) -> VelocityField:
             phase = gen.uniform(0.0, 2.0 * np.pi)
             sign = 1.0 if gen.integers(0, 2) == 1 else -1.0
             e = sign * np.array([-d[1], d[0]]) / np.linalg.norm(d)
-            carrier = np.cos((1 << j) * np.pi * (d[0] * x[0] + d[1] * x[1]) + phase)
+            k0, k1 = ((1 << j) * c for c in _OCTAVE_DIRECTIONS[m])
+            # numpy's unnormalised transform of the cosine carries half the
+            # sample count at +k and its conjugate at -k.  Sample 0 sits at
+            # x = -1, which shifts the phase by -pi (k0 + k1): a whole number
+            # of turns, since k0 + k1 = 2^j (d0 + d1) is even.
+            coef = 0.5 * n**grid.dims * np.exp(1j * phase)
+            # The half-spectrum keeps k1 >= 0, so the k1 = 0 column holds both.
+            slots = []
+            if k1 >= 0:
+                slots.append(((k0 % n, k1), coef))
+            if k1 <= 0:
+                slots.append((((-k0) % n, -k1), np.conj(coef)))
             for a in range(grid.dims):
-                out[a] += scale * amp * e[a] * carrier
-    return leray_project(VelocityField.from_arrays(grid, out))
+                for idx, value in slots:
+                    hats[a][idx] += scale * amp * e[a] * value
+    return VelocityField(
+        [ScalarField.from_hat(grid, h) for h in _leray_hats(grid, hats)],
+        divergence_free=True,
+    )
 
 
 def taylor_green(grid: PeriodicGrid, amplitude: float) -> VelocityField:

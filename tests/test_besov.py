@@ -4,6 +4,7 @@ import pytest
 from eulerlab.besov import (
     ShiftPolicy,
     _check_usable,
+    _shift_diff_norm,
     besov_seminorm,
     fit_regularity_exponent,
     translation_difference_norm,
@@ -11,7 +12,7 @@ from eulerlab.besov import (
 from eulerlab.errors import ConfigurationError
 from eulerlab.grid_fields import ScalarField, lp_norm, make_grid
 from eulerlab.mollify import make_kernel, mollify
-from eulerlab.synth import SynthSpec, lacunary_field
+from eulerlab.synth import SynthSpec, lacunary_field, random_divfree
 
 from _utils import random_band_limited_scalar, rng
 
@@ -153,3 +154,45 @@ class TestShiftPolicy:
         assert pol.step_counts[0] == 1
         assert max(pol.step_counts) * grid.spacing <= 0.5
         assert len(pol.directions) == 4
+
+
+class TestShiftDiffKernel:
+    """The probe kernel against its former body: Euclidean magnitude by a
+    square root, then raised to ``p``."""
+
+    @staticmethod
+    def old_kernel(h, steps, p_int):
+        grid = h.grid
+        axes = tuple(range(grid.dims))
+        neg = tuple(-s for s in steps)
+        if isinstance(h, ScalarField):
+            mag = np.abs(np.roll(h.values, neg, axis=axes) - h.values)
+        else:
+            sq = np.zeros(grid.shape)
+            for c in h.components:
+                d = np.roll(c.values, neg, axis=axes) - c.values
+                sq += d * d
+            mag = np.sqrt(sq)
+        return float((np.sum(mag**p_int) * grid.cell_volume) ** (1.0 / p_int))
+
+    STEPS = ((1, 0), (0, 3), (4, 4), (16, -16), (32, 0))
+
+    @pytest.mark.parametrize("p_int", [1.0, 2.0, 3.0, 4.5])
+    def test_vector_path_matches_square_root_route(self, p_int):
+        grid = make_grid(2, 128)
+        fields = (
+            lacunary_field(SynthSpec("lacunary", alpha=0.6, j_max=5, seed=4), grid),
+            random_divfree(grid, 2.0, seed=9),
+        )
+        for u in fields:
+            for steps in self.STEPS:
+                expect = self.old_kernel(u, steps, p_int)
+                got = _shift_diff_norm(u, steps, p_int)
+                assert abs(got - expect) <= 1e-14 * expect
+
+    @pytest.mark.parametrize("p_int", [1.0, 2.0, 3.0, 4.5])
+    def test_scalar_path_bitwise(self, p_int):
+        grid = make_grid(2, 64)
+        h = random_band_limited_scalar(grid, 12, seed=5)
+        for steps in self.STEPS:
+            assert _shift_diff_norm(h, steps, p_int) == self.old_kernel(h, steps, p_int)

@@ -4,6 +4,8 @@ import pytest
 
 from eulerlab.cli import main, parse_config, run, validate
 from eulerlab.errors import ConfigurationError
+from eulerlab.grid_fields import make_grid
+from eulerlab.synth import SynthSpec, field_from_spec
 
 
 def write_config(tmp_path, text, name="exp.ini"):
@@ -110,6 +112,26 @@ class TestParseAndValidate:
         assert "spacing" in out
         assert "epsilon_min" in out
         assert "cfl_dt_bound" in out
+
+    def test_validate_cfl_bound_from_initial_speed(self, tmp_path, capsys):
+        # lacunary data peak near 4x their amplitude, so the bound must come
+        # from the synthesized field, not from [synth] amplitude
+        text = (
+            "[experiment]\nkind = energy_conservation\nseed = 7\n\n"
+            "[grid]\nn = 512\n\n"
+            "[synth]\nkind = lacunary\nalpha = 0.6\nj_max = 7\namplitude = 1.0\n\n"
+            "[solver]\ndt = 1e-4\nT = 0.01\ncfl = 0.4\n"
+        )
+        assert validate(write_config(tmp_path, text)) == 0
+        printed = dict(
+            line.strip().split(" = ") for line in capsys.readouterr().out.splitlines()
+            if " = " in line
+        )
+        grid = make_grid(2, 512)
+        u = field_from_spec(SynthSpec("lacunary", alpha=0.6, j_max=7, seed=7), grid)
+        assert u.max_speed() > 3.5
+        assert float(printed["initial_max_speed"]) == u.max_speed()
+        assert float(printed["cfl_dt_bound"]) == 0.4 * grid.spacing / u.max_speed()
 
     def test_validate_power_of_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL_ENERGY.replace("n = 128", "n = 7"))

@@ -4,6 +4,7 @@ import pytest
 from eulerlab.besov import fit_regularity_exponent
 from eulerlab.errors import ConfigurationError
 from eulerlab.grid_fields import (
+    PeriodicGrid,
     VelocityField,
     divergence,
     gradient_tensor,
@@ -24,6 +25,8 @@ from eulerlab.synth import (
     taylor_green,
     taylor_green_pressure,
 )
+
+from _utils import count_transforms
 
 
 class TestSynthSpec:
@@ -46,10 +49,12 @@ class TestLacunary:
             assert np.array_equal(ca.values, cb.values)
 
     def test_divergence_free(self):
-        grid = make_grid(2, 128)
-        u = lacunary_field(SynthSpec("lacunary", alpha=0.6, j_max=5, seed=1), grid)
-        assert u.divergence_free
-        assert max_norm(divergence(u)) <= 1e-10 * max_norm(u)
+        for n, j_max, seed in ((128, 5, 1), (512, 7, 7)):
+            grid = make_grid(2, n)
+            u = lacunary_field(SynthSpec("lacunary", alpha=0.6, j_max=j_max, seed=seed), grid)
+            assert u.divergence_free
+            assert u.check_divergence_free()
+            assert max_norm(divergence(u)) <= 1e-10 * max_norm(u)
 
     def test_band_limit_enforced(self):
         grid = make_grid(2, 64)  # dealias_kmax = 21
@@ -65,6 +70,79 @@ class TestLacunary:
         grid = make_grid(2, 256)
         u = lacunary_field(SynthSpec("lacunary", alpha=0.5, j_max=1, seed=3), grid)
         assert fit_regularity_exponent(u, 3.0) >= 0.9
+
+
+class TestSpectralLacunary:
+    """The spectral construction against the physical-space one it replaced:
+    one cosine carrier per octave mode, summed on the lattice, then a Leray
+    projection."""
+
+    # finest octave per grid size, inside the dealiased band
+    J_MAX = {64: 4, 128: 5, 512: 7}
+
+    @staticmethod
+    def physical_space(spec, grid):
+        gen = np.random.Generator(np.random.Philox(key=spec.seed))
+        directions = ((1, 0), (0, 1), (1, 1), (1, -1))
+        x = grid.meshgrid()
+        out = [np.zeros(grid.shape) for _ in range(grid.dims)]
+        ir = 2.0 ** (2.0 - 2.0 * spec.alpha)
+        ir_boost = np.sqrt(ir / (ir - 1.0))
+        for j in range(1, spec.j_max + 1):
+            scale = spec.amplitude * 2.0 ** (-spec.alpha * j)
+            if j == 1:
+                scale *= ir_boost
+            order = gen.permutation(len(directions))
+            for m in order:
+                d = np.asarray(directions[m], dtype=float)
+                amp = gen.uniform(0.75, 1.25)
+                phase = gen.uniform(0.0, 2.0 * np.pi)
+                sign = 1.0 if gen.integers(0, 2) == 1 else -1.0
+                e = sign * np.array([-d[1], d[0]]) / np.linalg.norm(d)
+                carrier = np.cos((1 << j) * np.pi * (d[0] * x[0] + d[1] * x[1]) + phase)
+                for a in range(grid.dims):
+                    out[a] += scale * amp * e[a] * carrier
+        return leray_project(VelocityField.from_arrays(grid, out))
+
+    @pytest.mark.parametrize("n", [64, 128, 512])
+    def test_matches_physical_space(self, n):
+        grid = make_grid(2, n)
+        for alpha in (0.35, 0.6, 0.9):
+            for seed in range(4):
+                spec = SynthSpec("lacunary", alpha=alpha, j_max=self.J_MAX[n], seed=seed)
+                got = lacunary_field(spec, grid)
+                expect = self.physical_space(spec, grid)
+                tol = 1e-13 * expect.max_speed()
+                for c, e in zip(got.components, expect.components):
+                    assert np.max(np.abs(c.values - e.values)) <= tol
+
+    def test_amplitude_scales_linearly(self):
+        grid = make_grid(2, 128)
+        one = lacunary_field(SynthSpec("lacunary", alpha=0.6, j_max=5, seed=2), grid)
+        three = lacunary_field(
+            SynthSpec("lacunary", alpha=0.6, j_max=5, seed=2, amplitude=3.0), grid
+        )
+        assert three.max_speed() == pytest.approx(3.0 * one.max_speed(), rel=1e-14)
+        for a, b in zip(one.components, three.components):
+            np.testing.assert_allclose(b.values, 3.0 * a.values, rtol=0.0,
+                                       atol=1e-14 * three.max_speed())
+
+    def test_no_forward_transform_and_no_coordinates(self, monkeypatch):
+        grid = make_grid(2, 128)
+        calls = count_transforms(monkeypatch)
+
+        def no_meshgrid(self):
+            raise AssertionError("lacunary synthesis sampled coordinates")
+
+        monkeypatch.setattr(PeriodicGrid, "meshgrid", no_meshgrid)
+        u = lacunary_field(SynthSpec("lacunary", alpha=0.6, j_max=5, seed=1), grid)
+        assert calls.count("rfftn") == 0
+        assert calls.count("irfftn") == grid.dims
+        # each component arrives with the spectrum its samples came from
+        for c in u.components:
+            assert c._hat is not None
+            np.testing.assert_allclose(np.fft.rfftn(c.values), c._hat, rtol=0.0,
+                                       atol=1e-12 * grid.n_per_axis**2 * u.max_speed())
 
 
 class TestTaylorGreen:
