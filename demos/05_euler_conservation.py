@@ -40,7 +40,7 @@ print(f"recovered pressure vs hand-derived (A^2/4)(cos 2pi x + cos 2pi y): "
 u0 = random_divfree(grid, 3.0, seed=11)
 run = solve(u0, 0.25, 1e-3, snapshot_stride=50)
 e = run.energy_ledger
-ens = [enstrophy(s.vorticity) for s in run.states]
+ens = [enstrophy(s.scalars["vorticity"]) for s in run.states]
 print(f"\nrandom smooth data, T = 0.25:")
 print(f"  energy drift    = {abs(e[-1] - e[0]) / e[0]:.2e}")
 print(f"  enstrophy drift = {abs(ens[-1] - ens[0]) / ens[0]:.2e}")

@@ -53,7 +53,7 @@ print(f"\ntheta = 0 reduces to the homogeneous solver bitwise: {bitwise}")
 
 # buoyancy spin-up from rest
 th1 = grid.sample_scalar(lambda x, y: np.sin(np.pi * x))
-rest = VelocityField.from_arrays(grid, [np.zeros(grid.shape)] * 2, divergence_free=True)
+rest = VelocityField.from_arrays(grid, [np.zeros(grid.shape)] * 2)
 run = boussinesq_solve(th1, rest, (0.0, -1.0), 0.01, 1e-3, snapshot_stride=10)
 expect = leray_project(VelocityField.from_arrays(grid, [0 * th1.values, -0.01 * th1.values]))
 err = max(np.max(np.abs(a.values - b.values))

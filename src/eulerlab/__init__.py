@@ -63,7 +63,7 @@ from .commutator import (
 )
 from .solver import (
     AdmissibilityReport,
-    SolverState,
+    State,
     TimeProfile,
     Trajectory,
     WeakTestFunction,
@@ -74,7 +74,6 @@ from .solver import (
     linear_window,
     recover_pressure,
     solve,
-    step,
     weak_residual,
 )
 from .uniqueness import (
@@ -90,9 +89,7 @@ from .uniqueness import (
     uniqueness_experiment,
 )
 from .extensions import (
-    BoussinesqState,
     DensityContractionReport,
-    InhomState,
     boussinesq_solve,
     boussinesq_uniqueness_experiment,
     density_contraction_check,

@@ -11,7 +11,7 @@ discretization-dominated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -108,17 +108,27 @@ def _steps_from_xi(grid: PeriodicGrid, xi: Sequence[float]) -> tuple[int, ...]:
     return tuple(int(s) for s in rounded)
 
 
-def _shift_diff_norm(h: Field, steps: tuple[int, ...], p_int: float) -> float:
+def _shift_diff_norm(h: Field, steps: tuple[int, ...], p_int: float,
+                     work: Optional[np.ndarray] = None) -> float:
+    """``||h(. + steps * spacing) - h||_p``.
+
+    ``work`` (shape ``(2,) + grid.shape``) holds a vector field's running
+    ``|d|^2`` and one component's difference.  A probe passes one buffer to
+    all its shifts: fresh temporaries per shift can cost a page fault per
+    page touched, depending on how the heap happens to be laid out.
+    """
     grid = h.grid
     axes = tuple(range(grid.dims))
     neg = tuple(-s for s in steps)
     if isinstance(h, ScalarField):
         powered = np.abs(np.roll(h.values, neg, axis=axes) - h.values) ** p_int
     else:
-        sq = np.zeros(grid.shape)
+        sq, d = np.empty((2,) + grid.shape) if work is None else work
+        sq.fill(0.0)
         for c in h.components:
-            d = np.roll(c.values, neg, axis=axes) - c.values
-            sq += d * d
+            np.subtract(np.roll(c.values, neg, axis=axes), c.values, out=d)
+            d *= d
+            sq += d
         # |d|^p straight from |d|^2, without a square root in between
         powered = sq ** (0.5 * p_int)
     return float((np.sum(powered) * grid.cell_volume) ** (1.0 / p_int))
@@ -133,12 +143,13 @@ def translation_difference_norm(h: Field, xi: Sequence[float], p_int: float) -> 
 
 def _probe(h: Field, policy: ShiftPolicy, p_int: float) -> list[tuple[float, float]]:
     grid = h.grid
+    work = np.empty((2,) + grid.shape)
     rows = []
     for m in policy.step_counts:
         for d in policy.directions:
             steps = tuple(m * c for c in d)
             mag = grid.spacing * m * float(np.linalg.norm(d))
-            rows.append((mag, _shift_diff_norm(h, steps, p_int)))
+            rows.append((mag, _shift_diff_norm(h, steps, p_int, work)))
     rows.sort(key=lambda r: r[0])
     return rows
 

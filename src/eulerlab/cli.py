@@ -40,6 +40,7 @@ from .snapshots import save_trajectory
 from .solver import (
     WeakTestFunction,
     admissibility_check,
+    cfl_dt_bound,
     cosine_window,
     enstrophy,
     linear_window,
@@ -128,7 +129,6 @@ class ExperimentConfig:
                 f"unknown experiment kind '{self.kind}'; choose from {EXPERIMENTS}"
             )
         self.seed = self.get_int("experiment", "seed", 0)
-        self.jobs = 1
 
     def has(self, section: str, key: str) -> bool:
         return self._p.has_option(section, key)
@@ -238,7 +238,7 @@ def _derived_quantities(cfg: ExperimentConfig) -> dict:
     speed = field_from_spec(_build_synth_spec(cfg), grid).max_speed()
     cfl = cfg.get_float("solver", "cfl", 0.5)
     out["initial_max_speed"] = speed
-    out["cfl_dt_bound"] = cfl * grid.spacing / speed if speed > 0.0 else float("inf")
+    out["cfl_dt_bound"] = cfl_dt_bound(grid, speed, cfl)
     return out
 
 
@@ -318,7 +318,6 @@ def _exp_scaling(cfg: ExperimentConfig, outdir: Path, quantity: str):
         fields = v
     report_obj = scaling_experiment(
         fields, quantity, epsilons, p, alpha=alpha, slope_tolerance=tol,
-        jobs=cfg.jobs,
     )
     dump_csv(
         outdir / "scaling.csv",
@@ -365,7 +364,7 @@ def _exp_energy_conservation(cfg: ExperimentConfig, outdir: Path):
         outdir / "energy.csv",
         ["t", "kinetic_energy", "enstrophy"],
         [
-            (t, e, enstrophy(s.vorticity))
+            (t, e, enstrophy(s.scalars["vorticity"]))
             for t, e, s in zip(traj.times, traj.energy_ledger, traj.states)
         ],
     )
@@ -511,10 +510,12 @@ def _resolve_outdir(cfg: ExperimentConfig, config_path, flag_value) -> Path:
 
 
 def run(config_path, output_dir=None, jobs: int = 1, seed_override=None) -> int:
-    """Execute the configured experiment; returns the process exit status."""
+    """Execute the configured experiment; returns the process exit status.
+
+    ``jobs`` is accepted for older callers and ignored: every run is serial.
+    """
     try:
         cfg = parse_config(config_path, seed_override)
-        cfg.jobs = max(1, int(jobs))
         diags = _range_checks(cfg)
         if diags:
             for d in diags:
@@ -570,14 +571,12 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute an experiment config")
     p_run.add_argument("config")
     p_run.add_argument("--output-dir", default=None)
-    p_run.add_argument("--jobs", type=int, default=1,
-                       help="cap for worker threads in parallel sweeps")
     p_run.add_argument("--seed-override", type=int, default=None)
     p_val = sub.add_parser("validate", help="check a config without running it")
     p_val.add_argument("config")
     args = parser.parse_args(argv)
     if args.command == "run":
-        return run(args.config, args.output_dir, args.jobs, args.seed_override)
+        return run(args.config, args.output_dir, seed_override=args.seed_override)
     return validate(args.config)
 
 

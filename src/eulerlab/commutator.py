@@ -14,7 +14,6 @@ Galerkin product of band-limited fields.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -184,7 +183,6 @@ def scaling_experiment(
     *,
     alpha: Optional[float] = None,
     slope_tolerance: float = DEFAULT_SLOPE_TOLERANCE,
-    jobs: int = 1,
 ) -> ScalingReport:
     """Evaluate a commutator quantity over a dyadic epsilon sweep and fit its
     log-log decay rate.
@@ -238,11 +236,7 @@ def scaling_experiment(
             kern = make_kernel(grid, eps)
             return abs(cet_trilinear(primary, secondary, kern))
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            magnitudes = list(pool.map(measure, epsilons))
-    else:
-        magnitudes = [measure(e) for e in epsilons]
+    magnitudes = [measure(e) for e in epsilons]
 
     vacuous = all(m <= VACUOUS_MAGNITUDE for m in magnitudes)
     if vacuous:

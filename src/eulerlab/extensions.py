@@ -59,6 +59,7 @@ from .grid_fields import (
 from .mollify import make_kernel, resolved_epsilon
 from .solver import (
     DEFAULT_CFL,
+    State,
     Trajectory,
     _check_cfl,
     _check_initial_velocity,
@@ -83,8 +84,6 @@ from .uniqueness import (
 )
 
 __all__ = [
-    "InhomState",
-    "BoussinesqState",
     "transport_step",
     "inhom_solve",
     "density_contraction_check",
@@ -128,27 +127,18 @@ def transport_step(
 # inhomogeneous solver
 
 
-@dataclass
-class InhomState:
-    """One slice of the inhomogeneous system: positive density and a
-    divergence-free velocity."""
+def _total(f: ScalarField) -> float:
+    """``int f``: the mass of a density, the heat content of a temperature."""
+    return float(f.values.sum() * f.grid.cell_volume)
 
-    time: float
-    density: ScalarField
-    velocity: VelocityField
 
-    @property
-    def grid(self) -> PeriodicGrid:
-        return self.density.grid
-
-    def mass(self) -> float:
-        return float(self.density.values.sum() * self.grid.cell_volume)
-
-    def weighted_energy(self) -> float:
-        mag2 = np.zeros(self.grid.shape)
-        for c in self.velocity.components:
-            mag2 += c.values * c.values
-        return 0.5 * float(np.sum(self.density.values * mag2) * self.grid.cell_volume)
+def _weighted_kinetic_energy(grid: PeriodicGrid, rho: np.ndarray,
+                             u: Sequence[np.ndarray]) -> float:
+    """``0.5 int rho |u|^2`` from samples."""
+    mag2 = np.zeros(grid.shape)
+    for c in u:
+        mag2 += c * c
+    return 0.5 * float(np.sum(rho * mag2) * grid.cell_volume)
 
 
 def _parseval_weights(grid: PeriodicGrid) -> np.ndarray:
@@ -299,13 +289,12 @@ def inhom_solve(
         raise ConfigurationError("initial density must be strictly positive")
     _check_initial_velocity(u0)
 
-    def materialize(t: float, hats: tuple) -> InhomState:
+    def materialize(t: float, hats: tuple) -> State:
         rho = ScalarField.from_hat(grid, hats[0])
-        vel = VelocityField([ScalarField.from_hat(grid, h) for h in hats[1:]],
-                            divergence_free=True)
+        vel = VelocityField([ScalarField.from_hat(grid, h) for h in hats[1:]])
         if float(rho.values.min()) <= 0.0:
             raise SolverAbort(f"density lost positivity at t={t}", t)
-        return InhomState(t, rho, vel)
+        return State(t, vel, {"density": rho})
 
     p_hat = None  # the last stage's pressure warm-starts the next solve
 
@@ -319,9 +308,13 @@ def inhom_solve(
 
     hats = tuple(f.hat * grid.dealias_mask for f in (rho0, *u0.components))
     states = integrate(grid, hats, rhs, materialize, T, dt, snapshot_stride, cfl)
-    return Trajectory(states, dt, _run_config(grid, T, dt, snapshot_stride, cfl),
-                      [s.weighted_energy() for s in states],
-                      {"mass": [s.mass() for s in states]})
+    energy = [
+        _weighted_kinetic_energy(grid, s.scalars["density"].values,
+                                 [c.values for c in s.velocity.components])
+        for s in states
+    ]
+    return Trajectory(states, dt, _run_config(grid, T, dt, snapshot_stride, cfl), energy,
+                      {"mass": [_total(s.scalars["density"]) for s in states]})
 
 
 @dataclass
@@ -376,8 +369,8 @@ def density_contraction_check(
     values = []
     pairing = []
     for sa, sb in zip(traj_a.states, traj_b.states):
-        ra = resample(getattr(sa, field), cmp_grid)
-        rb = resample(getattr(sb, field), cmp_grid)
+        ra = resample(sa.scalars[field], cmp_grid)
+        rb = resample(sb.scalars[field], cmp_grid)
         ua = resample(sa.velocity, cmp_grid)
         ub = resample(sb.velocity, cmp_grid)
         values.append(_scalar_l2_half(cmp_grid, ra.values, rb.values))
@@ -413,23 +406,6 @@ def density_contraction_check(
 # Boussinesq
 
 
-@dataclass
-class BoussinesqState:
-    """Temperature, divergence-free velocity, and the buoyancy direction."""
-
-    time: float
-    theta: ScalarField
-    velocity: VelocityField
-    g: tuple[float, float]
-
-    @property
-    def grid(self) -> PeriodicGrid:
-        return self.theta.grid
-
-    def theta_total(self) -> float:
-        return float(self.theta.values.sum() * self.grid.cell_volume)
-
-
 def boussinesq_solve(
     theta0: ScalarField,
     u0: VelocityField,
@@ -463,16 +439,16 @@ def boussinesq_solve(
         dth = _transport_tendency(grid, grid.irfftn(th), [u1, u2])
         return dw, dth
 
-    def materialize(t: float, hats: tuple) -> BoussinesqState:
-        vel = _velocity_field(grid, hats[0])
-        return BoussinesqState(t, ScalarField.from_hat(grid, hats[1]), vel, g)
+    def materialize(t: float, hats: tuple) -> State:
+        return State(t, _velocity_field(grid, hats[0]),
+                     {"theta": ScalarField.from_hat(grid, hats[1])})
 
     hats = (curl_2d(u0).hat * grid.dealias_mask, theta0.hat * grid.dealias_mask)
     states = integrate(grid, hats, rhs, materialize, T, dt, snapshot_stride, cfl)
     cfg = _run_config(grid, T, dt, snapshot_stride, cfl)
     cfg["g"] = list(g)
     return Trajectory(states, dt, cfg, [kinetic_energy(s.velocity) for s in states],
-                      {"theta": [s.theta_total() for s in states]})
+                      {"theta": [_total(s.scalars["theta"]) for s in states]})
 
 
 # ---------------------------------------------------------------------------
@@ -494,15 +470,13 @@ def _product_field(rho: ScalarField, u: VelocityField) -> VelocityField:
     )
 
 
-def _weighted_energy(sa: InhomState, ua: VelocityField, ub: VelocityField) -> float:
+def _weighted_energy(sa: State, ua: VelocityField, ub: VelocityField) -> float:
     """``0.5 int rho_a |u_a - u_b|^2`` on the velocities' grid."""
     grid = ua.grid
-    w = resample(sa.density, grid).values
-    d2 = np.zeros(grid.shape)
-    for x, y in zip(ua.components, ub.components):
-        d = x.values - y.values
-        d2 += d * d
-    return 0.5 * float(np.sum(w * d2) * grid.cell_volume)
+    return _weighted_kinetic_energy(
+        grid, resample(sa.scalars["density"], grid).values,
+        [x.values - y.values for x, y in zip(ua.components, ub.components)],
+    )
 
 
 def _extended_experiment(
@@ -523,8 +497,8 @@ def _extended_experiment(
     the convective budget at the sweep's smallest epsilon."""
     mid = len(traj_a.times) // 2
     sa, sb = traj_a.states[mid], traj_b.states[mid]
-    scal_a = getattr(sa, scalar_name)
-    scal_b = getattr(sb, scalar_name)
+    scal_a = sa.scalars[scalar_name]
+    scal_b = sb.scalars[scalar_name]
     fields = {
         scalar_name + "_a": scal_a,
         scalar_name + "_b": scal_b,

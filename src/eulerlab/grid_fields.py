@@ -245,16 +245,12 @@ class ScalarField:
 
 
 class VelocityField:
-    """Vector field as one :class:`ScalarField` per axis.
+    """Vector field as one :class:`ScalarField` per axis; use
+    :meth:`check_divergence_free` to check the divergence constraint."""
 
-    ``divergence_free`` is a constructor-trusted flag set by operations that
-    guarantee the property (Leray projection, streamfunction recovery); use
-    :meth:`check_divergence_free` to re-validate.
-    """
+    __slots__ = ("grid", "components")
 
-    __slots__ = ("grid", "components", "divergence_free")
-
-    def __init__(self, components: Sequence[ScalarField], *, divergence_free: bool = False):
+    def __init__(self, components: Sequence[ScalarField]):
         components = tuple(components)
         if not components:
             raise ConfigurationError("velocity field needs at least one component")
@@ -267,13 +263,10 @@ class VelocityField:
             )
         self.grid = grid
         self.components = components
-        self.divergence_free = divergence_free
 
     @classmethod
-    def from_arrays(
-        cls, grid: PeriodicGrid, arrays: Sequence[np.ndarray], *, divergence_free: bool = False
-    ) -> "VelocityField":
-        return cls([ScalarField(grid, a) for a in arrays], divergence_free=divergence_free)
+    def from_arrays(cls, grid: PeriodicGrid, arrays: Sequence[np.ndarray]) -> "VelocityField":
+        return cls([ScalarField(grid, a) for a in arrays])
 
     def magnitude(self) -> np.ndarray:
         """Pointwise Euclidean speed."""
@@ -286,7 +279,7 @@ class VelocityField:
         return float(self.magnitude().max())
 
     def check_divergence_free(self, rel_tol: float = 1e-10) -> bool:
-        """Re-validate the divergence-free flag against the discrete operator."""
+        """Whether the discrete divergence vanishes relative to the field's size."""
         ref = max(max_norm(self), 1e-300)
         return max_norm(divergence(self)) <= rel_tol * ref
 
@@ -294,9 +287,7 @@ class VelocityField:
         return iter(self.components)
 
     def __repr__(self) -> str:
-        return (
-            f"VelocityField(grid={self.grid!r}, divergence_free={self.divergence_free})"
-        )
+        return f"VelocityField(grid={self.grid!r})"
 
 
 Field = Union[ScalarField, VelocityField]
@@ -380,11 +371,11 @@ def leray_project(u: VelocityField) -> VelocityField:
     """Project onto divergence-free fields: ``u_hat -= k (k.u_hat)/|k|^2``.
 
     Identity on the zero mode (and on modes the derivative stencil cannot
-    see); idempotent; the result is flagged divergence-free.
+    see); idempotent.
     """
     grid = u.grid
     hats = _leray_hats(grid, [c.hat for c in u.components])
-    return VelocityField([ScalarField.from_hat(grid, h) for h in hats], divergence_free=True)
+    return VelocityField([ScalarField.from_hat(grid, h) for h in hats])
 
 
 def lp_norm(f: Field, p_int: float) -> float:
@@ -457,8 +448,7 @@ def resample(f: Field, grid: PeriodicGrid) -> Field:
     fields resample exactly.
     """
     if isinstance(f, VelocityField):
-        comps = [resample(c, grid) for c in f.components]
-        return VelocityField(comps, divergence_free=f.divergence_free)
+        return VelocityField([resample(c, grid) for c in f.components])
     if f.grid.dims != grid.dims:
         raise GridMismatchError("resample cannot change the spatial dimension")
     if f.grid.n_per_axis == grid.n_per_axis:

@@ -115,12 +115,11 @@ def make_kernel(grid: PeriodicGrid, epsilon: float) -> MollifierKernel:
 def mollify(f: Field, kernel: MollifierKernel) -> Field:
     """Periodic convolution with the kernel via spectral multiplication.
 
-    Preserves the divergence-free flag: the symbol is scalar, so smoothing
+    Preserves the divergence constraint: the symbol is scalar, so smoothing
     commutes with divergence and Leray projection.
     """
     if isinstance(f, VelocityField):
-        comps = [mollify(c, kernel) for c in f.components]
-        return VelocityField(comps, divergence_free=f.divergence_free)
+        return VelocityField([mollify(c, kernel) for c in f.components])
     if f.grid != kernel.grid:
         raise GridMismatchError("field and kernel live on different grids")
     return ScalarField.from_hat(f.grid, f.hat * kernel.multiplier)

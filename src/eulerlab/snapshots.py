@@ -17,10 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .extensions import BoussinesqState, InhomState
-from .grid_fields import Field, PeriodicGrid, ScalarField, VelocityField, curl_2d
+from .grid_fields import Field, PeriodicGrid, ScalarField, VelocityField
 from .reporting import config_hash, dump_json
-from .solver import SolverState, Trajectory
+from .solver import State, Trajectory
 
 __all__ = [
     "write_field",
@@ -90,55 +89,25 @@ def read_field(path) -> Field:
     )
 
 
-def _state_components(state) -> tuple[list[str], list[np.ndarray]]:
-    names = [f"u{i + 1}" for i in range(state.velocity.grid.dims)]
-    arrays = [c.values for c in state.velocity.components]
-    if hasattr(state, "vorticity"):
-        names.append("vorticity")
-        arrays.append(state.vorticity.values)
-    if hasattr(state, "density"):
-        names.append("density")
-        arrays.append(state.density.values)
-    if hasattr(state, "theta"):
-        names.append("theta")
-        arrays.append(state.theta.values)
-    return names, arrays
-
-
-def _solver_state(t, grid, comps, vel, config) -> SolverState:
-    # vorticity is derived data: recompute it when it was not written
-    w = ScalarField(grid, comps["vorticity"]) if "vorticity" in comps else curl_2d(vel)
-    return SolverState(t, vel, w)
-
-
-def _inhom_state(t, grid, comps, vel, config) -> InhomState:
-    return InhomState(t, ScalarField(grid, comps["density"]), vel)
-
-
-def _boussinesq_state(t, grid, comps, vel, config) -> BoussinesqState:
-    g = tuple(config.get("g", (0.0, 0.0)))
-    return BoussinesqState(t, ScalarField(grid, comps["theta"]), vel, g)
-
-
-# manifest kind -> (state class, state builder, extra ledger name)
-_KINDS = {
-    "Trajectory": (SolverState, _solver_state, None),
-    "InhomTrajectory": (InhomState, _inhom_state, "mass"),
-    "BoussinesqTrajectory": (BoussinesqState, _boussinesq_state, "theta"),
-}
+# manifest kind -> the extra ledgers its trajectories carry
+_KINDS = {"Trajectory": [], "InhomTrajectory": ["mass"], "BoussinesqTrajectory": ["theta"]}
 
 
 def save_trajectory(traj: Trajectory, outdir) -> Path:
     """Write one snapshot per state plus the manifest; returns the manifest
     path."""
+    kind = next((k for k, extra in _KINDS.items() if list(traj.ledgers) == extra), None)
+    if kind is None:
+        raise ConfigurationError(f"no trajectory kind carries the ledgers {list(traj.ledgers)}")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    kind = next(k for k, (cls, _, _) in _KINDS.items() if isinstance(traj.states[0], cls))
-    names = _state_components(traj.states[0])[0]
+    grid = traj.grid
+    names = [f"u{i + 1}" for i in range(grid.dims)] + list(traj.states[0].scalars)
     files = []
     for idx, state in enumerate(traj.states):
         fname = f"state_{idx:06d}.eulb"
-        _write_snapshot(outdir / fname, state.velocity.grid, _state_components(state)[1])
+        fields = (*state.velocity.components, *state.scalars.values())
+        _write_snapshot(outdir / fname, grid, [f.values for f in fields])
         files.append(fname)
     config_text = json.dumps(traj.config, sort_keys=True)
     manifest = {
@@ -165,23 +134,20 @@ def load_trajectory(outdir) -> Trajectory:
     manifest = json.loads((outdir / "manifest.json").read_text())
     if manifest.get("kind") not in _KINDS:
         raise ConfigurationError(f"unknown trajectory kind {manifest.get('kind')!r}")
-    _, build, ledger = _KINDS[manifest["kind"]]
+    extra = _KINDS[manifest["kind"]]
     required = ["components", "times", "files", "dt", "config", "energy_ledger"]
-    if ledger:
-        required.append(f"{ledger}_ledger")
+    required += [f"{name}_ledger" for name in extra]
     missing = [k for k in required if k not in manifest]
     if missing:
         raise ConfigurationError(f"{outdir}: manifest lacks {', '.join(missing)}")
     names = manifest["components"]
     states = []
     for t, fname in zip(manifest["times"], manifest["files"]):
+        # the velocity components come first, then the state's scalars
         grid, comps = _read_snapshot(outdir / fname)
-        by_name = dict(zip(names, comps))
-        vel = VelocityField.from_arrays(
-            grid, [by_name[f"u{i + 1}"] for i in range(grid.dims)],
-            divergence_free=True,
-        )
-        states.append(build(t, grid, by_name, vel, manifest["config"]))
-    ledgers = {ledger: manifest[f"{ledger}_ledger"]} if ledger else {}
+        scalars = {name: ScalarField(grid, a)
+                   for name, a in zip(names[grid.dims:], comps[grid.dims:])}
+        states.append(State(t, VelocityField.from_arrays(grid, comps[:grid.dims]), scalars))
+    ledgers = {name: manifest[f"{name}_ledger"] for name in extra}
     return Trajectory(states, manifest["dt"], manifest["config"],
                       manifest["energy_ledger"], ledgers)

@@ -39,16 +39,16 @@ from .grid_fields import (
 )
 
 __all__ = [
-    "SolverState",
+    "State",
     "Trajectory",
     "TimeProfile",
     "WeakTestFunction",
     "cosine_window",
     "linear_window",
-    "step",
     "solve",
     "integrate",
     "steps_for_horizon",
+    "cfl_dt_bound",
     "ordered_pair_audit",
     "recover_pressure",
     "admissibility_check",
@@ -108,59 +108,28 @@ def _rk4_stage(hats: tuple, dt: float, rhs: Callable[[tuple], tuple]) -> tuple:
     )
 
 
-def _vorticity_rhs(grid: PeriodicGrid) -> Callable[[tuple], tuple]:
-    return lambda hats: (_advection_tendency(grid, hats[0]),)
-
-
 def _velocity_field(grid: PeriodicGrid, w_hat: np.ndarray) -> VelocityField:
-    u1_hat, u2_hat = _velocity_hats(grid, w_hat)
-    return VelocityField(
-        [ScalarField.from_hat(grid, u1_hat), ScalarField.from_hat(grid, u2_hat)],
-        divergence_free=True,
-    )
-
-
-def _materialize(grid: PeriodicGrid, time: float, w_hat: np.ndarray) -> "SolverState":
-    return SolverState(time, _velocity_field(grid, w_hat), ScalarField.from_hat(grid, w_hat))
+    return VelocityField([ScalarField.from_hat(grid, h) for h in _velocity_hats(grid, w_hat)])
 
 
 @dataclass
-class SolverState:
-    """One time slice: velocity (divergence-free), scalar vorticity, and the
-    diagnostically recovered zero-mean pressure (computed lazily)."""
+class State:
+    """One recorded time slice: the divergence-free velocity and the named
+    scalars its system carries (``"vorticity"``, ``"density"`` or
+    ``"theta"``)."""
 
     time: float
     velocity: VelocityField
-    vorticity: ScalarField
-    _pressure: Optional[ScalarField] = field(default=None, repr=False)
-
-    @property
-    def grid(self) -> PeriodicGrid:
-        return self.velocity.grid
-
-    @property
-    def pressure(self) -> ScalarField:
-        if self._pressure is None:
-            self._pressure = recover_pressure(self.velocity)
-        return self._pressure
-
-    def max_speed(self) -> float:
-        return self.velocity.max_speed()
-
-    def admissible_dt(self, cfl: float = DEFAULT_CFL) -> float:
-        speed = self.max_speed()
-        if speed == 0.0:
-            return math.inf
-        return cfl * self.grid.spacing / speed
+    scalars: dict[str, ScalarField]
 
 
 @dataclass
 class Trajectory:
-    """Time-ordered solver states with the kinetic-energy ledger and any
+    """Time-ordered states with the kinetic-energy ledger and any
     further named ledgers (``"mass"`` for variable density, ``"theta"`` for
     Boussinesq), each holding one entry per state."""
 
-    states: list
+    states: list[State]
     dt: float
     config: dict
     energy_ledger: list[float]
@@ -180,9 +149,9 @@ class Trajectory:
 
     @property
     def grid(self) -> PeriodicGrid:
-        return self.states[0].grid
+        return self.states[0].velocity.grid
 
-    def final(self):
+    def final(self) -> State:
         return self.states[-1]
 
     def energy_drift(self) -> float:
@@ -191,12 +160,15 @@ class Trajectory:
         return max(abs(e - e0) for e in self.energy_ledger)
 
 
-def _check_cfl(state_speed: float, grid: PeriodicGrid, dt: float, cfl: float) -> None:
+def cfl_dt_bound(grid: PeriodicGrid, speed: float, cfl: float) -> float:
+    """Largest step the CFL condition admits at ``speed`` (inf at rest)."""
+    return cfl * grid.spacing / speed if speed > 0.0 else math.inf
+
+
+def _check_cfl(speed: float, grid: PeriodicGrid, dt: float, cfl: float) -> None:
     if dt <= 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
-    if state_speed == 0.0:
-        return
-    limit = cfl * grid.spacing / state_speed
+    limit = cfl_dt_bound(grid, speed, cfl)
     if dt > limit:
         raise StepSizeError(
             f"dt={dt} violates the CFL bound; admissible dt <= {limit}", limit
@@ -228,17 +200,17 @@ def integrate(
     grid: PeriodicGrid,
     hats: tuple,
     rhs: Callable[[tuple], tuple],
-    materialize: Callable[[float, tuple], object],
+    materialize: Callable[[float, tuple], State],
     T: float,
     dt: float,
     snapshot_stride: int,
     cfl: float,
-) -> list:
+) -> list[State]:
     """Advance the spectral state ``hats`` to ``T`` in RK4 steps of ``dt``.
 
-    ``materialize(t, hats)`` builds the recorded state (with a ``velocity``)
-    at t = 0, every ``snapshot_stride`` steps and at ``T``; CFL is audited
-    against each recorded velocity.  A non-finite state aborts the run.
+    ``materialize(t, hats)`` builds the recorded :class:`State` at t = 0,
+    every ``snapshot_stride`` steps and at ``T``; CFL is audited against each
+    recorded velocity.  A non-finite state aborts the run.
     """
     if snapshot_stride < 1:
         raise ConfigurationError("snapshot_stride must be >= 1")
@@ -260,17 +232,6 @@ def integrate(
     return states
 
 
-def step(state: SolverState, dt: float, cfl: float = DEFAULT_CFL) -> SolverState:
-    """Advance one RK4 step; rejects steps beyond the CFL bound."""
-    grid = state.grid
-    _check_cfl(state.max_speed(), grid, dt, cfl)
-    w_hat = state.vorticity.hat * grid.dealias_mask
-    (new_hat,) = _rk4_stage((w_hat,), dt, _vorticity_rhs(grid))
-    if not np.all(np.isfinite(new_hat)):
-        raise SolverAbort(f"non-finite vorticity after step at t={state.time}", state.time)
-    return _materialize(grid, state.time + dt, new_hat)
-
-
 def solve(
     u0: VelocityField,
     T: float,
@@ -286,8 +247,9 @@ def solve(
     _check_initial_velocity(u0)
     w_hat = curl_2d(u0).hat * grid.dealias_mask
     states = integrate(
-        grid, (w_hat,), _vorticity_rhs(grid),
-        lambda t, hats: _materialize(grid, t, hats[0]),
+        grid, (w_hat,), lambda hats: (_advection_tendency(grid, hats[0]),),
+        lambda t, hats: State(t, _velocity_field(grid, hats[0]),
+                              {"vorticity": ScalarField.from_hat(grid, hats[0])}),
         T, dt, snapshot_stride, cfl,
     )
     return Trajectory(states, dt, _run_config(grid, T, dt, snapshot_stride, cfl),

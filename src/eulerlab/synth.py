@@ -17,7 +17,6 @@ from .grid_fields import (
     PeriodicGrid,
     ScalarField,
     VelocityField,
-    _leray_hats,
     leray_project,
 )
 
@@ -80,9 +79,9 @@ def lacunary_field(spec: SynthSpec, grid: PeriodicGrid) -> VelocityField:
     frequency ``k = 2^j d``, so the field is built in spectral space: each
     mode's coefficient is written straight into a zeroed half-spectrum per
     component and one inverse transform per component gives the samples.
-    The closing Leray projection only guards against coefficient round-off
-    (for the four lattice directions every coefficient is exactly transverse
-    and it changes nothing), and the returned components carry their spectra.
+    For the four lattice directions every coefficient is exactly transverse
+    (``k . e`` cancels term by term in floating point), so no projection is
+    needed, and the returned components carry their spectra.
     """
     if spec.kind != "lacunary":
         raise ConfigurationError(f"spec kind is {spec.kind!r}, not 'lacunary'")
@@ -129,10 +128,7 @@ def lacunary_field(spec: SynthSpec, grid: PeriodicGrid) -> VelocityField:
             for a in range(grid.dims):
                 for idx, value in slots:
                     hats[a][idx] += scale * amp * e[a] * value
-    return VelocityField(
-        [ScalarField.from_hat(grid, h) for h in _leray_hats(grid, hats)],
-        divergence_free=True,
-    )
+    return VelocityField([ScalarField.from_hat(grid, h) for h in hats])
 
 
 def taylor_green(grid: PeriodicGrid, amplitude: float) -> VelocityField:
@@ -142,7 +138,7 @@ def taylor_green(grid: PeriodicGrid, amplitude: float) -> VelocityField:
     x, y = grid.meshgrid()
     u1 = amplitude * np.sin(np.pi * x) * np.cos(np.pi * y)
     u2 = -amplitude * np.cos(np.pi * x) * np.sin(np.pi * y)
-    return VelocityField.from_arrays(grid, [u1, u2], divergence_free=True)
+    return VelocityField.from_arrays(grid, [u1, u2])
 
 
 def taylor_green_pressure(grid: PeriodicGrid, amplitude: float) -> ScalarField:
@@ -166,9 +162,7 @@ def shear_flow(grid: PeriodicGrid, profile: ScalarField) -> VelocityField:
     vals = profile.values
     if np.max(np.abs(vals - vals[:1, :])) > 1e-12 * max(1.0, np.abs(vals).max()):
         raise ConfigurationError("shear profile must depend on x2 only")
-    return VelocityField.from_arrays(
-        grid, [vals.copy(), np.zeros(grid.shape)], divergence_free=True
-    )
+    return VelocityField.from_arrays(grid, [vals.copy(), np.zeros(grid.shape)])
 
 
 def _filtered_noise(grid: PeriodicGrid, gen: np.random.Generator,
@@ -185,7 +179,7 @@ def _solenoidal_at_speed(grid: PeriodicGrid, comps, amplitude: float) -> Velocit
     if speed == 0.0:
         return u
     arrays = [amplitude / speed * c.values for c in u.components]
-    return VelocityField.from_arrays(grid, arrays, divergence_free=True)
+    return VelocityField.from_arrays(grid, arrays)
 
 
 def _check_kmax(grid: PeriodicGrid, kmax: int) -> None:
@@ -267,5 +261,5 @@ def field_from_spec(spec: SynthSpec, grid: PeriodicGrid) -> VelocityField:
         arrays = [np.full(grid.shape, spec.amplitude)] + [
             np.zeros(grid.shape) for _ in range(grid.dims - 1)
         ]
-        return VelocityField.from_arrays(grid, arrays, divergence_free=True)
+        return VelocityField.from_arrays(grid, arrays)
     raise ConfigurationError(f"unknown synth kind {spec.kind!r}")

@@ -312,8 +312,7 @@ def test_criterion_10_boussinesq_reductions():
         for i in range(2)
     )
 
-    zero_u = VelocityField.from_arrays(grid, [np.zeros(grid.shape)] * 2,
-                                       divergence_free=True)
+    zero_u = VelocityField.from_arrays(grid, [np.zeros(grid.shape)] * 2)
     duh = []
     for theta_fn in (lambda x, y: np.sin(np.pi * y), lambda x, y: np.sin(np.pi * x)):
         th0 = grid.sample_scalar(theta_fn)

@@ -184,11 +184,13 @@ class TestShiftDiffKernel:
             lacunary_field(SynthSpec("lacunary", alpha=0.6, j_max=5, seed=4), grid),
             random_divfree(grid, 2.0, seed=9),
         )
+        work = np.empty((2,) + grid.shape)  # shared across shifts, as a probe does
         for u in fields:
             for steps in self.STEPS:
                 expect = self.old_kernel(u, steps, p_int)
                 got = _shift_diff_norm(u, steps, p_int)
                 assert abs(got - expect) <= 1e-14 * expect
+                assert _shift_diff_norm(u, steps, p_int, work) == got
 
     @pytest.mark.parametrize("p_int", [1.0, 2.0, 3.0, 4.5])
     def test_scalar_path_bitwise(self, p_int):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,8 @@ from eulerlab.cli import main, parse_config, run, validate
 from eulerlab.errors import ConfigurationError
 from eulerlab.grid_fields import make_grid
 from eulerlab.synth import SynthSpec, field_from_spec
+
+DEMO_CONFIGS = sorted(Path(__file__).resolve().parents[1].glob("demos/configs/*.ini"))
 
 
 def write_config(tmp_path, text, name="exp.ini"):
@@ -133,6 +136,11 @@ class TestParseAndValidate:
         assert float(printed["initial_max_speed"]) == u.max_speed()
         assert float(printed["cfl_dt_bound"]) == 0.4 * grid.spacing / u.max_speed()
 
+    def test_validate_every_demo_config(self, capsys):
+        assert len(DEMO_CONFIGS) == 8
+        for path in DEMO_CONFIGS:
+            assert validate(path) == 0, path.name
+
     def test_validate_power_of_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL_ENERGY.replace("n = 128", "n = 7"))
         assert validate(cfg) == 1
@@ -233,6 +241,13 @@ class TestRun:
         code = main(["run", str(cfg), "--output-dir", str(tmp_path / "o")])
         assert code == 0
         assert "energy_conservation" in capsys.readouterr().out
+
+    def test_jobs_flag_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, MINIMAL_ENERGY)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(cfg), "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_env_output_root(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("EULERLAB_OUT", str(tmp_path / "root"))

@@ -30,9 +30,7 @@ EPS_SWEEP = [0.25, 0.125, 0.0625, 0.03125]
 
 
 def constant_velocity(grid, vals):
-    return VelocityField.from_arrays(
-        grid, [np.full(grid.shape, v) for v in vals], divergence_free=True
-    )
+    return VelocityField.from_arrays(grid, [np.full(grid.shape, v) for v in vals])
 
 
 class TestConvectiveCommutator:

@@ -19,15 +19,13 @@ from eulerlab.extensions import (
     inhom_uniqueness_experiment,
     transport_step,
 )
-from eulerlab.solver import solve
+from eulerlab.solver import State, solve
 from eulerlab.synth import random_divfree, taylor_green
 from eulerlab.uniqueness import RunConfig
 
 
 def zero_velocity(grid):
-    return VelocityField.from_arrays(
-        grid, [np.zeros(grid.shape)] * 2, divergence_free=True
-    )
+    return VelocityField.from_arrays(grid, [np.zeros(grid.shape)] * 2)
 
 
 def smooth_density(grid, amp=0.2):
@@ -55,12 +53,7 @@ class TestTransportStep:
         # per column: rho(t, x, y) = rho0(x, y - t A sin(pi x)).
         grid = make_grid(2, 256)
         A = 0.5
-        u = VelocityField(
-            grid.sample_velocity(
-                lambda x, y: 0.0 * x, lambda x, y: A * np.sin(np.pi * x)
-            ).components,
-            divergence_free=True,
-        )
+        u = grid.sample_velocity(lambda x, y: 0.0 * x, lambda x, y: A * np.sin(np.pi * x))
         rho = grid.sample_scalar(lambda x, y: np.sin(np.pi * y))
         dt, nsteps = 1e-3, 250
         for _ in range(nsteps):
@@ -71,12 +64,7 @@ class TestTransportStep:
 
     def test_steady_when_density_constant_along_flow(self):
         grid = make_grid(2, 64)
-        u = VelocityField(
-            grid.sample_velocity(
-                lambda x, y: 0.0 * x, lambda x, y: np.sin(np.pi * x)
-            ).components,
-            divergence_free=True,
-        )
+        u = grid.sample_velocity(lambda x, y: 0.0 * x, lambda x, y: np.sin(np.pi * x))
         rho = grid.sample_scalar(lambda x, y: np.sin(np.pi * x))
         out = transport_step(rho, u, 1e-3)
         assert np.max(np.abs(out.values - rho.values)) <= 1e-12
@@ -115,7 +103,7 @@ class TestInhomSolve:
         rho = smooth_density(grid)
         traj = inhom_solve(rho, zero_velocity(grid), 0.05, 0.01)
         assert max_norm(traj.final().velocity) <= 1e-13
-        assert np.max(np.abs(traj.final().density.values - rho.values)) <= 1e-13
+        assert np.max(np.abs(traj.final().scalars["density"].values - rho.values)) <= 1e-13
 
     def test_mass_conserved(self):
         grid = make_grid(2, 128)
@@ -181,8 +169,8 @@ class TestDensityContraction:
         # perturb the later densities of one run
         for i, s in enumerate(b.states):
             if i > 0:
-                bad = s.density.values + 0.01 * i
-                b.states[i] = type(s)(s.time, ScalarField(grid, bad), s.velocity)
+                bad = s.scalars["density"].values + 0.01 * i
+                b.states[i] = State(s.time, s.velocity, {"density": ScalarField(grid, bad)})
         report = density_contraction_check(a, b, 1e-7)
         assert not report.passed
         assert report.worst_pair is not None

@@ -89,7 +89,7 @@ class TestMollify:
         u = random_band_limited_velocity(grid, 12, seed=5, divfree=True)
         k = make_kernel(grid, 0.1)
         out = mollify(u, k)
-        assert out.divergence_free
+        assert out.check_divergence_free()
         assert max_norm(divergence(out)) <= 1e-10 * max(1.0, max_norm(out))
 
 

@@ -7,7 +7,7 @@ from eulerlab.errors import ConfigurationError
 from eulerlab.grid_fields import ScalarField, make_grid
 from eulerlab.extensions import boussinesq_solve, inhom_solve
 from eulerlab.snapshots import load_trajectory, read_field, save_trajectory, write_field
-from eulerlab.solver import solve
+from eulerlab.solver import Trajectory, solve
 from eulerlab.synth import random_divfree, taylor_green
 
 from _utils import random_band_limited_scalar
@@ -72,7 +72,7 @@ class TestTrajectoryRoundTrip:
         back = load_trajectory(tmp_path / "run")
         assert back.ledgers["mass"] == pytest.approx(traj.ledgers["mass"])
         assert np.array_equal(
-            back.final().density.values, traj.final().density.values
+            back.final().scalars["density"].values, traj.final().scalars["density"].values
         )
 
     def test_boussinesq(self, tmp_path):
@@ -84,7 +84,8 @@ class TestTrajectoryRoundTrip:
         save_trajectory(traj, tmp_path / "run")
         back = load_trajectory(tmp_path / "run")
         assert back.ledgers["theta"] == pytest.approx(traj.ledgers["theta"])
-        assert np.array_equal(back.final().theta.values, traj.final().theta.values)
+        assert np.array_equal(back.final().scalars["theta"].values,
+                              traj.final().scalars["theta"].values)
 
     def test_manifest_contents(self, tmp_path):
         grid = make_grid(2, 64)
@@ -117,6 +118,11 @@ class TestManifestValidation:
         "InhomTrajectory": "mass_ledger",
         "BoussinesqTrajectory": "theta_ledger",
     }
+    SCALAR = {
+        "Trajectory": "vorticity",
+        "InhomTrajectory": "density",
+        "BoussinesqTrajectory": "theta",
+    }
 
     def save(self, traj, path):
         save_trajectory(traj, path)
@@ -132,9 +138,19 @@ class TestManifestValidation:
             ledgers = {k for k in manifest if k.endswith("_ledger")}
             extra = self.EXTRA_LEDGER[kind]
             assert ledgers == {"energy_ledger"} | ({extra} if extra else set())
+            assert manifest["components"] == ["u1", "u2", self.SCALAR[kind]]
             back = load_trajectory(tmp_path / kind)
             assert back.ledgers == traj.ledgers
-            assert type(back.final()) is type(traj.final())
+            for state in back.states:
+                assert list(state.scalars) == [self.SCALAR[kind]]
+
+    def test_save_rejects_ledgers_no_kind_carries(self, tmp_path):
+        traj = small_runs(make_grid(2, 32))["Trajectory"]
+        odd = Trajectory(traj.states, traj.dt, traj.config, traj.energy_ledger,
+                         {"salinity": [0.0] * len(traj.states)})
+        with pytest.raises(ConfigurationError, match="salinity"):
+            save_trajectory(odd, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
     def test_rejects_short_extra_ledger(self, tmp_path):
         runs = small_runs(make_grid(2, 32))

@@ -11,6 +11,7 @@ from eulerlab.grid_fields import (
     max_norm,
 )
 from eulerlab.solver import (
+    State,
     Trajectory,
     WeakTestFunction,
     admissibility_check,
@@ -20,7 +21,6 @@ from eulerlab.solver import (
     linear_window,
     recover_pressure,
     solve,
-    step,
     weak_residual,
 )
 from eulerlab.extensions import boussinesq_solve, inhom_solve
@@ -57,9 +57,7 @@ def velocity_l2_diff(a, b):
 class TestStep:
     def test_zero_field_stays_zero(self):
         grid = make_grid(2, 64)
-        u0 = VelocityField.from_arrays(
-            grid, [np.zeros(grid.shape)] * 2, divergence_free=True
-        )
+        u0 = VelocityField.from_arrays(grid, [np.zeros(grid.shape)] * 2)
         traj = solve(u0, 0.1, 0.05)
         assert all(max_norm(s.velocity) == 0.0 for s in traj.states)
 
@@ -78,9 +76,9 @@ class TestStep:
             lambda x, y: np.sin(np.pi * y), lambda x, y: 0.0 * x
         )
         state = solve(u0, 0.05, 0.005, snapshot_stride=1).states
-        w0 = state[0].vorticity.values
+        w0 = state[0].scalars["vorticity"].values
         for s in state[1:]:
-            assert np.array_equal(s.vorticity.values, w0)
+            assert np.array_equal(s.scalars["vorticity"].values, w0)
 
     @pytest.mark.parametrize("system", SYSTEMS)
     def test_cfl_violation(self, system):
@@ -89,14 +87,6 @@ class TestStep:
         with pytest.raises(StepSizeError) as err:
             run_system(system, tg, 1.0, 0.5)
         assert err.value.admissible_dt <= 0.5 * grid.spacing
-
-    def test_single_step_matches_solve(self):
-        grid = make_grid(2, 64)
-        u0 = random_divfree(grid, 3.0, seed=5)
-        traj = solve(u0, 0.004, 0.002, snapshot_stride=1)
-        s1 = step(traj.states[0], 0.002)
-        s2 = step(s1, 0.002)
-        assert np.array_equal(s2.vorticity.values, traj.final().vorticity.values)
 
     @pytest.mark.parametrize("system", SYSTEMS)
     def test_nan_abort(self, system):
@@ -154,7 +144,8 @@ class TestSolve:
         a = solve(u0, 0.02, 1e-3, snapshot_stride=10)
         b = solve(u0, 0.02, 1e-3, snapshot_stride=10)
         for sa, sb in zip(a.states, b.states):
-            assert np.array_equal(sa.vorticity.values, sb.vorticity.values)
+            assert np.array_equal(sa.scalars["vorticity"].values,
+                                  sb.scalars["vorticity"].values)
 
     def test_energy_and_enstrophy_conservation(self):
         grid = make_grid(2, 128)
@@ -162,14 +153,14 @@ class TestSolve:
         traj = solve(u0, 0.1, 1e-3, snapshot_stride=25)
         e = traj.energy_ledger
         assert abs(e[-1] - e[0]) / e[0] <= 1e-6
-        ens = [enstrophy(s.vorticity) for s in traj.states]
+        ens = [enstrophy(s.scalars["vorticity"]) for s in traj.states]
         assert abs(ens[-1] - ens[0]) / ens[0] <= 1e-5
 
     def test_vorticity_mean_conserved(self):
         grid = make_grid(2, 64)
         u0 = random_divfree(grid, 2.0, seed=9)
         traj = solve(u0, 0.02, 1e-3, snapshot_stride=4)
-        means = [s.vorticity.mean() for s in traj.states]
+        means = [s.scalars["vorticity"].mean() for s in traj.states]
         assert max(abs(m - means[0]) for m in means) <= 1e-12
 
     def test_velocity_state_invariants(self):
@@ -178,19 +169,18 @@ class TestSolve:
         traj = solve(u0, 0.01, 1e-3, snapshot_stride=5)
         for s in traj.states:
             assert s.velocity.check_divergence_free()
-            w = curl_2d(s.velocity)
-            assert np.max(np.abs(w.values - s.vorticity.values)) <= 1e-10 * max(
-                1.0, max_norm(s.vorticity)
+            w = s.scalars["vorticity"]
+            assert np.max(np.abs(curl_2d(s.velocity).values - w.values)) <= 1e-10 * max(
+                1.0, max_norm(w)
             )
-            assert abs(s.pressure.mean()) <= 1e-13
+            assert abs(recover_pressure(s.velocity).mean()) <= 1e-13
 
 
 class TestRecoverPressure:
     def test_constant_velocity(self):
         grid = make_grid(2, 64)
         u = VelocityField.from_arrays(
-            grid, [np.full(grid.shape, 2.0), np.full(grid.shape, -1.0)],
-            divergence_free=True,
+            grid, [np.full(grid.shape, 2.0), np.full(grid.shape, -1.0)]
         )
         assert max_norm(recover_pressure(u)) <= 1e-13
 
@@ -234,8 +224,7 @@ class TestRecoverPressure:
 class TestAdmissibility:
     def test_zero_trajectory_passes(self):
         grid = make_grid(2, 64)
-        u0 = VelocityField.from_arrays(grid, [np.zeros(grid.shape)] * 2,
-                                       divergence_free=True)
+        u0 = VelocityField.from_arrays(grid, [np.zeros(grid.shape)] * 2)
         traj = solve(u0, 0.01, 5e-3)
         report = admissibility_check(traj, 1e-7)
         assert report.passed and report.max_violation == 0.0
@@ -267,8 +256,7 @@ class TestWeakResidual:
 
     def test_zero_trajectory(self):
         grid = make_grid(2, 64)
-        u0 = VelocityField.from_arrays(grid, [np.zeros(grid.shape)] * 2,
-                                       divergence_free=True)
+        u0 = VelocityField.from_arrays(grid, [np.zeros(grid.shape)] * 2)
         traj = solve(u0, 0.01, 5e-3)
         psi = random_band_limited_velocity(grid, 3, seed=1, divfree=True)
         assert weak_residual(traj, WeakTestFunction(psi, cosine_window(0.01))) == 0.0
@@ -295,14 +283,10 @@ class TestWeakResidual:
         u0 = random_band_limited_velocity(grid, 3, seed=4, divfree=True)
         states = []
         times = [0.0, 0.05, 0.1, 0.2]
-        from eulerlab.solver import SolverState
-
         for t in times:
             scale = 1.0 + 0.5 * t
-            u = VelocityField.from_arrays(
-                grid, [scale * c.values for c in u0.components], divergence_free=True
-            )
-            states.append(SolverState(t, u, curl_2d(u)))
+            u = VelocityField.from_arrays(grid, [scale * c.values for c in u0.components])
+            states.append(State(t, u, {"vorticity": curl_2d(u)}))
         traj = Trajectory(states, 0.05, {}, [kinetic_energy(s.velocity) for s in states])
         phi = random_band_limited_scalar(grid, 3, seed=5)
         g = linear_window(0.2)

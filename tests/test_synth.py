@@ -6,6 +6,7 @@ from eulerlab.errors import ConfigurationError
 from eulerlab.grid_fields import (
     PeriodicGrid,
     VelocityField,
+    _div_hat,
     divergence,
     gradient_tensor,
     leray_project,
@@ -52,9 +53,17 @@ class TestLacunary:
         for n, j_max, seed in ((128, 5, 1), (512, 7, 7)):
             grid = make_grid(2, n)
             u = lacunary_field(SynthSpec("lacunary", alpha=0.6, j_max=j_max, seed=seed), grid)
-            assert u.divergence_free
             assert u.check_divergence_free()
             assert max_norm(divergence(u)) <= 1e-10 * max_norm(u)
+
+    def test_spectrum_exactly_transverse(self):
+        # no projection runs after synthesis, so k . u_hat must cancel exactly
+        for n, j_max in ((64, 4), (512, 7)):
+            grid = make_grid(2, n)
+            for seed, alpha in ((0, 0.3), (5, 0.6), (31, 0.9)):
+                spec = SynthSpec("lacunary", alpha=alpha, j_max=j_max, seed=seed)
+                u = lacunary_field(spec, grid)
+                assert not np.any(_div_hat(grid, [c.hat for c in u.components]))
 
     def test_band_limit_enforced(self):
         grid = make_grid(2, 64)  # dealias_kmax = 21
