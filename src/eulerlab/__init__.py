@@ -95,7 +95,6 @@ from .extensions import (
     density_contraction_check,
     inhom_solve,
     inhom_uniqueness_experiment,
-    transport_step,
 )
 from .snapshots import load_trajectory, read_field, save_trajectory, write_field
 

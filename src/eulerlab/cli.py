@@ -3,8 +3,9 @@ persist deterministic artifacts.
 
 Config grammar (INI as understood by :mod:`configparser`; ``#``/``;``
 comments, ``key = value`` pairs under ``[section]`` headers; list values are
-whitespace-separated).  Sections and keys are validated strictly: unknown
-names are rejected.  See the README for the full key reference.
+whitespace-separated).  ``_KEYS`` lists every key each kind reads; parsing
+converts and checks every key once and rejects unknown names, keys only other
+kinds read, missing keys and bad values.  See the README for the key reference.
 
 Exit status: 0 on pass/complete, 2 on certificate failure, 3 when a Besov
 hypothesis is not met, 1 on configuration or runtime errors.
@@ -21,13 +22,15 @@ import configparser
 import os
 import sys
 import time
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .besov import besov_seminorm
-from .commutator import scaling_experiment
+from .commutator import DEFAULT_SLOPE_TOLERANCE, scaling_experiment
 from .errors import EulerLabError, ConfigurationError
 from .extensions import (
     boussinesq_uniqueness_experiment,
@@ -38,6 +41,7 @@ from .mollify import min_epsilon, resolved_epsilon
 from .reporting import config_hash, dump_csv, dump_json
 from .snapshots import save_trajectory
 from .solver import (
+    DEFAULT_CFL,
     WeakTestFunction,
     admissibility_check,
     cfl_dt_bound,
@@ -48,6 +52,7 @@ from .solver import (
     steps_for_horizon,
     weak_residual,
 )
+from .synth import KINDS as SYNTH_KINDS
 from .synth import SynthSpec, field_from_spec, low_mode_divfree, low_mode_scalar
 from .uniqueness import ROUTE_THRESHOLDS, RunConfig, uniqueness_experiment
 
@@ -75,95 +80,172 @@ _VERDICT_CODES = {
 
 OUTPUT_ROOT_ENV = "EULERLAB_OUT"
 
-# section -> allowed keys
-_SCHEMA = {
-    "experiment": {"kind", "seed"},
-    "grid": {"dims", "n"},
-    "synth": {"kind", "alpha", "j_max", "amplitude", "slope", "seed"},
-    "solver": {"dt", "T", "snapshot_stride", "cfl", "drift_tolerance",
-               "admissibility_tolerance"},
-    "solver_b": {"n", "dt", "snapshot_stride", "cfl"},
-    "sweep": {"epsilons", "alpha", "p", "budget_route", "working_epsilon",
-              "slope_tolerance", "certify_tolerance", "contraction_tolerance"},
-    "density": {"amplitude"},
-    "buoyancy": {"g", "theta_amplitude", "theta_axis"},
-    "weak": {"count", "kmax", "w1_tolerance", "w2_tolerance", "window"},
-    "output": {"dir", "save_snapshots"},
+# ---------------------------------------------------------------------------
+# the key table
+
+_REQUIRED = object()
+
+
+class _Key(NamedTuple):
+    """How one ``[section] key`` is read: ``convert`` raises ``ValueError``
+    or ``KeyError`` on bad text and ``ok`` rejects values outside ``allowed``;
+    ``default`` stands in when the key is absent (``None``: absent, or filled
+    by ``_fill_derived``)."""
+
+    convert: Callable[[str], object]
+    allowed: str
+    default: object = _REQUIRED
+    ok: Callable[[object], bool] = lambda value: True
+
+    def read(self, raw: str):
+        value = self.convert(raw)
+        if not self.ok(value):
+            raise ValueError(raw)
+        return value
+
+
+def _one_of(options: dict, default: str) -> _Key:
+    """A name from ``options``, read as the value it maps to."""
+    return _Key(options.__getitem__, ", ".join(options), options[default])
+
+
+def _section(name: str, **keys: _Key) -> dict:
+    return {(name, key): spec for key, spec in keys.items()}
+
+
+_INT = partial(_Key, lambda raw: int(raw, 0), "an integer")
+_FLOAT = partial(_Key, float, "a number")
+_POSITIVE = partial(_Key, float, "a positive number", ok=lambda v: v > 0.0)
+_FLOATS = partial(_Key, lambda raw: [float(tok) for tok in raw.split()])
+
+_COMMON = {
+    # the kind picks the table, so it is checked before the table is read
+    **_section("experiment", kind=_Key(str, ", ".join(EXPERIMENTS)), seed=_INT(0)),
+    **_section("grid", n=_INT()),
+    **_section(
+        "synth", kind=_one_of({k: k for k in SYNTH_KINDS}, "taylor_green"),
+        alpha=_FLOAT(None), j_max=_INT(None), slope=_FLOAT(None), amplitude=_FLOAT(1.0),
+        seed=_INT(None),  # the experiment seed
+    ),
+    **_section("output", dir=_Key(str, "a path", None)),
+}
+# the field audits; the solvers are two-dimensional and read no dims
+_AUDIT = {**_section("grid", dims=_INT(2)), **_section("sweep", p=_FLOAT(3.0))}
+_SWEEP = {**_AUDIT, **_section(
+    "sweep", alpha=_FLOAT(None),  # fitted from the fields
+    slope_tolerance=_FLOAT(DEFAULT_SLOPE_TOLERANCE),
+    epsilons=_FLOATS("at least 4 strictly decreasing numbers",
+                     ok=lambda e: len(e) >= 4 and all(b < a for a, b in zip(e, e[1:]))),
+)}
+_SOLVE = _section("solver", dt=_POSITIVE(), T=_POSITIVE(), snapshot_stride=_INT(1),
+                  cfl=_FLOAT(DEFAULT_CFL))
+# the A/B certifications: the B leg's keys default to the A leg's, and
+# certify_tolerance to ten times the measured drift
+_PAIR = {**_SOLVE, **_section(
+    "solver_b", n=_INT(None), dt=_POSITIVE(None), snapshot_stride=_INT(None), cfl=_FLOAT(None),
+), **_section(
+    "sweep", alpha=_FLOAT(0.6), p=_FLOAT(3.0), certify_tolerance=_FLOAT(None),
+    epsilons=_FLOATS("at least 4 distinct numbers",
+                     ok=lambda e: len(e) >= 4 and len(set(e)) == len(e)),
+)}
+_EXTENDED = {**_PAIR, **_section("sweep", contraction_tolerance=_FLOAT(1e-5))}
+
+_KEYS = {
+    # [sweep] alpha defaults to [synth] alpha, else 0.5
+    "besov_fit": {**_COMMON, **_AUDIT, **_section("sweep", alpha=_FLOAT(None))},
+    "commutator_scaling": {**_COMMON, **_SWEEP},
+    "cet_scaling": {**_COMMON, **_SWEEP},
+    "energy_conservation": {**_COMMON, **_SOLVE, **_section(
+        "solver", drift_tolerance=_FLOAT(1e-6), admissibility_tolerance=_FLOAT(1e-7),
+    ), **_section("output", save_snapshots=_INT(1))},
+    "uniqueness": {**_COMMON, **_PAIR, **_section(
+        "sweep", budget_route=_one_of({r: r for r in ROUTE_THRESHOLDS}, "convective"),
+        working_epsilon=_FLOAT(None),  # the smallest epsilon
+    )},
+    "inhom_uniqueness": {**_COMMON, **_EXTENDED, **_section("density", amplitude=_FLOAT(0.2))},
+    "boussinesq_uniqueness": {**_COMMON, **_EXTENDED, **_section(
+        "buoyancy", g=_FLOATS("two numbers", (0.0, -1.0), lambda g: len(g) == 2),
+        theta_amplitude=_FLOAT(0.2), theta_axis=_one_of({"0": 0, "1": 1}, "0"),
+    )},
+    "weak_residual": {**_COMMON, **_SOLVE, **_section(
+        "weak", count=_INT(10), kmax=_INT(3), w1_tolerance=_FLOAT(1e-6),
+        w2_tolerance=_FLOAT(1e-10),
+        window=_one_of({"cosine": cosine_window, "linear": linear_window}, "cosine"),
+    )},
 }
 
-# [sweep] keys that only some kinds read; the other kinds reject them instead
-# of ignoring them.  The extended kinds charge the convective budget at the
-# smallest epsilon; which route suits the rho-weighted energy is open
-# (ROADMAP item 4).
-_SWEEP_KEY_KINDS = {
-    "budget_route": {"uniqueness"},
-    "working_epsilon": {"uniqueness"},
-    "certify_tolerance": {"uniqueness", "inhom_uniqueness", "boussinesq_uniqueness"},
-    "contraction_tolerance": {"inhom_uniqueness", "boussinesq_uniqueness"},
-    "slope_tolerance": {"commutator_scaling", "cet_scaling"},
-}
+_ANY_KIND = {sk for table in _KEYS.values() for sk in table}
+_SECTIONS = {section for section, _ in _ANY_KIND}
+
+
+def _fill_derived(kind: str, v: dict) -> None:
+    """Fill the defaults that other values decide."""
+    if v["synth", "seed"] is None:
+        v["synth", "seed"] = v["experiment", "seed"]
+    if kind == "besov_fit" and v["sweep", "alpha"] is None:
+        v["sweep", "alpha"] = v["synth", "alpha"] or 0.5
+    if ("solver_b", "n") not in v:
+        return
+    if v["solver_b", "dt"] is not None and v["solver_b", "snapshot_stride"] is None:
+        # keep the physical cadence aligned when only dt changes
+        ratio = v["solver", "dt"] * v["solver", "snapshot_stride"] / v["solver_b", "dt"]
+        if abs(ratio - round(ratio)) > 1e-9:
+            raise ConfigurationError("solver_b.dt incompatible with the snapshot cadence; "
+                                     "set solver_b.snapshot_stride explicitly")
+        v["solver_b", "snapshot_stride"] = round(ratio)
+    for key, source in (("n", "grid"), ("dt", "solver"), ("snapshot_stride", "solver"),
+                        ("cfl", "solver")):
+        if v["solver_b", key] is None:
+            v["solver_b", key] = v[source, key]
 
 
 class ExperimentConfig:
-    """Validated view of one parsed config file."""
+    """One config file, converted and checked against its kind's key table;
+    index it by ``(section, key)``."""
 
-    def __init__(self, parser: configparser.ConfigParser, text: str):
-        self.text = text
+    def __init__(self, parser: configparser.ConfigParser, text: str,
+                 seed_override: Optional[int] = None):
         self.hash = config_hash(text)
-        unknown = []
+        self.kind = parser.get("experiment", "kind", fallback=None)
+        if self.kind not in _KEYS:
+            raise ConfigurationError(
+                "missing key 'kind' in [experiment]" if self.kind is None
+                else f"unknown experiment kind '{self.kind}'; choose from {EXPERIMENTS}"
+            )
+        table = _KEYS[self.kind]
+        errors = []
         for section in parser.sections():
-            if section not in _SCHEMA:
-                unknown.append(f"unknown section [{section}]")
+            if section not in _SECTIONS:
+                errors.append(f"unknown section [{section}]")
                 continue
             for key in parser[section]:
-                if key not in _SCHEMA[section]:
-                    unknown.append(f"unknown key '{key}' in [{section}]")
-        if unknown:
-            raise ConfigurationError("; ".join(unknown))
-        if not parser.has_section("experiment"):
-            raise ConfigurationError("missing [experiment] section")
-        self._p = parser
-        self.kind = self.get_str("experiment", "kind")
-        if self.kind not in EXPERIMENTS:
-            raise ConfigurationError(
-                f"unknown experiment kind '{self.kind}'; choose from {EXPERIMENTS}"
-            )
-        self.seed = self.get_int("experiment", "seed", 0)
+                if (section, key) not in table:
+                    errors.append(f"[{section}] {key} does not apply to kind '{self.kind}'"
+                                  if (section, key) in _ANY_KIND
+                                  else f"unknown key '{key}' in [{section}]")
+        self.values = {}
+        for (section, key), spec in table.items():
+            raw = parser.get(section, key, fallback=None)
+            if raw is None:
+                if spec.default is _REQUIRED:
+                    errors.append(f"missing key '{key}' in [{section}]")
+                self.values[section, key] = spec.default
+                continue
+            try:
+                self.values[section, key] = spec.read(raw)
+            except (ValueError, KeyError):
+                errors.append(
+                    f"bad value for '{key}' in [{section}]: {raw!r} (allowed: {spec.allowed})"
+                )
+        if errors:
+            raise ConfigurationError("; ".join(errors))
+        if seed_override is not None:
+            self.values["experiment", "seed"] = seed_override
+        self.seed = self.values["experiment", "seed"]
+        _fill_derived(self.kind, self.values)
 
-    def has(self, section: str, key: str) -> bool:
-        return self._p.has_option(section, key)
-
-    def get_str(self, section: str, key: str, default: Optional[str] = None) -> str:
-        if not self._p.has_option(section, key):
-            if default is None:
-                raise ConfigurationError(f"missing key '{key}' in [{section}]")
-            return default
-        return self._p.get(section, key).strip()
-
-    def _convert(self, section, key, conv, default):
-        if not self._p.has_option(section, key):
-            if default is None:
-                raise ConfigurationError(f"missing key '{key}' in [{section}]")
-            return default
-        raw = self._p.get(section, key)
-        try:
-            return conv(raw)
-        except ValueError as exc:
-            raise ConfigurationError(f"bad value for '{key}' in [{section}]: {raw!r}") from exc
-
-    def get_int(self, section, key, default=None) -> int:
-        return self._convert(section, key, lambda r: int(r, 0), default)
-
-    def get_float(self, section, key, default=None) -> float:
-        return self._convert(section, key, float, default)
-
-    def get_optional_float(self, section, key) -> Optional[float]:
-        return self.get_float(section, key) if self.has(section, key) else None
-
-    def get_floats(self, section, key, default=None) -> list:
-        return self._convert(
-            section, key, lambda r: [float(tok) for tok in r.split()], default
-        )
+    def __getitem__(self, section_key: tuple[str, str]):
+        return self.values[section_key]
 
 
 def parse_config(path, seed_override: Optional[int] = None) -> ExperimentConfig:
@@ -174,55 +256,19 @@ def parse_config(path, seed_override: Optional[int] = None) -> ExperimentConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigurationError(f"config parse error: {exc}") from exc
-    cfg = ExperimentConfig(parser, text)
-    if seed_override is not None:
-        cfg.seed = seed_override
-    return cfg
+    return ExperimentConfig(parser, text, seed_override)
 
 
 def _build_grid(cfg: ExperimentConfig):
-    dims = cfg.get_int("grid", "dims", 2)
-    n = cfg.get_int("grid", "n")
-    return make_grid(dims, n)
+    # only the field audits read [grid] dims; the solvers are two-dimensional
+    return make_grid(cfg.values.get(("grid", "dims"), 2), cfg["grid", "n"])
 
 
 def _build_synth_spec(cfg: ExperimentConfig) -> SynthSpec:
-    kind = cfg.get_str("synth", "kind", "taylor_green")
-    seed = cfg.get_int("synth", "seed", cfg.seed)
-    kw = {}
-    if cfg.has("synth", "alpha"):
-        kw["alpha"] = cfg.get_float("synth", "alpha")
-    if cfg.has("synth", "j_max"):
-        kw["j_max"] = cfg.get_int("synth", "j_max")
-    if cfg.has("synth", "slope"):
-        kw["slope"] = cfg.get_float("synth", "slope")
-    return SynthSpec(
-        kind, seed=seed, amplitude=cfg.get_float("synth", "amplitude", 1.0), **kw
-    )
-
-
-def _run_configs(cfg: ExperimentConfig) -> tuple[RunConfig, RunConfig]:
-    n_a = cfg.get_int("grid", "n")
-    dt_a = cfg.get_float("solver", "dt")
-    T = cfg.get_float("solver", "T")
-    stride_a = cfg.get_int("solver", "snapshot_stride", 1)
-    cfl = cfg.get_float("solver", "cfl", 0.5)
-    a = RunConfig(n_a, dt_a, T, stride_a, cfl)
-    n_b = cfg.get_int("solver_b", "n", n_a)
-    dt_b = cfg.get_float("solver_b", "dt", dt_a)
-    default_stride = stride_a
-    if cfg.has("solver_b", "dt") and not cfg.has("solver_b", "snapshot_stride"):
-        # keep the physical cadence aligned when only dt changes
-        ratio = a.cadence() / dt_b
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ConfigurationError(
-                "solver_b.dt incompatible with the snapshot cadence; set "
-                "solver_b.snapshot_stride explicitly"
-            )
-        default_stride = round(ratio)
-    stride_b = cfg.get_int("solver_b", "snapshot_stride", default_stride)
-    b = RunConfig(n_b, dt_b, T, stride_b, cfg.get_float("solver_b", "cfl", cfl))
-    return a, b
+    return SynthSpec(**{
+        key: cfg["synth", key]
+        for key in ("kind", "alpha", "j_max", "seed", "amplitude", "slope")
+    })
 
 
 def _derived_quantities(cfg: ExperimentConfig) -> dict:
@@ -236,42 +282,33 @@ def _derived_quantities(cfg: ExperimentConfig) -> dict:
     # The CFL bound comes from the synthesized initial field: lacunary data
     # peak well above their amplitude.
     speed = field_from_spec(_build_synth_spec(cfg), grid).max_speed()
-    cfl = cfg.get_float("solver", "cfl", 0.5)
+    cfl = cfg.values.get(("solver", "cfl"), DEFAULT_CFL)
     out["initial_max_speed"] = speed
     out["cfl_dt_bound"] = cfl_dt_bound(grid, speed, cfl)
     return out
 
 
 def _range_checks(cfg: ExperimentConfig) -> list:
+    """The checks that join several keys."""
     diags = []
     grid = _build_grid(cfg)
-    if cfg._p.has_section("sweep") and cfg.has("sweep", "epsilons"):
+    epsilons = cfg.values.get(("sweep", "epsilons"), [])
+    if epsilons:
         # budget sweeps run on the finer leg of an A/B pair
-        n_sweep = max(grid.n_per_axis, cfg.get_int("solver_b", "n", grid.n_per_axis))
+        n_sweep = max(grid.n_per_axis, cfg.values.get(("solver_b", "n"), 0))
         sweep_grid = make_grid(grid.dims, n_sweep)
-        for eps in cfg.get_floats("sweep", "epsilons"):
-            if eps < min_epsilon(sweep_grid):
-                diags.append(
-                    f"epsilon {eps} below the admissible floor {min_epsilon(sweep_grid)} "
-                    f"(needs n >= {int(np.ceil(4.0 / eps))} rounded to a power of two)"
-                )
-            if eps > 0.5:
-                diags.append(f"epsilon {eps} above the maximum 0.5")
-    for key, kinds in _SWEEP_KEY_KINDS.items():
-        if cfg.has("sweep", key) and cfg.kind not in kinds:
-            diags.append(f"[sweep] {key} does not apply to kind '{cfg.kind}'")
-    if cfg.has("sweep", "budget_route"):
-        route = cfg.get_str("sweep", "budget_route")
-        if route not in ROUTE_THRESHOLDS:
-            diags.append(f"budget_route '{route}' is not one of {sorted(ROUTE_THRESHOLDS)}")
-    if cfg._p.has_section("synth"):
-        _build_synth_spec(cfg)
-    if cfg._p.has_section("solver"):
-        dt = cfg.get_float("solver", "dt")
-        T = cfg.get_float("solver", "T")
-        if dt <= 0 or T <= 0:
-            diags.append("dt and T must be positive")
-        elif not steps_for_horizon(T, dt):
+    for eps in epsilons:
+        if eps < min_epsilon(sweep_grid):
+            diags.append(
+                f"epsilon {eps} below the admissible floor {min_epsilon(sweep_grid)} "
+                f"(needs n >= {int(np.ceil(4.0 / eps))} rounded to a power of two)"
+            )
+        if eps > 0.5:
+            diags.append(f"epsilon {eps} above the maximum 0.5")
+    _build_synth_spec(cfg)
+    if ("solver", "dt") in cfg.values:
+        dt, T = cfg["solver", "dt"], cfg["solver", "T"]
+        if not steps_for_horizon(T, dt):
             diags.append(f"T={T} is not an integer multiple of dt={dt}")
     return diags
 
@@ -284,8 +321,8 @@ def _exp_besov_fit(cfg: ExperimentConfig, outdir: Path):
     grid = _build_grid(cfg)
     spec = _build_synth_spec(cfg)
     field = field_from_spec(spec, grid)
-    alpha = cfg.get_float("sweep", "alpha", spec.alpha if spec.alpha else 0.5)
-    p = cfg.get_float("sweep", "p", 3.0)
+    alpha = cfg["sweep", "alpha"]
+    p = cfg["sweep", "p"]
     est = besov_seminorm(field, alpha, p)
     est.to_csv(outdir / "shift_table.csv")
     report = {
@@ -304,20 +341,13 @@ def _exp_scaling(cfg: ExperimentConfig, outdir: Path, quantity: str):
     grid = _build_grid(cfg)
     spec = _build_synth_spec(cfg)
     v = field_from_spec(spec, grid)
-    epsilons = cfg.get_floats("sweep", "epsilons")
-    p = cfg.get_float("sweep", "p", 3.0)
-    alpha = cfg.get_optional_float("sweep", "alpha")
-    tol = cfg.get_float("sweep", "slope_tolerance", 0.15)
     if quantity == "cet_trilinear":
-        spec_u = SynthSpec(
-            spec.kind, alpha=spec.alpha, j_max=spec.j_max,
-            seed=spec.seed + 1, amplitude=spec.amplitude, slope=spec.slope,
-        )
-        fields = (field_from_spec(spec_u, grid), v)
+        fields = (field_from_spec(replace(spec, seed=spec.seed + 1), grid), v)
     else:
         fields = v
     report_obj = scaling_experiment(
-        fields, quantity, epsilons, p, alpha=alpha, slope_tolerance=tol,
+        fields, quantity, cfg["sweep", "epsilons"], cfg["sweep", "p"],
+        alpha=cfg["sweep", "alpha"], slope_tolerance=cfg["sweep", "slope_tolerance"],
     )
     dump_csv(
         outdir / "scaling.csv",
@@ -340,26 +370,16 @@ def _single_run(cfg: ExperimentConfig):
     grid = _build_grid(cfg)
     u0 = field_from_spec(_build_synth_spec(cfg), grid)
     return solve(
-        u0, cfg.get_float("solver", "T"), cfg.get_float("solver", "dt"),
-        snapshot_stride=cfg.get_int("solver", "snapshot_stride", 1),
-        cfl=cfg.get_float("solver", "cfl", 0.5),
+        u0, cfg["solver", "T"], cfg["solver", "dt"],
+        snapshot_stride=cfg["solver", "snapshot_stride"], cfl=cfg["solver", "cfl"],
     )
-
-
-def _pair_initial(cfg: ExperimentConfig):
-    """Both legs' run configs and the initial velocity on the finer grid."""
-    cfg_a, cfg_b = _run_configs(cfg)
-    spec = _build_synth_spec(cfg)
-    fine = make_grid(2, max(cfg_a.grid_n, cfg_b.grid_n))
-    return cfg_a, cfg_b, fine, field_from_spec(spec, fine)
 
 
 def _exp_energy_conservation(cfg: ExperimentConfig, outdir: Path):
     traj = _single_run(cfg)
-    drift_tol = cfg.get_float("solver", "drift_tolerance", 1e-6)
-    adm_tol = cfg.get_float("solver", "admissibility_tolerance", 1e-7)
+    drift_tol = cfg["solver", "drift_tolerance"]
     drift = traj.energy_drift() / max(traj.energy_ledger[0], 1e-300)
-    adm = admissibility_check(traj, adm_tol)
+    adm = admissibility_check(traj, cfg["solver", "admissibility_tolerance"])
     dump_csv(
         outdir / "energy.csv",
         ["t", "kinetic_energy", "enstrophy"],
@@ -368,7 +388,7 @@ def _exp_energy_conservation(cfg: ExperimentConfig, outdir: Path):
             for t, e, s in zip(traj.times, traj.energy_ledger, traj.states)
         ],
     )
-    if cfg.get_int("output", "save_snapshots", 1):
+    if cfg["output", "save_snapshots"]:
         save_trajectory(traj, outdir / "snapshots")
     passed = drift <= drift_tol and adm.passed
     report = {
@@ -386,29 +406,23 @@ def _exp_energy_conservation(cfg: ExperimentConfig, outdir: Path):
     return (EXIT_OK if passed else EXIT_CERT_FAIL), line, report, {"energy": "energy.csv"}
 
 
-def _theta_profile(cfg: ExperimentConfig, grid):
-    amp = cfg.get_float("buoyancy", "theta_amplitude", 0.2)
-    axis = cfg.get_int("buoyancy", "theta_axis", 0)
-    if axis not in (0, 1):
-        raise ConfigurationError("theta_axis must be 0 or 1")
-    return grid.sample_scalar(lambda *xs: amp * np.sin(np.pi * xs[axis]))
-
-
 def _exp_certify(cfg: ExperimentConfig, outdir: Path):
     """The three A/B certifications: one report, per-kind series columns."""
-    cfg_a, cfg_b, fine, u0 = _pair_initial(cfg)
-    args = (
-        cfg_a, cfg_b,
-        cfg.get_float("sweep", "alpha", 0.6),
-        cfg.get_float("sweep", "p", 3.0),
-        cfg.get_floats("sweep", "epsilons"),
-    )
-    certify_tolerance = cfg.get_optional_float("sweep", "certify_tolerance")
+    T = cfg["solver", "T"]
+    cfg_a = RunConfig(cfg["grid", "n"], cfg["solver", "dt"], T,
+                      cfg["solver", "snapshot_stride"], cfg["solver", "cfl"])
+    cfg_b = RunConfig(cfg["solver_b", "n"], cfg["solver_b", "dt"], T,
+                      cfg["solver_b", "snapshot_stride"], cfg["solver_b", "cfl"])
+    # the initial velocity lives on the finer grid
+    fine = make_grid(2, max(cfg_a.grid_n, cfg_b.grid_n))
+    u0 = field_from_spec(_build_synth_spec(cfg), fine)
+    args = (cfg_a, cfg_b, cfg["sweep", "alpha"], cfg["sweep", "p"], cfg["sweep", "epsilons"])
+    certify_tolerance = cfg["sweep", "certify_tolerance"]
     if cfg.kind == "uniqueness":
         rep = uniqueness_experiment(
             u0, *args, certify_tolerance=certify_tolerance,
-            budget_route=cfg.get_str("sweep", "budget_route", "convective"),
-            working_epsilon=cfg.get_optional_float("sweep", "working_epsilon"),
+            budget_route=cfg["sweep", "budget_route"],
+            working_epsilon=cfg["sweep", "working_epsilon"],
         )
         columns = {"seminorm": rep.seminorm_series, "fitted_alpha": rep.fitted_alpha_series}
         dump_csv(outdir / "budgets.csv", ["epsilon", "budget"],
@@ -417,21 +431,22 @@ def _exp_certify(cfg: ExperimentConfig, outdir: Path):
         tail = f"slack={rep.certificate.slack:.3e}"
     else:
         kw = dict(
-            contraction_tolerance=cfg.get_float("sweep", "contraction_tolerance", 1e-5),
+            contraction_tolerance=cfg["sweep", "contraction_tolerance"],
             certify_tolerance=certify_tolerance,
         )
         if cfg.kind == "inhom_uniqueness":
-            amp = cfg.get_float("density", "amplitude", 0.2)
+            amp = cfg["density", "amplitude"]
             rho0 = fine.sample_scalar(
                 lambda x, y: 1.0 + amp * np.sin(np.pi * x) * np.cos(np.pi * y)
             )
             rep = inhom_uniqueness_experiment(rho0, u0, *args, **kw)
         else:
-            g = cfg.get_floats("buoyancy", "g", [0.0, -1.0])
-            if len(g) != 2:
-                raise ConfigurationError("buoyancy g needs two components")
-            theta0 = _theta_profile(cfg, fine)
-            rep = boussinesq_uniqueness_experiment(theta0, u0, g, *args, **kw)
+            amp = cfg["buoyancy", "theta_amplitude"]
+            axis = cfg["buoyancy", "theta_axis"]
+            theta0 = fine.sample_scalar(lambda *xs: amp * np.sin(np.pi * xs[axis]))
+            rep = boussinesq_uniqueness_experiment(
+                theta0, u0, cfg["buoyancy", "g"], *args, **kw
+            )
         columns = {"D_scalar": rep.contraction.values}
         artifacts = {"series": "series.csv"}
         tail = f"contraction_pass={rep.contraction.passed}"
@@ -449,15 +464,9 @@ def _exp_certify(cfg: ExperimentConfig, outdir: Path):
 def _exp_weak_residual(cfg: ExperimentConfig, outdir: Path):
     traj = _single_run(cfg)
     grid = traj.grid
-    T = cfg.get_float("solver", "T")
-    count = cfg.get_int("weak", "count", 10)
-    kmax = cfg.get_int("weak", "kmax", 3)
-    w1_tol = cfg.get_float("weak", "w1_tolerance", 1e-6)
-    w2_tol = cfg.get_float("weak", "w2_tolerance", 1e-10)
-    window_kind = cfg.get_str("weak", "window", "cosine")
-    window = {"cosine": cosine_window, "linear": linear_window}.get(window_kind)
-    if window is None:
-        raise ConfigurationError("weak window must be 'cosine' or 'linear'")
+    T = cfg["solver", "T"]
+    count, kmax, window = cfg["weak", "count"], cfg["weak", "kmax"], cfg["weak", "window"]
+    w1_tol, w2_tol = cfg["weak", "w1_tolerance"], cfg["weak", "w2_tolerance"]
     rows = []
     worst_w1 = 0.0
     worst_w2 = 0.0
@@ -503,8 +512,8 @@ _BODIES = {
 def _resolve_outdir(cfg: ExperimentConfig, config_path, flag_value) -> Path:
     if flag_value:
         return Path(flag_value)
-    if cfg._p.has_section("output") and cfg.has("output", "dir"):
-        return Path(cfg.get_str("output", "dir"))
+    if cfg["output", "dir"] is not None:
+        return Path(cfg["output", "dir"])
     root = os.environ.get(OUTPUT_ROOT_ENV, "eulerlab_out")
     return Path(root) / Path(config_path).stem
 

@@ -175,6 +175,30 @@ def _as_pair(fields) -> tuple[VelocityField, Optional[VelocityField]]:
     raise ConfigurationError("fields must be one velocity field or a (u, v) pair")
 
 
+def _sweep_magnitudes(primary: VelocityField, secondary: Optional[VelocityField],
+                      quantity: str, epsilons: Sequence[float], p_int: float) -> list[float]:
+    """``quantity`` at each scale: the convective commutator's L^(p/2) norm
+    or the absolute trilinear pairing."""
+    magnitudes = []
+    for eps in epsilons:
+        kern = make_kernel(primary.grid, eps)
+        if quantity == "convective_commutator_lp":
+            magnitudes.append(lp_norm(convective_commutator(primary, kern), p_int / 2.0))
+        else:
+            magnitudes.append(abs(cet_trilinear(primary, secondary, kern)))
+    return magnitudes
+
+
+def _sweep_intercepts(magnitudes: Sequence[float], epsilons: Sequence[float],
+                      rate: float, bound_factor: float) -> tuple[list[float], bool]:
+    """The constants ``magnitude / (eps^rate * bound_factor)`` (zero when
+    every magnitude is quadrature noise) and whether the sweep is vacuous."""
+    if all(m <= VACUOUS_MAGNITUDE for m in magnitudes):
+        return [0.0 for _ in epsilons], True
+    denom = max(bound_factor, 1e-300)
+    return [m / (e**rate * denom) for m, e in zip(magnitudes, epsilons)], False
+
+
 def scaling_experiment(
     fields: Union[VelocityField, Sequence[VelocityField]],
     quantity: str,
@@ -220,11 +244,6 @@ def scaling_experiment(
         s_v = besov_seminorm(primary, alpha, p_int).seminorm
         seminorms = {"v": s_v}
         bound_factor = s_v**2
-
-        def measure(eps: float) -> float:
-            kern = make_kernel(grid, eps)
-            return lp_norm(convective_commutator(primary, kern), p_int / 2.0)
-
     else:
         theory_slope = 3.0 * alpha - 1.0
         s_u = besov_seminorm(primary, alpha, p_int).seminorm
@@ -232,26 +251,16 @@ def scaling_experiment(
         seminorms = {"u": s_u, "v": s_w}
         bound_factor = s_u**2 * (s_u + s_w)
 
-        def measure(eps: float) -> float:
-            kern = make_kernel(grid, eps)
-            return abs(cet_trilinear(primary, secondary, kern))
-
-    magnitudes = [measure(e) for e in epsilons]
-
-    vacuous = all(m <= VACUOUS_MAGNITUDE for m in magnitudes)
+    magnitudes = _sweep_magnitudes(primary, secondary, quantity, epsilons, p_int)
+    intercepts, vacuous = _sweep_intercepts(magnitudes, epsilons, theory_slope, bound_factor)
     if vacuous:
         fitted_slope = float("nan")
         passed = True
-        intercepts = [0.0 for _ in epsilons]
     else:
         loge = np.log(epsilons)
         logm = np.log(np.maximum(magnitudes, 1e-300))
         fitted_slope = float(np.polyfit(loge, logm, 1)[0])
         passed = fitted_slope >= theory_slope - slope_tolerance
-        denom = max(bound_factor, 1e-300)
-        intercepts = [
-            m / (e**theory_slope * denom) for m, e in zip(magnitudes, epsilons)
-        ]
     return ScalingReport(
         quantity=quantity,
         alpha=float(alpha),

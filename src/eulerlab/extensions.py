@@ -61,9 +61,7 @@ from .solver import (
     DEFAULT_CFL,
     State,
     Trajectory,
-    _check_cfl,
     _check_initial_velocity,
-    _rk4_stage,
     _run_config,
     _velocity_field,
     _velocity_hats,
@@ -84,7 +82,6 @@ from .uniqueness import (
 )
 
 __all__ = [
-    "transport_step",
     "inhom_solve",
     "density_contraction_check",
     "DensityContractionReport",
@@ -104,23 +101,6 @@ POISSON_MAX_ITER = 500
 def _transport_tendency(grid: PeriodicGrid, rho: np.ndarray, u: Sequence[np.ndarray]) -> np.ndarray:
     """``-div(rho u)`` in spectral form (zero mode exactly untouched)."""
     return -_div_hat(grid, [_dealiased_product(grid, rho, ui) for ui in u])
-
-
-def transport_step(
-    rho: ScalarField, u: VelocityField, dt: float, cfl: float = DEFAULT_CFL
-) -> ScalarField:
-    """One 4-stage step of ``d(rho)/dt = -div(rho u)`` with ``u`` frozen."""
-    grid = rho.grid
-    if grid != u.grid:
-        raise ConfigurationError("density and velocity must share a grid")
-    _check_cfl(u.max_speed(), grid, dt, cfl)
-    uvals = [c.values for c in u.components]
-
-    def rhs(hats: tuple) -> tuple:
-        return (_transport_tendency(grid, grid.irfftn(hats[0]), uvals),)
-
-    (new_hat,) = _rk4_stage((rho.hat * grid.dealias_mask,), dt, rhs)
-    return ScalarField.from_hat(grid, new_hat)
 
 
 # ---------------------------------------------------------------------------

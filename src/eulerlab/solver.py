@@ -322,7 +322,6 @@ class TimeProfile:
     """
 
     value: Callable[[float], float]
-    derivative: Callable[[float], float]
     antiderivative: Callable[[float], float]
     antiderivative2: Callable[[float], float]
     horizon: float
@@ -334,7 +333,6 @@ def cosine_window(T: float) -> TimeProfile:
     w = math.pi / T
     return TimeProfile(
         value=lambda t: 0.5 * (1.0 + math.cos(w * t)),
-        derivative=lambda t: -0.5 * w * math.sin(w * t),
         antiderivative=lambda t: 0.5 * t + 0.5 / w * math.sin(w * t),
         antiderivative2=lambda t: 0.25 * t * t - 0.5 / (w * w) * math.cos(w * t),
         horizon=T,
@@ -345,7 +343,6 @@ def linear_window(T: float) -> TimeProfile:
     """``1 - t/T``: the gentlest C^1 weight vanishing at the horizon."""
     return TimeProfile(
         value=lambda t: 1.0 - t / T,
-        derivative=lambda t: -1.0 / T,
         antiderivative=lambda t: t - t * t / (2.0 * T),
         antiderivative2=lambda t: t * t / 2.0 - t**3 / (6.0 * T),
         horizon=T,

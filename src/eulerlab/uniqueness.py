@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from .besov import _check_usable, besov_seminorm
-from .commutator import scaling_experiment
+from .commutator import _sweep_intercepts, _sweep_magnitudes
 from .errors import ConfigurationError, GridMismatchError
 from .grid_fields import (
     VelocityField,
@@ -353,12 +353,14 @@ def _pair_series(traj_a, traj_b, energy, alpha: float, p_int: float):
 
 
 def _check_sweep(budget_route: str, epsilons: Sequence[float]) -> None:
-    """Reject an unknown budget route or an empty epsilon sweep, so a bad
-    configuration fails before any leg is solved."""
+    """Reject an unknown budget route or an epsilon sweep with fewer than 4
+    distinct scales, so a bad configuration fails before any leg is solved."""
     if budget_route not in ROUTE_THRESHOLDS:
         raise ConfigurationError("budget_route must be 'convective' or 'trilinear'")
-    if len(epsilons) == 0:
-        raise ConfigurationError("need at least one epsilon for the budget sweep")
+    if len(epsilons) < 4:
+        raise ConfigurationError("need at least 4 epsilons for the budget sweep")
+    if len(set(epsilons)) != len(epsilons):
+        raise ConfigurationError("the budget sweep's epsilons must be distinct")
 
 
 def _certify_pair(
@@ -411,27 +413,25 @@ def _certify_pair(
         required = EXTENDED_REQUIRED_ALPHA
     met = fitted_alpha > required
 
+    # the budget constant reuses the first snapshots' seminorms from above
     v0 = traj_b.states[0].velocity
     if budget_route == "convective":
-        sweep = scaling_experiment(
-            v0, "convective_commutator_lp", epsilons, p_int, alpha=alpha
-        )
-        rate = 2.0 * alpha - 1.0
+        fields, quantity, rate = (v0, None), "convective_commutator_lp", 2.0 * alpha - 1.0
+        bound_factor = seminorms[0] ** 2
         weight = _trapz([s * s for s in seminorms], times)
     else:
         u0_on_v = resample(traj_a.states[0].velocity, grid_v)
-        sweep = scaling_experiment(
-            (u0_on_v, v0), "cet_trilinear", epsilons, p_int, alpha=alpha
-        )
-        rate = 3.0 * alpha - 1.0
+        fields, quantity, rate = (u0_on_v, v0), "cet_trilinear", 3.0 * alpha - 1.0
         su = [
             besov_seminorm(resample(s.velocity, grid_v), alpha, p_int).seminorm
             for s in traj_a.states
         ]
+        bound_factor = su[0] ** 2 * (su[0] + seminorms[0])
         weight = _trapz(
             [a * a * (a + b) for a, b in zip(su, seminorms)], times
         )
-    c_fit = max(sweep.intercepts) if not sweep.vacuous else 0.0
+    magnitudes = _sweep_magnitudes(*fields, quantity, epsilons, p_int)
+    c_fit = max(_sweep_intercepts(magnitudes, epsilons, rate, bound_factor)[0])
     budgets = [c_fit * e**rate * weight for e in epsilons]
     work_eps = float(working_epsilon) if working_epsilon is not None else min(epsilons)
     budget = c_fit * work_eps**rate * weight

@@ -1,14 +1,47 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from eulerlab.cli import main, parse_config, run, validate
+from eulerlab.cli import _KEYS, EXPERIMENTS, main, parse_config, run, validate
 from eulerlab.errors import ConfigurationError
 from eulerlab.grid_fields import make_grid
 from eulerlab.synth import SynthSpec, field_from_spec
 
-DEMO_CONFIGS = sorted(Path(__file__).resolve().parents[1].glob("demos/configs/*.ini"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMO_CONFIGS = sorted(ROOT.glob("demos/configs/*.ini"))
+
+# the kind groups that the README's config table names in its "Read by" column
+SCALING = {"commutator_scaling", "cet_scaling"}
+EXTENDED = {"inhom_uniqueness", "boussinesq_uniqueness"}
+CERTIFY = {"uniqueness"} | EXTENDED
+README_GROUPS = {
+    "all": set(EXPERIMENTS),
+    "audits": {"besov_fit"} | SCALING,
+    "scaling": SCALING,
+    "certify": CERTIFY,
+    "extended": EXTENDED,
+    "solvers": {"energy_conservation", "weak_residual"} | CERTIFY,
+}
+
+
+def readme_key_table():
+    """``(section, key) -> kinds`` as the README's config table lists them."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("| Section | Key | Read by | Meaning (default) |") + 2
+    rows = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        section_cell, key_cell, kinds_cell = (c.strip() for c in line.split("|")[1:4])
+        section = section_cell.strip("`[]") or section
+        kinds = set().union(
+            *(README_GROUPS.get(name, {name.strip("`")}) for name in kinds_cell.split(", "))
+        )
+        for key in re.findall(r"`(\w+)`", key_cell):
+            rows[section, key] = kinds
+    return rows
 
 
 def write_config(tmp_path, text, name="exp.ini"):
@@ -107,6 +140,15 @@ class TestParseAndValidate:
         )
         with pytest.raises(ConfigurationError, match="unknown experiment"):
             parse_config(cfg)
+
+    def test_readme_table_names_every_key(self):
+        """The README's config table lists exactly the key table's
+        ``(section, key)`` pairs, each with the kinds that read it."""
+        readers = {}
+        for kind, keys in _KEYS.items():
+            for section_key in keys:
+                readers.setdefault(section_key, set()).add(kind)
+        assert readme_key_table() == readers
 
     def test_validate_good_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL_ENERGY)
@@ -225,6 +267,54 @@ class TestRun:
         assert validate(cfg) == 1
         assert run(cfg, output_dir=tmp_path / "out") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(certify_config("uniqueness", "[density]\namplitude = 0.2\n"),
+                     id="density-amplitude-on-uniqueness"),
+        *(pytest.param(certify_config(kind).replace("[grid]\n", "[grid]\ndims = 2\n"),
+                       id=f"grid-dims-on-{kind}") for kind in sorted(CERTIFY_EXTRA)),
+        pytest.param(MINIMAL_ENERGY + "\n[solver_b]\nn = 256\n",
+                     id="solver_b-n-on-energy_conservation"),
+        pytest.param(certify_config("inhom_uniqueness", "[weak]\ncount = 3\n"),
+                     id="weak-count-on-inhom_uniqueness"),
+        pytest.param(certify_config("uniqueness", "[output]\nsave_snapshots = 0\n"),
+                     id="output-save_snapshots-on-uniqueness"),
+        pytest.param(MINIMAL_ENERGY.replace("energy_conservation", "weak_residual")
+                     + "drift_tolerance = 1e-6\n", id="solver-drift_tolerance-on-weak_residual"),
+    ])
+    def test_key_another_kind_reads_rejected(self, tmp_path, capsys, text):
+        """A key that only other kinds read exits 1 before anything runs."""
+        cfg = write_config(tmp_path, text)
+        assert validate(cfg) == 1
+        assert run(cfg, output_dir=tmp_path / "out") == 1
+        assert not (tmp_path / "out").exists()
+        assert "does not apply to kind" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, allowed", [
+        pytest.param(MINIMAL_ENERGY.replace("energy_conservation", "weak_residual")
+                     + "\n[weak]\nwindow = bogus\n", "cosine, linear", id="window"),
+        pytest.param(certify_config("boussinesq_uniqueness").replace(
+            "theta_amplitude = 0.2", "theta_amplitude = 0.2\ntheta_axis = 5"), "0, 1",
+            id="theta_axis"),
+        pytest.param(certify_config("boussinesq_uniqueness").replace("g = 0.0 -1.0", "g = -1.0"),
+                     "two numbers", id="one-component-g"),
+        pytest.param(UNIQUENESS.replace("0.5 0.25 0.125 0.0625", "0.5 0.25 0.125"),
+                     "at least 4 distinct numbers", id="three-certify-epsilons"),
+        pytest.param(UNIQUENESS.replace("0.5 0.25 0.125 0.0625", "0.5 0.25 0.125 0.125"),
+                     "at least 4 distinct numbers", id="repeated-certify-epsilon"),
+        pytest.param(MINIMAL_ENERGY.replace("dt = 1e-3", "dt = -1e-3"), "a positive number",
+                     id="negative-dt"),
+    ])
+    def test_bad_value_rejected_before_solving(self, tmp_path, capsys, text, allowed):
+        """A value outside the key's allowed values exits 1 before anything
+        runs, and the message names the allowed values."""
+        cfg = write_config(tmp_path, text)
+        assert validate(cfg) == 1
+        assert run(cfg, output_dir=tmp_path / "out") == 1
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert "bad value for" in err
+        assert f"(allowed: {allowed})" in err
 
     def test_seed_override_changes_hashless_fields(self, tmp_path):
         cfg = write_config(tmp_path, BESOV)

@@ -310,7 +310,6 @@ class TestWeakResidual:
 
         never_zero = TimeProfile(
             value=lambda t: 1.0,
-            derivative=lambda t: 0.0,
             antiderivative=lambda t: t,
             antiderivative2=lambda t: t * t / 2,
             horizon=1.0,

@@ -292,10 +292,10 @@ class TestUniquenessExperiment:
         report = uniqueness_experiment(
             u0, cfg, cfg, alpha=0.6, p_int=3.0, epsilons=self.EPS
         )
-        # one probe per B snapshot (seminorm and fitted exponent together)
-        # plus the budget sweep's seminorm of B's initial velocity
+        # one probe per B snapshot (seminorm and fitted exponent together);
+        # the budget constant reuses the first one
         assert len(report.times) == 6
-        assert len(calls) == len(report.times) + 1
+        assert len(calls) == len(report.times)
 
     def test_one_lipschitz_kernel_per_series(self, monkeypatch):
         kernels = []
@@ -316,7 +316,10 @@ class TestUniquenessExperiment:
         assert kernels == [(64, 4 * 2.0 / 64)]
         assert report.lipschitz.reg_epsilon == 4 * 2.0 / 64
 
-    @pytest.mark.parametrize("route, eps", [("nonsense", EPS), ("convective", [])])
+    @pytest.mark.parametrize("route, eps", [
+        ("nonsense", EPS), ("convective", []), ("convective", EPS[:3]),
+        ("convective", [0.5, 0.25, 0.25, 0.125]),
+    ])
     def test_bad_sweep_rejected_before_solving(self, monkeypatch, route, eps):
         def no_solve(*args):
             raise AssertionError("solved a pair with a bad sweep")
