@@ -54,7 +54,7 @@ from .solver import (
 )
 from .synth import KINDS as SYNTH_KINDS
 from .synth import SynthSpec, field_from_spec, low_mode_divfree, low_mode_scalar
-from .uniqueness import ROUTE_THRESHOLDS, RunConfig, uniqueness_experiment
+from .uniqueness import ROUTE_THRESHOLDS, RunConfig, _check_cadences, uniqueness_experiment
 
 EXPERIMENTS = (
     "besov_fit",
@@ -197,6 +197,8 @@ def _fill_derived(kind: str, v: dict) -> None:
                         ("cfl", "solver")):
         if v["solver_b", key] is None:
             v["solver_b", key] = v[source, key]
+    _check_cadences(v["solver", "dt"] * v["solver", "snapshot_stride"],
+                    v["solver_b", "dt"] * v["solver_b", "snapshot_stride"])
 
 
 class ExperimentConfig:
@@ -250,7 +252,8 @@ class ExperimentConfig:
 
 def parse_config(path, seed_override: Optional[int] = None) -> ExperimentConfig:
     text = Path(path).read_text()
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # values are read literally: a '%' is a character, not an interpolation
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     parser.optionxform = str  # keep key case ('T' is not 't')
     try:
         parser.read_string(text)

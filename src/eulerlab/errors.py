@@ -1,5 +1,7 @@
 """Exception taxonomy shared by all modules."""
 
+from typing import Optional
+
 
 class EulerLabError(Exception):
     """Base class for all library errors."""
@@ -14,11 +16,15 @@ class GridMismatchError(EulerLabError):
 
 
 class StepSizeError(EulerLabError):
-    """Time step violates the CFL bound."""
+    """Time step violates the CFL bound: at ``step``, which starts at
+    ``time``, when the integrator knows them."""
 
-    def __init__(self, message: str, admissible_dt: float):
+    def __init__(self, message: str, admissible_dt: float,
+                 step: Optional[int] = None, time: Optional[float] = None):
         super().__init__(message)
         self.admissible_dt = admissible_dt
+        self.step = step
+        self.time = time
 
 
 class SolverAbort(EulerLabError):

@@ -3,16 +3,22 @@
 Vorticity-streamfunction formulation: the scalar vorticity is advanced with
 the classical 4-stage explicit integrator, velocity is recovered through the
 spectral Biot-Savart map (which enforces the divergence constraint
-identically), and the quadratic advection term is evaluated pointwise in
-conservative form ``div(u w)`` and 2/3-dealiased, so it coincides with the
-Galerkin product of band-limited fields and its spatial mean vanishes exactly
-in spectral form.  Pressure never enters the time loop; it is recovered
-diagnostically from the div-div Poisson equation.
+identically), and the quadratic advection term is evaluated in stress form,
+``-div(u w) = (d2^2 - d1^2)(u1 u2) + d1 d2 (u1^2 - u2^2)`` for solenoidal
+``u`` with ``w = curl u``.  The products are taken pointwise and the
+2/3-dealias mask is folded into the real stress symbols, so the term is the
+Galerkin product of band-limited fields, its spatial mean vanishes exactly,
+and one tendency costs four transforms: ``u1`` and ``u2`` inverse, the two
+products forward; the vorticity itself never leaves spectral space.
+Pressure never enters the time loop; it is recovered diagnostically from the
+div-div Poisson equation.
 
 Energy and enstrophy of the dealiased semi-discretization are conserved in
 continuous time; all recorded drift is the integrator's and shrinks like
-dt^4.  Under-resolved runs are legal but show up as admissibility violations
-in the energy ledger, which is a checked property, never an enforced one.
+dt^4.  CFL is checked at every step against the speed of the step's first
+stage.  Under-resolved runs are legal but show up as admissibility
+violations in the energy ledger, which is a checked property, never an
+enforced one.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from .grid_fields import (
     PeriodicGrid,
     ScalarField,
     VelocityField,
-    _dealiased_product,
     _dealiased_product_tensor,
     curl_2d,
     divergence,
@@ -71,45 +76,83 @@ def enstrophy(w: ScalarField) -> float:
     return lp_norm(w, 2.0) ** 2
 
 
-def _velocity_hats(grid: PeriodicGrid, w_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Biot-Savart in spectral form: u = perp-grad of the streamfunction."""
-    psi = -w_hat * grid.inv_k_squared
-    u1 = -1j * grid.deriv_wavenumber(1) * psi
-    u2 = 1j * grid.deriv_wavenumber(0) * psi
-    return u1, u2
+class _Vorticity:
+    """The spectral symbols of the vorticity formulation on one grid, built
+    once per solve: Biot-Savart ``u_i_hat = w_hat * b_i`` with
+    ``b = (i k1/|k|^2, -i k0/|k|^2)``, and the real stress symbols
+    ``(k0^2 - k1^2) * mask`` and ``k0 k1 * mask``, which vanish at k = 0."""
+
+    def __init__(self, grid: PeriodicGrid):
+        k0, k1 = grid.deriv_wavenumber(0), grid.deriv_wavenumber(1)
+        self.grid = grid
+        self.biot_savart = (1j * k1 * grid.inv_k_squared, -1j * k0 * grid.inv_k_squared)
+        self.stress = ((k0 * k0 - k1 * k1) * grid.dealias_mask, k0 * k1 * grid.dealias_mask)
+
+    def velocity(self, w_hat: np.ndarray) -> VelocityField:
+        return VelocityField([ScalarField.from_hat(self.grid, w_hat * b)
+                              for b in self.biot_savart])
+
+    def advect(self, w_hat: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """``-div(u w)`` in spectral form and the physical velocity ``(u1, u2)``.
+
+        The tendency is ``s_P * P_hat + s_Q * Q_hat`` with ``P = u1 u2`` and
+        ``Q = (u2 - u1)(u2 + u1)``: four transforms, and a fresh array.
+        """
+        grid = self.grid
+        u1, u2 = (grid.irfftn(w_hat * b) for b in self.biot_savart)
+        p_hat = grid.rfftn(u1 * u2)
+        q = u2 - u1
+        q *= u2 + u1
+        q_hat = grid.rfftn(q)
+        s_p, s_q = self.stress
+        p_hat *= s_p
+        q_hat *= s_q
+        p_hat += q_hat
+        return p_hat, (u1, u2)
 
 
-def _advection_tendency(grid: PeriodicGrid, w_hat: np.ndarray) -> np.ndarray:
-    """``-div(u w)`` with dealiased pointwise products (zero mean exactly)."""
-    u1_hat, u2_hat = _velocity_hats(grid, w_hat)
-    return _vorticity_flux_tendency(grid, w_hat, grid.irfftn(u1_hat), grid.irfftn(u2_hat))
+def _max_speed(u: Sequence[np.ndarray]) -> float:
+    """Largest pointwise Euclidean norm of the physical components ``u``."""
+    sq = u[0] * u[0]
+    for c in u[1:]:
+        sq += c * c
+    return math.sqrt(float(sq.max()))
 
 
-def _vorticity_flux_tendency(
-    grid: PeriodicGrid, w_hat: np.ndarray, u1: np.ndarray, u2: np.ndarray
-) -> np.ndarray:
-    """``-div(u w)`` from the physical velocity ``(u1, u2)`` of ``w_hat``."""
-    w = grid.irfftn(w_hat)
-    f1 = _dealiased_product(grid, u1, w)
-    f2 = _dealiased_product(grid, u2, w)
-    return -(1j * grid.deriv_wavenumber(0) * f1 + 1j * grid.deriv_wavenumber(1) * f2)
-
-
-def _rk4_stage(hats: tuple, dt: float, rhs: Callable[[tuple], tuple]) -> tuple:
+def _rk4_stage(hats: tuple, dt: float, rhs: Callable[[tuple, bool], tuple]) -> tuple:
     """One classical 4-stage step of ``d(hats)/dt = rhs(hats)``, elementwise
-    over a tuple of spectral arrays."""
-    k1 = rhs(hats)
-    k2 = rhs(tuple(h + (0.5 * dt) * k for h, k in zip(hats, k1)))
-    k3 = rhs(tuple(h + (0.5 * dt) * k for h, k in zip(hats, k2)))
-    k4 = rhs(tuple(h + dt * k for h, k in zip(hats, k3)))
-    return tuple(
-        h + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-        for h, a, b, c, d in zip(hats, k1, k2, k3, k4)
-    )
+    over a tuple of spectral arrays; returns the new state and the largest
+    speed of ``hats``.
 
+    ``rhs(hats, with_speed)`` returns ``(tendencies, speed)``: fresh arrays,
+    which this step overwrites, and the largest speed of ``hats`` when
+    ``with_speed`` is set (else None); only the first stage asks for it.
+    The stage inputs and the final combine run in place, in the operation
+    order of ``h + (dt/6) (k1 + 2 k2 + 2 k3 + k4)``, so the step is bitwise
+    equal to that formula evaluated out of place.
+    """
 
-def _velocity_field(grid: PeriodicGrid, w_hat: np.ndarray) -> VelocityField:
-    return VelocityField([ScalarField.from_hat(grid, h) for h in _velocity_hats(grid, w_hat)])
+    def stage_input(ks: tuple, scale: float) -> tuple:
+        out = []
+        for h, k in zip(hats, ks):
+            x = k * scale
+            x += h
+            out.append(x)
+        return tuple(out)
+
+    k1, speed = rhs(hats, True)
+    k2, _ = rhs(stage_input(k1, 0.5 * dt), False)
+    k3, _ = rhs(stage_input(k2, 0.5 * dt), False)
+    k4, _ = rhs(stage_input(k3, dt), False)
+    for h, a, b, c, d in zip(hats, k1, k2, k3, k4):
+        b *= 2.0
+        b += a
+        c *= 2.0
+        b += c
+        b += d
+        b *= dt / 6.0
+        b += h
+    return k2, speed
 
 
 @dataclass
@@ -165,13 +208,16 @@ def cfl_dt_bound(grid: PeriodicGrid, speed: float, cfl: float) -> float:
     return cfl * grid.spacing / speed if speed > 0.0 else math.inf
 
 
-def _check_cfl(speed: float, grid: PeriodicGrid, dt: float, cfl: float) -> None:
-    if dt <= 0.0:
-        raise ConfigurationError(f"dt must be positive, got {dt}")
+def _check_cfl(speed: float, grid: PeriodicGrid, dt: float, cfl: float,
+               step: int, t: float) -> None:
+    """Reject step ``step``, which starts at ``t`` with largest speed
+    ``speed``, when ``dt`` exceeds the CFL bound."""
     limit = cfl_dt_bound(grid, speed, cfl)
     if dt > limit:
         raise StepSizeError(
-            f"dt={dt} violates the CFL bound; admissible dt <= {limit}", limit
+            f"step {step} from t={t}: dt={dt} violates the CFL bound at speed "
+            f"{speed}; admissible dt <= {limit} (margin {limit - dt:.3g})",
+            limit, step=step, time=t,
         )
 
 
@@ -199,7 +245,7 @@ def _run_config(grid: PeriodicGrid, T: float, dt: float, snapshot_stride: int,
 def integrate(
     grid: PeriodicGrid,
     hats: tuple,
-    rhs: Callable[[tuple], tuple],
+    rhs: Callable[[tuple, bool], tuple],
     materialize: Callable[[float, tuple], State],
     T: float,
     dt: float,
@@ -208,27 +254,28 @@ def integrate(
 ) -> list[State]:
     """Advance the spectral state ``hats`` to ``T`` in RK4 steps of ``dt``.
 
-    ``materialize(t, hats)`` builds the recorded :class:`State` at t = 0,
-    every ``snapshot_stride`` steps and at ``T``; CFL is audited against each
-    recorded velocity.  A non-finite state aborts the run.
+    ``rhs`` follows :func:`_rk4_stage`'s contract.  ``materialize(t, hats)``
+    builds the recorded :class:`State` at t = 0, every ``snapshot_stride``
+    steps and at ``T``.  Every step is checked against the CFL bound at the
+    speed its first stage measures; a breach raises :class:`StepSizeError`
+    naming the step, and a non-finite state aborts the run.
     """
+    if dt <= 0.0:
+        raise ConfigurationError(f"dt must be positive, got {dt}")
     if snapshot_stride < 1:
         raise ConfigurationError("snapshot_stride must be >= 1")
     n_steps = steps_for_horizon(T, dt)
     if not n_steps:
         raise ConfigurationError(f"T={T} must be a positive integer multiple of dt={dt}")
     states = [materialize(0.0, hats)]
-    _check_cfl(states[0].velocity.max_speed(), grid, dt, cfl)
     for k in range(1, n_steps + 1):
-        hats = _rk4_stage(hats, dt, rhs)
+        hats, speed = _rk4_stage(hats, dt, rhs)
+        _check_cfl(speed, grid, dt, cfl, k, (k - 1) * dt)
         t = k * dt
         if not all(np.all(np.isfinite(h)) for h in hats):
             raise SolverAbort(f"non-finite state at t={t}", t)
         if k % snapshot_stride == 0 or k == n_steps:
-            state = materialize(t, hats)
-            # CFL is re-audited at snapshot cadence against the evolved speed.
-            _check_cfl(state.velocity.max_speed(), grid, dt, cfl)
-            states.append(state)
+            states.append(materialize(t, hats))
     return states
 
 
@@ -245,10 +292,16 @@ def solve(
     if grid.dims != 2:
         raise ConfigurationError("the solver supports dims=2 only")
     _check_initial_velocity(u0)
+    vort = _Vorticity(grid)
+
+    def rhs(hats: tuple, with_speed: bool) -> tuple:
+        dw, u = vort.advect(hats[0])
+        return (dw,), _max_speed(u) if with_speed else None
+
     w_hat = curl_2d(u0).hat * grid.dealias_mask
     states = integrate(
-        grid, (w_hat,), lambda hats: (_advection_tendency(grid, hats[0]),),
-        lambda t, hats: State(t, _velocity_field(grid, hats[0]),
+        grid, (w_hat,), rhs,
+        lambda t, hats: State(t, vort.velocity(hats[0]),
                               {"vorticity": ScalarField.from_hat(grid, hats[0])}),
         T, dt, snapshot_stride, cfl,
     )

@@ -227,6 +227,14 @@ class RunConfig:
         return self.dt * self.snapshot_stride
 
 
+def _check_cadences(cadence_a: float, cadence_b: float) -> None:
+    """Both legs must record snapshots at the same physical times."""
+    if abs(cadence_a - cadence_b) > 1e-12:
+        raise ConfigurationError(
+            f"snapshot cadences differ: {cadence_a} vs {cadence_b} (dt * stride must match)"
+        )
+
+
 @dataclass
 class UniquenessReport:
     """Everything the certification pipeline measured, JSON-ready."""
@@ -307,11 +315,7 @@ def run_pair(fields: Sequence, cfg_a: RunConfig, cfg_b: RunConfig, solve_leg):
     """
     if abs(cfg_a.T - cfg_b.T) > 1e-12:
         raise ConfigurationError("both runs must share the horizon T")
-    if abs(cfg_a.cadence() - cfg_b.cadence()) > 1e-12:
-        raise ConfigurationError(
-            "snapshot cadences differ: "
-            f"{cfg_a.cadence()} vs {cfg_b.cadence()} (dt * stride must match)"
-        )
+    _check_cadences(cfg_a.cadence(), cfg_b.cadence())
     traj = []
     for cfg in (cfg_a, cfg_b):
         grid = make_grid(fields[0].grid.dims, cfg.grid_n)

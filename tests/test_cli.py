@@ -316,6 +316,26 @@ class TestRun:
         assert "bad value for" in err
         assert f"(allowed: {allowed})" in err
 
+    def test_percent_in_value_read_literally(self, tmp_path, capsys):
+        """A '%' is a plain character in a value, not an interpolation."""
+        cfg = write_config(tmp_path, MINIMAL_ENERGY + f"\n[output]\ndir = {tmp_path}/out%1\n")
+        assert parse_config(cfg)["output", "dir"] == f"{tmp_path}/out%1"
+        assert validate(cfg) == 0
+        assert run(cfg) == 0
+        assert (tmp_path / "out%1" / "report.json").exists()
+
+    def test_differing_cadences_rejected_before_solving(self, tmp_path, capsys):
+        """B's dt * stride must match A's; both set by hand are checked at
+        parse time, before any output directory exists."""
+        text = (ROOT / "demos/configs/inhom_uniqueness.ini").read_text().replace(
+            "[solver_b]\nn = 128\ndt = 1e-3\nsnapshot_stride = 20",
+            "[solver_b]\nn = 128\ndt = 1e-3\nsnapshot_stride = 30")
+        cfg = write_config(tmp_path, text)
+        assert validate(cfg) == 1
+        assert run(cfg, output_dir=tmp_path / "out") == 1
+        assert not (tmp_path / "out").exists()
+        assert "snapshot cadences differ: 0.02 vs 0.03" in capsys.readouterr().err
+
     def test_seed_override_changes_hashless_fields(self, tmp_path):
         cfg = write_config(tmp_path, BESOV)
         out1 = tmp_path / "o1"

@@ -5,6 +5,7 @@ from eulerlab.errors import ConfigurationError, SolverAbort, StepSizeError
 from eulerlab.grid_fields import (
     ScalarField,
     VelocityField,
+    _dealiased_product,
     curl_2d,
     lp_norm,
     make_grid,
@@ -19,6 +20,9 @@ from eulerlab.solver import (
     enstrophy,
     kinetic_energy,
     linear_window,
+    _max_speed,
+    _rk4_stage,
+    _Vorticity,
     recover_pressure,
     solve,
     weak_residual,
@@ -45,6 +49,18 @@ def run_system(system, u0, T, dt, scalar=None):
     return boussinesq_solve(theta, u0, (0.0, -1.0), T, dt)
 
 
+def conservative_tendency(grid, w_hat):
+    """``-div(u w)`` in conservative form, five transforms: the oracle for
+    the solver's stress form."""
+    psi = -w_hat * grid.inv_k_squared
+    u1 = grid.irfftn(-1j * grid.deriv_wavenumber(1) * psi)
+    u2 = grid.irfftn(1j * grid.deriv_wavenumber(0) * psi)
+    w = grid.irfftn(w_hat)
+    f1 = _dealiased_product(grid, u1, w)
+    f2 = _dealiased_product(grid, u2, w)
+    return -(1j * grid.deriv_wavenumber(0) * f1 + 1j * grid.deriv_wavenumber(1) * f2)
+
+
 def velocity_l2_diff(a, b):
     return lp_norm(
         VelocityField.from_arrays(
@@ -69,7 +85,8 @@ class TestStep:
         assert velocity_l2_diff(traj.final().velocity, tg) <= 1e-9
 
     def test_shear_flow_steady_exactly(self):
-        # omega depends on x2 only while u2 = 0, so the conservative tendency
+        # omega depends on x2 only while u2 = 0: u1 u2 is zero and u1^2 has
+        # no x1-modes, where the stress symbol k0 k1 lives, so the tendency
         # vanishes identically and the spectral state never changes.
         grid = make_grid(2, 64)
         u0 = grid.sample_velocity(
@@ -87,6 +104,22 @@ class TestStep:
         with pytest.raises(StepSizeError) as err:
             run_system(system, tg, 1.0, 0.5)
         assert err.value.admissible_dt <= 0.5 * grid.spacing
+
+    def test_cfl_breach_between_snapshots_names_its_step(self):
+        # From rest, theta = sin(pi x1) under g = (0, -G) drives the shear
+        # u = (0, -G t sin(pi x1)), an exact solution whose speed is G t.
+        # With dt = 0.01 on 32^2 the speed bound 0.5 h / dt = 3.125 is first
+        # exceeded by the state at t = 0.04, which starts step 5; the only
+        # snapshots are at t = 0 and T = 0.1.
+        grid = make_grid(2, 32)
+        theta = grid.sample_scalar(lambda x, y: np.sin(np.pi * x))
+        u0 = VelocityField.from_arrays(grid, [np.zeros(grid.shape)] * 2)
+        with pytest.raises(StepSizeError) as err:
+            boussinesq_solve(theta, u0, (0.0, -100.0), 0.1, 0.01, snapshot_stride=10)
+        assert err.value.step == 5
+        assert err.value.time == pytest.approx(0.04)
+        assert "step 5 from t=0.04" in str(err.value)
+        assert err.value.admissible_dt == pytest.approx(0.03125 / 4.0)
 
     @pytest.mark.parametrize("system", SYSTEMS)
     def test_nan_abort(self, system):
@@ -113,6 +146,86 @@ class TestStep:
             with pytest.raises(SolverAbort) as err:
                 run_system(system, u0, T, dt, scalar=rho)
         assert err.value.time == dt
+
+
+class TestStressForm:
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_matches_conservative_form(self, n):
+        grid = make_grid(2, n)
+        for seed in (1, 2):
+            w_hat = random_band_limited_scalar(grid, grid.dealias_kmax, seed).hat
+            expect = conservative_tendency(grid, w_hat)
+            got, _ = _Vorticity(grid).advect(w_hat)
+            assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    def test_zero_mode_exactly_zero(self):
+        grid = make_grid(2, 64)
+        w_hat = random_band_limited_scalar(grid, grid.dealias_kmax, 3).hat
+        got, _ = _Vorticity(grid).advect(w_hat)
+        assert got[0, 0] == 0.0
+
+    def test_velocity_and_speed(self):
+        grid = make_grid(2, 64)
+        u0 = random_divfree(grid, 2.0, seed=4)
+        w_hat = curl_2d(u0).hat * grid.dealias_mask
+        vort = _Vorticity(grid)
+        _, (u1, u2) = vort.advect(w_hat)
+        u = vort.velocity(w_hat)
+        for a, b in zip((u1, u2), u.components):
+            assert np.max(np.abs(a - b.values)) <= 1e-12 * max_norm(u)
+        assert _max_speed((u1, u2)) == pytest.approx(u.max_speed(), rel=1e-12)
+
+    @pytest.mark.parametrize("system, per_stage", [("solve", 4), ("boussinesq_solve", 7)])
+    def test_transforms_per_stage(self, monkeypatch, system, per_stage):
+        # two horizons with the same two snapshots: the difference is the
+        # stepping alone, 4 stages per step (the initial fields' spectra are
+        # cached before counting, so both runs transform the same set-up)
+        grid = make_grid(2, 32)
+        u0 = random_divfree(grid, 2.0, seed=5)
+        theta = random_band_limited_scalar(grid, 4, seed=6)
+        for f in (theta, *u0.components):
+            f.hat
+        dt = 1e-3
+        calls = count_transforms(monkeypatch)
+        counts = []
+        for n_steps in (2, 5):
+            del calls[:]
+            if system == "solve":
+                solve(u0, n_steps * dt, dt, snapshot_stride=n_steps)
+            else:
+                boussinesq_solve(theta, u0, (0.0, -1.0), n_steps * dt, dt,
+                                 snapshot_stride=n_steps)
+            counts.append(len(calls))
+        assert counts[1] - counts[0] == 3 * 4 * per_stage
+
+    def test_rk4_in_place_bitwise_textbook(self):
+        gen = np.random.default_rng(7)
+
+        def cplx(shape):
+            return gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+
+        ops = (cplx((8, 5)), cplx((8, 5)))
+        hats = (cplx((8, 5)), cplx((8, 5)))
+        kept = tuple(h.copy() for h in hats)
+        dt = 0.3
+
+        def rhs(hs, with_speed):
+            return tuple(a * h for a, h in zip(ops, hs)), (2.5 if with_speed else None)
+
+        def tendency(hs):
+            return rhs(hs, False)[0]
+
+        k1 = tendency(hats)
+        k2 = tendency(tuple(h + (0.5 * dt) * k for h, k in zip(hats, k1)))
+        k3 = tendency(tuple(h + (0.5 * dt) * k for h, k in zip(hats, k2)))
+        k4 = tendency(tuple(h + dt * k for h, k in zip(hats, k3)))
+        expect = tuple(h + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+                       for h, a, b, c, d in zip(hats, k1, k2, k3, k4))
+        got, speed = _rk4_stage(hats, dt, rhs)
+        assert speed == 2.5
+        for g, e, h, k in zip(got, expect, hats, kept):
+            assert np.array_equal(g, e)
+            assert np.array_equal(h, k)  # the step never writes its input
 
 
 class TestSolve:
