@@ -10,6 +10,7 @@ discretization-dominated.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -108,25 +109,43 @@ def _steps_from_xi(grid: PeriodicGrid, xi: Sequence[float]) -> tuple[int, ...]:
     return tuple(int(s) for s in rounded)
 
 
+def _circular_diff(values: np.ndarray, steps: tuple[int, ...], out: np.ndarray) -> None:
+    """Write ``values[x + steps] - values[x]`` (indices mod n) into ``out``.
+
+    Each axis splits into the part whose shifted index stays in range and
+    the part that wraps; the shifted samples are copied into ``out`` block
+    by block and ``values`` is subtracted in place, so no rolled copy is
+    allocated and the subtraction runs over contiguous memory."""
+    per_axis = []
+    for s, n in zip(steps, values.shape):
+        k = s % n
+        if k == 0:
+            per_axis.append([(slice(None), slice(None))])
+        else:
+            per_axis.append([(slice(0, n - k), slice(k, n)), (slice(n - k, n), slice(0, k))])
+    for blocks in itertools.product(*per_axis):
+        out[tuple(b[0] for b in blocks)] = values[tuple(b[1] for b in blocks)]
+    out -= values
+
+
 def _shift_diff_norm(h: Field, steps: tuple[int, ...], p_int: float,
                      work: Optional[np.ndarray] = None) -> float:
     """``||h(. + steps * spacing) - h||_p``.
 
     ``work`` (shape ``(2,) + grid.shape``) holds a vector field's running
-    ``|d|^2`` and one component's difference.  A probe passes one buffer to
+    ``|d|^2`` and the difference of one component (or of a scalar field).  A probe passes one buffer to
     all its shifts: fresh temporaries per shift can cost a page fault per
     page touched, depending on how the heap happens to be laid out.
     """
     grid = h.grid
-    axes = tuple(range(grid.dims))
-    neg = tuple(-s for s in steps)
+    sq, d = np.empty((2,) + grid.shape) if work is None else work
     if isinstance(h, ScalarField):
-        powered = np.abs(np.roll(h.values, neg, axis=axes) - h.values) ** p_int
+        _circular_diff(h.values, steps, d)
+        powered = np.abs(d) ** p_int
     else:
-        sq, d = np.empty((2,) + grid.shape) if work is None else work
         sq.fill(0.0)
         for c in h.components:
-            np.subtract(np.roll(c.values, neg, axis=axes), c.values, out=d)
+            _circular_diff(c.values, steps, d)
             d *= d
             sq += d
         # |d|^p straight from |d|^2, without a square root in between

@@ -10,6 +10,14 @@ magnitude decays like ``eps^(3 alpha - 1)``.  A transport variant
 Quadratic products are evaluated pointwise and 2/3-dealiased before any
 derivative is taken, matching the solver convention, so every term is the
 Galerkin product of band-limited fields.
+
+An epsilon sweep builds the terms that do not depend on epsilon once
+(``div(v (x) v)``; the products ``u_i u_j`` and ``v - u``) and then spends
+7 transforms per scale on the convective commutator and 5 on the trilinear
+pairing, besides the kernel's own.  The pairing never leaves spectral
+space: ``m_ij`` meets ``d_b(v_eps - u_eps)_a`` in a Parseval sum over
+half-spectra.  The public single-scale functions run the same per-scale
+code on terms they build themselves.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from .grid_fields import (
     _dealiased_product,
     _dealiased_product_tensor,
     _div_hat,
+    _parseval_weights,
     lp_norm,
 )
 from .mollify import MollifierKernel, make_kernel, min_epsilon, mollify
@@ -52,54 +61,92 @@ VACUOUS_MAGNITUDE = 1e-14
 QUANTITIES = ("convective_commutator_lp", "cet_trilinear")
 
 
-def convective_commutator(v: VelocityField, kernel: MollifierKernel) -> VelocityField:
-    """``div(v_eps (x) v_eps) - (div(v (x) v))_eps`` as a vector field."""
+def _convective_raw(v: VelocityField) -> list[np.ndarray]:
+    """The epsilon-independent spectra of ``div(v (x) v)``, one per
+    component."""
     grid = v.grid
-    if grid != kernel.grid:
-        raise GridMismatchError("field and kernel live on different grids")
+    raw_hats = _dealiased_product_tensor(grid, [c.values for c in v.components])
+    return [_div_hat(grid, row) for row in raw_hats]
+
+
+def _convective_at(v: VelocityField, div_raw: Sequence[np.ndarray],
+                   kernel: MollifierKernel) -> VelocityField:
+    """The convective commutator at one scale, given ``div_raw`` from
+    :func:`_convective_raw`: 7 transforms."""
+    grid = v.grid
     v_eps = mollify(v, kernel)
     smooth_hats = _dealiased_product_tensor(grid, [c.values for c in v_eps.components])
-    raw_hats = _dealiased_product_tensor(grid, [c.values for c in v.components])
-    div_smooth = [_div_hat(grid, row) for row in smooth_hats]
-    div_raw = [_div_hat(grid, row) for row in raw_hats]
     comps = []
-    for i in range(grid.dims):
-        hat = div_smooth[i] - div_raw[i] * kernel.multiplier
+    for row, raw in zip(smooth_hats, div_raw):
+        hat = _div_hat(grid, row) - raw * kernel.multiplier
         comps.append(ScalarField.from_hat(grid, hat))
     return VelocityField(comps)
 
 
-def cet_trilinear(u: VelocityField, v: VelocityField, kernel: MollifierKernel) -> float:
-    """Single-slice trilinear pairing
-    ``int [(u (x) u)_eps - u_eps (x) u_eps] : grad(v_eps - u_eps) dx``.
+def convective_commutator(v: VelocityField, kernel: MollifierKernel) -> VelocityField:
+    """``div(v_eps (x) v_eps) - (div(v (x) v))_eps`` as a vector field."""
+    if v.grid != kernel.grid:
+        raise GridMismatchError("field and kernel live on different grids")
+    return _convective_at(v, _convective_raw(v), kernel)
 
-    ``m_ij = (u_i u_j)_eps - u_eps,i u_eps,j`` is symmetric, so each unordered
-    pair is transformed once and paired with both ``d_j(v_eps - u_eps)_i``
-    and ``d_i(v_eps - u_eps)_j``; the terms are summed in row-major order.
+
+def _cet_raw(u: VelocityField, v: VelocityField):
+    """The epsilon-independent parts of the trilinear pairing: the table of
+    dealiased product spectra of ``u_i u_j`` and the Parseval-weighted
+    spectra of ``v - u``."""
+    grid = u.grid
+    products = _dealiased_product_tensor(grid, [c.values for c in u.components])
+    w = _parseval_weights(grid)
+    diffs = [w * (cv.hat - cu.hat) for cu, cv in zip(u.components, v.components)]
+    return products, diffs
+
+
+def _re_vdot(a: np.ndarray, b: np.ndarray) -> float:
+    """``Re sum conj(a) b`` of two contiguous complex arrays, as one real dot
+    of their interleaved views in numpy's own loop: a multithreaded BLAS
+    ``vdot`` can spend more on waking its threads than on the sum."""
+    return float(np.einsum("i,i->", a.view(np.float64).ravel(), b.view(np.float64).ravel()))
+
+
+def _cet_at(u: VelocityField, raw, kernel: MollifierKernel) -> float:
+    """The trilinear pairing at one scale, given ``raw`` from
+    :func:`_cet_raw`: 5 transforms.
+
+    ``m_ij = (u_i u_j)_eps - u_eps,i u_eps,j`` is symmetric, so each
+    unordered pair is built once and paired with both ``d_j(v_eps -
+    u_eps)_i`` and ``d_i(v_eps - u_eps)_j``.  Each pairing is a Parseval
+    sum over half-spectra (the weights ride on ``diffs``), so neither factor
+    is transformed back; the terms are summed in row-major order.
     """
     grid = u.grid
-    if grid != v.grid or grid != kernel.grid:
-        raise GridMismatchError("fields and kernel live on different grids")
-    u_eps = mollify(u, kernel)
-    v_eps = mollify(v, kernel)
-    uu = [c.values for c in u.components]
-    ue = [c.values for c in u_eps.components]
+    products, diffs = raw
+    mult = kernel.multiplier
+    u_eps = [grid.irfftn(c.hat * mult) for c in u.components]
+    smooth = _dealiased_product_tensor(grid, u_eps)
+    del u_eps  # free the mollified samples before the pairing loop
+    diffs_eps = [mult * d for d in diffs]
     terms = [[0.0] * grid.dims for _ in range(grid.dims)]
     for i in range(grid.dims):
         for j in range(i, grid.dims):
-            m = grid.irfftn(
-                _dealiased_product(grid, uu[i], uu[j]) * kernel.multiplier
-                - _dealiased_product(grid, ue[i], ue[j])
-            )
+            m = products[i][j] * mult
+            m -= smooth[i][j]
             for a, b in {(i, j), (j, i)}:
-                diff_hat = v_eps.components[a].hat - u_eps.components[a].hat
-                g = grid.irfftn(1j * grid.deriv_wavenumber(b) * diff_hat)
-                terms[a][b] = float(np.sum(m * g))
+                g = 1j * grid.deriv_wavenumber(b) * diffs_eps[a]
+                terms[a][b] = _re_vdot(m, g)
     total = 0.0
     for row in terms:
         for t in row:
             total += t
     return total * grid.cell_volume
+
+
+def cet_trilinear(u: VelocityField, v: VelocityField, kernel: MollifierKernel) -> float:
+    """Single-slice trilinear pairing
+    ``int [(u (x) u)_eps - u_eps (x) u_eps] : grad(v_eps - u_eps) dx``."""
+    grid = u.grid
+    if grid != v.grid or grid != kernel.grid:
+        raise GridMismatchError("fields and kernel live on different grids")
+    return _cet_at(u, _cet_raw(u, v), kernel)
 
 
 def transport_commutator(
@@ -178,15 +225,19 @@ def _as_pair(fields) -> tuple[VelocityField, Optional[VelocityField]]:
 def _sweep_magnitudes(primary: VelocityField, secondary: Optional[VelocityField],
                       quantity: str, epsilons: Sequence[float], p_int: float) -> list[float]:
     """``quantity`` at each scale: the convective commutator's L^(p/2) norm
-    or the absolute trilinear pairing."""
-    magnitudes = []
-    for eps in epsilons:
-        kern = make_kernel(primary.grid, eps)
-        if quantity == "convective_commutator_lp":
-            magnitudes.append(lp_norm(convective_commutator(primary, kern), p_int / 2.0))
-        else:
-            magnitudes.append(abs(cet_trilinear(primary, secondary, kern)))
-    return magnitudes
+    or the absolute trilinear pairing.  The epsilon-independent terms are
+    built once for the whole sweep."""
+    if quantity == "convective_commutator_lp":
+        div_raw = _convective_raw(primary)
+
+        def at(kern: MollifierKernel) -> float:
+            return lp_norm(_convective_at(primary, div_raw, kern), p_int / 2.0)
+    else:
+        raw = _cet_raw(primary, secondary)
+
+        def at(kern: MollifierKernel) -> float:
+            return abs(_cet_at(primary, raw, kern))
+    return [at(make_kernel(primary.grid, eps)) for eps in epsilons]
 
 
 def _sweep_intercepts(magnitudes: Sequence[float], epsilons: Sequence[float],

@@ -52,6 +52,7 @@ from .grid_fields import (
     _dealiased_product_tensor,
     _div_hat,
     _leray_hats,
+    _parseval_weights,
     curl_2d,
     gradient,
     resample,
@@ -118,18 +119,6 @@ def _weighted_kinetic_energy(grid: PeriodicGrid, rho: np.ndarray,
     for c in u:
         mag2 += c * c
     return 0.5 * float(np.sum(rho * mag2) * grid.cell_volume)
-
-
-def _parseval_weights(grid: PeriodicGrid) -> np.ndarray:
-    """Half-spectrum weights ``w`` with ``sum_x f g = sum_k w Re(conj(F) G)``
-    for real fields ``f``, ``g`` on ``N`` points: ``1/N`` on the first and
-    last columns of the last axis, which are their own mirror images, and
-    ``2/N`` elsewhere, where each coefficient also stands for its mirror."""
-    size = float(np.prod(grid.shape))
-    w = np.full(grid.rshape, 2.0 / size)
-    w[..., 0] = 1.0 / size
-    w[..., -1] = 1.0 / size
-    return w
 
 
 def _pressure_gradient_over_rho(

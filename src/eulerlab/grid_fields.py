@@ -333,20 +333,36 @@ def _dealiased_product_tensor(
 
 
 def _div_hat(grid: PeriodicGrid, hats: Sequence[np.ndarray]) -> np.ndarray:
-    """Spectral divergence ``sum_j i k_j h_j`` of one spectrum per axis."""
+    """Spectral divergence ``sum_j i k_j h_j`` of one spectrum per axis.
+
+    Accumulates in place, as :func:`_leray_hats` does: every fresh
+    full-size temporary costs page faults on large grids."""
     acc = np.zeros(grid.rshape, dtype=complex)
     for axis, h in enumerate(hats):
-        acc = acc + 1j * grid.deriv_wavenumber(axis) * h
+        acc += 1j * grid.deriv_wavenumber(axis) * h
     return acc
 
 
 def _leray_hats(grid: PeriodicGrid, hats: Sequence[np.ndarray]) -> list[np.ndarray]:
     """``h - k (k.h)/|k|^2`` on one spectrum per axis."""
-    k_dot = np.zeros(grid.rshape, dtype=complex)
+    scale = np.zeros(grid.rshape, dtype=complex)
     for axis, h in enumerate(hats):
-        k_dot = k_dot + grid.deriv_wavenumber(axis) * h
-    scale = k_dot * grid.inv_k_squared
+        scale += grid.deriv_wavenumber(axis) * h
+    scale *= grid.inv_k_squared
     return [h - grid.deriv_wavenumber(axis) * scale for axis, h in enumerate(hats)]
+
+
+def _parseval_weights(grid: PeriodicGrid) -> np.ndarray:
+    """Weights ``w`` over the last half-spectrum axis with ``sum_x f g =
+    sum_k w Re(conj(F) G)`` for real fields ``f``, ``g`` on ``N`` points:
+    ``1/N`` on the first and last columns, which are their own mirror
+    images, and ``2/N`` elsewhere, where each coefficient also stands for
+    its mirror.  They broadcast against any half-spectrum."""
+    size = float(np.prod(grid.shape))
+    w = np.full(grid.rshape[-1], 2.0 / size)
+    w[0] = 1.0 / size
+    w[-1] = 1.0 / size
+    return w
 
 
 def divergence(u: VelocityField) -> ScalarField:

@@ -224,6 +224,8 @@ def _check_cfl(speed: float, grid: PeriodicGrid, dt: float, cfl: float,
 def steps_for_horizon(T: float, dt: float) -> int:
     """Number of ``dt`` steps spanning ``T``; 0 unless ``T`` is a positive
     integer multiple of ``dt``."""
+    if dt <= 0.0:
+        return 0
     n_steps = round(T / dt)
     if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(1.0, abs(T)):
         return 0

@@ -4,6 +4,7 @@ import pytest
 from eulerlab.besov import (
     ShiftPolicy,
     _check_usable,
+    _circular_diff,
     _shift_diff_norm,
     besov_seminorm,
     fit_regularity_exponent,
@@ -198,3 +199,20 @@ class TestShiftDiffKernel:
         h = random_band_limited_scalar(grid, 12, seed=5)
         for steps in self.STEPS:
             assert _shift_diff_norm(h, steps, p_int) == self.old_kernel(h, steps, p_int)
+
+
+class TestCircularDiff:
+    """The sliced circular difference is bitwise the ``np.roll`` one."""
+
+    @pytest.mark.parametrize("dims,n,steps", [
+        (2, 16, (0, 0)), (2, 16, (3, 0)), (2, 16, (0, -5)), (2, 16, (-7, 9)),
+        (2, 16, (16, -16)), (2, 16, (21, -35)),
+        (3, 8, (0, 0, 0)), (3, 8, (1, -2, 3)), (3, 8, (-8, 0, 8)), (3, 8, (11, -13, 5)),
+    ])
+    def test_matches_roll(self, dims, n, steps):
+        values = rng(dims * 100 + n).standard_normal((n,) * dims)
+        out = np.full(values.shape, np.nan)
+        _circular_diff(values, steps, out)
+        axes = tuple(range(dims))
+        expect = np.roll(values, tuple(-s for s in steps), axis=axes) - values
+        assert np.array_equal(out, expect)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from eulerlab.commutator import (
+    _sweep_magnitudes,
     cet_trilinear,
     convective_commutator,
     scaling_experiment,
@@ -13,6 +14,7 @@ from eulerlab.grid_fields import (
     VelocityField,
     _dealiased_product,
     _div_hat,
+    lp_norm,
     make_grid,
     max_norm,
 )
@@ -247,30 +249,37 @@ def old_convective_commutator(v, kernel):
     return VelocityField(comps)
 
 
-def old_cet_trilinear(u, v, kernel):
-    """``cet_trilinear`` before the pair walk: one m_ij per ordered pair."""
+def physical_cet_trilinear(u, v, kernel):
+    """``cet_trilinear`` before the Parseval pairing: each ``m_ij`` and each
+    gradient transformed back and paired by a Riemann sum.  Returns the
+    pairing and its row-major table of terms."""
     grid = u.grid
     u_eps = mollify(u, kernel)
     v_eps = mollify(v, kernel)
     uu = [c.values for c in u.components]
     ue = [c.values for c in u_eps.components]
-    total = 0.0
+    terms = [[0.0] * grid.dims for _ in range(grid.dims)]
     for i in range(grid.dims):
-        diff_hat = v_eps.components[i].hat - u_eps.components[i].hat
-        for j in range(grid.dims):
-            m_hat = (
+        for j in range(i, grid.dims):
+            m = grid.irfftn(
                 _dealiased_product(grid, uu[i], uu[j]) * kernel.multiplier
                 - _dealiased_product(grid, ue[i], ue[j])
             )
-            m = grid.irfftn(m_hat)
-            g = grid.irfftn(1j * grid.deriv_wavenumber(j) * diff_hat)
-            total += float(np.sum(m * g))
-    return total * grid.cell_volume
+            for a, b in {(i, j), (j, i)}:
+                diff_hat = v_eps.components[a].hat - u_eps.components[a].hat
+                g = grid.irfftn(1j * grid.deriv_wavenumber(b) * diff_hat)
+                terms[a][b] = float(np.sum(m * g))
+    total = 0.0
+    for row in terms:
+        for t in row:
+            total += t
+    return total * grid.cell_volume, [t * grid.cell_volume for row in terms for t in row]
 
 
 class TestPairReuse:
-    """Symmetric products are transformed once per unordered pair; the
-    results are bitwise those of the ordered-pair loops."""
+    """Symmetric products are transformed once per unordered pair.  The
+    convective commutator is bitwise that of the ordered-pair loops; the
+    spectral CET pairing matches the physical-space one to round-off."""
 
     @pytest.fixture
     def fields(self):
@@ -289,23 +298,64 @@ class TestPairReuse:
             assert np.array_equal(a.values, b.values)
 
     @pytest.mark.parametrize("dims,n", [(2, 64), (3, 16)])
-    def test_cet_bitwise(self, dims, n):
+    def test_cet_matches_physical_space(self, dims, n):
         grid = make_grid(dims, n)
         u = random_band_limited_velocity(grid, 4, seed=34, divfree=True)
         v = random_band_limited_velocity(grid, 4, seed=35, divfree=True)
         kernel = make_kernel(grid, 0.25)
-        assert cet_trilinear(u, v, kernel) == old_cet_trilinear(u, v, kernel)
+        expect, terms = physical_cet_trilinear(u, v, kernel)
+        got = cet_trilinear(u, v, kernel)
+        assert abs(got - expect) <= 1e-13 * sum(abs(t) for t in terms)
 
     def test_convective_transform_count(self, fields, monkeypatch):
         u, _, kernel = fields
         calls = count_transforms(monkeypatch)
         convective_commutator(u, kernel)
-        # 2 mollified components + 3 + 3 products + 2 result components
+        # 3 raw products + 2 mollified components + 3 products + 2 result components
         assert len(calls) == 10
 
     def test_cet_transform_count(self, fields, monkeypatch):
         u, v, kernel = fields
         calls = count_transforms(monkeypatch)
         cet_trilinear(u, v, kernel)
-        # 4 mollified components + 3 pairs * (2 products + 1 inverse) + 4 gradients
-        assert len(calls) == 17
+        # 3 raw products + 2 mollified components of u + 3 products
+        assert len(calls) == 8
+
+
+class TestSweep:
+    """A sweep builds the epsilon-independent terms once and evaluates each
+    scale through the same helper as the public functions."""
+
+    EPS = [0.5, 0.25, 0.125, 0.0625]
+
+    @pytest.fixture
+    def fields(self):
+        grid = make_grid(2, 64)
+        u = random_band_limited_velocity(grid, 12, seed=36, divfree=True)
+        v = random_band_limited_velocity(grid, 12, seed=37, divfree=True)
+        return u, v
+
+    def test_convective_equals_public_calls(self, fields):
+        v, _ = fields
+        got = _sweep_magnitudes(v, None, "convective_commutator_lp", self.EPS, 3.0)
+        expect = [lp_norm(convective_commutator(v, make_kernel(v.grid, e)), 1.5)
+                  for e in self.EPS]
+        assert got == expect
+
+    def test_cet_equals_public_calls(self, fields):
+        u, v = fields
+        got = _sweep_magnitudes(u, v, "cet_trilinear", self.EPS, 3.0)
+        expect = [abs(cet_trilinear(u, v, make_kernel(u.grid, e))) for e in self.EPS]
+        assert got == expect
+
+    @pytest.mark.parametrize("quantity,count", [
+        # 3 raw products, then per epsilon 1 kernel + 7
+        ("convective_commutator_lp", 3 + 4 * 8),
+        # 3 raw products, then per epsilon 1 kernel + 5
+        ("cet_trilinear", 3 + 4 * 6),
+    ])
+    def test_transform_count(self, fields, monkeypatch, quantity, count):
+        u, v = fields
+        calls = count_transforms(monkeypatch)
+        _sweep_magnitudes(u, v, quantity, self.EPS, 3.0)
+        assert len(calls) == count

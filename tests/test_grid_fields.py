@@ -10,6 +10,8 @@ from eulerlab.grid_fields import (
     VelocityField,
     _dealiased_product,
     _dealiased_product_tensor,
+    _div_hat,
+    _leray_hats,
     divergence,
     gradient,
     gradient_tensor,
@@ -343,6 +345,34 @@ class TestProductTensor:
         calls = count_transforms(monkeypatch)
         _dealiased_product_tensor(grid, arrays)
         assert calls == ["rfftn"] * 6
+
+
+class TestInPlaceAccumulation:
+    """``_div_hat`` and ``_leray_hats`` accumulate in place, bitwise equal
+    to their former out-of-place expressions."""
+
+    @staticmethod
+    def old_div_hat(grid, hats):
+        acc = np.zeros(grid.rshape, dtype=complex)
+        for axis, h in enumerate(hats):
+            acc = acc + 1j * grid.deriv_wavenumber(axis) * h
+        return acc
+
+    @staticmethod
+    def old_leray_hats(grid, hats):
+        k_dot = np.zeros(grid.rshape, dtype=complex)
+        for axis, h in enumerate(hats):
+            k_dot = k_dot + grid.deriv_wavenumber(axis) * h
+        scale = k_dot * grid.inv_k_squared
+        return [h - grid.deriv_wavenumber(axis) * scale for axis, h in enumerate(hats)]
+
+    @pytest.mark.parametrize("dims,n", [(2, 64), (3, 16)])
+    def test_bitwise(self, dims, n):
+        grid = make_grid(dims, n)
+        hats = [c.hat for c in random_band_limited_velocity(grid, n // 2, seed=22).components]
+        assert np.array_equal(_div_hat(grid, hats), self.old_div_hat(grid, hats))
+        for new, old in zip(_leray_hats(grid, hats), self.old_leray_hats(grid, hats)):
+            assert np.array_equal(new, old)
 
 
 def test_numpy_fft_only_in_grid_fields():

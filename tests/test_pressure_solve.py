@@ -9,11 +9,10 @@ from eulerlab.errors import SolverAbort
 from eulerlab.extensions import (
     POISSON_MAX_ITER,
     POISSON_TOLERANCE,
-    _parseval_weights,
     _pressure_gradient_over_rho,
     inhom_solve,
 )
-from eulerlab.grid_fields import make_grid
+from eulerlab.grid_fields import _parseval_weights, make_grid
 from eulerlab.synth import taylor_green
 
 from _utils import count_transforms, random_band_limited_scalar, random_band_limited_velocity

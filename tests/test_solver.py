@@ -25,6 +25,7 @@ from eulerlab.solver import (
     _Vorticity,
     recover_pressure,
     solve,
+    steps_for_horizon,
     weak_residual,
 )
 from eulerlab.extensions import boussinesq_solve, inhom_solve
@@ -243,6 +244,13 @@ class TestSolve:
         tg = taylor_green(grid, 1.0)
         with pytest.raises(ConfigurationError, match="integer multiple"):
             run_system(system, tg, 0.0105, 1e-3)
+
+    @pytest.mark.parametrize("T,dt,expected", [
+        (0.02, 1e-3, 20), (0.0105, 1e-3, 0), (0.0, 1e-3, 0), (-0.02, 1e-3, 0),
+        (1.0, 0.0, 0), (1.0, -0.5, 0), (-1.0, -0.5, 0),
+    ])
+    def test_steps_for_horizon(self, T, dt, expected):
+        assert steps_for_horizon(T, dt) == expected
 
     def test_snapshot_cadence_and_ledger(self):
         grid = make_grid(2, 64)
