@@ -34,7 +34,7 @@ from .grid_fields import (
     max_norm,
     resample,
 )
-from .mollify import MollifierKernel, make_kernel, mollify
+from .mollify import MollifierKernel, epsilon_problem, make_kernel, mollify
 from .besov import (
     BesovEstimate,
     ShiftPolicy,
@@ -62,7 +62,7 @@ from .commutator import (
     transport_commutator,
 )
 from .solver import (
-    AdmissibilityReport,
+    PairAudit,
     State,
     TimeProfile,
     Trajectory,
@@ -89,7 +89,6 @@ from .uniqueness import (
     uniqueness_experiment,
 )
 from .extensions import (
-    DensityContractionReport,
     boussinesq_solve,
     boussinesq_uniqueness_experiment,
     density_contraction_check,

@@ -37,7 +37,7 @@ from .extensions import (
     inhom_uniqueness_experiment,
 )
 from .grid_fields import make_grid
-from .mollify import min_epsilon, resolved_epsilon
+from .mollify import MAX_EPSILON, epsilon_problem, min_epsilon, resolved_epsilon
 from .reporting import config_hash, dump_csv, dump_json
 from .snapshots import save_trajectory
 from .solver import (
@@ -116,6 +116,8 @@ def _section(name: str, **keys: _Key) -> dict:
 _INT = partial(_Key, lambda raw: int(raw, 0), "an integer")
 _FLOAT = partial(_Key, float, "a number")
 _POSITIVE = partial(_Key, float, "a positive number", ok=lambda v: v > 0.0)
+_EXPONENT = partial(_Key, float, "a number in (0, 1)", ok=lambda v: 0.0 < v < 1.0)
+_INTEGRABILITY = partial(_Key, float, "a number >= 1", ok=lambda v: v >= 1.0)
 _FLOATS = partial(_Key, lambda raw: [float(tok) for tok in raw.split()])
 
 _COMMON = {
@@ -130,21 +132,21 @@ _COMMON = {
     **_section("output", dir=_Key(str, "a path", None)),
 }
 # the field audits; the solvers are two-dimensional and read no dims
-_AUDIT = {**_section("grid", dims=_INT(2)), **_section("sweep", p=_FLOAT(3.0))}
+_AUDIT = {**_section("grid", dims=_INT(2)), **_section("sweep", p=_INTEGRABILITY(3.0))}
 _SWEEP = {**_AUDIT, **_section(
-    "sweep", alpha=_FLOAT(None),  # fitted from the fields
+    "sweep", alpha=_EXPONENT(None),  # fitted from the fields
     slope_tolerance=_FLOAT(DEFAULT_SLOPE_TOLERANCE),
     epsilons=_FLOATS("at least 4 strictly decreasing numbers",
                      ok=lambda e: len(e) >= 4 and all(b < a for a, b in zip(e, e[1:]))),
 )}
 _SOLVE = _section("solver", dt=_POSITIVE(), T=_POSITIVE(), snapshot_stride=_INT(1),
-                  cfl=_FLOAT(DEFAULT_CFL))
+                  cfl=_POSITIVE(DEFAULT_CFL))
 # the A/B certifications: the B leg's keys default to the A leg's, and
 # certify_tolerance to ten times the measured drift
 _PAIR = {**_SOLVE, **_section(
-    "solver_b", n=_INT(None), dt=_POSITIVE(None), snapshot_stride=_INT(None), cfl=_FLOAT(None),
+    "solver_b", n=_INT(None), dt=_POSITIVE(None), snapshot_stride=_INT(None), cfl=_POSITIVE(None),
 ), **_section(
-    "sweep", alpha=_FLOAT(0.6), p=_FLOAT(3.0), certify_tolerance=_FLOAT(None),
+    "sweep", alpha=_EXPONENT(0.6), p=_INTEGRABILITY(3.0), certify_tolerance=_POSITIVE(None),
     epsilons=_FLOATS("at least 4 distinct numbers",
                      ok=lambda e: len(e) >= 4 and len(set(e)) == len(e)),
 )}
@@ -152,7 +154,7 @@ _EXTENDED = {**_PAIR, **_section("sweep", contraction_tolerance=_FLOAT(1e-5))}
 
 _KEYS = {
     # [sweep] alpha defaults to [synth] alpha, else 0.5
-    "besov_fit": {**_COMMON, **_AUDIT, **_section("sweep", alpha=_FLOAT(None))},
+    "besov_fit": {**_COMMON, **_AUDIT, **_section("sweep", alpha=_EXPONENT(None))},
     "commutator_scaling": {**_COMMON, **_SWEEP},
     "cet_scaling": {**_COMMON, **_SWEEP},
     "energy_conservation": {**_COMMON, **_SOLVE, **_section(
@@ -160,7 +162,7 @@ _KEYS = {
     ), **_section("output", save_snapshots=_INT(1))},
     "uniqueness": {**_COMMON, **_PAIR, **_section(
         "sweep", budget_route=_one_of({r: r for r in ROUTE_THRESHOLDS}, "convective"),
-        working_epsilon=_FLOAT(None),  # the smallest epsilon
+        working_epsilon=_POSITIVE(None),  # the smallest epsilon
     )},
     "inhom_uniqueness": {**_COMMON, **_EXTENDED, **_section("density", amplitude=_FLOAT(0.2))},
     "boussinesq_uniqueness": {**_COMMON, **_EXTENDED, **_section(
@@ -281,7 +283,7 @@ def _derived_quantities(cfg: ExperimentConfig) -> dict:
     out["dealias_kmax"] = grid.dealias_kmax
     out["epsilon_min"] = min_epsilon(grid)
     out["epsilon_resolved"] = resolved_epsilon(grid)
-    out["epsilon_max"] = 0.5
+    out["epsilon_max"] = MAX_EPSILON
     # The CFL bound comes from the synthesized initial field: lacunary data
     # peak well above their amplitude.
     speed = field_from_spec(_build_synth_spec(cfg), grid).max_speed()
@@ -300,14 +302,7 @@ def _range_checks(cfg: ExperimentConfig) -> list:
         # budget sweeps run on the finer leg of an A/B pair
         n_sweep = max(grid.n_per_axis, cfg.values.get(("solver_b", "n"), 0))
         sweep_grid = make_grid(grid.dims, n_sweep)
-    for eps in epsilons:
-        if eps < min_epsilon(sweep_grid):
-            diags.append(
-                f"epsilon {eps} below the admissible floor {min_epsilon(sweep_grid)} "
-                f"(needs n >= {int(np.ceil(4.0 / eps))} rounded to a power of two)"
-            )
-        if eps > 0.5:
-            diags.append(f"epsilon {eps} above the maximum 0.5")
+        diags += filter(None, (epsilon_problem(sweep_grid, eps) for eps in epsilons))
     _build_synth_spec(cfg)
     if ("solver", "dt") in cfg.values:
         dt, T = cfg["solver", "dt"], cfg["solver", "T"]

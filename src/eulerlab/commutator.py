@@ -38,7 +38,7 @@ from .grid_fields import (
     _parseval_weights,
     lp_norm,
 )
-from .mollify import MollifierKernel, make_kernel, min_epsilon, mollify
+from .mollify import MollifierKernel, epsilon_problem, make_kernel, mollify
 from .reporting import dump_json
 
 __all__ = [
@@ -278,11 +278,9 @@ def scaling_experiment(
     grid = primary.grid
     if quantity == "cet_trilinear" and secondary is None:
         raise ConfigurationError("cet_trilinear needs a (u, v) field pair")
-    if min(epsilons) < min_epsilon(grid):
-        raise ConfigurationError(
-            f"smallest epsilon {min(epsilons)} below the admissible floor "
-            f"{min_epsilon(grid)} for n={grid.n_per_axis}"
-        )
+    problem = next(filter(None, (epsilon_problem(grid, eps) for eps in epsilons)), None)
+    if problem:
+        raise ConfigurationError(problem)
 
     if alpha is None:
         alphas = [fit_regularity_exponent(primary, p_int)]

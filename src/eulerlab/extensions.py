@@ -23,7 +23,8 @@ ledger: ``"mass"`` or ``"theta"``.  Their A/B certifications run the legs
 through ``uniqueness.run_pair`` and certify through the homogeneous pipeline's
 one ``uniqueness._certify_pair``; all they add is data: the relative energy
 (rho-weighted for the variable-density system), the exponents of every
-quantity the uniqueness statement lists, and the scalar-contraction audit.
+quantity the uniqueness statement lists, and the scalar-contraction audit: a
+``solver.PairAudit`` of the scalars' ``uniqueness.relative_energy``.
 They charge the convective budget at the sweep's smallest epsilon.  The
 result is the one ``UniquenessReport``.
 """
@@ -32,12 +33,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .besov import fit_regularity_exponent
+from .besov import besov_seminorm
 from .commutator import transport_commutator
 from .errors import (
     ConfigurationError,
@@ -52,39 +52,41 @@ from .grid_fields import (
     _dealiased_product_tensor,
     _div_hat,
     _leray_hats,
+    _max_speed,
     _parseval_weights,
     curl_2d,
     gradient,
+    inner,
     resample,
 )
 from .mollify import make_kernel, resolved_epsilon
 from .solver import (
     DEFAULT_CFL,
+    PairAudit,
     State,
     Trajectory,
     _check_initial_velocity,
-    _max_speed,
     _run_config,
     _Vorticity,
     integrate,
     kinetic_energy,
-    ordered_pair_audit,
 )
 from .uniqueness import (
     RunConfig,
     UniquenessReport,
     _certify_pair,
     _check_sweep,
+    _cumulative_trapz,
+    _fitted_or_regular,
     _plain_energy,
     _shared_times,
-    _trapz,
+    relative_energy,
     run_pair,
 )
 
 __all__ = [
     "inhom_solve",
     "density_contraction_check",
-    "DensityContractionReport",
     "boussinesq_solve",
     "boussinesq_uniqueness_experiment",
     "inhom_uniqueness_experiment",
@@ -285,43 +287,14 @@ def inhom_solve(
                       {"mass": [_total(s.scalars["density"]) for s in states]})
 
 
-@dataclass
-class DensityContractionReport:
-    """Audit of ``0.5 int |rho - r|^2`` against the mollified transport
-    commutator budget."""
-
-    passed: bool
-    max_violation: float
-    worst_pair: Optional[tuple[float, float]]
-    budget: float
-    tolerance: float
-    times: list[float]
-    values: list[float]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "pass": self.passed,
-            "max_violation": self.max_violation,
-            "worst_pair": list(self.worst_pair) if self.worst_pair else None,
-            "budget": self.budget,
-            "tolerance": self.tolerance,
-            "series": {"t": list(self.times), "D": list(self.values)},
-        }
-
-
-def _scalar_l2_half(grid: PeriodicGrid, a: np.ndarray, b: np.ndarray) -> float:
-    d = a - b
-    return 0.5 * float(np.sum(d * d) * grid.cell_volume)
-
-
 def density_contraction_check(
     traj_a,
     traj_b,
     tolerance: float,
     working_epsilon: Optional[float] = None,
     field: str = "density",
-) -> DensityContractionReport:
-    """Verify the scalar-difference energy never grows beyond the mollified
+) -> PairAudit:
+    """Verify the scalar ``relative_energy`` never grows beyond the mollified
     transport-commutator budget plus tolerance, over all ordered pairs.
 
     ``field`` selects which scalar to audit (density for the inhomogeneous
@@ -341,33 +314,14 @@ def density_contraction_check(
         rb = resample(sb.scalars[field], cmp_grid)
         ua = resample(sa.velocity, cmp_grid)
         ub = resample(sb.velocity, cmp_grid)
-        values.append(_scalar_l2_half(cmp_grid, ra.values, rb.values))
+        values.append(relative_energy(ra, rb))
         tc_a = transport_commutator(ra, ua, kernel)
         tc_b = transport_commutator(rb, ub, kernel)
-        diff_eps = ScalarField.from_hat(
-            cmp_grid, (ra.hat - rb.hat) * kernel.multiplier
-        )
-        grad_diff = gradient(diff_eps)
-        s = 0.0
-        for i in range(cmp_grid.dims):
-            s += float(
-                np.sum(
-                    (tc_a.components[i].values - tc_b.components[i].values)
-                    * grad_diff.components[i].values
-                )
-            )
-        pairing.append(abs(s * cmp_grid.cell_volume))
-    budget = _trapz(pairing, times)
-    worst, worst_pair = ordered_pair_audit(times, values, budget)
-    return DensityContractionReport(
-        passed=worst <= tolerance,
-        max_violation=worst,
-        worst_pair=worst_pair,
-        budget=budget,
-        tolerance=tolerance,
-        times=times,
-        values=values,
-    )
+        diff_eps = ScalarField.from_hat(cmp_grid, (ra.hat - rb.hat) * kernel.multiplier)
+        diff_tc = VelocityField.from_arrays(
+            cmp_grid, [a.values - b.values for a, b in zip(tc_a.components, tc_b.components)])
+        pairing.append(abs(inner(diff_tc, gradient(diff_eps))))
+    return PairAudit.of(times, values, _cumulative_trapz(pairing, times)[-1], tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -425,15 +379,6 @@ def boussinesq_solve(
 # uniqueness experiments for the extended systems
 
 
-def _fit_quantity(f, p_int: float) -> float:
-    """Exponent fit that treats degenerate (constant) fields as maximally
-    regular instead of unfittable."""
-    try:
-        return fit_regularity_exponent(f, p_int)
-    except ConfigurationError:
-        return 1.0
-
-
 def _product_field(rho: ScalarField, u: VelocityField) -> VelocityField:
     return VelocityField.from_arrays(
         rho.grid, [rho.values * c.values for c in u.components]
@@ -476,7 +421,8 @@ def _extended_experiment(
         "momentum_b": _product_field(scal_b, sb.velocity),
         "velocity_a": sa.velocity,
     }
-    hypothesis = {name: _fit_quantity(f, p_int) for name, f in fields.items()}
+    hypothesis = {name: _fitted_or_regular(f.grid, besov_seminorm(f, alpha, p_int))
+                  for name, f in fields.items()}
     # the contraction audit mollifies on the comparison grid, whose resolved
     # scale may be coarser than the velocity sweep's smallest epsilon
     work_eps = min(float(e) for e in epsilons)
@@ -507,7 +453,7 @@ def inhom_uniqueness_experiment(
 ) -> UniquenessReport:
     """A/B certification for the inhomogeneous system: weighted relative
     energy with C(t) from the finer run, plus the density contraction audit."""
-    _check_sweep("convective", epsilons)
+    _check_sweep("convective", epsilons, cfg_a, cfg_b)
     traj_a, traj_b = run_pair((rho0, u0), cfg_a, cfg_b, inhom_solve)
     return _extended_experiment(
         traj_a, traj_b, "density", _weighted_energy, alpha, p_int, epsilons,
@@ -532,7 +478,7 @@ def boussinesq_uniqueness_experiment(
     """A/B certification for the Boussinesq system: homogeneous-style
     relative-energy certificate plus the theta contraction audit, with C(t)
     estimated from the finer run's velocity."""
-    _check_sweep("convective", epsilons)
+    _check_sweep("convective", epsilons, cfg_a, cfg_b)
     traj_a, traj_b = run_pair(
         (theta0, u0), cfg_a, cfg_b, functools.partial(boussinesq_solve, g=g)
     )

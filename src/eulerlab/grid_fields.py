@@ -19,6 +19,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -127,14 +128,10 @@ class PeriodicGrid:
             acc = acc + f**2
         return acc
 
-    def axis_coordinate(self, axis: int) -> np.ndarray:
-        """Sample coordinates along one axis."""
-        return -1.0 + self.spacing * np.arange(self.n_per_axis)
-
     def meshgrid(self) -> list[np.ndarray]:
         """Full coordinate arrays, one per axis, ``indexing='ij'``."""
-        axes = [self.axis_coordinate(a) for a in range(self.dims)]
-        return list(np.meshgrid(*axes, indexing="ij"))
+        axis = -1.0 + self.spacing * np.arange(self.n_per_axis)
+        return list(np.meshgrid(*[axis] * self.dims, indexing="ij"))
 
     def offsets(self) -> list[np.ndarray]:
         """Signed periodic offsets from the origin along each axis.
@@ -205,7 +202,7 @@ class ScalarField:
 
     __slots__ = ("grid", "values", "_hat")
 
-    def __init__(self, grid: PeriodicGrid, values: np.ndarray, *, _hat=None):
+    def __init__(self, grid: PeriodicGrid, values: np.ndarray):
         values = np.asarray(values, dtype=float)
         if values.shape != grid.shape:
             raise ConfigurationError(
@@ -217,7 +214,7 @@ class ScalarField:
         values.setflags(write=False)
         self.grid = grid
         self.values = values
-        self._hat = _hat
+        self._hat = None
 
     @classmethod
     def from_hat(cls, grid: PeriodicGrid, hat: np.ndarray) -> "ScalarField":
@@ -276,7 +273,8 @@ class VelocityField:
         return np.sqrt(sq)
 
     def max_speed(self) -> float:
-        return float(self.magnitude().max())
+        """Largest pointwise Euclidean speed."""
+        return _max_speed([c.values for c in self.components])
 
     def check_divergence_free(self, rel_tol: float = 1e-10) -> bool:
         """Whether the discrete divergence vanishes relative to the field's size."""
@@ -291,6 +289,15 @@ class VelocityField:
 
 
 Field = Union[ScalarField, VelocityField]
+
+
+def _max_speed(arrays: Sequence[np.ndarray]) -> float:
+    """Largest pointwise Euclidean norm of the component samples ``arrays``:
+    one square root, of the largest square (bitwise the max magnitude)."""
+    sq = arrays[0] * arrays[0]
+    for c in arrays[1:]:
+        sq += c * c
+    return math.sqrt(float(sq.max()))
 
 
 def _require_same_grid(a, b) -> None:

@@ -12,6 +12,10 @@ exist at all (below that only the center sample survives); the bump is deemed
 fully resolved from ``4 * spacing`` up, and kernels between the two bounds are
 flagged ``fully_resolved=False`` so scaling sweeps can reach one octave closer
 to the grid while tests on kernel fidelity stay in the resolved regime.
+
+:func:`epsilon_problem` is the one rule for a support radius (positive, at
+least :func:`min_epsilon`, at most ``MAX_EPSILON``): ``make_kernel``, the
+scaling and certification sweeps and ``eulerlab validate`` all ask it.
 """
 
 from __future__ import annotations
@@ -21,13 +25,14 @@ import numpy as np
 from .errors import ConfigurationError, GridMismatchError
 from .grid_fields import Field, PeriodicGrid, ScalarField, VelocityField
 
-__all__ = ["MollifierKernel", "make_kernel", "mollify", "RESOLVED_SPACING_FACTOR"]
+__all__ = ["MollifierKernel", "make_kernel", "mollify", "epsilon_problem",
+           "RESOLVED_SPACING_FACTOR", "MAX_EPSILON"]
 
 # Support radius, in grid cells, above which the sampled bump is considered
 # faithful to the continuum profile.
 RESOLVED_SPACING_FACTOR = 4.0
 _MIN_SPACING_FACTOR = 2.0
-_MAX_EPSILON = 0.5
+MAX_EPSILON = 0.5
 
 
 class MollifierKernel:
@@ -75,21 +80,29 @@ def resolved_epsilon(grid: PeriodicGrid) -> float:
     return RESOLVED_SPACING_FACTOR * grid.spacing
 
 
-def make_kernel(grid: PeriodicGrid, epsilon: float) -> MollifierKernel:
-    """Sample and normalize the standard bump of support radius ``epsilon``."""
+def epsilon_problem(grid: PeriodicGrid, epsilon: float) -> str | None:
+    """Why ``epsilon`` is no admissible support radius on ``grid`` (below the
+    floor: naming the smallest power-of-two n that admits it), or None."""
+    if not epsilon > 0.0:
+        return f"epsilon {epsilon} is not positive"
     floor = min_epsilon(grid)
     if epsilon < floor:
-        n_needed = 8
-        while _MIN_SPACING_FACTOR * (2.0 / n_needed) > epsilon:
-            n_needed *= 2
-        raise ConfigurationError(
-            f"epsilon={epsilon} under-resolved: needs >= {floor} on this grid "
-            f"(n={grid.n_per_axis}); use a grid with n >= {n_needed}"
-        )
-    if epsilon > _MAX_EPSILON:
-        raise ConfigurationError(
-            f"epsilon={epsilon} exceeds the maximum support radius {_MAX_EPSILON}"
-        )
+        # halving the float floor is exact, so no huge n is ever converted
+        n_needed, floor_needed = 8, _MIN_SPACING_FACTOR * (2.0 / 8)
+        while floor_needed > epsilon:
+            n_needed, floor_needed = 2 * n_needed, floor_needed / 2
+        return (f"epsilon {epsilon} below the admissible floor {floor} for "
+                f"n={grid.n_per_axis} (needs n >= {n_needed})")
+    if epsilon > MAX_EPSILON:
+        return f"epsilon {epsilon} above the maximum {MAX_EPSILON}"
+    return None
+
+
+def make_kernel(grid: PeriodicGrid, epsilon: float) -> MollifierKernel:
+    """Sample and normalize the standard bump of support radius ``epsilon``."""
+    problem = epsilon_problem(grid, epsilon)
+    if problem:
+        raise ConfigurationError(problem)
 
     r2 = np.zeros(grid.shape)
     for off in grid.offsets():

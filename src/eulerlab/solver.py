@@ -18,7 +18,8 @@ continuous time; all recorded drift is the integrator's and shrinks like
 dt^4.  CFL is checked at every step against the speed of the step's first
 stage.  Under-resolved runs are legal but show up as admissibility
 violations in the energy ledger, which is a checked property, never an
-enforced one.
+enforced one; the check reports a ``PairAudit``, the one ordered-pair record
+that the extensions' scalar-contraction audit reports as well.
 """
 
 from __future__ import annotations
@@ -35,12 +36,11 @@ from .grid_fields import (
     ScalarField,
     VelocityField,
     _dealiased_product_tensor,
+    _max_speed,
     curl_2d,
-    divergence,
     gradient,
     inner,
     lp_norm,
-    max_norm,
 )
 
 __all__ = [
@@ -57,7 +57,7 @@ __all__ = [
     "ordered_pair_audit",
     "recover_pressure",
     "admissibility_check",
-    "AdmissibilityReport",
+    "PairAudit",
     "weak_residual",
     "kinetic_energy",
     "enstrophy",
@@ -109,14 +109,6 @@ class _Vorticity:
         q_hat *= s_q
         p_hat += q_hat
         return p_hat, (u1, u2)
-
-
-def _max_speed(u: Sequence[np.ndarray]) -> float:
-    """Largest pointwise Euclidean norm of the physical components ``u``."""
-    sq = u[0] * u[0]
-    for c in u[1:]:
-        sq += c * c
-    return math.sqrt(float(sq.max()))
 
 
 def _rk4_stage(hats: tuple, dt: float, rhs: Callable[[tuple, bool], tuple]) -> tuple:
@@ -233,7 +225,7 @@ def steps_for_horizon(T: float, dt: float) -> int:
 
 
 def _check_initial_velocity(u0: VelocityField) -> None:
-    if max_norm(divergence(u0)) > 1e-8 * max(max_norm(u0), 1e-300):
+    if not u0.check_divergence_free(1e-8):
         raise ConfigurationError("initial velocity is not divergence-free")
 
 
@@ -324,16 +316,6 @@ def recover_pressure(u: VelocityField) -> ScalarField:
     return ScalarField.from_hat(grid, -acc * grid.inv_k_squared)
 
 
-@dataclass
-class AdmissibilityReport:
-    """Outcome of the energy-monotonicity audit over all ordered time pairs."""
-
-    passed: bool
-    max_violation: float
-    worst_pair: Optional[tuple[float, float]]
-    tolerance: float
-
-
 def ordered_pair_audit(
     times: Sequence[float], values: Sequence[float], budget: float
 ) -> tuple[float, Optional[tuple[float, float]]]:
@@ -358,11 +340,41 @@ def ordered_pair_audit(
     return worst, worst_pair
 
 
-def admissibility_check(traj: Trajectory, tolerance: float) -> AdmissibilityReport:
+@dataclass
+class PairAudit:
+    """The :func:`ordered_pair_audit` of a recorded series against a budget and
+    a tolerance, as the admissibility and scalar-contraction audits report it."""
+
+    passed: bool
+    max_violation: float
+    worst_pair: Optional[tuple[float, float]]
+    budget: float
+    tolerance: float
+    times: list[float]
+    values: list[float]
+
+    @classmethod
+    def of(cls, times: Sequence[float], values: Sequence[float], budget: float,
+           tolerance: float) -> "PairAudit":
+        worst, worst_pair = ordered_pair_audit(times, values, budget)
+        return cls(worst <= tolerance, worst, worst_pair, budget, tolerance,
+                   list(times), list(values))
+
+    def to_json_dict(self) -> dict:
+        return {
+            "pass": self.passed,
+            "max_violation": self.max_violation,
+            "worst_pair": list(self.worst_pair) if self.worst_pair else None,
+            "budget": self.budget,
+            "tolerance": self.tolerance,
+            "series": {"t": list(self.times), "D": list(self.values)},
+        }
+
+
+def admissibility_check(traj: Trajectory, tolerance: float) -> PairAudit:
     """Verify the ledger never rises by more than ``tolerance`` between any
     ordered pair of recorded times."""
-    worst, worst_pair = ordered_pair_audit(traj.times, traj.energy_ledger, 0.0)
-    return AdmissibilityReport(worst <= tolerance, worst, worst_pair, tolerance)
+    return PairAudit.of(traj.times, traj.energy_ledger, 0.0, tolerance)
 
 
 @dataclass(frozen=True)
@@ -419,8 +431,7 @@ class WeakTestFunction:
     def __post_init__(self):
         grid = self.spatial.grid
         if isinstance(self.spatial, VelocityField):
-            ref = max(max_norm(self.spatial), 1e-300)
-            if max_norm(divergence(self.spatial)) > 1e-12 * ref:
+            if not self.spatial.check_divergence_free(1e-12):
                 raise ConfigurationError("vector test function must be divergence-free")
             hats = [c.hat for c in self.spatial.components]
         else:

@@ -18,31 +18,33 @@ snapshot), the route budget, the Gronwall certificate and the verdict, and
 returns the one ``UniquenessReport``.  The homogeneous experiment feeds it
 ``run_pair(..., solve)``; the variable-density and Boussinesq experiments
 (:mod:`~eulerlab.extensions`) add a weighted energy, a per-quantity
-hypothesis and a scalar-contraction audit as data.
+hypothesis and a scalar-contraction audit (a ``solver.PairAudit``) as data.
+All three first pass ``_check_sweep``, which asks ``mollify.epsilon_problem``
+about every sweep epsilon on the finer leg's grid, before solving anything.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .besov import _check_usable, besov_seminorm
+from .besov import BesovEstimate, _check_usable, besov_seminorm
 from .commutator import _sweep_intercepts, _sweep_magnitudes
 from .errors import ConfigurationError, GridMismatchError
 from .grid_fields import (
+    Field,
+    PeriodicGrid,
+    ScalarField,
     VelocityField,
     gradient_tensor,
     make_grid,
     resample,
 )
-from .mollify import MollifierKernel, make_kernel, mollify, resolved_epsilon
-from .solver import solve
-
-if TYPE_CHECKING:
-    from .extensions import DensityContractionReport
+from .mollify import MollifierKernel, epsilon_problem, make_kernel, mollify, resolved_epsilon
+from .solver import PairAudit, solve
 
 __all__ = [
     "RelativeEnergySeries",
@@ -69,12 +71,16 @@ ROUTE_THRESHOLDS = {"convective": 0.5, "trilinear": 1.0 / 3.0}
 EXTENDED_REQUIRED_ALPHA = 1.0 / 3.0
 
 
-def relative_energy(u: VelocityField, v: VelocityField) -> float:
-    """``int 0.5 |u - v|^2`` by grid quadrature; zero iff the fields agree."""
+def relative_energy(u: Field, v: Field) -> float:
+    """``int 0.5 |u - v|^2`` by grid quadrature of two velocity fields or of
+    two scalar fields; zero iff the fields agree."""
     if u.grid != v.grid:
         raise GridMismatchError("relative energy needs a shared grid")
+    parts = [(f,) if isinstance(f, ScalarField) else f.components for f in (u, v)]
+    if len(parts[0]) != len(parts[1]):
+        raise ConfigurationError("relative energy needs two fields of the same kind")
     acc = 0.0
-    for a, b in zip(u.components, v.components):
+    for a, b in zip(*parts):
         d = a.values - b.values
         acc += float(np.sum(d * d))
     return 0.5 * acc * u.grid.cell_volume
@@ -136,10 +142,6 @@ class LipschitzSeries:
         if any(not math.isfinite(c) or c < 0.0 for c in self.c_values):
             raise ConfigurationError("C(t) must be finite and nonnegative")
 
-    def integral(self) -> float:
-        """Trapezoid of C over the whole axis."""
-        return _trapz(self.c_values, self.times)
-
 
 @dataclass
 class GronwallCertificate:
@@ -177,16 +179,9 @@ def gronwall_certify(
     ordered pair on the shared axis and record the worst one."""
     if certify_tolerance <= 0.0:
         raise ConfigurationError("certify_tolerance must be positive")
-    if len(E_series.times) != len(C_series.times) or any(
-        abs(a - b) > 1e-12 * max(1.0, abs(a)) for a, b in zip(E_series.times, C_series.times)
-    ):
-        raise ConfigurationError("mismatched time axes between E and C series")
-    times = E_series.times
+    times = _shared_times(E_series, C_series)
     E = E_series.values
-    C = C_series.c_values
-    cum = [0.0]
-    for i in range(len(times) - 1):
-        cum.append(cum[-1] + 0.5 * (C[i] + C[i + 1]) * (times[i + 1] - times[i]))
+    cum = _cumulative_trapz(C_series.c_values, times)
     worst = None
     for i in range(len(times)):
         for j in range(i + 1, len(times)):
@@ -256,7 +251,7 @@ class UniquenessReport:
     fitted_alpha_series: list[float]
     budget_route: str
     quantity_alphas: Optional[dict] = None
-    contraction: Optional[DensityContractionReport] = None
+    contraction: Optional[PairAudit] = None
 
     def to_json_dict(self) -> dict:
         out = {
@@ -290,19 +285,21 @@ class UniquenessReport:
         return out
 
 
-def _trapz(values: Sequence[float], times: Sequence[float]) -> float:
-    acc = 0.0
+def _cumulative_trapz(values: Sequence[float], times: Sequence[float]) -> list[float]:
+    """Trapezoid integrals of ``values`` from ``times[0]`` to each time."""
+    cum = [0.0]
     for i in range(len(times) - 1):
-        acc += 0.5 * (values[i] + values[i + 1]) * (times[i + 1] - times[i])
-    return acc
+        cum.append(cum[-1] + 0.5 * (values[i] + values[i + 1]) * (times[i + 1] - times[i]))
+    return cum
 
 
-def _shared_times(traj_a, traj_b) -> list[float]:
-    times = traj_a.times
-    if len(times) != len(traj_b.times) or any(
-        abs(a - b) > 1e-12 for a, b in zip(times, traj_b.times)
+def _shared_times(a, b) -> list[float]:
+    """The time axis two recorded series share (to 1e-12), or an error."""
+    times = a.times
+    if len(times) != len(b.times) or any(
+        abs(s - t) > 1e-12 for s, t in zip(times, b.times)
     ):
-        raise ConfigurationError("trajectories recorded different time axes")
+        raise ConfigurationError("the two series recorded different time axes")
     return times
 
 
@@ -356,15 +353,33 @@ def _pair_series(traj_a, traj_b, energy, alpha: float, p_int: float):
             LipschitzSeries(times, c_vals, reg_epsilon), estimates)
 
 
-def _check_sweep(budget_route: str, epsilons: Sequence[float]) -> None:
-    """Reject an unknown budget route or an epsilon sweep with fewer than 4
-    distinct scales, so a bad configuration fails before any leg is solved."""
+def _check_sweep(budget_route: str, epsilons: Sequence[float], cfg_a: RunConfig,
+                 cfg_b: RunConfig, working_epsilon: Optional[float] = None) -> None:
+    """Reject an unknown budget route, a sweep with fewer than 4 distinct
+    epsilons or one the finer leg's grid (where it runs) does not admit, or a
+    nonpositive working epsilon, so a bad configuration fails before solving."""
     if budget_route not in ROUTE_THRESHOLDS:
         raise ConfigurationError("budget_route must be 'convective' or 'trilinear'")
     if len(epsilons) < 4:
         raise ConfigurationError("need at least 4 epsilons for the budget sweep")
     if len(set(epsilons)) != len(epsilons):
         raise ConfigurationError("the budget sweep's epsilons must be distinct")
+    grid_b = make_grid(2, max(cfg_a.grid_n, cfg_b.grid_n))
+    problem = next(filter(None, (epsilon_problem(grid_b, eps) for eps in epsilons)), None)
+    if problem:
+        raise ConfigurationError(problem)
+    if working_epsilon is not None and not working_epsilon > 0.0:
+        raise ConfigurationError(f"working_epsilon {working_epsilon} is not positive")
+
+
+def _fitted_or_regular(grid: PeriodicGrid, estimate: BesovEstimate) -> float:
+    """The exponent fitted by a probe of a field on ``grid``; a field too
+    degenerate to fit (constant) counts as maximally regular, 1.0."""
+    try:
+        _check_usable(grid, estimate.shift_table)
+    except ConfigurationError:
+        return 1.0
+    return estimate.fitted_alpha
 
 
 def _certify_pair(
@@ -379,7 +394,7 @@ def _certify_pair(
     working_epsilon: Optional[float],
     certify_tolerance: Optional[float],
     hypothesis: Optional[dict] = None,
-    audit: Optional[DensityContractionReport] = None,
+    audit: Optional[PairAudit] = None,
 ) -> UniquenessReport:
     """Certify the relative-energy Gronwall inequality of a solved A/B pair.
 
@@ -406,12 +421,7 @@ def _certify_pair(
         fitted_alpha = float(np.median([e.fitted_alpha for e in estimates]))
         required = ROUTE_THRESHOLDS[budget_route]
     else:
-        mid = estimates[len(times) // 2]
-        try:
-            _check_usable(grid_v, mid.shift_table)
-            velocity_b = mid.fitted_alpha
-        except ConfigurationError:
-            velocity_b = 1.0  # a constant field is maximally regular
+        velocity_b = _fitted_or_regular(grid_v, estimates[len(times) // 2])
         hypothesis = dict(hypothesis, velocity_b=velocity_b)
         fitted_alpha = float(min(hypothesis.values()))
         required = EXTENDED_REQUIRED_ALPHA
@@ -422,7 +432,7 @@ def _certify_pair(
     if budget_route == "convective":
         fields, quantity, rate = (v0, None), "convective_commutator_lp", 2.0 * alpha - 1.0
         bound_factor = seminorms[0] ** 2
-        weight = _trapz([s * s for s in seminorms], times)
+        weight = _cumulative_trapz([s * s for s in seminorms], times)[-1]
     else:
         u0_on_v = resample(traj_a.states[0].velocity, grid_v)
         fields, quantity, rate = (u0_on_v, v0), "cet_trilinear", 3.0 * alpha - 1.0
@@ -431,9 +441,9 @@ def _certify_pair(
             for s in traj_a.states
         ]
         bound_factor = su[0] ** 2 * (su[0] + seminorms[0])
-        weight = _trapz(
+        weight = _cumulative_trapz(
             [a * a * (a + b) for a, b in zip(su, seminorms)], times
-        )
+        )[-1]
     magnitudes = _sweep_magnitudes(*fields, quantity, epsilons, p_int)
     c_fit = max(_sweep_intercepts(magnitudes, epsilons, rate, bound_factor)[0])
     budgets = [c_fit * e**rate * weight for e in epsilons]
@@ -496,7 +506,7 @@ def uniqueness_experiment(
     The default tolerance is ten times the pair's measured energy drift, so
     discretization error cannot masquerade as non-uniqueness.
     """
-    _check_sweep(budget_route, epsilons)
+    _check_sweep(budget_route, epsilons, cfg_a, cfg_b, working_epsilon)
     traj_a, traj_b = run_pair((u0,), cfg_a, cfg_b, solve)
     return _certify_pair(
         traj_a, traj_b, alpha, p_int, epsilons, energy=_plain_energy,

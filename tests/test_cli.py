@@ -199,6 +199,16 @@ class TestParseAndValidate:
         assert "below the admissible floor" in out
         assert "n >=" in out
 
+    @pytest.mark.parametrize("eps", ["0", "-0.1"])
+    def test_validate_nonpositive_epsilon(self, tmp_path, capsys, eps):
+        """A nonpositive sweep epsilon is named as such: no floor hint with
+        a negative n, and no division by zero."""
+        cfg = write_config(tmp_path, UNIQUENESS.replace("0.0625", eps))
+        assert validate(cfg) == 1
+        out = capsys.readouterr().out
+        assert f"epsilon {float(eps)} is not positive" in out
+        assert "n >=" not in out
+
 
 class TestRun:
     def test_energy_conservation_minimal(self, tmp_path, capsys):
@@ -304,6 +314,19 @@ class TestRun:
                      "at least 4 distinct numbers", id="repeated-certify-epsilon"),
         pytest.param(MINIMAL_ENERGY.replace("dt = 1e-3", "dt = -1e-3"), "a positive number",
                      id="negative-dt"),
+        pytest.param(MINIMAL_ENERGY + "cfl = 0\n", "a positive number", id="zero-cfl"),
+        pytest.param(certify_config("uniqueness", "[solver_b]\ncfl = -0.5\n"),
+                     "a positive number", id="negative-b-cfl"),
+        pytest.param(certify_config("uniqueness", "working_epsilon = -0.1\n"),
+                     "a positive number", id="negative-working-epsilon"),
+        *(pytest.param(certify_config(kind, "certify_tolerance = 0\n"), "a positive number",
+                       id=f"zero-certify-tolerance-on-{kind}") for kind in sorted(CERTIFY_EXTRA)),
+        pytest.param(UNIQUENESS.replace("alpha = 0.6", "alpha = 1.5"), "a number in (0, 1)",
+                     id="certify-alpha-above-one"),
+        pytest.param(BESOV.replace("alpha = 0.5\np", "alpha = 0\np"), "a number in (0, 1)",
+                     id="besov-alpha-zero"),
+        pytest.param(UNIQUENESS.replace("p = 3.0", "p = 0.5"), "a number >= 1",
+                     id="certify-p-below-one"),
     ])
     def test_bad_value_rejected_before_solving(self, tmp_path, capsys, text, allowed):
         """A value outside the key's allowed values exits 1 before anything

@@ -18,7 +18,7 @@ from eulerlab.extensions import (
     inhom_solve,
     inhom_uniqueness_experiment,
 )
-from eulerlab.solver import State, solve
+from eulerlab.solver import State, admissibility_check, solve
 from eulerlab.synth import random_divfree, taylor_green
 from eulerlab.uniqueness import RunConfig
 
@@ -151,6 +151,8 @@ class TestDensityContraction:
         report = density_contraction_check(a, b, 1e-5)
         assert report.passed
         assert all(v == 0.0 for v in report.values)
+        # one ordered-pair audit record, whose JSON the admissibility check shares
+        assert admissibility_check(a, 1e-7).to_json_dict().keys() == report.to_json_dict().keys()
 
     def test_resolution_pair_passes(self):
         coarse = make_grid(2, 64)
@@ -274,9 +276,14 @@ class TestExtendedExperiments:
         assert report.contraction.passed
         assert max(report.energy) <= 1e-5
 
-    def test_empty_sweep_rejected_before_solving(self, monkeypatch):
+    @pytest.mark.parametrize("eps", [
+        [], [0.5, 0.25, 0.125, 0.01], [0.5, 0.25, 0.125, 0.0], [0.5, 0.25, 0.125, -0.1],
+    ], ids=["empty", "below-floor", "zero", "negative"])
+    def test_empty_sweep_rejected_before_solving(self, monkeypatch, eps):
+        """An empty sweep, or one with an epsilon the B grid does not admit,
+        fails before either leg is solved."""
         def no_solve(*args):
-            raise AssertionError("solved a pair with an empty sweep")
+            raise AssertionError("solved a pair with a bad sweep")
 
         monkeypatch.setattr(eulerlab.extensions, "run_pair", no_solve)
         grid = make_grid(2, 64)
@@ -284,10 +291,10 @@ class TestExtendedExperiments:
         cfg = RunConfig(64, 2e-3, 0.004)
         with pytest.raises(ConfigurationError, match="epsilon"):
             inhom_uniqueness_experiment(
-                smooth_density(grid), u0, cfg, cfg, alpha=0.6, p_int=3.0, epsilons=[]
+                smooth_density(grid), u0, cfg, cfg, alpha=0.6, p_int=3.0, epsilons=eps
             )
         with pytest.raises(ConfigurationError, match="epsilon"):
             boussinesq_uniqueness_experiment(
                 grid.sample_scalar(lambda x, y: 0.0 * x), u0, (0.0, -1.0), cfg, cfg,
-                alpha=0.6, p_int=3.0, epsilons=[],
+                alpha=0.6, p_int=3.0, epsilons=eps,
             )

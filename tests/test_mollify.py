@@ -25,6 +25,9 @@ class TestMakeKernel:
         grid = make_grid(2, 64)
         with pytest.raises(ConfigurationError, match="n >="):
             make_kernel(grid, 0.01)
+        # the n that would resolve the smallest subnormal exceeds any float
+        with pytest.raises(ConfigurationError, match=r"n >= \d{300}"):
+            make_kernel(grid, 5e-324)
 
     def test_compact_support_exact(self):
         grid = make_grid(2, 128)
@@ -45,6 +48,9 @@ class TestMakeKernel:
         grid = make_grid(2, 64)
         with pytest.raises(ConfigurationError):
             make_kernel(grid, 0.75)
+        for eps in (0.0, -0.1, float("nan")):
+            with pytest.raises(ConfigurationError, match="not positive"):
+                make_kernel(grid, eps)
         # marginal kernels (between 2 and 4 cells) exist but are flagged
         marginal = make_kernel(grid, 2.5 * grid.spacing)
         assert not marginal.fully_resolved

@@ -6,6 +6,7 @@ from eulerlab.grid_fields import (
     ScalarField,
     VelocityField,
     _dealiased_product,
+    _max_speed,
     curl_2d,
     lp_norm,
     make_grid,
@@ -20,7 +21,6 @@ from eulerlab.solver import (
     enstrophy,
     kinetic_energy,
     linear_window,
-    _max_speed,
     _rk4_stage,
     _Vorticity,
     recover_pressure,
@@ -175,6 +175,9 @@ class TestStressForm:
         for a, b in zip((u1, u2), u.components):
             assert np.max(np.abs(a - b.values)) <= 1e-12 * max_norm(u)
         assert _max_speed((u1, u2)) == pytest.approx(u.max_speed(), rel=1e-12)
+        # one square root, of the largest square: bitwise the max magnitude
+        assert u0.max_speed() == float(u0.magnitude().max())
+        assert u.max_speed() == float(u.magnitude().max())
 
     @pytest.mark.parametrize("system, per_stage", [("solve", 4), ("boussinesq_solve", 7)])
     def test_transforms_per_stage(self, monkeypatch, system, per_stage):

@@ -72,6 +72,17 @@ class TestRelativeEnergy:
         )
         assert direct == pytest.approx(expanded, abs=1e-10)
 
+    def test_scalar_fields(self):
+        """Two scalar fields: bitwise ``0.5 * sum((a - b)^2) * h^N``."""
+        grid = make_grid(2, 64)
+        u = random_band_limited_velocity(grid, 8, seed=5, divfree=True)
+        a, b = u.components
+        d = a.values - b.values
+        assert relative_energy(a, b) == 0.5 * float(np.sum(d * d) * grid.cell_volume)
+        assert relative_energy(a, a) == 0.0
+        with pytest.raises(ConfigurationError, match="same kind"):
+            relative_energy(a, u)
+
     def test_grid_mismatch(self):
         u = taylor_green(make_grid(2, 64), 1.0)
         v = taylor_green(make_grid(2, 128), 1.0)
@@ -319,6 +330,8 @@ class TestUniquenessExperiment:
     @pytest.mark.parametrize("route, eps", [
         ("nonsense", EPS), ("convective", []), ("convective", EPS[:3]),
         ("convective", [0.5, 0.25, 0.25, 0.125]),
+        ("convective", [0.5, 0.25, 0.125, 0.01]), ("convective", [0.5, 0.25, 0.125, 0.0]),
+        ("convective", [0.5, 0.25, 0.125, -0.1]), ("convective", [0.75, 0.5, 0.25, 0.125]),
     ])
     def test_bad_sweep_rejected_before_solving(self, monkeypatch, route, eps):
         def no_solve(*args):
@@ -331,6 +344,29 @@ class TestUniquenessExperiment:
             uniqueness_experiment(
                 u0, cfg, cfg, alpha=0.6, p_int=3.0, epsilons=eps, budget_route=route
             )
+
+    def test_sweep_checked_on_the_finer_leg(self, monkeypatch):
+        """Epsilons are checked against the finer (B) leg's grid, where the
+        sweep runs; a nonpositive working epsilon also fails before solving."""
+        class Solved(Exception):
+            pass
+
+        def no_solve(*args):
+            raise Solved
+
+        monkeypatch.setattr(eulerlab.uniqueness, "run_pair", no_solve)
+        u0 = taylor_green(make_grid(2, 128), 1.0)
+        legs = (RunConfig(64, 2e-3, 0.004), RunConfig(128, 1e-3, 0.004, snapshot_stride=2))
+        kwargs = dict(alpha=0.6, p_int=3.0)
+        # 0.04 is below the 64-point floor (0.0625), not the 128-point one
+        with pytest.raises(Solved):
+            uniqueness_experiment(u0, *legs, epsilons=[0.5, 0.25, 0.125, 0.04], **kwargs)
+        with pytest.raises(ConfigurationError, match=r"floor .* \(needs n >= 256\)"):
+            uniqueness_experiment(u0, *legs, epsilons=[0.5, 0.25, 0.125, 0.02], **kwargs)
+        for work_eps in (0.0, -0.1):
+            with pytest.raises(ConfigurationError, match="working_epsilon"):
+                uniqueness_experiment(u0, *legs, epsilons=self.EPS, working_epsilon=work_eps,
+                                      **kwargs)
 
     def test_degenerate_b_snapshot_rejected(self):
         grid = make_grid(2, 64)
