@@ -183,13 +183,18 @@ def _fit_slope(rows: list[tuple[float, float]], fit_min: float, fit_max: float) 
     return float(slope)
 
 
+def _check_exponents(alpha: float, p_int: float) -> None:
+    """Reject an exponent outside (0, 1) or an integrability below 1."""
+    if not 0.0 < alpha < 1.0:
+        raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
+    if not p_int >= 1.0:
+        raise ConfigurationError(f"p must be >= 1, got {p_int}")
+
+
 def besov_seminorm(h: Field, alpha: float, p_int: float) -> BesovEstimate:
     """Estimate the seminorm and the realized exponent under the default
     shift policy."""
-    if not 0.0 < alpha < 1.0:
-        raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
-    if p_int < 1.0:
-        raise ConfigurationError(f"p must be >= 1, got {p_int}")
+    _check_exponents(alpha, p_int)
     rows = _probe(h, ShiftPolicy.default(h.grid), p_int)
     table = [(m, v, v / m**alpha) for m, v in rows]
     seminorm = max((r[2] for r in table), default=0.0)

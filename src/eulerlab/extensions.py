@@ -7,9 +7,12 @@ variable-coefficient equation ``div(grad(p)/rho) = -div((u.grad)u)`` by
 preconditioned conjugate gradients, so the velocity stays exactly solenoidal.
 The CG iterate lives on half-spectrum coefficients: inner products are the
 grid inner products through Parseval (weight 1 on the first and last columns
-of the last axis, 2 elsewhere), the constant-density spectral inverse
-preconditions by a pure multiply, each iteration costs four transforms, and
-each RK stage starts from the previous stage's pressure.
+of the last axis, 2 elsewhere), and each RK stage starts from the previous
+stage's pressure.  The preconditioner is the inverse-coefficient sandwich
+``(-lap)^-1 (-div(rho grad((-lap)^-1 .)))``: exact for uniform density, it
+clusters the spectrum at 1 otherwise, so a solve takes a few iterations even
+at high density contrast.  An iteration costs eight transforms, four for the
+operator and four for the preconditioner.
 
 The Boussinesq system advances the vorticity with the homogeneous advection
 tendency plus the buoyancy torque ``curl(theta g)``, and transports
@@ -53,6 +56,7 @@ from .grid_fields import (
     _div_hat,
     _leray_hats,
     _max_speed,
+    _parseval_dot,
     _parseval_weights,
     curl_2d,
     gradient,
@@ -123,104 +127,131 @@ def _weighted_kinetic_energy(grid: PeriodicGrid, rho: np.ndarray,
     return 0.5 * float(np.sum(rho * mag2) * grid.cell_volume)
 
 
-def _pressure_gradient_over_rho(
-    grid: PeriodicGrid,
-    beta: np.ndarray,
-    rhs_div: np.ndarray,
-    tol: float,
-    max_iter: int,
-    p0: Optional[np.ndarray] = None,
-):
-    """Solve ``div(beta grad p) = rhs_div`` (beta = 1/rho, both sides
-    spectral) by preconditioned CG on half-spectrum coefficients.
+class _Pressure:
+    """The pressure CG's constants on one grid, built once per
+    ``inhom_solve`` call as ``solver._Vorticity`` builds its symbols: the
+    derivative symbols ``i k`` (Nyquist zeroed), which both the operator and
+    the preconditioner use, and the interleaved Parseval weights of the
+    inner product."""
 
-    ``-div(beta grad .)`` is symmetric positive definite on zero-mean fields
-    in the grid inner product, evaluated here through Parseval with the
-    half-spectrum weights, so the iteration is the physical-space one without
-    its transforms.  The preconditioner is the constant-coefficient inverse
-    with the mean of beta, a pure multiply (exact for uniform density, where
-    CG converges in a single iteration); one operator application costs two
-    inverse and two forward transforms.  ``p0`` warm-starts the iterate: when
-    its residual already meets ``tol`` the solve returns after 0 iterations.
+    def __init__(self, grid: PeriodicGrid):
+        self.grid = grid
+        self.ik = [1j * grid.deriv_wavenumber(a) for a in range(grid.dims)]
+        self.weights = np.repeat(_parseval_weights(grid), 2)
 
-    Returns ``(flux_hats, p_hat, iterations)`` with ``flux_hats`` the
-    spectral components of ``beta * grad p``, accumulated alongside the
-    iterate so no transform is spent on them at the end.  ``p_hat`` is None
-    where there is nothing to warm-start from: a zero right-hand side (exact
-    zero fluxes) or non-finite input (non-finite fluxes, returned at once for
-    the integrator to report).
-    """
-    w = _parseval_weights(grid)
-    ik = [1j * grid.deriv_wavenumber(a) for a in range(grid.dims)]
-    precondition = grid.inv_k_squared / float(beta.mean())
+    def _flux(self, coef: np.ndarray, p_hat: np.ndarray) -> list[np.ndarray]:
+        """``coef grad p``, spectral: two transforms per axis."""
+        grid = self.grid
+        return [grid.rfftn(coef * grid.irfftn(k * p_hat)) for k in self.ik]
 
-    def dot(a: np.ndarray, b: np.ndarray) -> float:
-        return float(np.vdot(a, w * b).real)
-
-    def apply_op(p_hat: np.ndarray):
-        """``-div(beta grad p)`` and the flux ``beta grad p``, spectral."""
-        flux = [grid.rfftn(beta * grid.irfftn(k * p_hat)) for k in ik]
-        div = ik[0] * flux[0]
-        for k, f in zip(ik[1:], flux[1:]):
+    def _neg_div(self, flux: Sequence[np.ndarray]) -> np.ndarray:
+        """``-div(flux)``, spectral, in a fresh array."""
+        div = self.ik[0] * flux[0]
+        for k, f in zip(self.ik[1:], flux[1:]):
             div += k * f
-        return -div, flux
+        return np.negative(div, out=div)
 
-    def filled(value: float) -> list[np.ndarray]:
-        return [np.full(grid.rshape, value, dtype=complex) for _ in range(grid.dims)]
+    def _precondition(self, rho: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """The inverse-coefficient sandwich ``L (-div(rho grad(L r)))`` with
+        ``L = (-lap)^-1``: four transforms."""
+        inv_k2 = self.grid.inv_k_squared
+        z = self._neg_div(self._flux(rho, r * inv_k2))
+        z *= inv_k2
+        return z
 
-    b = -rhs_div
-    b_norm = math.sqrt(dot(b, b))
-    if b_norm == 0.0:
-        return filled(0.0), None, 0
-    if not math.isfinite(b_norm):
-        return filled(np.nan), None, 0
-    if p0 is None:
-        x = np.zeros(grid.rshape, dtype=complex)
-        flux = filled(0.0)
-        r = b
-    else:
-        Ax, flux = apply_op(p0)
-        x = p0.copy()
-        r = b - Ax
-    r_norm = math.sqrt(dot(r, r))
-    if r_norm <= tol * b_norm:
-        return flux, x, 0
-    # updates run in place: fewer short-lived arrays keep the heap small
-    d = r * precondition
-    rz = dot(r, d)
-    for it in range(1, max_iter + 1):
-        Ad, flux_d = apply_op(d)
-        dAd = dot(d, Ad)
-        if not math.isfinite(dAd):
-            return filled(np.nan), None, it
-        if dAd <= 0.0:
-            raise PoissonConvergenceError(
-                "pressure operator lost positivity (density too irregular?)",
-                it,
-                r_norm,
-            )
-        step = rz / dAd
-        x += step * d
-        for f, fd in zip(flux, flux_d):
-            f += step * fd
-        r -= step * Ad
+    def gradient_over_rho(self, rho: np.ndarray, rhs_div: np.ndarray,
+                          p0: Optional[np.ndarray] = None):
+        """Solve ``div(grad(p)/rho) = rhs_div`` (both sides spectral) by
+        preconditioned CG on half-spectrum coefficients.
+
+        ``A = -div(beta grad .)``, ``beta = 1/rho``, is symmetric positive
+        definite on zero-mean fields in the grid inner product, taken here
+        through Parseval, so the iteration is the physical-space one without
+        its transforms.  The preconditioner is ``P = L (-div(rho grad .)) L``
+        with ``L = (-lap)^-1``.  With ``R = grad L^(1/2)``, an isometry onto
+        gradient fields, ``P A`` is similar to ``I - R* rho (I - Q) beta R``
+        (``Q`` the projection onto gradient fields): exact for uniform
+        density, where CG converges in one iteration, and otherwise clustered
+        at 1, with only the solenoidal part of ``beta grad p`` left to
+        iterate on.  An iteration costs eight transforms, four for ``A`` and
+        four for ``P``.  ``p0`` warm-starts the iterate for four more; when
+        its residual already meets the tolerance the solve returns after 0
+        iterations.  The solve stops at ``|r| <= POISSON_TOLERANCE |b|``.
+
+        Returns ``(flux_hats, p_hat, iterations)`` with ``flux_hats`` the
+        spectral components of ``beta * grad p``, accumulated alongside the
+        iterate so no transform is spent on them at the end.  ``p_hat`` is
+        None where there is nothing to warm-start from: a zero right-hand side
+        (exact zero fluxes) or non-finite input (non-finite fluxes, returned
+        at once for the integrator to report).
+        """
+        grid = self.grid
+        beta = 1.0 / rho
+
+        def dot(a: np.ndarray, b: np.ndarray) -> float:
+            return _parseval_dot(a, b, self.weights)
+
+        def apply_op(p_hat: np.ndarray):
+            """``-div(beta grad p)`` and the flux ``beta grad p``, spectral."""
+            flux = self._flux(beta, p_hat)
+            return self._neg_div(flux), flux
+
+        def filled(value: float) -> list[np.ndarray]:
+            return [np.full(grid.rshape, value, dtype=complex) for _ in range(grid.dims)]
+
+        b = -rhs_div
+        b_norm = math.sqrt(dot(b, b))
+        if b_norm == 0.0:
+            return filled(0.0), None, 0
+        if not math.isfinite(b_norm):
+            return filled(np.nan), None, 0
+        if p0 is None:
+            x = np.zeros(grid.rshape, dtype=complex)
+            flux = filled(0.0)
+            r = b
+        else:
+            Ax, flux = apply_op(p0)
+            x = p0.copy()
+            r = b - Ax
         r_norm = math.sqrt(dot(r, r))
-        if r_norm <= tol * b_norm:
-            return flux, x, it
-        z = r * precondition
-        rz_new = dot(r, z)
-        d *= rz_new / rz
-        d += z
-        rz = rz_new
-    raise PoissonConvergenceError(
-        f"pressure solve did not reach {tol} in {max_iter} iterations",
-        max_iter,
-        r_norm / b_norm,
-    )
+        if r_norm <= POISSON_TOLERANCE * b_norm:
+            return flux, x, 0
+        # updates run in place: fewer short-lived arrays keep the heap small
+        d = self._precondition(rho, r)
+        rz = dot(r, d)
+        for it in range(1, POISSON_MAX_ITER + 1):
+            Ad, flux_d = apply_op(d)
+            dAd = dot(d, Ad)
+            if not math.isfinite(dAd):
+                return filled(np.nan), None, it
+            if dAd <= 0.0:
+                raise PoissonConvergenceError(
+                    "pressure operator lost positivity (density too irregular?)",
+                    it,
+                    r_norm,
+                )
+            step = rz / dAd
+            x += step * d
+            for f, fd in zip(flux, flux_d):
+                f += step * fd
+            r -= step * Ad
+            r_norm = math.sqrt(dot(r, r))
+            if r_norm <= POISSON_TOLERANCE * b_norm:
+                return flux, x, it
+            z = self._precondition(rho, r)
+            rz_new = dot(r, z)
+            d *= rz_new / rz
+            d += z
+            rz = rz_new
+        raise PoissonConvergenceError(
+            f"pressure solve did not reach {POISSON_TOLERANCE} in {POISSON_MAX_ITER} iterations",
+            POISSON_MAX_ITER,
+            r_norm / b_norm,
+        )
 
 
 def _inhom_velocity_tendency(
-    grid: PeriodicGrid,
+    pressure: _Pressure,
     rho: np.ndarray,
     u: Sequence[np.ndarray],
     p0: Optional[np.ndarray],
@@ -228,12 +259,10 @@ def _inhom_velocity_tendency(
     """``-(u.grad)u - grad(p)/rho`` with the constraint-enforcing pressure,
     returned in spectral form and Leray-scrubbed of the CG residual, together
     with the pressure (the next stage's warm start)."""
+    grid = pressure.grid
     adv_hats = [_div_hat(grid, row) for row in _dealiased_product_tensor(grid, u)]
-    beta = 1.0 / rho
     rhs_div = _div_hat(grid, adv_hats)  # div((u.grad)u) for div-free u
-    bgp_hats, p_hat, _ = _pressure_gradient_over_rho(
-        grid, beta, -rhs_div, POISSON_TOLERANCE, POISSON_MAX_ITER, p0
-    )
+    bgp_hats, p_hat, _ = pressure.gradient_over_rho(rho, -rhs_div, p0)
     f_hats = [-adv_hats[i] - bgp_hats[i] for i in range(grid.dims)]
     # scrub the leftover CG residual so stage velocities stay solenoidal
     return _leray_hats(grid, f_hats), p_hat
@@ -266,6 +295,7 @@ def inhom_solve(
             raise SolverAbort(f"density lost positivity at t={t}", t)
         return State(t, vel, {"density": rho})
 
+    pressure = _Pressure(grid)
     p_hat = None  # the last stage's pressure warm-starts the next solve
 
     def rhs(hats: tuple, with_speed: bool) -> tuple:
@@ -273,7 +303,7 @@ def inhom_solve(
         rho_phys = grid.irfftn(hats[0])
         u_phys = [grid.irfftn(h) for h in hats[1:]]
         d_rho = _transport_tendency(grid, rho_phys, u_phys)
-        d_u, p_hat = _inhom_velocity_tendency(grid, rho_phys, u_phys, p_hat)
+        d_u, p_hat = _inhom_velocity_tendency(pressure, rho_phys, u_phys, p_hat)
         return (d_rho, *d_u), _max_speed(u_phys) if with_speed else None
 
     hats = tuple(f.hat * grid.dealias_mask for f in (rho0, *u0.components))
@@ -453,7 +483,7 @@ def inhom_uniqueness_experiment(
 ) -> UniquenessReport:
     """A/B certification for the inhomogeneous system: weighted relative
     energy with C(t) from the finer run, plus the density contraction audit."""
-    _check_sweep("convective", epsilons, cfg_a, cfg_b)
+    _check_sweep("convective", epsilons, cfg_a, cfg_b, alpha, p_int, certify_tolerance)
     traj_a, traj_b = run_pair((rho0, u0), cfg_a, cfg_b, inhom_solve)
     return _extended_experiment(
         traj_a, traj_b, "density", _weighted_energy, alpha, p_int, epsilons,
@@ -478,7 +508,7 @@ def boussinesq_uniqueness_experiment(
     """A/B certification for the Boussinesq system: homogeneous-style
     relative-energy certificate plus the theta contraction audit, with C(t)
     estimated from the finer run's velocity."""
-    _check_sweep("convective", epsilons, cfg_a, cfg_b)
+    _check_sweep("convective", epsilons, cfg_a, cfg_b, alpha, p_int, certify_tolerance)
     traj_a, traj_b = run_pair(
         (theta0, u0), cfg_a, cfg_b, functools.partial(boussinesq_solve, g=g)
     )

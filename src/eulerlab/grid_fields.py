@@ -372,6 +372,16 @@ def _parseval_weights(grid: PeriodicGrid) -> np.ndarray:
     return w
 
 
+def _parseval_dot(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> float:
+    """``sum_k w Re(conj(a) b)`` of two C-contiguous half-spectra in one
+    einsum pass over their interleaved real views: no ``w * b`` temporary,
+    and no multithreaded BLAS to wake, as ``np.vdot`` would.  ``weights`` is
+    ``np.repeat(_parseval_weights(grid), 2)``, one weight per real and per
+    imaginary part."""
+    return float(np.einsum("ij,ij,j->", a.view(np.float64).reshape(-1, weights.size),
+                           b.view(np.float64).reshape(-1, weights.size), weights))
+
+
 def divergence(u: VelocityField) -> ScalarField:
     """Spectral divergence, summed over axes."""
     grid = u.grid

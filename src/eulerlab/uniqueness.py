@@ -20,7 +20,8 @@ returns the one ``UniquenessReport``.  The homogeneous experiment feeds it
 (:mod:`~eulerlab.extensions`) add a weighted energy, a per-quantity
 hypothesis and a scalar-contraction audit (a ``solver.PairAudit``) as data.
 All three first pass ``_check_sweep``, which asks ``mollify.epsilon_problem``
-about every sweep epsilon on the finer leg's grid, before solving anything.
+about every sweep epsilon on the finer leg's grid and checks ``alpha``,
+``p_int`` and the certify tolerance, before solving anything.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .besov import BesovEstimate, _check_usable, besov_seminorm
+from .besov import BesovEstimate, _check_exponents, _check_usable, besov_seminorm
 from .commutator import _sweep_intercepts, _sweep_magnitudes
 from .errors import ConfigurationError, GridMismatchError
 from .grid_fields import (
@@ -354,10 +355,17 @@ def _pair_series(traj_a, traj_b, energy, alpha: float, p_int: float):
 
 
 def _check_sweep(budget_route: str, epsilons: Sequence[float], cfg_a: RunConfig,
-                 cfg_b: RunConfig, working_epsilon: Optional[float] = None) -> None:
+                 cfg_b: RunConfig, alpha: float, p_int: float,
+                 certify_tolerance: Optional[float],
+                 working_epsilon: Optional[float] = None) -> None:
     """Reject an unknown budget route, a sweep with fewer than 4 distinct
-    epsilons or one the finer leg's grid (where it runs) does not admit, or a
-    nonpositive working epsilon, so a bad configuration fails before solving."""
+    epsilons or one the finer leg's grid (where it runs) does not admit, an
+    exponent ``alpha`` outside (0, 1), an integrability ``p_int`` below 1, or
+    a nonpositive certify tolerance or working epsilon, so a bad
+    configuration fails before solving."""
+    _check_exponents(alpha, p_int)
+    if certify_tolerance is not None and not certify_tolerance > 0.0:
+        raise ConfigurationError(f"certify_tolerance {certify_tolerance} is not positive")
     if budget_route not in ROUTE_THRESHOLDS:
         raise ConfigurationError("budget_route must be 'convective' or 'trilinear'")
     if len(epsilons) < 4:
@@ -506,7 +514,8 @@ def uniqueness_experiment(
     The default tolerance is ten times the pair's measured energy drift, so
     discretization error cannot masquerade as non-uniqueness.
     """
-    _check_sweep(budget_route, epsilons, cfg_a, cfg_b, working_epsilon)
+    _check_sweep(budget_route, epsilons, cfg_a, cfg_b, alpha, p_int, certify_tolerance,
+                 working_epsilon)
     traj_a, traj_b = run_pair((u0,), cfg_a, cfg_b, solve)
     return _certify_pair(
         traj_a, traj_b, alpha, p_int, epsilons, energy=_plain_energy,

@@ -1,18 +1,14 @@
 """The variable-density pressure solve: half-spectrum PCG against a dense
-oracle, exactness of the preconditioner, the warm start, the transform budget
-and non-finite input."""
+oracle, exactness of the preconditioner for uniform density, its iteration
+count at high contrast, the warm start, the transform budgets of one solve
+and of whole RK steps, and non-finite input."""
 
 import numpy as np
 import pytest
 
 from eulerlab.errors import SolverAbort
-from eulerlab.extensions import (
-    POISSON_MAX_ITER,
-    POISSON_TOLERANCE,
-    _pressure_gradient_over_rho,
-    inhom_solve,
-)
-from eulerlab.grid_fields import _parseval_weights, make_grid
+from eulerlab.extensions import _Pressure, inhom_solve
+from eulerlab.grid_fields import _parseval_dot, _parseval_weights, make_grid
 from eulerlab.synth import taylor_green
 
 from _utils import count_transforms, random_band_limited_scalar, random_band_limited_velocity
@@ -29,9 +25,7 @@ def problem(n, seed=0, amp=0.3):
 
 
 def solve(grid, beta, rhs_div, p0=None):
-    return _pressure_gradient_over_rho(
-        grid, beta, rhs_div, POISSON_TOLERANCE, POISSON_MAX_ITER, p0
-    )
+    return _Pressure(grid).gradient_over_rho(1.0 / beta, rhs_div, p0)
 
 
 def physical(grid, hats):
@@ -60,13 +54,16 @@ def test_parseval_weights_give_the_grid_inner_product():
     grid = make_grid(2, 16)
     f = random_band_limited_scalar(grid, 8, 1)
     g = random_band_limited_scalar(grid, 8, 2)
-    spectral = np.sum(_parseval_weights(grid) * (np.conj(f.hat) * g.hat).real)
+    w = _parseval_weights(grid)
+    spectral = np.sum(w * (np.conj(f.hat) * g.hat).real)
     assert spectral == pytest.approx(np.sum(f.values * g.values), rel=1e-13)
+    assert _parseval_dot(f.hat, g.hat, np.repeat(w, 2)) == pytest.approx(spectral, rel=1e-13)
 
 
-@pytest.mark.parametrize("n", [16, 32])
-def test_matches_dense_solve(n):
-    grid, beta, rhs_div = problem(n)
+@pytest.mark.parametrize("n, amp", [(16, 0.3), (32, 0.3), (32, 0.8)],
+                         ids=["16", "32", "32-contrast"])
+def test_matches_dense_solve(n, amp):
+    grid, beta, rhs_div = problem(n, amp=amp)
     flux_hats, _, iterations = solve(grid, beta, rhs_div)
     assert iterations > 1
     ref = dense_reference(grid, beta, rhs_div)
@@ -90,17 +87,40 @@ def test_warm_start_from_converged_pressure():
     assert np.max(np.abs(warm - cold)) <= 1e-13 * np.max(np.abs(cold))
 
 
-def test_four_transforms_per_iteration(monkeypatch):
+@pytest.mark.parametrize("n", [64, 128])
+def test_few_iterations_at_high_contrast(n):
+    # rho spans [0.2, 1.8]: a mean-coefficient preconditioner needs 23-31
+    # iterations here, the inverse-coefficient sandwich 7-9
+    grid, beta, rhs_div = problem(n, amp=0.8)
+    _, _, iterations = solve(grid, beta, rhs_div)
+    assert 1 < iterations <= 10
+
+
+def test_eight_transforms_per_iteration(monkeypatch):
     grid, beta, rhs_div = problem(32, seed=2)
     calls = count_transforms(monkeypatch)
     _, p_hat, iterations = solve(grid, beta, rhs_div)
     assert iterations > 1
-    assert len(calls) == 4 * iterations
+    # four for the operator, four for the preconditioner (the last iteration
+    # skips it, the initial direction pays it)
+    assert len(calls) == 8 * iterations
     # a warm start pays one operator application for its initial residual
     calls.clear()
     _, _, iterations = solve(grid, beta, rhs_div, p0=0.5 * p_hat)
     assert iterations > 0
-    assert len(calls) == 4 * (iterations + 1)
+    assert len(calls) == 8 * iterations + 4
+
+
+def test_rk_step_transform_budget(monkeypatch):
+    # per stage: 8 transforms outside the pressure solve, 4 for the warm
+    # start and 8 per CG iteration: about 133 per step here, against about
+    # 163 with a mean-coefficient preconditioner at 4 per iteration
+    grid = make_grid(2, 32)
+    rho = grid.sample_scalar(lambda x, y: 1.0 + 0.2 * np.sin(np.pi * x) * np.cos(np.pi * y))
+    u0 = taylor_green(grid, 1.0)
+    calls = count_transforms(monkeypatch)
+    inhom_solve(rho, u0, 0.04, 0.01, snapshot_stride=4)
+    assert len(calls) / 4 <= 145
 
 
 def test_non_finite_input_returns_at_once():

@@ -368,6 +368,43 @@ class TestUniquenessExperiment:
                 uniqueness_experiment(u0, *legs, epsilons=self.EPS, working_epsilon=work_eps,
                                       **kwargs)
 
+    @pytest.mark.parametrize("bad", [
+        dict(alpha=0.0), dict(alpha=1.5), dict(p_int=0.5),
+        dict(certify_tolerance=0.0), dict(certify_tolerance=-1e-9),
+    ], ids=["alpha-0", "alpha-1.5", "p-0.5", "tolerance-0", "tolerance-negative"])
+    def test_bad_arguments_rejected_before_solving(self, monkeypatch, bad):
+        """All three certify experiments reject a bad exponent, integrability
+        or tolerance without solving a leg."""
+        import eulerlab.extensions
+        from eulerlab.extensions import (
+            boussinesq_uniqueness_experiment,
+            inhom_uniqueness_experiment,
+        )
+
+        calls = []
+
+        def counted(*args, _run_pair=eulerlab.uniqueness.run_pair):
+            calls.append(args)
+            return _run_pair(*args)
+
+        monkeypatch.setattr(eulerlab.uniqueness, "run_pair", counted)
+        monkeypatch.setattr(eulerlab.extensions, "run_pair", counted)
+        grid = make_grid(2, 64)
+        u0 = taylor_green(grid, 1.0)
+        scalar = grid.sample_scalar(lambda x, y: 1.0 + 0.2 * np.sin(np.pi * x))
+        cfg = RunConfig(64, 2e-3, 0.004)
+        kwargs = dict(dict(alpha=0.6, p_int=3.0, epsilons=self.EPS), **bad)
+        runs = [
+            lambda: uniqueness_experiment(u0, cfg, cfg, **kwargs),
+            lambda: inhom_uniqueness_experiment(scalar, u0, cfg, cfg, **kwargs),
+            lambda: boussinesq_uniqueness_experiment(scalar, u0, (0.0, -1.0), cfg, cfg,
+                                                     **kwargs),
+        ]
+        for run in runs:
+            with pytest.raises(ConfigurationError):
+                run()
+        assert len(calls) == 0
+
     def test_degenerate_b_snapshot_rejected(self):
         grid = make_grid(2, 64)
         zero = VelocityField.from_arrays(grid, [np.zeros(grid.shape)] * 2)
