@@ -37,7 +37,6 @@ from .grid_fields import (
 from .mollify import MollifierKernel, epsilon_problem, make_kernel, mollify
 from .besov import (
     BesovEstimate,
-    ShiftPolicy,
     besov_seminorm,
     fit_regularity_exponent,
     translation_difference_norm,

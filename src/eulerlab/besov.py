@@ -2,8 +2,8 @@
 
 The continuum seminorm sups ``||h(.+xi) - h||_{L^p} / |xi|^alpha`` over all
 shifts; on the torus every translation is admissible, and grid-aligned shifts
-are exact circular index maps, so no interpolation enters.  A finite dyadic
-shift policy replaces the sup, and the regularity exponent is recovered as the
+are exact circular index maps, so no interpolation enters.  A finite family
+of dyadic shifts replaces the sup, and the regularity exponent is recovered as the
 log-log slope of the difference norms, excluding shifts so small that they are
 discretization-dominated.
 """
@@ -21,7 +21,6 @@ from .grid_fields import Field, PeriodicGrid, ScalarField
 from .reporting import dump_csv
 
 __all__ = [
-    "ShiftPolicy",
     "BesovEstimate",
     "translation_difference_norm",
     "besov_seminorm",
@@ -46,32 +45,18 @@ def _fit_bounds(grid: PeriodicGrid) -> tuple[float, float]:
     return lo, hi
 
 
-@dataclass(frozen=True)
-class ShiftPolicy:
-    """Finite family of probe shifts: dyadic step counts along fixed directions.
-
-    ``step_counts`` are lattice steps (the dyadic magnitudes); ``directions``
-    are integer lattice directions.  The probed shift vectors are
-    ``steps * direction * spacing`` with true Euclidean magnitudes recorded.
-    """
-
-    step_counts: tuple[int, ...]
-    directions: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def default(cls, grid: PeriodicGrid) -> "ShiftPolicy":
-        steps = []
-        j = 0
-        while (1 << j) * grid.spacing <= 0.5:
-            steps.append(1 << j)
-            j += 1
-        axes = [
-            tuple(1 if a == ax else 0 for a in range(grid.dims))
-            for ax in range(grid.dims)
-        ]
-        diag = tuple([1] * grid.dims)
-        anti = tuple(1 if a % 2 == 0 else -1 for a in range(grid.dims))
-        return cls(tuple(steps), tuple(axes + [diag, anti]))
+def _shifts(grid: PeriodicGrid) -> list[tuple[int, tuple[int, ...]]]:
+    """The probed shifts as ``(m, d)``: dyadic lattice step counts ``m`` from
+    1 while ``m * spacing <= 1/2``, each along every axis, the diagonal and
+    the antidiagonal ``d``.  The shift vector is ``m * d * spacing``."""
+    axes = [tuple(1 if a == ax else 0 for a in range(grid.dims)) for ax in range(grid.dims)]
+    diag = tuple([1] * grid.dims)
+    anti = tuple(1 if a % 2 == 0 else -1 for a in range(grid.dims))
+    counts, m = [], 1
+    while m * grid.spacing <= 0.5:
+        counts.append(m)
+        m *= 2
+    return [(m, d) for m in counts for d in axes + [diag, anti]]
 
 
 @dataclass
@@ -155,20 +140,19 @@ def _shift_diff_norm(h: Field, steps: tuple[int, ...], p_int: float,
 
 def translation_difference_norm(h: Field, xi: Sequence[float], p_int: float) -> float:
     """L^p norm of ``h(. + xi) - h`` for a grid-aligned shift ``xi``."""
-    if p_int < 1.0:
+    if not p_int >= 1.0:
         raise ConfigurationError(f"p must be >= 1, got {p_int}")
     return _shift_diff_norm(h, _steps_from_xi(h.grid, xi), p_int)
 
 
-def _probe(h: Field, policy: ShiftPolicy, p_int: float) -> list[tuple[float, float]]:
+def _probe(h: Field, p_int: float) -> list[tuple[float, float]]:
+    """``(|xi|, ||delta_xi h||_p)`` over :func:`_shifts`, by magnitude."""
     grid = h.grid
     work = np.empty((2,) + grid.shape)
     rows = []
-    for m in policy.step_counts:
-        for d in policy.directions:
-            steps = tuple(m * c for c in d)
-            mag = grid.spacing * m * float(np.linalg.norm(d))
-            rows.append((mag, _shift_diff_norm(h, steps, p_int, work)))
+    for m, d in _shifts(grid):
+        mag = grid.spacing * m * float(np.linalg.norm(d))
+        rows.append((mag, _shift_diff_norm(h, tuple(m * c for c in d), p_int, work)))
     rows.sort(key=lambda r: r[0])
     return rows
 
@@ -192,10 +176,10 @@ def _check_exponents(alpha: float, p_int: float) -> None:
 
 
 def besov_seminorm(h: Field, alpha: float, p_int: float) -> BesovEstimate:
-    """Estimate the seminorm and the realized exponent under the default
-    shift policy."""
+    """Estimate the seminorm and the realized exponent over the probed
+    shifts."""
     _check_exponents(alpha, p_int)
-    rows = _probe(h, ShiftPolicy.default(h.grid), p_int)
+    rows = _probe(h, p_int)
     table = [(m, v, v / m**alpha) for m, v in rows]
     seminorm = max((r[2] for r in table), default=0.0)
     fitted = _fit_slope(rows, *_fit_bounds(h.grid))
@@ -211,12 +195,12 @@ def _check_usable(grid: PeriodicGrid, rows) -> None:
     if len(usable) < 3:
         raise ConfigurationError(
             f"only {len(usable)} usable shift magnitudes (need >= 3); "
-            "enlarge the grid or the shift policy"
+            "enlarge the grid"
         )
 
 
 def fit_regularity_exponent(h: Field, p_int: float) -> float:
-    """Log-log slope of the difference norms with the default shift policy."""
-    rows = _probe(h, ShiftPolicy.default(h.grid), p_int)
+    """Log-log slope of the difference norms over the probed shifts."""
+    rows = _probe(h, p_int)
     _check_usable(h.grid, rows)
     return _fit_slope(rows, *_fit_bounds(h.grid))

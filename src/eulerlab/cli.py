@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .besov import besov_seminorm
-from .commutator import DEFAULT_SLOPE_TOLERANCE, scaling_experiment
+from .commutator import DEFAULT_SLOPE_TOLERANCE, ROUTES, scaling_experiment
 from .errors import EulerLabError, ConfigurationError
 from .extensions import (
     boussinesq_uniqueness_experiment,
@@ -54,7 +54,7 @@ from .solver import (
 )
 from .synth import KINDS as SYNTH_KINDS
 from .synth import SynthSpec, field_from_spec, low_mode_divfree, low_mode_scalar
-from .uniqueness import ROUTE_THRESHOLDS, RunConfig, _check_cadences, uniqueness_experiment
+from .uniqueness import RunConfig, _check_cadences, uniqueness_experiment
 
 EXPERIMENTS = (
     "besov_fit",
@@ -116,6 +116,7 @@ def _section(name: str, **keys: _Key) -> dict:
 _INT = partial(_Key, lambda raw: int(raw, 0), "an integer")
 _FLOAT = partial(_Key, float, "a number")
 _POSITIVE = partial(_Key, float, "a positive number", ok=lambda v: v > 0.0)
+_NONNEGATIVE = partial(_Key, float, "a nonnegative number", ok=lambda v: v >= 0.0)
 _EXPONENT = partial(_Key, float, "a number in (0, 1)", ok=lambda v: 0.0 < v < 1.0)
 _INTEGRABILITY = partial(_Key, float, "a number >= 1", ok=lambda v: v >= 1.0)
 _FLOATS = partial(_Key, lambda raw: [float(tok) for tok in raw.split()])
@@ -135,7 +136,7 @@ _COMMON = {
 _AUDIT = {**_section("grid", dims=_INT(2)), **_section("sweep", p=_INTEGRABILITY(3.0))}
 _SWEEP = {**_AUDIT, **_section(
     "sweep", alpha=_EXPONENT(None),  # fitted from the fields
-    slope_tolerance=_FLOAT(DEFAULT_SLOPE_TOLERANCE),
+    slope_tolerance=_NONNEGATIVE(DEFAULT_SLOPE_TOLERANCE),
     epsilons=_FLOATS("at least 4 strictly decreasing numbers",
                      ok=lambda e: len(e) >= 4 and all(b < a for a, b in zip(e, e[1:]))),
 )}
@@ -150,7 +151,7 @@ _PAIR = {**_SOLVE, **_section(
     epsilons=_FLOATS("at least 4 distinct numbers",
                      ok=lambda e: len(e) >= 4 and len(set(e)) == len(e)),
 )}
-_EXTENDED = {**_PAIR, **_section("sweep", contraction_tolerance=_FLOAT(1e-5))}
+_EXTENDED = {**_PAIR, **_section("sweep", contraction_tolerance=_NONNEGATIVE(1e-5))}
 
 _KEYS = {
     # [sweep] alpha defaults to [synth] alpha, else 0.5
@@ -158,10 +159,10 @@ _KEYS = {
     "commutator_scaling": {**_COMMON, **_SWEEP},
     "cet_scaling": {**_COMMON, **_SWEEP},
     "energy_conservation": {**_COMMON, **_SOLVE, **_section(
-        "solver", drift_tolerance=_FLOAT(1e-6), admissibility_tolerance=_FLOAT(1e-7),
+        "solver", drift_tolerance=_NONNEGATIVE(1e-6), admissibility_tolerance=_NONNEGATIVE(1e-7),
     ), **_section("output", save_snapshots=_INT(1))},
     "uniqueness": {**_COMMON, **_PAIR, **_section(
-        "sweep", budget_route=_one_of({r: r for r in ROUTE_THRESHOLDS}, "convective"),
+        "sweep", budget_route=_one_of({r: r for r in ROUTES}, "convective"),
         working_epsilon=_POSITIVE(None),  # the smallest epsilon
     )},
     "inhom_uniqueness": {**_COMMON, **_EXTENDED, **_section("density", amplitude=_FLOAT(0.2))},
@@ -170,8 +171,8 @@ _KEYS = {
         theta_amplitude=_FLOAT(0.2), theta_axis=_one_of({"0": 0, "1": 1}, "0"),
     )},
     "weak_residual": {**_COMMON, **_SOLVE, **_section(
-        "weak", count=_INT(10), kmax=_INT(3), w1_tolerance=_FLOAT(1e-6),
-        w2_tolerance=_FLOAT(1e-10),
+        "weak", count=_INT(10), kmax=_INT(3), w1_tolerance=_NONNEGATIVE(1e-6),
+        w2_tolerance=_NONNEGATIVE(1e-10),
         window=_one_of({"cosine": cosine_window, "linear": linear_window}, "cosine"),
     )},
 }

@@ -7,6 +7,10 @@ pairing ``int [(u (x) u)_eps - u_eps (x) u_eps] : grad(v_eps - u_eps)`` whose
 magnitude decays like ``eps^(3 alpha - 1)``.  A transport variant
 ``(rho u)_eps - rho_eps u_eps`` serves the inhomogeneous system.
 
+``ROUTES`` is the one home of the two budget routes: each names its quantity
+and the power ``p`` of its rate ``eps^(p alpha - 1)``, which decays exactly
+when ``alpha > 1/p``, the route's hypothesis threshold.
+
 Quadratic products are evaluated pointwise and 2/3-dealiased before any
 derivative is taken, matching the solver convention, so every term is the
 Galerkin product of band-limited fields.
@@ -16,8 +20,9 @@ An epsilon sweep builds the terms that do not depend on epsilon once
 7 transforms per scale on the convective commutator and 5 on the trilinear
 pairing, besides the kernel's own.  The pairing never leaves spectral
 space: ``m_ij`` meets ``d_b(v_eps - u_eps)_a`` in a Parseval sum over
-half-spectra.  The public single-scale functions run the same per-scale
-code on terms they build themselves.
+half-spectra.  Both per-scale kernels return arrays, not fields.  The
+public single-scale functions run the same per-scale code on terms they
+build themselves.
 """
 
 from __future__ import annotations
@@ -34,9 +39,9 @@ from .grid_fields import (
     VelocityField,
     _dealiased_product,
     _dealiased_product_tensor,
-    _div_hat,
+    _div_product_hats,
+    _lp_norm,
     _parseval_weights,
-    lp_norm,
 )
 from .mollify import MollifierKernel, epsilon_problem, make_kernel, mollify
 from .reporting import dump_json
@@ -58,36 +63,35 @@ DEFAULT_SLOPE_TOLERANCE = 0.15
 # are reported as vacuous passes.
 VACUOUS_MAGNITUDE = 1e-14
 
-QUANTITIES = ("convective_commutator_lp", "cet_trilinear")
+# budget route -> (sweep quantity, power p of the rate eps^(p alpha - 1))
+ROUTES = {"convective": ("convective_commutator_lp", 2.0), "trilinear": ("cet_trilinear", 3.0)}
 
 
 def _convective_raw(v: VelocityField) -> list[np.ndarray]:
     """The epsilon-independent spectra of ``div(v (x) v)``, one per
     component."""
-    grid = v.grid
-    raw_hats = _dealiased_product_tensor(grid, [c.values for c in v.components])
-    return [_div_hat(grid, row) for row in raw_hats]
+    return _div_product_hats(v.grid, [c.values for c in v.components])
 
 
 def _convective_at(v: VelocityField, div_raw: Sequence[np.ndarray],
-                   kernel: MollifierKernel) -> VelocityField:
-    """The convective commutator at one scale, given ``div_raw`` from
-    :func:`_convective_raw`: 7 transforms."""
+                   kernel: MollifierKernel) -> list[np.ndarray]:
+    """The convective commutator's component samples at one scale, given
+    ``div_raw`` from :func:`_convective_raw`: 7 transforms."""
     grid = v.grid
-    v_eps = mollify(v, kernel)
-    smooth_hats = _dealiased_product_tensor(grid, [c.values for c in v_eps.components])
-    comps = []
-    for row, raw in zip(smooth_hats, div_raw):
-        hat = _div_hat(grid, row) - raw * kernel.multiplier
-        comps.append(ScalarField.from_hat(grid, hat))
-    return VelocityField(comps)
+    mult = kernel.multiplier
+    v_eps = [grid.irfftn(c.hat * mult) for c in v.components]
+    hats = _div_product_hats(grid, v_eps)
+    del v_eps  # free the mollified samples before the inverse transforms
+    for h, raw in zip(hats, div_raw):
+        h -= raw * mult
+    return [grid.irfftn(h) for h in hats]
 
 
 def convective_commutator(v: VelocityField, kernel: MollifierKernel) -> VelocityField:
     """``div(v_eps (x) v_eps) - (div(v (x) v))_eps`` as a vector field."""
     if v.grid != kernel.grid:
         raise GridMismatchError("field and kernel live on different grids")
-    return _convective_at(v, _convective_raw(v), kernel)
+    return VelocityField.from_arrays(v.grid, _convective_at(v, _convective_raw(v), kernel))
 
 
 def _cet_raw(u: VelocityField, v: VelocityField):
@@ -211,17 +215,6 @@ class ScalingReport:
         dump_json(self.to_json_dict(), path)
 
 
-def _as_pair(fields) -> tuple[VelocityField, Optional[VelocityField]]:
-    if isinstance(fields, VelocityField):
-        return fields, None
-    fields = tuple(fields)
-    if len(fields) == 1:
-        return fields[0], None
-    if len(fields) == 2:
-        return fields[0], fields[1]
-    raise ConfigurationError("fields must be one velocity field or a (u, v) pair")
-
-
 def _sweep_magnitudes(primary: VelocityField, secondary: Optional[VelocityField],
                       quantity: str, epsilons: Sequence[float], p_int: float) -> list[float]:
     """``quantity`` at each scale: the convective commutator's L^(p/2) norm
@@ -231,7 +224,7 @@ def _sweep_magnitudes(primary: VelocityField, secondary: Optional[VelocityField]
         div_raw = _convective_raw(primary)
 
         def at(kern: MollifierKernel) -> float:
-            return lp_norm(_convective_at(primary, div_raw, kern), p_int / 2.0)
+            return _lp_norm(primary.grid, _convective_at(primary, div_raw, kern), p_int / 2.0)
     else:
         raw = _cet_raw(primary, secondary)
 
@@ -262,45 +255,43 @@ def scaling_experiment(
     """Evaluate a commutator quantity over a dyadic epsilon sweep and fit its
     log-log decay rate.
 
-    ``alpha`` defaults to the exponent fitted from the input fields themselves
-    (their mean when two are given), so the theory slope tracks the realized
-    regularity rather than a nominal label.
+    ``fields`` is one velocity field for ``"convective_commutator_lp"`` and a
+    ``(u, v)`` pair for ``"cet_trilinear"``.  ``alpha`` defaults to the
+    exponent fitted from the input fields themselves (their mean for a
+    pair), so the theory slope tracks the realized regularity rather than a
+    nominal label.
     """
-    if quantity not in QUANTITIES:
-        raise ConfigurationError(f"unknown quantity {quantity!r}; choose from {QUANTITIES}")
+    powers = dict(ROUTES.values())
+    if quantity not in powers:
+        raise ConfigurationError(f"unknown quantity {quantity!r}; choose from {tuple(powers)}")
     epsilons = [float(e) for e in epsilons]
     if len(epsilons) < 4:
         raise ConfigurationError("need at least 4 epsilons for a rate fit")
     if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
         raise ConfigurationError("epsilons must be strictly decreasing")
 
-    primary, secondary = _as_pair(fields)
-    grid = primary.grid
-    if quantity == "cet_trilinear" and secondary is None:
-        raise ConfigurationError("cet_trilinear needs a (u, v) field pair")
+    convective = quantity == "convective_commutator_lp"
+    if convective and isinstance(fields, VelocityField):
+        fields = (fields,)
+    elif convective or isinstance(fields, VelocityField) or len(fields) != 2:
+        raise ConfigurationError("convective_commutator_lp takes one velocity field" if convective
+                                 else "cet_trilinear needs a (u, v) field pair")
+    grid = fields[0].grid
     problem = next(filter(None, (epsilon_problem(grid, eps) for eps in epsilons)), None)
     if problem:
         raise ConfigurationError(problem)
 
     if alpha is None:
-        alphas = [fit_regularity_exponent(primary, p_int)]
-        if secondary is not None:
-            alphas.append(fit_regularity_exponent(secondary, p_int))
-        alpha = float(np.mean(alphas))
-
-    if quantity == "convective_commutator_lp":
-        theory_slope = 2.0 * alpha - 1.0
-        s_v = besov_seminorm(primary, alpha, p_int).seminorm
-        seminorms = {"v": s_v}
-        bound_factor = s_v**2
+        alpha = float(np.mean([fit_regularity_exponent(f, p_int) for f in fields]))
+    theory_slope = powers[quantity] * alpha - 1.0
+    semi = [besov_seminorm(f, alpha, p_int).seminorm for f in fields]
+    if convective:
+        seminorms, bound_factor = {"v": semi[0]}, semi[0] ** 2
     else:
-        theory_slope = 3.0 * alpha - 1.0
-        s_u = besov_seminorm(primary, alpha, p_int).seminorm
-        s_w = besov_seminorm(secondary, alpha, p_int).seminorm
-        seminorms = {"u": s_u, "v": s_w}
-        bound_factor = s_u**2 * (s_u + s_w)
+        seminorms, bound_factor = {"u": semi[0], "v": semi[1]}, semi[0] ** 2 * (semi[0] + semi[1])
 
-    magnitudes = _sweep_magnitudes(primary, secondary, quantity, epsilons, p_int)
+    magnitudes = _sweep_magnitudes(fields[0], None if convective else fields[1], quantity,
+                                   epsilons, p_int)
     intercepts, vacuous = _sweep_intercepts(magnitudes, epsilons, theory_slope, bound_factor)
     if vacuous:
         fitted_slope = float("nan")

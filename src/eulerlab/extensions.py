@@ -52,12 +52,13 @@ from .grid_fields import (
     ScalarField,
     VelocityField,
     _dealiased_product,
-    _dealiased_product_tensor,
     _div_hat,
+    _div_product_hats,
     _leray_hats,
     _max_speed,
     _parseval_dot,
     _parseval_weights,
+    _squared_magnitude,
     curl_2d,
     gradient,
     inner,
@@ -121,10 +122,7 @@ def _total(f: ScalarField) -> float:
 def _weighted_kinetic_energy(grid: PeriodicGrid, rho: np.ndarray,
                              u: Sequence[np.ndarray]) -> float:
     """``0.5 int rho |u|^2`` from samples."""
-    mag2 = np.zeros(grid.shape)
-    for c in u:
-        mag2 += c * c
-    return 0.5 * float(np.sum(rho * mag2) * grid.cell_volume)
+    return 0.5 * float(np.sum(rho * _squared_magnitude(u)) * grid.cell_volume)
 
 
 class _Pressure:
@@ -260,7 +258,7 @@ def _inhom_velocity_tendency(
     returned in spectral form and Leray-scrubbed of the CG residual, together
     with the pressure (the next stage's warm start)."""
     grid = pressure.grid
-    adv_hats = [_div_hat(grid, row) for row in _dealiased_product_tensor(grid, u)]
+    adv_hats = _div_product_hats(grid, u)
     rhs_div = _div_hat(grid, adv_hats)  # div((u.grad)u) for div-free u
     bgp_hats, p_hat, _ = pressure.gradient_over_rho(rho, -rhs_div, p0)
     f_hats = [-adv_hats[i] - bgp_hats[i] for i in range(grid.dims)]
@@ -425,8 +423,10 @@ def _weighted_energy(sa: State, ua: VelocityField, ub: VelocityField) -> float:
 
 
 def _extended_experiment(
-    traj_a: Trajectory,
-    traj_b: Trajectory,
+    initial: tuple,
+    cfg_a: RunConfig,
+    cfg_b: RunConfig,
+    solve_leg,
     scalar_name: str,
     energy_of,
     alpha: float,
@@ -436,10 +436,14 @@ def _extended_experiment(
     contraction_tolerance: float,
     certify_tolerance: Optional[float],
 ) -> UniquenessReport:
-    """Fit the Besov hypothesis over every quantity the uniqueness statement
-    lists, for both legs at mid-horizon (B's velocity is fitted from the
-    pair series), audit the scalar contraction, and certify the pair against
-    the convective budget at the sweep's smallest epsilon."""
+    """Check the sweep, solve the pair from the ``initial`` fields with
+    ``solve_leg``, fit the Besov hypothesis over every quantity the
+    uniqueness statement lists, for both legs at mid-horizon (B's velocity
+    is fitted from the pair series), audit the scalar contraction, and
+    certify the pair against the convective budget at the sweep's smallest
+    epsilon."""
+    _check_sweep("convective", epsilons, cfg_a, cfg_b, alpha, p_int, certify_tolerance)
+    traj_a, traj_b = run_pair(initial, cfg_a, cfg_b, solve_leg)
     mid = len(traj_a.times) // 2
     sa, sb = traj_a.states[mid], traj_b.states[mid]
     scal_a = sa.scalars[scalar_name]
@@ -483,11 +487,9 @@ def inhom_uniqueness_experiment(
 ) -> UniquenessReport:
     """A/B certification for the inhomogeneous system: weighted relative
     energy with C(t) from the finer run, plus the density contraction audit."""
-    _check_sweep("convective", epsilons, cfg_a, cfg_b, alpha, p_int, certify_tolerance)
-    traj_a, traj_b = run_pair((rho0, u0), cfg_a, cfg_b, inhom_solve)
     return _extended_experiment(
-        traj_a, traj_b, "density", _weighted_energy, alpha, p_int, epsilons,
-        contraction_tolerance=contraction_tolerance,
+        (rho0, u0), cfg_a, cfg_b, inhom_solve, "density", _weighted_energy, alpha, p_int,
+        epsilons, contraction_tolerance=contraction_tolerance,
         certify_tolerance=certify_tolerance,
     )
 
@@ -508,12 +510,8 @@ def boussinesq_uniqueness_experiment(
     """A/B certification for the Boussinesq system: homogeneous-style
     relative-energy certificate plus the theta contraction audit, with C(t)
     estimated from the finer run's velocity."""
-    _check_sweep("convective", epsilons, cfg_a, cfg_b, alpha, p_int, certify_tolerance)
-    traj_a, traj_b = run_pair(
-        (theta0, u0), cfg_a, cfg_b, functools.partial(boussinesq_solve, g=g)
-    )
     return _extended_experiment(
-        traj_a, traj_b, "theta", _plain_energy, alpha, p_int, epsilons,
-        contraction_tolerance=contraction_tolerance,
+        (theta0, u0), cfg_a, cfg_b, functools.partial(boussinesq_solve, g=g), "theta",
+        _plain_energy, alpha, p_int, epsilons, contraction_tolerance=contraction_tolerance,
         certify_tolerance=certify_tolerance,
     )

@@ -267,10 +267,7 @@ class VelocityField:
 
     def magnitude(self) -> np.ndarray:
         """Pointwise Euclidean speed."""
-        sq = np.zeros(self.grid.shape)
-        for c in self.components:
-            sq += c.values * c.values
-        return np.sqrt(sq)
+        return np.sqrt(_squared_magnitude([c.values for c in self.components]))
 
     def max_speed(self) -> float:
         """Largest pointwise Euclidean speed."""
@@ -291,13 +288,18 @@ class VelocityField:
 Field = Union[ScalarField, VelocityField]
 
 
-def _max_speed(arrays: Sequence[np.ndarray]) -> float:
-    """Largest pointwise Euclidean norm of the component samples ``arrays``:
-    one square root, of the largest square (bitwise the max magnitude)."""
+def _squared_magnitude(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Pointwise ``|a|^2`` of the component samples ``arrays``, fresh."""
     sq = arrays[0] * arrays[0]
     for c in arrays[1:]:
         sq += c * c
-    return math.sqrt(float(sq.max()))
+    return sq
+
+
+def _max_speed(arrays: Sequence[np.ndarray]) -> float:
+    """Largest pointwise Euclidean norm of the component samples ``arrays``:
+    one square root, of the largest square (bitwise the max magnitude)."""
+    return math.sqrt(float(_squared_magnitude(arrays).max()))
 
 
 def _require_same_grid(a, b) -> None:
@@ -348,6 +350,12 @@ def _div_hat(grid: PeriodicGrid, hats: Sequence[np.ndarray]) -> np.ndarray:
     for axis, h in enumerate(hats):
         acc += 1j * grid.deriv_wavenumber(axis) * h
     return acc
+
+
+def _div_product_hats(grid: PeriodicGrid, arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Spectral ``div(a (x) a)``, ``sum_j d_j(a_i a_j)`` per component, of the
+    samples ``arrays``: the dealiased product table, one divergence per row."""
+    return [_div_hat(grid, row) for row in _dealiased_product_tensor(grid, arrays)]
 
 
 def _leray_hats(grid: PeriodicGrid, hats: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -411,15 +419,22 @@ def leray_project(u: VelocityField) -> VelocityField:
     return VelocityField([ScalarField.from_hat(grid, h) for h in hats])
 
 
+def _lp_norm(grid: PeriodicGrid, arrays: Sequence[np.ndarray], p_int: float) -> float:
+    """``(sum |a|^p h^N)^(1/p)`` of the pointwise Euclidean magnitude of the
+    component samples ``arrays`` (one array: its absolute value)."""
+    if not p_int >= 1.0:
+        raise ConfigurationError(f"p must be >= 1, got {p_int}")
+    mag = np.abs(arrays[0]) if len(arrays) == 1 else np.sqrt(_squared_magnitude(arrays))
+    return float((np.sum(mag**p_int) * grid.cell_volume) ** (1.0 / p_int))
+
+
 def lp_norm(f: Field, p_int: float) -> float:
     """Uniform-grid L^p norm ``(sum |f|^p h^N)^(1/p)``.
 
     Vector fields use the pointwise Euclidean magnitude.
     """
-    if p_int < 1.0:
-        raise ConfigurationError(f"p must be >= 1, got {p_int}")
-    mag = np.abs(f.values) if isinstance(f, ScalarField) else f.magnitude()
-    return float((np.sum(mag**p_int) * f.grid.cell_volume) ** (1.0 / p_int))
+    arrays = [f.values] if isinstance(f, ScalarField) else [c.values for c in f.components]
+    return _lp_norm(f.grid, arrays, p_int)
 
 
 def max_norm(f: Field) -> float:

@@ -22,6 +22,9 @@ hypothesis and a scalar-contraction audit (a ``solver.PairAudit``) as data.
 All three first pass ``_check_sweep``, which asks ``mollify.epsilon_problem``
 about every sweep epsilon on the finer leg's grid and checks ``alpha``,
 ``p_int`` and the certify tolerance, before solving anything.
+
+The budget routes live in ``commutator.ROUTES``: a route whose budget decays
+like ``eps^(p alpha - 1)`` needs ``alpha > 1/p``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .besov import BesovEstimate, _check_exponents, _check_usable, besov_seminorm
-from .commutator import _sweep_intercepts, _sweep_magnitudes
+from .commutator import ROUTES, _sweep_intercepts, _sweep_magnitudes
 from .errors import ConfigurationError, GridMismatchError
 from .grid_fields import (
     Field,
@@ -59,12 +62,6 @@ __all__ = [
     "gronwall_certify",
     "uniqueness_experiment",
 ]
-
-# Each certification route pairs a commutator budget with the regularity
-# threshold its hypothesis needs: the convective route decays like
-# eps^(2a-1) and needs a > 1/2; the trilinear route decays like
-# eps^(3a-1) and needs a > 1/3.
-ROUTE_THRESHOLDS = {"convective": 0.5, "trilinear": 1.0 / 3.0}
 
 # The extended systems gate the smallest per-quantity exponent at the
 # trilinear threshold whatever the budget route; matching it to the route
@@ -178,7 +175,7 @@ def gronwall_certify(
 ) -> GronwallCertificate:
     """Check ``E(t2) <= E(t1) exp(int C) + budget + tolerance`` for every
     ordered pair on the shared axis and record the worst one."""
-    if certify_tolerance <= 0.0:
+    if not certify_tolerance > 0.0:
         raise ConfigurationError("certify_tolerance must be positive")
     times = _shared_times(E_series, C_series)
     E = E_series.values
@@ -366,7 +363,7 @@ def _check_sweep(budget_route: str, epsilons: Sequence[float], cfg_a: RunConfig,
     _check_exponents(alpha, p_int)
     if certify_tolerance is not None and not certify_tolerance > 0.0:
         raise ConfigurationError(f"certify_tolerance {certify_tolerance} is not positive")
-    if budget_route not in ROUTE_THRESHOLDS:
+    if budget_route not in ROUTES:
         raise ConfigurationError("budget_route must be 'convective' or 'trilinear'")
     if len(epsilons) < 4:
         raise ConfigurationError("need at least 4 epsilons for the budget sweep")
@@ -411,9 +408,9 @@ def _certify_pair(
     of one snapshot.
 
     Without ``hypothesis`` the median of B's per-snapshot fitted exponents
-    must exceed the route's threshold.  ``hypothesis`` maps further quantities
-    to exponents fitted at mid-horizon; B's mid-horizon velocity exponent
-    joins them as ``velocity_b``, and their minimum must exceed
+    must exceed the route's threshold ``1/p``.  ``hypothesis`` maps further
+    quantities to exponents fitted at mid-horizon; B's mid-horizon velocity
+    exponent joins them as ``velocity_b``, and their minimum must exceed
     ``EXTENDED_REQUIRED_ALPHA``.  ``audit`` (a scalar-contraction report) must
     pass as well and is reported as ``contraction``.
     """
@@ -422,12 +419,13 @@ def _certify_pair(
     e_series, c_series, estimates = _pair_series(traj_a, traj_b, energy, alpha, p_int)
     times = e_series.times
     seminorms = [e.seminorm for e in estimates]
+    quantity, power = ROUTES[budget_route]
 
     if hypothesis is None:
         for e in estimates:
             _check_usable(grid_v, e.shift_table)
         fitted_alpha = float(np.median([e.fitted_alpha for e in estimates]))
-        required = ROUTE_THRESHOLDS[budget_route]
+        required = 1.0 / power
     else:
         velocity_b = _fitted_or_regular(grid_v, estimates[len(times) // 2])
         hypothesis = dict(hypothesis, velocity_b=velocity_b)
@@ -437,13 +435,13 @@ def _certify_pair(
 
     # the budget constant reuses the first snapshots' seminorms from above
     v0 = traj_b.states[0].velocity
+    rate = power * alpha - 1.0
     if budget_route == "convective":
-        fields, quantity, rate = (v0, None), "convective_commutator_lp", 2.0 * alpha - 1.0
+        fields = (v0, None)
         bound_factor = seminorms[0] ** 2
         weight = _cumulative_trapz([s * s for s in seminorms], times)[-1]
     else:
-        u0_on_v = resample(traj_a.states[0].velocity, grid_v)
-        fields, quantity, rate = (u0_on_v, v0), "cet_trilinear", 3.0 * alpha - 1.0
+        fields = (resample(traj_a.states[0].velocity, grid_v), v0)
         su = [
             besov_seminorm(resample(s.velocity, grid_v), alpha, p_int).seminorm
             for s in traj_a.states

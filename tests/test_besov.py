@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from eulerlab.besov import (
-    ShiftPolicy,
     _check_usable,
     _circular_diff,
     _shift_diff_norm,
+    _shifts,
     besov_seminorm,
     fit_regularity_exponent,
     translation_difference_norm,
@@ -44,6 +44,12 @@ class TestTranslationDifferenceNorm:
         h = grid.sample_scalar(lambda x, y: 0.0 * x)
         with pytest.raises(ConfigurationError):
             translation_difference_norm(h, (0.001, 0.0), 2.0)
+
+    def test_rejects_nan_p(self):
+        grid = make_grid(2, 32)
+        h = grid.sample_scalar(lambda x, y: np.sin(np.pi * x))
+        with pytest.raises(ConfigurationError, match="p must be >= 1"):
+            translation_difference_norm(h, (0.25, 0.0), float("nan"))
 
 
 class TestBesovSeminorm:
@@ -151,10 +157,12 @@ class TestFitRegularityExponent:
 class TestShiftPolicy:
     def test_default_covers_dyadic_range(self):
         grid = make_grid(2, 128)
-        pol = ShiftPolicy.default(grid)
-        assert pol.step_counts[0] == 1
-        assert max(pol.step_counts) * grid.spacing <= 0.5
-        assert len(pol.directions) == 4
+        shifts = _shifts(grid)
+        counts = sorted({m for m, _ in shifts})
+        assert counts == [2**j for j in range(len(counts))]
+        assert max(counts) * grid.spacing <= 0.5 < 2 * max(counts) * grid.spacing
+        assert len({d for _, d in shifts}) == 4
+        assert len(shifts) == 4 * len(counts)
 
 
 class TestShiftDiffKernel:

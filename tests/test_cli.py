@@ -117,6 +117,19 @@ CERTIFY_EXTRA = {
 }
 
 
+WEAK = MINIMAL_ENERGY.replace("energy_conservation", "weak_residual") + "\n[weak]\n"
+# each tolerance key -> a config whose last section is the key's
+TOLERANCE_CONFIGS = {
+    "drift_tolerance": MINIMAL_ENERGY,
+    "admissibility_tolerance": MINIMAL_ENERGY,
+    "w1_tolerance": WEAK,
+    "w2_tolerance": WEAK,
+    "slope_tolerance": BESOV.replace("besov_fit", "commutator_scaling")
+    + "epsilons = 0.25 0.125 0.0625 0.03125\n",
+    "contraction_tolerance": UNIQUENESS.replace("= uniqueness", "= inhom_uniqueness"),
+}
+
+
 def certify_config(kind, sweep=""):
     """UNIQUENESS run as ``kind``, with extra ``[sweep]`` lines."""
     text = UNIQUENESS.replace("kind = uniqueness", f"kind = {kind}")
@@ -338,6 +351,19 @@ class TestRun:
         err = capsys.readouterr().err
         assert "bad value for" in err
         assert f"(allowed: {allowed})" in err
+
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    @pytest.mark.parametrize("key", sorted(TOLERANCE_CONFIGS))
+    def test_tolerance_must_be_nonnegative(self, tmp_path, capsys, key, value):
+        """A NaN or negative tolerance is a configuration error naming the
+        key, not a failed check at exit 2."""
+        cfg = write_config(tmp_path, TOLERANCE_CONFIGS[key] + f"{key} = {value}\n")
+        assert validate(cfg) == 1
+        assert run(cfg, output_dir=tmp_path / "out") == 1
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert f"bad value for '{key}'" in err
+        assert "(allowed: a nonnegative number)" in err
 
     def test_percent_in_value_read_literally(self, tmp_path, capsys):
         """A '%' is a plain character in a value, not an interpolation."""

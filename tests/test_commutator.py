@@ -209,6 +209,19 @@ class TestScalingExperiment:
         with pytest.raises(ConfigurationError, match="pair"):
             scaling_experiment(v, "cet_trilinear", EPS_SWEEP, 3.0)
 
+    def test_one_input_shape_per_quantity(self):
+        """The convective sweep measures one field: a pair (whose second
+        field it would ignore while fitting alpha from both) or a 1-tuple is
+        rejected, as is a 1-tuple for the pairing."""
+        grid = make_grid(2, 64)
+        u = random_band_limited_velocity(grid, 8, seed=1, divfree=True)
+        v = random_band_limited_velocity(grid, 8, seed=2, divfree=True)
+        for fields in ((u, v), (u,)):
+            with pytest.raises(ConfigurationError, match="one velocity field"):
+                scaling_experiment(fields, "convective_commutator_lp", EPS_SWEEP, 3.0)
+        with pytest.raises(ConfigurationError, match="pair"):
+            scaling_experiment((u,), "cet_trilinear", EPS_SWEEP, 3.0)
+
     def test_json_round_trip(self, tmp_path):
         import json
 
@@ -347,6 +360,21 @@ class TestSweep:
         got = _sweep_magnitudes(u, v, "cet_trilinear", self.EPS, 3.0)
         expect = [abs(cet_trilinear(u, v, make_kernel(u.grid, e))) for e in self.EPS]
         assert got == expect
+
+    def test_convective_sweep_builds_no_fields(self, fields, monkeypatch):
+        """The convective sweep stays on arrays: no ``ScalarField.from_hat``
+        per scale (the kernel's own samples are a plain ``ScalarField``)."""
+        v, _ = fields
+        calls = []
+        from_hat = ScalarField.from_hat.__func__
+
+        def counted(cls, grid, hat):
+            calls.append(hat.shape)
+            return from_hat(cls, grid, hat)
+
+        monkeypatch.setattr(ScalarField, "from_hat", classmethod(counted))
+        _sweep_magnitudes(v, None, "convective_commutator_lp", self.EPS, 3.0)
+        assert calls == []
 
     @pytest.mark.parametrize("quantity,count", [
         # 3 raw products, then per epsilon 1 kernel + 7

@@ -192,6 +192,14 @@ class TestLpNorm:
         with pytest.raises(ConfigurationError):
             lp_norm(f, 0.5)
 
+    def test_rejects_nan_p(self):
+        grid = make_grid(2, 16)
+        f = grid.sample_scalar(lambda x, y: np.sin(np.pi * x))
+        u = grid.sample_velocity(lambda x, y: np.sin(np.pi * x), lambda x, y: np.cos(np.pi * y))
+        for field in (f, u):
+            with pytest.raises(ConfigurationError, match="p must be >= 1"):
+                lp_norm(field, float("nan"))
+
     def test_vector_uses_euclidean_magnitude(self):
         grid = make_grid(2, 32)
         u = grid.sample_velocity(lambda x, y: 3.0 + 0.0 * x, lambda x, y: 4.0 + 0.0 * x)

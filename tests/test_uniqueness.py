@@ -5,6 +5,7 @@ import pytest
 
 import eulerlab.besov
 import eulerlab.uniqueness
+from eulerlab.commutator import scaling_experiment
 from eulerlab.errors import ConfigurationError, GridMismatchError
 from eulerlab.grid_fields import (
     VelocityField,
@@ -203,6 +204,16 @@ class TestGronwallCertify:
         assert big.slack >= small.slack
         assert big.passed
 
+    def test_nan_tolerance_rejected(self):
+        t = self.axis()
+        with pytest.raises(ConfigurationError, match="certify_tolerance"):
+            gronwall_certify(
+                RelativeEnergySeries(t, [0.0] * len(t)),
+                LipschitzSeries(t, [1.0] * len(t), 0.1),
+                commutator_budget=0.0,
+                certify_tolerance=float("nan"),
+            )
+
     def test_mismatched_axes(self):
         with pytest.raises(ConfigurationError, match="axes"):
             gronwall_certify(
@@ -260,6 +271,24 @@ class TestUniquenessExperiment:
         assert not conv.hypothesis_met
         assert tri.hypothesis_met
         assert tri.verdict in ("pass", "certificate-failed")
+
+    @pytest.mark.parametrize("route, quantity, p", [
+        ("convective", "convective_commutator_lp", 2.0),
+        ("trilinear", "cet_trilinear", 3.0),
+    ])
+    def test_route_threshold_is_one_over_rate_power(self, route, quantity, p):
+        """A route's hypothesis threshold is 1/p where its sweep's theory
+        slope is p alpha - 1: the alpha at which the budget starts to decay."""
+        grid = make_grid(2, 64)
+        u0 = taylor_green(grid, 1.0)
+        cfg = RunConfig(64, 2e-3, 0.004)
+        report = uniqueness_experiment(u0, cfg, cfg, alpha=0.6, p_int=3.0, epsilons=self.EPS,
+                                       budget_route=route)
+        assert report.required_alpha == 1.0 / p
+        v = random_band_limited_velocity(grid, 12, seed=38, divfree=True)
+        fields = v if quantity == "convective_commutator_lp" else (u0, v)
+        sweep = scaling_experiment(fields, quantity, self.EPS, 3.0, alpha=report.alpha)
+        assert sweep.theory_slope == p * report.alpha - 1.0
 
     def test_cadence_mismatch_rejected(self):
         u0 = taylor_green(make_grid(2, 64), 1.0)
