@@ -175,15 +175,21 @@ def _check_exponents(alpha: float, p_int: float) -> None:
         raise ConfigurationError(f"p must be >= 1, got {p_int}")
 
 
+def _estimate(grid: PeriodicGrid, rows: list[tuple[float, float]], alpha: float,
+              p_int: float) -> BesovEstimate:
+    """The estimate at ``(alpha, p_int)`` from the probe ``rows`` of a field
+    on ``grid``."""
+    table = [(m, v, v / m**alpha) for m, v in rows]
+    seminorm = max((r[2] for r in table), default=0.0)
+    fitted = _fit_slope(rows, *_fit_bounds(grid))
+    return BesovEstimate(alpha, p_int, seminorm, table, fitted)
+
+
 def besov_seminorm(h: Field, alpha: float, p_int: float) -> BesovEstimate:
     """Estimate the seminorm and the realized exponent over the probed
     shifts."""
     _check_exponents(alpha, p_int)
-    rows = _probe(h, p_int)
-    table = [(m, v, v / m**alpha) for m, v in rows]
-    seminorm = max((r[2] for r in table), default=0.0)
-    fitted = _fit_slope(rows, *_fit_bounds(h.grid))
-    return BesovEstimate(alpha, p_int, seminorm, table, fitted)
+    return _estimate(h.grid, _probe(h, p_int), alpha, p_int)
 
 
 def _check_usable(grid: PeriodicGrid, rows) -> None:
@@ -199,8 +205,13 @@ def _check_usable(grid: PeriodicGrid, rows) -> None:
         )
 
 
-def fit_regularity_exponent(h: Field, p_int: float) -> float:
-    """Log-log slope of the difference norms over the probed shifts."""
+def _probe_fit(h: Field, p_int: float) -> tuple[list[tuple[float, float]], float]:
+    """One probe of ``h``: its rows and the exponent fitted from them."""
     rows = _probe(h, p_int)
     _check_usable(h.grid, rows)
-    return _fit_slope(rows, *_fit_bounds(h.grid))
+    return rows, _fit_slope(rows, *_fit_bounds(h.grid))
+
+
+def fit_regularity_exponent(h: Field, p_int: float) -> float:
+    """Log-log slope of the difference norms over the probed shifts."""
+    return _probe_fit(h, p_int)[1]

@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .besov import besov_seminorm
-from .commutator import DEFAULT_SLOPE_TOLERANCE, ROUTES, scaling_experiment
+from .commutator import DEFAULT_SLOPE_TOLERANCE, ROUTES, _p_problem, scaling_experiment
 from .errors import EulerLabError, ConfigurationError
 from .extensions import (
     boussinesq_uniqueness_experiment,
@@ -294,6 +294,18 @@ def _derived_quantities(cfg: ExperimentConfig) -> dict:
     return out
 
 
+# the scaling kinds' commutator quantities
+_SCALED = {"commutator_scaling": "convective_commutator_lp", "cet_scaling": "cet_trilinear"}
+
+
+def _swept_quantity(cfg: ExperimentConfig) -> Optional[str]:
+    """The commutator quantity the kind sweeps, or None; the extended
+    certifications budget the convective route."""
+    if ("solver_b", "n") in cfg.values:  # the A/B certifications
+        return ROUTES[cfg.values.get(("sweep", "budget_route"), "convective")][0]
+    return _SCALED.get(cfg.kind)
+
+
 def _range_checks(cfg: ExperimentConfig) -> list:
     """The checks that join several keys."""
     diags = []
@@ -304,6 +316,10 @@ def _range_checks(cfg: ExperimentConfig) -> list:
         n_sweep = max(grid.n_per_axis, cfg.values.get(("solver_b", "n"), 0))
         sweep_grid = make_grid(grid.dims, n_sweep)
         diags += filter(None, (epsilon_problem(sweep_grid, eps) for eps in epsilons))
+    quantity = _swept_quantity(cfg)
+    problem = quantity and _p_problem(quantity, cfg["sweep", "p"])
+    if problem:
+        diags.append(f"[sweep] {problem}")
     _build_synth_spec(cfg)
     if ("solver", "dt") in cfg.values:
         dt, T = cfg["solver", "dt"], cfg["solver", "T"]
@@ -336,7 +352,8 @@ def _exp_besov_fit(cfg: ExperimentConfig, outdir: Path):
     return EXIT_OK, line, report, {"shift_table": "shift_table.csv"}
 
 
-def _exp_scaling(cfg: ExperimentConfig, outdir: Path, quantity: str):
+def _exp_scaling(cfg: ExperimentConfig, outdir: Path):
+    quantity = _SCALED[cfg.kind]
     grid = _build_grid(cfg)
     spec = _build_synth_spec(cfg)
     v = field_from_spec(spec, grid)
@@ -498,8 +515,8 @@ def _exp_weak_residual(cfg: ExperimentConfig, outdir: Path):
 
 _BODIES = {
     "besov_fit": _exp_besov_fit,
-    "commutator_scaling": lambda c, o: _exp_scaling(c, o, "convective_commutator_lp"),
-    "cet_scaling": lambda c, o: _exp_scaling(c, o, "cet_trilinear"),
+    "commutator_scaling": _exp_scaling,
+    "cet_scaling": _exp_scaling,
     "energy_conservation": _exp_energy_conservation,
     "uniqueness": _exp_certify,
     "inhom_uniqueness": _exp_certify,

@@ -15,14 +15,17 @@ Quadratic products are evaluated pointwise and 2/3-dealiased before any
 derivative is taken, matching the solver convention, so every term is the
 Galerkin product of band-limited fields.
 
-An epsilon sweep builds the terms that do not depend on epsilon once
-(``div(v (x) v)``; the products ``u_i u_j`` and ``v - u``) and then spends
-7 transforms per scale on the convective commutator and 5 on the trilinear
-pairing, besides the kernel's own.  The pairing never leaves spectral
-space: ``m_ij`` meets ``d_b(v_eps - u_eps)_a`` in a Parseval sum over
-half-spectra.  Both per-scale kernels return arrays, not fields.  The
-public single-scale functions run the same per-scale code on terms they
-build themselves.
+An epsilon sweep builds the transformed terms that do not depend on
+epsilon once (``div(v (x) v)``; the product spectra of ``u_i u_j``) and
+then spends 7 transforms per scale on the convective commutator and 5 on
+the trilinear pairing, besides the kernel's own.  The pairing never leaves
+spectral space: ``m_ij`` meets ``d_b(v_eps - u_eps)_a`` in a Parseval sum
+over half-spectra, and it streams: each ``m_ij`` is paired and freed before
+the next is built.  The factors ``v - u`` are not hoisted: they cost no
+transform, since the fields cache their spectra, and held for the whole
+sweep they would add one half-spectrum per component to its peak memory.
+Both per-scale kernels return arrays, not fields.  The public single-scale
+functions run the same per-scale code on terms they build themselves.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .besov import besov_seminorm, fit_regularity_exponent
+from .besov import _check_exponents, _estimate, _probe_fit, besov_seminorm
 from .errors import ConfigurationError, GridMismatchError
 from .grid_fields import (
     ScalarField,
@@ -67,6 +70,15 @@ VACUOUS_MAGNITUDE = 1e-14
 ROUTES = {"convective": ("convective_commutator_lp", 2.0), "trilinear": ("cet_trilinear", 3.0)}
 
 
+def _p_problem(quantity: str, p_int: float) -> Optional[str]:
+    """Why a sweep of ``quantity`` cannot take the integrability ``p_int``,
+    or None: the convective commutator is measured in L^(p/2), a norm only
+    from ``p >= 2`` on."""
+    if quantity == "convective_commutator_lp" and not p_int >= 2.0:
+        return f"p {p_int} is below 2, the least the convective commutator's L^(p/2) norm admits"
+    return None
+
+
 def _convective_raw(v: VelocityField) -> list[np.ndarray]:
     """The epsilon-independent spectra of ``div(v (x) v)``, one per
     component."""
@@ -94,15 +106,10 @@ def convective_commutator(v: VelocityField, kernel: MollifierKernel) -> Velocity
     return VelocityField.from_arrays(v.grid, _convective_at(v, _convective_raw(v), kernel))
 
 
-def _cet_raw(u: VelocityField, v: VelocityField):
-    """The epsilon-independent parts of the trilinear pairing: the table of
-    dealiased product spectra of ``u_i u_j`` and the Parseval-weighted
-    spectra of ``v - u``."""
-    grid = u.grid
-    products = _dealiased_product_tensor(grid, [c.values for c in u.components])
-    w = _parseval_weights(grid)
-    diffs = [w * (cv.hat - cu.hat) for cu, cv in zip(u.components, v.components)]
-    return products, diffs
+def _cet_raw(u: VelocityField) -> list[list[np.ndarray]]:
+    """The epsilon-independent part of the trilinear pairing: the table of
+    dealiased product spectra of ``u_i u_j``."""
+    return _dealiased_product_tensor(u.grid, [c.values for c in u.components])
 
 
 def _re_vdot(a: np.ndarray, b: np.ndarray) -> float:
@@ -112,31 +119,41 @@ def _re_vdot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a.view(np.float64).ravel(), b.view(np.float64).ravel()))
 
 
-def _cet_at(u: VelocityField, raw, kernel: MollifierKernel) -> float:
-    """The trilinear pairing at one scale, given ``raw`` from
+def _cet_at(u: VelocityField, v: VelocityField, products: Sequence[Sequence[np.ndarray]],
+            kernel: MollifierKernel) -> float:
+    """The trilinear pairing at one scale, given ``products`` from
     :func:`_cet_raw`: 5 transforms.
 
     ``m_ij = (u_i u_j)_eps - u_eps,i u_eps,j`` is symmetric, so each
-    unordered pair is built once and paired with both ``d_j(v_eps -
-    u_eps)_i`` and ``d_i(v_eps - u_eps)_j``.  Each pairing is a Parseval
-    sum over half-spectra (the weights ride on ``diffs``), so neither factor
-    is transformed back; the terms are summed in row-major order.
+    unordered pair is built once, paired with both ``d_j(v_eps - u_eps)_i``
+    and ``d_i(v_eps - u_eps)_j`` and freed.  Each pairing is a Parseval sum
+    over half-spectra, so neither factor is transformed back; the gradient
+    factors are rebuilt from the fields' cached spectra for each pairing,
+    and the terms are summed in row-major order.
     """
     grid = u.grid
-    products, diffs = raw
     mult = kernel.multiplier
+    w = _parseval_weights(grid)
+
+    def grad_diff(a: int, b: int) -> np.ndarray:
+        """``w d_b(v_eps - u_eps)_a``, built in place: one half-spectrum."""
+        g = v.components[a].hat - u.components[a].hat
+        np.multiply(w, g, out=g)
+        np.multiply(mult, g, out=g)
+        np.multiply(1j * grid.deriv_wavenumber(b), g, out=g)
+        return g
+
     u_eps = [grid.irfftn(c.hat * mult) for c in u.components]
-    smooth = _dealiased_product_tensor(grid, u_eps)
-    del u_eps  # free the mollified samples before the pairing loop
-    diffs_eps = [mult * d for d in diffs]
     terms = [[0.0] * grid.dims for _ in range(grid.dims)]
     for i in range(grid.dims):
         for j in range(i, grid.dims):
-            m = products[i][j] * mult
-            m -= smooth[i][j]
+            m = _dealiased_product(grid, u_eps[i], u_eps[j])
+            if j == grid.dims - 1:
+                u_eps[i] = None  # its last product
+            np.subtract(products[i][j] * mult, m, out=m)
             for a, b in {(i, j), (j, i)}:
-                g = 1j * grid.deriv_wavenumber(b) * diffs_eps[a]
-                terms[a][b] = _re_vdot(m, g)
+                terms[a][b] = _re_vdot(m, grad_diff(a, b))
+            del m  # free m_ij before the next product is transformed
     total = 0.0
     for row in terms:
         for t in row:
@@ -150,7 +167,7 @@ def cet_trilinear(u: VelocityField, v: VelocityField, kernel: MollifierKernel) -
     grid = u.grid
     if grid != v.grid or grid != kernel.grid:
         raise GridMismatchError("fields and kernel live on different grids")
-    return _cet_at(u, _cet_raw(u, v), kernel)
+    return _cet_at(u, v, _cet_raw(u), kernel)
 
 
 def transport_commutator(
@@ -226,10 +243,10 @@ def _sweep_magnitudes(primary: VelocityField, secondary: Optional[VelocityField]
         def at(kern: MollifierKernel) -> float:
             return _lp_norm(primary.grid, _convective_at(primary, div_raw, kern), p_int / 2.0)
     else:
-        raw = _cet_raw(primary, secondary)
+        products = _cet_raw(primary)
 
         def at(kern: MollifierKernel) -> float:
-            return abs(_cet_at(primary, raw, kern))
+            return abs(_cet_at(primary, secondary, products, kern))
     return [at(make_kernel(primary.grid, eps)) for eps in epsilons]
 
 
@@ -264,6 +281,9 @@ def scaling_experiment(
     powers = dict(ROUTES.values())
     if quantity not in powers:
         raise ConfigurationError(f"unknown quantity {quantity!r}; choose from {tuple(powers)}")
+    problem = _p_problem(quantity, p_int)
+    if problem:
+        raise ConfigurationError(problem)
     epsilons = [float(e) for e in epsilons]
     if len(epsilons) < 4:
         raise ConfigurationError("need at least 4 epsilons for a rate fit")
@@ -282,9 +302,15 @@ def scaling_experiment(
         raise ConfigurationError(problem)
 
     if alpha is None:
-        alpha = float(np.mean([fit_regularity_exponent(f, p_int) for f in fields]))
+        # one probe per field gives both its exponent and its seminorm
+        probed = [_probe_fit(f, p_int) for f in fields]
+        alpha = float(np.mean([fit for _, fit in probed]))
+        _check_exponents(alpha, p_int)
+        semi = [_estimate(f.grid, rows, alpha, p_int).seminorm
+                for f, (rows, _) in zip(fields, probed)]
+    else:
+        semi = [besov_seminorm(f, alpha, p_int).seminorm for f in fields]
     theory_slope = powers[quantity] * alpha - 1.0
-    semi = [besov_seminorm(f, alpha, p_int).seminorm for f in fields]
     if convective:
         seminorms, bound_factor = {"v": semi[0]}, semi[0] ** 2
     else:

@@ -2,10 +2,13 @@
 
 The kernel is the classical radial bump ``exp(-1/(1 - (r/eps)^2))`` sampled on
 the lattice under the minimum-image metric, clipped to the open ball of radius
-``eps``, and renormalized so its discrete mass is exactly one.  Smoothing is
-exact periodic convolution of the sampled kernel, realized as multiplication
-in the half-spectrum; it is linear, commutes with spectral derivatives, and
-never increases any L^p norm (the weights are nonnegative with unit mass).
+``eps``, and renormalized so its discrete mass is exactly one.  The bump is
+evaluated only on its support patch, the wrapped block of lattice points within
+``eps`` of the origin along every axis, so a kernel build holds the samples and
+their transform but no full-grid temporaries.  Smoothing is exact periodic
+convolution of the sampled kernel, realized as multiplication in the
+half-spectrum; it is linear, commutes with spectral derivatives, and never
+increases any L^p norm (the weights are nonnegative with unit mass).
 
 ``eps`` must resolve on the grid.  Kernels need ``eps >= 2 * spacing`` to
 exist at all (below that only the center sample survives); the bump is deemed
@@ -104,17 +107,27 @@ def make_kernel(grid: PeriodicGrid, epsilon: float) -> MollifierKernel:
     if problem:
         raise ConfigurationError(problem)
 
-    r2 = np.zeros(grid.shape)
-    for off in grid.offsets():
-        r2 = r2 + np.broadcast_to(off * off, grid.shape)
+    # Sample the support patch: signed offsets up to eps / spacing plus one
+    # cell against rounding, within the minimum image.  Normalizing over the
+    # full grid sums the same array as sampling the whole grid would.
+    n = grid.n_per_axis
+    reach = min(int(epsilon / grid.spacing) + 1, n // 2)
+    signed = np.arange(-reach, reach + 1)
+    off = grid.spacing * signed
+    r2 = 0.0
+    for sq in np.ix_(*[off * off] * grid.dims):
+        r2 = r2 + sq
     s = r2 / (epsilon * epsilon)
-    vals = np.zeros(grid.shape)
+    patch = np.zeros(s.shape)
     interior = s < 1.0
     with np.errstate(divide="ignore", over="ignore"):
-        vals[interior] = np.exp(-1.0 / (1.0 - s[interior]))
+        patch[interior] = np.exp(-1.0 / (1.0 - s[interior]))
+    vals = np.zeros(grid.shape)
+    vals[np.ix_(*[signed % n] * grid.dims)] = patch
     vals /= vals.sum() * grid.cell_volume
 
-    multiplier = grid.rfftn(vals) * grid.cell_volume
+    multiplier = grid.rfftn(vals)
+    multiplier *= grid.cell_volume
     multiplier.setflags(write=False)
     return MollifierKernel(
         grid,

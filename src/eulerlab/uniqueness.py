@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .besov import BesovEstimate, _check_exponents, _check_usable, besov_seminorm
-from .commutator import ROUTES, _sweep_intercepts, _sweep_magnitudes
+from .commutator import ROUTES, _p_problem, _sweep_intercepts, _sweep_magnitudes
 from .errors import ConfigurationError, GridMismatchError
 from .grid_fields import (
     Field,
@@ -357,14 +357,18 @@ def _check_sweep(budget_route: str, epsilons: Sequence[float], cfg_a: RunConfig,
                  working_epsilon: Optional[float] = None) -> None:
     """Reject an unknown budget route, a sweep with fewer than 4 distinct
     epsilons or one the finer leg's grid (where it runs) does not admit, an
-    exponent ``alpha`` outside (0, 1), an integrability ``p_int`` below 1, or
-    a nonpositive certify tolerance or working epsilon, so a bad
-    configuration fails before solving."""
+    exponent ``alpha`` outside (0, 1), an integrability ``p_int`` below 1 (or
+    below what the route's quantity admits), or a nonpositive certify
+    tolerance or working epsilon, so a bad configuration fails before
+    solving."""
     _check_exponents(alpha, p_int)
     if certify_tolerance is not None and not certify_tolerance > 0.0:
         raise ConfigurationError(f"certify_tolerance {certify_tolerance} is not positive")
     if budget_route not in ROUTES:
         raise ConfigurationError("budget_route must be 'convective' or 'trilinear'")
+    problem = _p_problem(ROUTES[budget_route][0], p_int)
+    if problem:
+        raise ConfigurationError(problem)
     if len(epsilons) < 4:
         raise ConfigurationError("need at least 4 epsilons for the budget sweep")
     if len(set(epsilons)) != len(epsilons):

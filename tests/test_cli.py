@@ -365,6 +365,24 @@ class TestRun:
         assert f"bad value for '{key}'" in err
         assert "(allowed: a nonnegative number)" in err
 
+    def test_convective_p_below_two_rejected_before_solving(self, tmp_path, capsys):
+        """The convective route measures its commutator in L^(p/2): a p in
+        [1, 2) fails validate and run, naming ``[sweep] p``, before anything
+        is solved or written.  The pairing and the trilinear route take it."""
+        scaling = TOLERANCE_CONFIGS["slope_tolerance"]
+        convective = [scaling] + [certify_config(kind) for kind in sorted(CERTIFY_EXTRA)]
+        for text in convective:
+            cfg = write_config(tmp_path, text.replace("p = 3.0", "p = 1.5"))
+            assert validate(cfg) == 1
+            assert "[sweep] p 1.5 is below 2" in capsys.readouterr().out
+            assert run(cfg, output_dir=tmp_path / "out") == 1
+            assert not (tmp_path / "out").exists()
+            assert "[sweep] p 1.5 is below 2" in capsys.readouterr().err
+        trilinear = [scaling.replace("commutator_scaling", "cet_scaling"),
+                     certify_config("uniqueness", "budget_route = trilinear\n")]
+        for text in trilinear:
+            assert validate(write_config(tmp_path, text.replace("p = 3.0", "p = 1.5"))) == 0
+
     def test_percent_in_value_read_literally(self, tmp_path, capsys):
         """A '%' is a plain character in a value, not an interpolation."""
         cfg = write_config(tmp_path, MINIMAL_ENERGY + f"\n[output]\ndir = {tmp_path}/out%1\n")

@@ -222,6 +222,53 @@ class TestScalingExperiment:
         with pytest.raises(ConfigurationError, match="pair"):
             scaling_experiment((u,), "cet_trilinear", EPS_SWEEP, 3.0)
 
+    def test_convective_p_below_two_rejected_before_probing(self, monkeypatch):
+        """The convective commutator is measured in L^(p/2): p in [1, 2) is
+        rejected before either field is probed; the pairing takes it."""
+        import eulerlab.besov
+
+        def no_probe(*args):
+            raise AssertionError("probed a field for a sweep that cannot run")
+
+        grid = make_grid(2, 64)
+        u = random_band_limited_velocity(grid, 8, seed=1, divfree=True)
+        v = random_band_limited_velocity(grid, 8, seed=2, divfree=True)
+        monkeypatch.setattr(eulerlab.besov, "_probe", no_probe)
+        for alpha in (None, 0.6):
+            with pytest.raises(ConfigurationError, match="p 1.5 is below 2"):
+                scaling_experiment(u, "convective_commutator_lp", EPS_SWEEP, 1.5, alpha=alpha)
+        monkeypatch.undo()
+        report = scaling_experiment((u, v), "cet_trilinear", [0.5, 0.25, 0.125, 0.0625], 1.5,
+                                    alpha=0.6)
+        assert report.p_int == 1.5
+
+    @pytest.mark.parametrize("quantity", ["convective_commutator_lp", "cet_trilinear"])
+    def test_alpha_fitted_from_one_probe_per_field(self, monkeypatch, quantity):
+        """Without ``alpha`` each field is probed once: the exponent is fitted
+        from the probe's rows and the seminorm read from the same rows, with
+        the report bitwise that of passing the fitted mean explicitly."""
+        import eulerlab.besov
+        from eulerlab.besov import fit_regularity_exponent
+
+        grid = make_grid(2, 128)
+        u = lacunary_field(SynthSpec("lacunary", alpha=0.6, j_max=5, seed=4), grid)
+        v = lacunary_field(SynthSpec("lacunary", alpha=0.6, j_max=5, seed=5), grid)
+        fields = u if quantity == "convective_commutator_lp" else (u, v)
+        count = 1 if quantity == "convective_commutator_lp" else 2
+        alpha = float(np.mean([fit_regularity_exponent(f, 3.0) for f in (u, v)[:count]]))
+        expect = scaling_experiment(fields, quantity, EPS_SWEEP, 3.0, alpha=alpha)
+        calls = []
+        probe = eulerlab.besov._probe
+
+        def counted(h, p_int):
+            calls.append(p_int)
+            return probe(h, p_int)
+
+        monkeypatch.setattr(eulerlab.besov, "_probe", counted)
+        got = scaling_experiment(fields, quantity, EPS_SWEEP, 3.0)
+        assert len(calls) == count
+        assert got.to_json_dict() == expect.to_json_dict()
+
     def test_json_round_trip(self, tmp_path):
         import json
 
@@ -387,3 +434,56 @@ class TestSweep:
         calls = count_transforms(monkeypatch)
         _sweep_magnitudes(u, v, quantity, self.EPS, 3.0)
         assert len(calls) == count
+
+
+def _half_spectra(grid, nbytes):
+    """``nbytes`` in units of one complex half-spectrum on ``grid``."""
+    return nbytes / (np.prod(grid.rshape) * 16)
+
+
+class TestMemory:
+    """The CET sweep holds only the product table across scales, and one
+    scale's pairing streams ``m_ij`` pair by pair (``tracemalloc`` sees
+    numpy's data buffers; the bounds sit between the streamed and the
+    all-at-once layouts, 3 vs 5 held and 5 vs 8-9 transient)."""
+
+    @pytest.fixture
+    def fields(self):
+        grid = make_grid(2, 64)
+        u = random_band_limited_velocity(grid, 12, seed=38, divfree=True)
+        v = random_band_limited_velocity(grid, 12, seed=39, divfree=True)
+        for c in (*u.components, *v.components):
+            c.hat  # the cached spectra are inputs, not the sweep's
+        return u, v
+
+    def test_cet_raw_holds_only_products(self, fields):
+        import tracemalloc
+
+        from eulerlab.commutator import _cet_raw
+
+        u, _ = fields
+        tracemalloc.start()
+        try:
+            raw = _cet_raw(u)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(raw) == 2
+        assert _half_spectra(u.grid, held) <= 3.5
+
+    def test_cet_at_transient_peak(self, fields):
+        import tracemalloc
+
+        from eulerlab.commutator import _cet_at, _cet_raw
+
+        u, v = fields
+        products = _cet_raw(u)
+        kernel = make_kernel(u.grid, 0.25)
+        tracemalloc.start()
+        try:
+            value = _cet_at(u, v, products, kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == cet_trilinear(u, v, kernel)
+        assert _half_spectra(u.grid, peak) <= 6.0

@@ -57,6 +57,53 @@ class TestMakeKernel:
         assert make_kernel(grid, 0.25).fully_resolved
 
 
+def full_grid_kernel(grid, eps):
+    """``make_kernel``'s samples and multiplier before the support patch:
+    the bump evaluated on the whole grid."""
+    r2 = np.zeros(grid.shape)
+    for off in grid.offsets():
+        r2 = r2 + np.broadcast_to(off * off, grid.shape)
+    s = r2 / (eps * eps)
+    vals = np.zeros(grid.shape)
+    interior = s < 1.0
+    with np.errstate(divide="ignore", over="ignore"):
+        vals[interior] = np.exp(-1.0 / (1.0 - s[interior]))
+    vals /= vals.sum() * grid.cell_volume
+    return vals, grid.rfftn(vals) * grid.cell_volume
+
+
+class TestSupportPatch:
+    """The bump is sampled on the lattice points within eps of the origin,
+    bitwise as on the full grid, at a fraction of the memory."""
+
+    @pytest.mark.parametrize("dims,n", [(2, 8), (2, 16), (2, 32), (2, 64), (2, 128),
+                                        (2, 256), (2, 512), (3, 8), (3, 16)])
+    def test_matches_full_grid_sampler(self, dims, n):
+        grid = make_grid(dims, n)
+        h = grid.spacing
+        epsilons = {2.0 * h, 2.5 * h, 3.0 * h, 4.0 * h, 0.1, 0.3, 0.5}
+        epsilons |= set(np.geomspace(2.0 * h, 0.5, 6).tolist())
+        for eps in sorted(e for e in epsilons if 2.0 * h <= e <= 0.5):
+            k = make_kernel(grid, eps)
+            vals, mult = full_grid_kernel(grid, eps)
+            assert np.array_equal(k.values.values, vals), eps
+            assert np.array_equal(k.multiplier, mult), eps
+
+    def test_peak_memory(self):
+        import tracemalloc
+
+        grid = make_grid(2, 64)
+        tracemalloc.start()
+        try:
+            make_kernel(grid, 0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # samples, their transform and the transform's own temporary; the
+        # full-grid sampler peaks above 5
+        assert peak / (np.prod(grid.rshape) * 16) <= 4.0
+
+
 class TestMollify:
     def test_constant_preserved(self):
         grid = make_grid(2, 64)

@@ -434,6 +434,42 @@ class TestUniquenessExperiment:
                 run()
         assert len(calls) == 0
 
+    def test_convective_p_below_two_rejected_before_solving(self, monkeypatch):
+        """The convective budget is an L^(p/2) norm: all three certify
+        experiments reject p in [1, 2) on that route without solving a leg;
+        the trilinear route takes it."""
+        import eulerlab.extensions
+        from eulerlab.extensions import (
+            boussinesq_uniqueness_experiment,
+            inhom_uniqueness_experiment,
+        )
+        from eulerlab.uniqueness import _check_sweep
+
+        calls = []
+
+        def counted(*args, _run_pair=eulerlab.uniqueness.run_pair):
+            calls.append(args)
+            return _run_pair(*args)
+
+        monkeypatch.setattr(eulerlab.uniqueness, "run_pair", counted)
+        monkeypatch.setattr(eulerlab.extensions, "run_pair", counted)
+        grid = make_grid(2, 64)
+        u0 = taylor_green(grid, 1.0)
+        scalar = grid.sample_scalar(lambda x, y: 1.0 + 0.2 * np.sin(np.pi * x))
+        cfg = RunConfig(64, 2e-3, 0.004)
+        kwargs = dict(alpha=0.6, p_int=1.5, epsilons=self.EPS)
+        runs = [
+            lambda: uniqueness_experiment(u0, cfg, cfg, **kwargs),
+            lambda: inhom_uniqueness_experiment(scalar, u0, cfg, cfg, **kwargs),
+            lambda: boussinesq_uniqueness_experiment(scalar, u0, (0.0, -1.0), cfg, cfg,
+                                                     **kwargs),
+        ]
+        for run in runs:
+            with pytest.raises(ConfigurationError, match="p 1.5 is below 2"):
+                run()
+        assert len(calls) == 0
+        _check_sweep("trilinear", self.EPS, cfg, cfg, 0.6, 1.5, None)
+
     def test_degenerate_b_snapshot_rejected(self):
         grid = make_grid(2, 64)
         zero = VelocityField.from_arrays(grid, [np.zeros(grid.shape)] * 2)
