@@ -74,6 +74,7 @@ from .solver import (
     recover_pressure,
     solve,
     weak_residual,
+    weak_residuals,
 )
 from .uniqueness import (
     GronwallCertificate,

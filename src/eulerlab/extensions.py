@@ -22,7 +22,10 @@ the reduction holds value-for-value, not merely to a tolerance.
 
 Both systems step through the homogeneous solver's single integrator
 (``solver.integrate``) and return its ``Trajectory`` with one extra named
-ledger: ``"mass"`` or ``"theta"``.  Their A/B certifications run the legs
+ledger: ``"mass"`` or ``"theta"``.  Its states are rebuilt on access from
+the recorded spectra ``(rho, u1, u2)`` or ``(w, theta)``, three inverse
+transforms per read; the variable-density run checks each recorded density
+for positivity as it is recorded.  Their A/B certifications run the legs
 through ``uniqueness.run_pair`` and certify through the homogeneous pipeline's
 one ``uniqueness._certify_pair``; all they add is data: the relative energy
 (rho-weighted for the variable-density system), the exponents of every
@@ -70,6 +73,7 @@ from .solver import (
     PairAudit,
     State,
     Trajectory,
+    _biot_savart_velocity,
     _check_initial_velocity,
     _run_config,
     _Vorticity,
@@ -287,11 +291,12 @@ def inhom_solve(
     _check_initial_velocity(u0)
 
     def materialize(t: float, hats: tuple) -> State:
-        rho = ScalarField.from_hat(grid, hats[0])
         vel = VelocityField([ScalarField.from_hat(grid, h) for h in hats[1:]])
-        if float(rho.values.min()) <= 0.0:
+        return State(t, vel, {"density": ScalarField.from_hat(grid, hats[0])})
+
+    def check(t: float, hats: tuple) -> None:
+        if float(grid.irfftn(hats[0]).min()) <= 0.0:
             raise SolverAbort(f"density lost positivity at t={t}", t)
-        return State(t, vel, {"density": rho})
 
     pressure = _Pressure(grid)
     p_hat = None  # the last stage's pressure warm-starts the next solve
@@ -305,14 +310,15 @@ def inhom_solve(
         return (d_rho, *d_u), _max_speed(u_phys) if with_speed else None
 
     hats = tuple(f.hat * grid.dealias_mask for f in (rho0, *u0.components))
-    states = integrate(grid, hats, rhs, materialize, T, dt, snapshot_stride, cfl)
-    energy = [
-        _weighted_kinetic_energy(grid, s.scalars["density"].values,
-                                 [c.values for c in s.velocity.components])
-        for s in states
-    ]
+    states = integrate(grid, hats, rhs, materialize, T, dt, snapshot_stride, cfl, check)
+    energy, mass = [], []
+    for s in states:  # one rebuild per state for both ledgers
+        rho = s.scalars["density"]
+        energy.append(_weighted_kinetic_energy(grid, rho.values,
+                                               [c.values for c in s.velocity.components]))
+        mass.append(_total(rho))
     return Trajectory(states, dt, _run_config(grid, T, dt, snapshot_stride, cfl), energy,
-                      {"mass": [_total(s.scalars["density"]) for s in states]})
+                      {"mass": mass})
 
 
 def density_contraction_check(
@@ -391,16 +397,21 @@ def boussinesq_solve(
         dth = _transport_tendency(grid, grid.irfftn(th), u)
         return (dw, dth), _max_speed(u) if with_speed else None
 
+    biot_savart = vort.biot_savart
+
     def materialize(t: float, hats: tuple) -> State:
-        return State(t, vort.velocity(hats[0]),
+        return State(t, _biot_savart_velocity(grid, biot_savart, hats[0]),
                      {"theta": ScalarField.from_hat(grid, hats[1])})
 
     hats = (curl_2d(u0).hat * grid.dealias_mask, theta0.hat * grid.dealias_mask)
     states = integrate(grid, hats, rhs, materialize, T, dt, snapshot_stride, cfl)
     cfg = _run_config(grid, T, dt, snapshot_stride, cfl)
     cfg["g"] = list(g)
-    return Trajectory(states, dt, cfg, [kinetic_energy(s.velocity) for s in states],
-                      {"theta": [_total(s.scalars["theta"]) for s in states]})
+    energy, theta = [], []
+    for s in states:  # one rebuild per state for both ledgers
+        energy.append(kinetic_energy(s.velocity))
+        theta.append(_total(s.scalars["theta"]))
+    return Trajectory(states, dt, cfg, energy, {"theta": theta})
 
 
 # ---------------------------------------------------------------------------

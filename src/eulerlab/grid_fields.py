@@ -208,9 +208,12 @@ class ScalarField:
             raise ConfigurationError(
                 f"values shape {values.shape} does not match grid {grid.shape}"
             )
+        self._adopt(grid, values.copy())
+
+    def _adopt(self, grid: PeriodicGrid, values: np.ndarray) -> None:
+        """Freeze ``values``, an array no one else holds, as the samples."""
         if not np.all(np.isfinite(values)):
             raise ConfigurationError("field values must be finite")
-        values = values.copy()
         values.setflags(write=False)
         self.grid = grid
         self.values = values
@@ -218,9 +221,10 @@ class ScalarField:
 
     @classmethod
     def from_hat(cls, grid: PeriodicGrid, hat: np.ndarray) -> "ScalarField":
-        """Build a field from half-spectrum coefficients."""
-        values = grid.irfftn(hat)
-        out = cls(grid, values)
+        """Build a field from half-spectrum coefficients; the inverse
+        transform's fresh array becomes the samples, uncopied."""
+        out = cls.__new__(cls)
+        out._adopt(grid, grid.irfftn(hat))
         out._hat = hat.copy()
         out._hat.setflags(write=False)
         return out
@@ -450,11 +454,17 @@ def inner(f: Field, g: Field) -> float:
     if isinstance(f, ScalarField) and isinstance(g, ScalarField):
         return float(np.sum(f.values * g.values) * f.grid.cell_volume)
     if isinstance(f, VelocityField) and isinstance(g, VelocityField):
-        acc = 0.0
-        for a, b in zip(f.components, g.components):
-            acc += np.sum(a.values * b.values)
-        return float(acc * f.grid.cell_volume)
+        return _inner(f.grid, [c.values for c in f.components],
+                      [c.values for c in g.components])
     raise ConfigurationError("inner product requires two fields of the same kind")
+
+
+def _inner(grid: PeriodicGrid, f: Sequence[np.ndarray], g: Sequence[np.ndarray]) -> float:
+    """``sum f.g h^N`` of two vector fields' component samples."""
+    acc = 0.0
+    for a, b in zip(f, g):
+        acc += np.sum(a * b)
+    return float(acc * grid.cell_volume)
 
 
 def gradient_tensor(u: VelocityField) -> np.ndarray:

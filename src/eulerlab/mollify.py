@@ -5,7 +5,9 @@ the lattice under the minimum-image metric, clipped to the open ball of radius
 ``eps``, and renormalized so its discrete mass is exactly one.  The bump is
 evaluated only on its support patch, the wrapped block of lattice points within
 ``eps`` of the origin along every axis, so a kernel build holds the samples and
-their transform but no full-grid temporaries.  Smoothing is exact periodic
+their transform but no full-grid temporaries, and the built kernel keeps the
+transform and the patch: its full-grid samples are scattered from the patch
+only when read.  Smoothing is exact periodic
 convolution of the sampled kernel, realized as multiplication in the
 half-spectrum; it is linear, commutes with spectral derivatives, and never
 increases any L^p norm (the weights are nonnegative with unit mass).
@@ -47,7 +49,8 @@ class MollifierKernel:
     epsilon : float
         Support radius in domain units.
     values : ScalarField
-        Nonnegative kernel samples, vanishing outside the eps-ball.
+        Nonnegative kernel samples, vanishing outside the eps-ball; built on
+        each read from the support patch the kernel holds.
     multiplier : ndarray
         Half-spectrum symbol of ``h^N * kernel``; multiplying a field's
         transform by it performs the quadrature-weighted convolution.
@@ -55,15 +58,22 @@ class MollifierKernel:
         True when ``epsilon >= 4 * spacing``.
     """
 
-    __slots__ = ("grid", "epsilon", "values", "multiplier", "fully_resolved")
+    __slots__ = ("grid", "epsilon", "_patch", "_index", "multiplier", "fully_resolved")
 
-    def __init__(self, grid: PeriodicGrid, epsilon: float, values: ScalarField,
-                 multiplier: np.ndarray, fully_resolved: bool):
+    def __init__(self, grid: PeriodicGrid, epsilon: float, patch: np.ndarray,
+                 index: tuple, multiplier: np.ndarray, fully_resolved: bool):
         self.grid = grid
         self.epsilon = epsilon
-        self.values = values
+        self._patch = patch
+        self._index = index
         self.multiplier = multiplier
         self.fully_resolved = fully_resolved
+
+    @property
+    def values(self) -> ScalarField:
+        vals = np.zeros(self.grid.shape)
+        vals[self._index] = self._patch
+        return ScalarField(self.grid, vals)
 
     def mass(self) -> float:
         """Discrete mass ``sum(values) * h^N`` (unity by construction)."""
@@ -122,8 +132,9 @@ def make_kernel(grid: PeriodicGrid, epsilon: float) -> MollifierKernel:
     interior = s < 1.0
     with np.errstate(divide="ignore", over="ignore"):
         patch[interior] = np.exp(-1.0 / (1.0 - s[interior]))
+    index = np.ix_(*[signed % n] * grid.dims)
     vals = np.zeros(grid.shape)
-    vals[np.ix_(*[signed % n] * grid.dims)] = patch
+    vals[index] = patch
     vals /= vals.sum() * grid.cell_volume
 
     multiplier = grid.rfftn(vals)
@@ -132,7 +143,8 @@ def make_kernel(grid: PeriodicGrid, epsilon: float) -> MollifierKernel:
     return MollifierKernel(
         grid,
         float(epsilon),
-        ScalarField(grid, vals),
+        vals[index],
+        index,
         multiplier,
         fully_resolved=epsilon >= resolved_epsilon(grid),
     )

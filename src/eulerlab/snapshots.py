@@ -102,9 +102,11 @@ def save_trajectory(traj: Trajectory, outdir) -> Path:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     grid = traj.grid
-    names = [f"u{i + 1}" for i in range(grid.dims)] + list(traj.states[0].scalars)
+    names = [f"u{i + 1}" for i in range(grid.dims)]
     files = []
-    for idx, state in enumerate(traj.states):
+    for idx, state in enumerate(traj.states):  # each read rebuilds the state
+        if idx == 0:
+            names += list(state.scalars)
         fname = f"state_{idx:06d}.eulb"
         fields = (*state.velocity.components, *state.scalars.values())
         _write_snapshot(outdir / fname, grid, [f.values for f in fields])

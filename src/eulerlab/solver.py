@@ -13,6 +13,13 @@ products forward; the vorticity itself never leaves spectral space.
 Pressure never enters the time loop; it is recovered diagnostically from the
 div-div Poisson equation.
 
+A run records the integrator's own spectral state at each snapshot (for this
+solver the vorticity spectrum alone), read-only and uncopied, and rebuilds a
+snapshot's :class:`State` from it each time the state is read.  One rebuild
+costs the system's inverse transforms (three here: ``u1``, ``u2`` and the
+vorticity), so a caller that reads a state twice should hold it; the
+trajectory's times, grid, length and ledgers rebuild nothing.
+
 Energy and enstrophy of the dealiased semi-discretization are conserved in
 continuous time; all recorded drift is the integrator's and shrinks like
 dt^4.  CFL is checked at every step against the speed of the step's first
@@ -25,8 +32,9 @@ that the extensions' scalar-contraction audit reports as well.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -36,15 +44,17 @@ from .grid_fields import (
     ScalarField,
     VelocityField,
     _dealiased_product_tensor,
+    _inner,
     _max_speed,
+    _require_same_grid,
     curl_2d,
     gradient,
-    inner,
     lp_norm,
 )
 
 __all__ = [
     "State",
+    "RecordedStates",
     "Trajectory",
     "TimeProfile",
     "WeakTestFunction",
@@ -59,6 +69,7 @@ __all__ = [
     "admissibility_check",
     "PairAudit",
     "weak_residual",
+    "weak_residuals",
     "kinetic_energy",
     "enstrophy",
 ]
@@ -76,11 +87,19 @@ def enstrophy(w: ScalarField) -> float:
     return lp_norm(w, 2.0) ** 2
 
 
+def _biot_savart_velocity(grid: PeriodicGrid, biot_savart: tuple,
+                          w_hat: np.ndarray) -> VelocityField:
+    """The velocity ``u_i_hat = w_hat * b_i`` of the vorticity spectrum
+    ``w_hat`` (``biot_savart`` is :class:`_Vorticity`'s ``b``)."""
+    return VelocityField([ScalarField.from_hat(grid, w_hat * b) for b in biot_savart])
+
+
 class _Vorticity:
     """The spectral symbols of the vorticity formulation on one grid, built
     once per solve: Biot-Savart ``u_i_hat = w_hat * b_i`` with
     ``b = (i k1/|k|^2, -i k0/|k|^2)``, and the real stress symbols
-    ``(k0^2 - k1^2) * mask`` and ``k0 k1 * mask``, which vanish at k = 0."""
+    ``(k0^2 - k1^2) * mask`` and ``k0 k1 * mask``, which vanish at k = 0.
+    A recorded trajectory keeps the Biot-Savart symbols only."""
 
     def __init__(self, grid: PeriodicGrid):
         k0, k1 = grid.deriv_wavenumber(0), grid.deriv_wavenumber(1)
@@ -89,8 +108,7 @@ class _Vorticity:
         self.stress = ((k0 * k0 - k1 * k1) * grid.dealias_mask, k0 * k1 * grid.dealias_mask)
 
     def velocity(self, w_hat: np.ndarray) -> VelocityField:
-        return VelocityField([ScalarField.from_hat(self.grid, w_hat * b)
-                              for b in self.biot_savart])
+        return _biot_savart_velocity(self.grid, self.biot_savart, w_hat)
 
     def advect(self, w_hat: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
         """``-div(u w)`` in spectral form and the physical velocity ``(u1, u2)``.
@@ -158,33 +176,66 @@ class State:
     scalars: dict[str, ScalarField]
 
 
+class RecordedStates(Sequence):
+    """The read-only states of one run: item ``i`` is
+    ``materialize(times[i], hats[i])``, rebuilt from the integrator's
+    recorded spectral tuple ``hats[i]`` each time it is read, so every read
+    returns the same bytes and costs the system's inverse transforms."""
+
+    def __init__(self, grid: PeriodicGrid, times: Sequence[float], hats: Sequence[tuple],
+                 materialize: Callable[[float, tuple], State]):
+        self.grid = grid
+        self.times = tuple(times)
+        self.hats = tuple(hats)
+        self._materialize = materialize
+
+    def __len__(self) -> int:
+        return len(self.hats)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return self._materialize(self.times[i], self.hats[i])
+
+
 @dataclass
 class Trajectory:
     """Time-ordered states with the kinetic-energy ledger and any
     further named ledgers (``"mass"`` for variable density, ``"theta"`` for
-    Boussinesq), each holding one entry per state."""
+    Boussinesq), each holding one entry per state.
 
-    states: list[State]
+    A solver's states are :class:`RecordedStates`, rebuilt on every read:
+    a caller that reads a state twice should hold it.  The trajectory keeps
+    its times and grid itself, so ``times``, ``grid``, ``len(states)`` and
+    the ledgers rebuild nothing."""
+
+    states: Sequence[State]
     dt: float
     config: dict
     energy_ledger: list[float]
     ledgers: dict[str, list[float]] = field(default_factory=dict)
 
     def __post_init__(self):
-        times = [s.time for s in self.states]
+        if isinstance(self.states, RecordedStates):
+            times, grid = self.states.times, self.states.grid
+        else:
+            times = [s.time for s in self.states]
+            grid = self.states[0].velocity.grid if self.states else None
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ConfigurationError("trajectory times must be strictly increasing")
         for name, ledger in {"energy": self.energy_ledger, **self.ledgers}.items():
             if len(ledger) != len(self.states):
                 raise ConfigurationError(f"{name} ledger must have one entry per state")
+        self._times = tuple(times)
+        self._grid = grid
 
     @property
     def times(self) -> list[float]:
-        return [s.time for s in self.states]
+        return list(self._times)
 
     @property
     def grid(self) -> PeriodicGrid:
-        return self.states[0].velocity.grid
+        return self._grid
 
     def final(self) -> State:
         return self.states[-1]
@@ -245,14 +296,18 @@ def integrate(
     dt: float,
     snapshot_stride: int,
     cfl: float,
-) -> list[State]:
+    check: Optional[Callable[[float, tuple], None]] = None,
+) -> RecordedStates:
     """Advance the spectral state ``hats`` to ``T`` in RK4 steps of ``dt``.
 
-    ``rhs`` follows :func:`_rk4_stage`'s contract.  ``materialize(t, hats)``
-    builds the recorded :class:`State` at t = 0, every ``snapshot_stride``
-    steps and at ``T``.  Every step is checked against the CFL bound at the
-    speed its first stage measures; a breach raises :class:`StepSizeError`
-    naming the step, and a non-finite state aborts the run.
+    ``rhs`` follows :func:`_rk4_stage`'s contract.  The spectral tuple is
+    recorded, read-only and uncopied, at t = 0, every ``snapshot_stride``
+    steps and at ``T``, and ``materialize(t, hats)`` rebuilds a recorded
+    :class:`State` on access.  Every step is checked against the CFL bound at
+    the speed its first stage measures; a breach raises
+    :class:`StepSizeError` naming the step, and a non-finite state aborts the
+    run.  ``check(t, hats)``, when given, vets each recorded tuple as it is
+    recorded.
     """
     if dt <= 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
@@ -261,7 +316,18 @@ def integrate(
     n_steps = steps_for_horizon(T, dt)
     if not n_steps:
         raise ConfigurationError(f"T={T} must be a positive integer multiple of dt={dt}")
-    states = [materialize(0.0, hats)]
+    times, records = [], []
+
+    def record(t: float, hats: tuple) -> None:
+        # the step never writes into its input, so the tuple is kept as is
+        for h in hats:
+            h.setflags(write=False)
+        if check is not None:
+            check(t, hats)
+        times.append(t)
+        records.append(hats)
+
+    record(0.0, hats)
     for k in range(1, n_steps + 1):
         hats, speed = _rk4_stage(hats, dt, rhs)
         _check_cfl(speed, grid, dt, cfl, k, (k - 1) * dt)
@@ -269,8 +335,8 @@ def integrate(
         if not all(np.all(np.isfinite(h)) for h in hats):
             raise SolverAbort(f"non-finite state at t={t}", t)
         if k % snapshot_stride == 0 or k == n_steps:
-            states.append(materialize(t, hats))
-    return states
+            record(t, hats)
+    return RecordedStates(grid, times, records, materialize)
 
 
 def solve(
@@ -292,13 +358,14 @@ def solve(
         dw, u = vort.advect(hats[0])
         return (dw,), _max_speed(u) if with_speed else None
 
+    biot_savart = vort.biot_savart
+
+    def materialize(t: float, hats: tuple) -> State:
+        return State(t, _biot_savart_velocity(grid, biot_savart, hats[0]),
+                     {"vorticity": ScalarField.from_hat(grid, hats[0])})
+
     w_hat = curl_2d(u0).hat * grid.dealias_mask
-    states = integrate(
-        grid, (w_hat,), rhs,
-        lambda t, hats: State(t, vort.velocity(hats[0]),
-                              {"vorticity": ScalarField.from_hat(grid, hats[0])}),
-        T, dt, snapshot_stride, cfl,
-    )
+    states = integrate(grid, (w_hat,), rhs, materialize, T, dt, snapshot_stride, cfl)
     return Trajectory(states, dt, _run_config(grid, T, dt, snapshot_stride, cfl),
                       [kinetic_energy(s.velocity) for s in states])
 
@@ -470,8 +537,9 @@ def _integrate_against(values: Sequence[float], times: Sequence[float],
     return acc
 
 
-def weak_residual(traj: Trajectory, test: WeakTestFunction) -> float:
-    """Absolute defect of the weak formulation over the recorded span.
+def weak_residuals(traj: Trajectory, tests: Iterable[WeakTestFunction]) -> list[float]:
+    """Absolute defect of the weak formulation over the recorded span, one
+    per test function.
 
     Vector tests check the momentum identity (time integral of
     ``u . dpsi/dt + u(x)u : grad psi`` against the boundary pairing); scalar
@@ -479,33 +547,42 @@ def weak_residual(traj: Trajectory, test: WeakTestFunction) -> float:
     pairings are sampled at snapshots and reconstructed piecewise-linearly in
     time; the temporal profile is integrated exactly, so the residual floor
     is set by the solution's own variation, not by the window's derivatives.
+
+    The states are read once, for their velocity samples, whatever the
+    number of tests; ``tests`` is consumed one at a time, so a generator
+    keeps one test's fields alive.
     """
     times = traj.times
-    g = test.temporal
-    if isinstance(test.spatial, VelocityField):
-        psi = test.spatial
-        grad_psi = [gradient(c) for c in psi.components]
-        momentum = []
-        transport = []
-        for s in traj.states:
-            u = s.velocity
-            momentum.append(inner(u, psi))
-            tr = 0.0
-            for i in range(u.grid.dims):
-                for j in range(u.grid.dims):
-                    tr += float(
-                        np.sum(
-                            u.components[i].values
-                            * u.components[j].values
-                            * grad_psi[i].components[j].values
-                        )
-                    )
-            transport.append(tr * u.grid.cell_volume)
-        integral = _integrate_against(momentum, times, g, "derivative")
-        integral += _integrate_against(transport, times, g, "value")
-        boundary = momentum[-1] * g.value(times[-1]) - momentum[0] * g.value(times[0])
-        return abs(integral - boundary)
+    grid = traj.grid
+    velocities = [[c.values for c in s.velocity.components] for s in traj.states]
+    out = []
+    for test in tests:
+        _require_same_grid(traj, test.spatial)
+        g = test.temporal
+        if isinstance(test.spatial, VelocityField):
+            psi = [c.values for c in test.spatial.components]
+            grad_psi = [[c.values for c in gradient(c).components]
+                        for c in test.spatial.components]
+            momentum = []
+            transport = []
+            for u in velocities:
+                momentum.append(_inner(grid, u, psi))
+                tr = 0.0
+                for i in range(grid.dims):
+                    for j in range(grid.dims):
+                        tr += float(np.sum(u[i] * u[j] * grad_psi[i][j]))
+                transport.append(tr * grid.cell_volume)
+            integral = _integrate_against(momentum, times, g, "derivative")
+            integral += _integrate_against(transport, times, g, "value")
+            boundary = momentum[-1] * g.value(times[-1]) - momentum[0] * g.value(times[0])
+            out.append(abs(integral - boundary))
+        else:
+            grad_phi = [c.values for c in gradient(test.spatial).components]
+            vals = [_inner(grid, u, grad_phi) for u in velocities]
+            out.append(abs(_integrate_against(vals, times, g, "value")))
+    return out
 
-    grad_phi = gradient(test.spatial)
-    vals = [inner(s.velocity, grad_phi) for s in traj.states]
-    return abs(_integrate_against(vals, times, g, "value"))
+
+def weak_residual(traj: Trajectory, test: WeakTestFunction) -> float:
+    """:func:`weak_residuals` of the one test function ``test``."""
+    return weak_residuals(traj, [test])[0]

@@ -445,11 +445,12 @@ def _certify_pair(
         bound_factor = seminorms[0] ** 2
         weight = _cumulative_trapz([s * s for s in seminorms], times)[-1]
     else:
-        fields = (resample(traj_a.states[0].velocity, grid_v), v0)
-        su = [
-            besov_seminorm(resample(s.velocity, grid_v), alpha, p_int).seminorm
-            for s in traj_a.states
-        ]
+        su = []
+        for k, s in enumerate(traj_a.states):  # one pass: each read rebuilds the state
+            ua = resample(s.velocity, grid_v)
+            if k == 0:
+                fields = (ua, v0)
+            su.append(besov_seminorm(ua, alpha, p_int).seminorm)
         bound_factor = su[0] ** 2 * (su[0] + seminorms[0])
         weight = _cumulative_trapz(
             [a * a * (a + b) for a, b in zip(su, seminorms)], times

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite: deterministic random fields and oracles."""
 
+import tracemalloc
+
 import numpy as np
 
 from eulerlab.grid_fields import (
@@ -22,6 +24,20 @@ def count_transforms(monkeypatch) -> list:
 
         monkeypatch.setattr(PeriodicGrid, name, counted)
     return calls
+
+
+def traced_half_spectra(grid: PeriodicGrid, fn):
+    """Call ``fn()`` under ``tracemalloc``, which sees numpy's data buffers;
+    return its result, the memory still held when it returns and the peak,
+    both in units of one complex half-spectrum on ``grid``."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    unit = np.prod(grid.rshape) * 16
+    return result, held / unit, peak / unit
 
 
 def rng(seed: int) -> np.random.Generator:

@@ -26,6 +26,7 @@ from _utils import (
     direct_convolution,
     random_band_limited_scalar,
     random_band_limited_velocity,
+    traced_half_spectra,
 )
 
 EPS_SWEEP = [0.25, 0.125, 0.0625, 0.03125]
@@ -436,11 +437,6 @@ class TestSweep:
         assert len(calls) == count
 
 
-def _half_spectra(grid, nbytes):
-    """``nbytes`` in units of one complex half-spectrum on ``grid``."""
-    return nbytes / (np.prod(grid.rshape) * 16)
-
-
 class TestMemory:
     """The CET sweep holds only the product table across scales, and one
     scale's pairing streams ``m_ij`` pair by pair (``tracemalloc`` sees
@@ -457,33 +453,20 @@ class TestMemory:
         return u, v
 
     def test_cet_raw_holds_only_products(self, fields):
-        import tracemalloc
-
         from eulerlab.commutator import _cet_raw
 
         u, _ = fields
-        tracemalloc.start()
-        try:
-            raw = _cet_raw(u)
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+        raw, held, _ = traced_half_spectra(u.grid, lambda: _cet_raw(u))
         assert len(raw) == 2
-        assert _half_spectra(u.grid, held) <= 3.5
+        assert held <= 3.5
 
     def test_cet_at_transient_peak(self, fields):
-        import tracemalloc
-
         from eulerlab.commutator import _cet_at, _cet_raw
 
         u, v = fields
         products = _cet_raw(u)
         kernel = make_kernel(u.grid, 0.25)
-        tracemalloc.start()
-        try:
-            value = _cet_at(u, v, products, kernel)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        value, _, peak = traced_half_spectra(
+            u.grid, lambda: _cet_at(u, v, products, kernel))
         assert value == cet_trilinear(u, v, kernel)
-        assert _half_spectra(u.grid, peak) <= 6.0
+        assert peak <= 6.0

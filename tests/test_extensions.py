@@ -18,7 +18,7 @@ from eulerlab.extensions import (
     inhom_solve,
     inhom_uniqueness_experiment,
 )
-from eulerlab.solver import State, admissibility_check, solve
+from eulerlab.solver import State, Trajectory, admissibility_check, solve
 from eulerlab.synth import random_divfree, taylor_green
 from eulerlab.uniqueness import RunConfig
 
@@ -174,10 +174,13 @@ class TestDensityContraction:
         a = inhom_solve(rho, u0, 0.02, 1e-3, snapshot_stride=10)
         b = inhom_solve(rho, u0, 0.02, 1e-3, snapshot_stride=10)
         # perturb the later densities of one run
+        states = []
         for i, s in enumerate(b.states):
             if i > 0:
                 bad = s.scalars["density"].values + 0.01 * i
-                b.states[i] = State(s.time, s.velocity, {"density": ScalarField(grid, bad)})
+                s = State(s.time, s.velocity, {"density": ScalarField(grid, bad)})
+            states.append(s)
+        b = Trajectory(states, b.dt, b.config, b.energy_ledger, b.ledgers)
         report = density_contraction_check(a, b, 1e-7)
         assert not report.passed
         assert report.worst_pair is not None

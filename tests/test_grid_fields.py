@@ -85,6 +85,25 @@ class TestFieldContainers:
         back = grid.irfftn(f.hat)
         assert np.max(np.abs(back - f.values)) <= 1e-12 * max(1.0, np.abs(f.values).max())
 
+    def test_from_hat_keeps_the_inverse_transform(self, monkeypatch):
+        grid = make_grid(2, 32)
+        hat = random_band_limited_scalar(grid, 8, seed=2).hat
+        returned = []
+        irfftn = type(grid).irfftn
+
+        def recorded(self, h):
+            returned.append(irfftn(self, h))
+            return returned[-1]
+
+        monkeypatch.setattr(type(grid), "irfftn", recorded)
+        f = ScalarField.from_hat(grid, hat)
+        assert len(returned) == 1 and f.values is returned[0]
+        assert not f.values.flags.writeable
+        assert np.array_equal(f.values, ScalarField(grid, irfftn(grid, hat)).values)
+        assert np.array_equal(f.hat, hat) and f.hat is not hat
+        with pytest.raises(ConfigurationError):
+            ScalarField.from_hat(grid, np.full(grid.rshape, np.nan + 0j))
+
 
 class TestGradient:
     def test_constant_is_zero(self):

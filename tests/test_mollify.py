@@ -12,7 +12,12 @@ from eulerlab.grid_fields import (
 )
 from eulerlab.mollify import make_kernel, mollify
 
-from _utils import direct_convolution, random_band_limited_scalar, random_band_limited_velocity
+from _utils import (
+    direct_convolution,
+    random_band_limited_scalar,
+    random_band_limited_velocity,
+    traced_half_spectra,
+)
 
 
 class TestMakeKernel:
@@ -87,21 +92,22 @@ class TestSupportPatch:
             k = make_kernel(grid, eps)
             vals, mult = full_grid_kernel(grid, eps)
             assert np.array_equal(k.values.values, vals), eps
+            assert k.mass() == float(vals.sum() * grid.cell_volume), eps
             assert np.array_equal(k.multiplier, mult), eps
 
     def test_peak_memory(self):
-        import tracemalloc
-
         grid = make_grid(2, 64)
-        tracemalloc.start()
-        try:
-            make_kernel(grid, 0.25)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced_half_spectra(grid, lambda: make_kernel(grid, 0.25))
         # samples, their transform and the transform's own temporary; the
         # full-grid sampler peaks above 5
-        assert peak / (np.prod(grid.rshape) * 16) <= 4.0
+        assert peak <= 4.0
+
+    def test_built_kernel_holds_multiplier_and_patch(self):
+        # the full-grid samples are scattered from the patch only when read
+        grid = make_grid(2, 256)
+        kernel, held, _ = traced_half_spectra(grid, lambda: make_kernel(grid, 0.0625))
+        assert kernel.fully_resolved
+        assert held <= 1.2
 
 
 class TestMollify:

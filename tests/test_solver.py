@@ -13,6 +13,7 @@ from eulerlab.grid_fields import (
     max_norm,
 )
 from eulerlab.solver import (
+    RecordedStates,
     State,
     Trajectory,
     WeakTestFunction,
@@ -27,11 +28,17 @@ from eulerlab.solver import (
     solve,
     steps_for_horizon,
     weak_residual,
+    weak_residuals,
 )
 from eulerlab.extensions import boussinesq_solve, inhom_solve
 from eulerlab.synth import taylor_green, taylor_green_pressure, random_divfree
 
-from _utils import count_transforms, random_band_limited_scalar, random_band_limited_velocity
+from _utils import (
+    count_transforms,
+    random_band_limited_scalar,
+    random_band_limited_velocity,
+    traced_half_spectra,
+)
 
 
 SYSTEMS = ("solve", "inhom_solve", "boussinesq_solve")
@@ -300,6 +307,73 @@ class TestSolve:
             assert abs(recover_pressure(s.velocity).mean()) <= 1e-13
 
 
+class TestRecordedStates:
+    """A run records its integrator's spectral tuples and rebuilds each
+    state from them when it is read."""
+
+    @staticmethod
+    def fields(state):
+        return (*state.velocity.components, *state.scalars.values())
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_rereading_a_state_is_bitwise_equal(self, system):
+        grid = make_grid(2, 32)
+        traj = run_system(system, random_divfree(grid, 2.0, seed=3), 0.02, 1e-3)
+        for i in (0, len(traj.states) // 2, -1):
+            first, again = traj.states[i], traj.states[i]
+            assert first.time == again.time == traj.times[i]
+            for a, b in zip(self.fields(first), self.fields(again), strict=True):
+                assert np.array_equal(a.values, b.values)
+                assert np.array_equal(a.hat, b.hat)
+
+    @pytest.mark.parametrize("system, arrays", [
+        ("solve", 1), ("inhom_solve", 3), ("boussinesq_solve", 2)])
+    def test_recorded_arrays_are_read_only(self, system, arrays):
+        grid = make_grid(2, 32)
+        traj = run_system(system, random_divfree(grid, 2.0, seed=3), 0.02, 1e-3)
+        assert isinstance(traj.states, RecordedStates)
+        assert len(traj.states.hats) == len(traj.times)
+        for hats in traj.states.hats:
+            assert len(hats) == arrays
+            assert not any(h.flags.writeable for h in hats)
+        with pytest.raises(TypeError):
+            traj.states[0] = traj.states[0]
+
+    def test_metadata_rebuilds_nothing(self, monkeypatch):
+        grid = make_grid(2, 32)
+        traj = solve(random_divfree(grid, 2.0, seed=3), 0.02, 1e-3, snapshot_stride=5)
+        calls = count_transforms(monkeypatch)
+        assert traj.times == [0.0, 0.005, 0.01, 0.015, 0.02]
+        assert traj.grid == grid
+        assert len(traj.states) == 5
+        assert traj.energy_drift() >= 0.0
+        Trajectory(traj.states, traj.dt, traj.config, traj.energy_ledger)
+        assert calls == []
+
+    def test_solve_holds_its_spectra(self):
+        # S recorded vorticity spectra and the two Biot-Savart symbols; the
+        # samples and cached spectra of S materialized states held 35.7
+        grid = make_grid(2, 64)
+        u0 = random_divfree(grid, 2.0, seed=3)
+        for c in u0.components:
+            c.hat  # the cached spectra are inputs, not the run's
+        traj, held, _ = traced_half_spectra(
+            grid, lambda: solve(u0, 0.05, 0.005, snapshot_stride=2))
+        assert len(traj.states) == 6
+        assert held <= len(traj.states) + 4
+
+    def test_density_loss_aborts_at_its_snapshot(self):
+        # a shear flow needs no pressure and folds cos(pi x1) until the
+        # truncated density undershoots; the check runs as states are recorded
+        grid = make_grid(2, 16)
+        rho = grid.sample_scalar(lambda x, y: 1.0 + 0.95 * np.cos(np.pi * x))
+        u0 = grid.sample_velocity(lambda x, y: np.sin(np.pi * y), lambda x, y: 0.0 * x)
+        with pytest.raises(SolverAbort) as err:
+            inhom_solve(rho, u0, 2.0, 0.02, snapshot_stride=5)
+        assert err.value.time == 1.3
+        assert "density lost positivity at t=1.3" in str(err.value)
+
+
 class TestRecoverPressure:
     def test_constant_velocity(self):
         grid = make_grid(2, 64)
@@ -399,6 +473,29 @@ class TestWeakResidual:
         phi = random_band_limited_scalar(grid, 3, seed=3)
         r = weak_residual(traj, WeakTestFunction(phi, cosine_window(0.2)))
         assert r <= 1e-10
+
+    def test_one_pass_for_all_tests(self, monkeypatch):
+        traj = self.make_traj(n=64, T=0.05, stride=10)
+        grid = traj.grid
+        tests = []
+        for seed in range(3):
+            tests.append(WeakTestFunction(
+                random_band_limited_velocity(grid, 3, seed=seed, divfree=True),
+                cosine_window(0.05)))
+            tests.append(WeakTestFunction(
+                random_band_limited_scalar(grid, 3, seed=seed), linear_window(0.05)))
+        one_at_a_time = [weak_residual(traj, t) for t in tests]
+        reads = []
+        getitem = RecordedStates.__getitem__
+
+        def counted(self, i):
+            state = getitem(self, i)
+            reads.append(i)
+            return state
+
+        monkeypatch.setattr(RecordedStates, "__getitem__", counted)
+        assert weak_residuals(traj, iter(tests)) == one_at_a_time
+        assert reads == list(range(len(traj.states)))
 
     def test_synthetic_linear_data_is_exact(self):
         # u(t) = (1 + b t) u0 makes every pairing linear/quadratic in t; the
