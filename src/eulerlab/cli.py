@@ -294,16 +294,16 @@ def _derived_quantities(cfg: ExperimentConfig) -> dict:
     return out
 
 
-# the scaling kinds' commutator quantities
-_SCALED = {"commutator_scaling": "convective_commutator_lp", "cet_scaling": "cet_trilinear"}
+# the scaling kinds' budget routes
+_SCALED = {"commutator_scaling": ROUTES["convective"], "cet_scaling": ROUTES["trilinear"]}
 
 
 def _swept_quantity(cfg: ExperimentConfig) -> Optional[str]:
     """The commutator quantity the kind sweeps, or None; the extended
     certifications budget the convective route."""
     if ("solver_b", "n") in cfg.values:  # the A/B certifications
-        return ROUTES[cfg.values.get(("sweep", "budget_route"), "convective")][0]
-    return _SCALED.get(cfg.kind)
+        return ROUTES[cfg.values.get(("sweep", "budget_route"), "convective")].quantity
+    return _SCALED[cfg.kind].quantity if cfg.kind in _SCALED else None
 
 
 def _range_checks(cfg: ExperimentConfig) -> list:
@@ -353,16 +353,13 @@ def _exp_besov_fit(cfg: ExperimentConfig, outdir: Path):
 
 
 def _exp_scaling(cfg: ExperimentConfig, outdir: Path):
-    quantity = _SCALED[cfg.kind]
+    route = _SCALED[cfg.kind]
     grid = _build_grid(cfg)
     spec = _build_synth_spec(cfg)
     v = field_from_spec(spec, grid)
-    if quantity == "cet_trilinear":
-        fields = (field_from_spec(replace(spec, seed=spec.seed + 1), grid), v)
-    else:
-        fields = v
+    fields = (field_from_spec(replace(spec, seed=spec.seed + 1), grid), v) if route.pair else v
     report_obj = scaling_experiment(
-        fields, quantity, cfg["sweep", "epsilons"], cfg["sweep", "p"],
+        fields, route.quantity, cfg["sweep", "epsilons"], cfg["sweep", "p"],
         alpha=cfg["sweep", "alpha"], slope_tolerance=cfg["sweep", "slope_tolerance"],
     )
     dump_csv(

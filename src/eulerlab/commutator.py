@@ -7,9 +7,10 @@ pairing ``int [(u (x) u)_eps - u_eps (x) u_eps] : grad(v_eps - u_eps)`` whose
 magnitude decays like ``eps^(3 alpha - 1)``.  A transport variant
 ``(rho u)_eps - rho_eps u_eps`` serves the inhomogeneous system.
 
-``ROUTES`` is the one home of the two budget routes: each names its quantity
-and the power ``p`` of its rate ``eps^(p alpha - 1)``, which decays exactly
-when ``alpha > 1/p``, the route's hypothesis threshold.
+``ROUTES`` is the one home of the two budget routes: each names its quantity,
+whether it sweeps a ``(u, v)`` pair, and the power ``p`` of its rate
+``eps^(p alpha - 1)``, which decays exactly when ``alpha > 1/p``, the
+route's hypothesis threshold.
 
 Quadratic products are evaluated pointwise and 2/3-dealiased before any
 derivative is taken, matching the solver convention, so every term is the
@@ -31,7 +32,7 @@ functions run the same per-scale code on terms they build themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -66,8 +67,23 @@ DEFAULT_SLOPE_TOLERANCE = 0.15
 # are reported as vacuous passes.
 VACUOUS_MAGNITUDE = 1e-14
 
-# budget route -> (sweep quantity, power p of the rate eps^(p alpha - 1))
-ROUTES = {"convective": ("convective_commutator_lp", 2.0), "trilinear": ("cet_trilinear", 3.0)}
+
+class Route(NamedTuple):
+    """A budget route: its sweep quantity, rate power ``p`` and arity."""
+
+    quantity: str
+    power: float
+    pair: bool  # sweeps (u, v), not v alone
+
+    def seminorm_factor(self, squared: float, seminorms: Sequence[float]) -> float:
+        """``s_v^2`` or ``s_u^2 (s_u + s_v)`` from the seminorms in sweep order and
+        the first one ``squared`` in the caller's form (``s ** 2``, ``s * s``)."""
+        return squared * (seminorms[0] + seminorms[1]) if self.pair else squared
+
+
+ROUTES = {"convective": Route("convective_commutator_lp", 2.0, False),
+          "trilinear": Route("cet_trilinear", 3.0, True)}
+_BY_QUANTITY = {r.quantity: r for r in ROUTES.values()}
 
 
 def _p_problem(quantity: str, p_int: float) -> Optional[str]:
@@ -234,19 +250,19 @@ class ScalingReport:
 
 def _sweep_magnitudes(primary: VelocityField, secondary: Optional[VelocityField],
                       quantity: str, epsilons: Sequence[float], p_int: float) -> list[float]:
-    """``quantity`` at each scale: the convective commutator's L^(p/2) norm
-    or the absolute trilinear pairing.  The epsilon-independent terms are
+    """``quantity`` at each scale: the absolute trilinear pairing or the
+    convective commutator's L^(p/2) norm.  The epsilon-independent terms are
     built once for the whole sweep."""
-    if quantity == "convective_commutator_lp":
-        div_raw = _convective_raw(primary)
-
-        def at(kern: MollifierKernel) -> float:
-            return _lp_norm(primary.grid, _convective_at(primary, div_raw, kern), p_int / 2.0)
-    else:
+    if _BY_QUANTITY[quantity].pair:
         products = _cet_raw(primary)
 
         def at(kern: MollifierKernel) -> float:
             return abs(_cet_at(primary, secondary, products, kern))
+    else:
+        div_raw = _convective_raw(primary)
+
+        def at(kern: MollifierKernel) -> float:
+            return _lp_norm(primary.grid, _convective_at(primary, div_raw, kern), p_int / 2.0)
     return [at(make_kernel(primary.grid, eps)) for eps in epsilons]
 
 
@@ -278,9 +294,10 @@ def scaling_experiment(
     pair), so the theory slope tracks the realized regularity rather than a
     nominal label.
     """
-    powers = dict(ROUTES.values())
-    if quantity not in powers:
-        raise ConfigurationError(f"unknown quantity {quantity!r}; choose from {tuple(powers)}")
+    if quantity not in _BY_QUANTITY:
+        raise ConfigurationError(
+            f"unknown quantity {quantity!r}; choose from {tuple(_BY_QUANTITY)}")
+    route = _BY_QUANTITY[quantity]
     problem = _p_problem(quantity, p_int)
     if problem:
         raise ConfigurationError(problem)
@@ -290,12 +307,11 @@ def scaling_experiment(
     if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
         raise ConfigurationError("epsilons must be strictly decreasing")
 
-    convective = quantity == "convective_commutator_lp"
-    if convective and isinstance(fields, VelocityField):
+    if not route.pair and isinstance(fields, VelocityField):
         fields = (fields,)
-    elif convective or isinstance(fields, VelocityField) or len(fields) != 2:
-        raise ConfigurationError("convective_commutator_lp takes one velocity field" if convective
-                                 else "cet_trilinear needs a (u, v) field pair")
+    elif not route.pair or isinstance(fields, VelocityField) or len(fields) != 2:
+        raise ConfigurationError(f"{quantity} needs a (u, v) field pair" if route.pair
+                                 else f"{quantity} takes one velocity field")
     grid = fields[0].grid
     problem = next(filter(None, (epsilon_problem(grid, eps) for eps in epsilons)), None)
     if problem:
@@ -310,13 +326,11 @@ def scaling_experiment(
                 for f, (rows, _) in zip(fields, probed)]
     else:
         semi = [besov_seminorm(f, alpha, p_int).seminorm for f in fields]
-    theory_slope = powers[quantity] * alpha - 1.0
-    if convective:
-        seminorms, bound_factor = {"v": semi[0]}, semi[0] ** 2
-    else:
-        seminorms, bound_factor = {"u": semi[0], "v": semi[1]}, semi[0] ** 2 * (semi[0] + semi[1])
+    theory_slope = route.power * alpha - 1.0
+    seminorms = dict(zip(("u", "v") if route.pair else ("v",), semi))
+    bound_factor = route.seminorm_factor(semi[0] ** 2, semi)
 
-    magnitudes = _sweep_magnitudes(fields[0], None if convective else fields[1], quantity,
+    magnitudes = _sweep_magnitudes(fields[0], fields[1] if route.pair else None, quantity,
                                    epsilons, p_int)
     intercepts, vacuous = _sweep_intercepts(magnitudes, epsilons, theory_slope, bound_factor)
     if vacuous:

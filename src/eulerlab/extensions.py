@@ -28,8 +28,9 @@ transforms per read; the variable-density run checks each recorded density
 for positivity as it is recorded.  Their A/B certifications run the legs
 through ``uniqueness.run_pair`` and certify through the homogeneous pipeline's
 one ``uniqueness._certify_pair``; all they add is data: the relative energy
-(rho-weighted for the variable-density system), the exponents of every
-quantity the uniqueness statement lists, and the scalar-contraction audit: a
+(rho-weighted for the variable-density system), the transported scalar's
+name, whose mid-horizon exponents (with those of the momentum and the
+velocity) the pipeline's one pass fits, and the scalar-contraction audit: a
 ``solver.PairAudit`` of the scalars' ``uniqueness.relative_energy``.
 They charge the convective budget at the sweep's smallest epsilon.  The
 result is the one ``UniquenessReport``.
@@ -43,7 +44,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .besov import besov_seminorm
 from .commutator import transport_commutator
 from .errors import (
     ConfigurationError,
@@ -86,7 +86,6 @@ from .uniqueness import (
     _certify_pair,
     _check_sweep,
     _cumulative_trapz,
-    _fitted_or_regular,
     _plain_energy,
     _shared_times,
     relative_energy,
@@ -418,12 +417,6 @@ def boussinesq_solve(
 # uniqueness experiments for the extended systems
 
 
-def _product_field(rho: ScalarField, u: VelocityField) -> VelocityField:
-    return VelocityField.from_arrays(
-        rho.grid, [rho.values * c.values for c in u.components]
-    )
-
-
 def _weighted_energy(sa: State, ua: VelocityField, ub: VelocityField) -> float:
     """``0.5 int rho_a |u_a - u_b|^2`` on the velocities' grid."""
     grid = ua.grid
@@ -448,26 +441,12 @@ def _extended_experiment(
     certify_tolerance: Optional[float],
 ) -> UniquenessReport:
     """Check the sweep, solve the pair from the ``initial`` fields with
-    ``solve_leg``, fit the Besov hypothesis over every quantity the
-    uniqueness statement lists, for both legs at mid-horizon (B's velocity
-    is fitted from the pair series), audit the scalar contraction, and
-    certify the pair against the convective budget at the sweep's smallest
-    epsilon."""
+    ``solve_leg``, audit the contraction of the transported scalar
+    ``scalar_name``, and certify the pair against the convective budget at
+    the sweep's smallest epsilon, with the Besov hypothesis over every
+    quantity the uniqueness statement lists."""
     _check_sweep("convective", epsilons, cfg_a, cfg_b, alpha, p_int, certify_tolerance)
     traj_a, traj_b = run_pair(initial, cfg_a, cfg_b, solve_leg)
-    mid = len(traj_a.times) // 2
-    sa, sb = traj_a.states[mid], traj_b.states[mid]
-    scal_a = sa.scalars[scalar_name]
-    scal_b = sb.scalars[scalar_name]
-    fields = {
-        scalar_name + "_a": scal_a,
-        scalar_name + "_b": scal_b,
-        "momentum_a": _product_field(scal_a, sa.velocity),
-        "momentum_b": _product_field(scal_b, sb.velocity),
-        "velocity_a": sa.velocity,
-    }
-    hypothesis = {name: _fitted_or_regular(f.grid, besov_seminorm(f, alpha, p_int))
-                  for name, f in fields.items()}
     # the contraction audit mollifies on the comparison grid, whose resolved
     # scale may be coarser than the velocity sweep's smallest epsilon
     work_eps = min(float(e) for e in epsilons)
@@ -480,7 +459,7 @@ def _extended_experiment(
         traj_a, traj_b, alpha, p_int, epsilons, energy=energy_of,
         budget_route="convective", working_epsilon=None,
         certify_tolerance=certify_tolerance,
-        hypothesis=hypothesis, audit=contraction,
+        scalar=scalar_name, audit=contraction,
     )
 
 

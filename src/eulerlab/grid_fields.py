@@ -220,11 +220,17 @@ class ScalarField:
         self._hat = None
 
     @classmethod
+    def _adopting(cls, grid: PeriodicGrid, values: np.ndarray) -> "ScalarField":
+        """A field of ``values``, a fresh array no one else holds, uncopied."""
+        out = cls.__new__(cls)
+        out._adopt(grid, values)
+        return out
+
+    @classmethod
     def from_hat(cls, grid: PeriodicGrid, hat: np.ndarray) -> "ScalarField":
         """Build a field from half-spectrum coefficients; the inverse
         transform's fresh array becomes the samples, uncopied."""
-        out = cls.__new__(cls)
-        out._adopt(grid, grid.irfftn(hat))
+        out = cls._adopting(grid, grid.irfftn(hat))
         out._hat = hat.copy()
         out._hat.setflags(write=False)
         return out
@@ -314,12 +320,10 @@ def _require_same_grid(a, b) -> None:
 def gradient(f: ScalarField) -> VelocityField:
     """Spectral gradient; exact for band-limited fields."""
     grid = f.grid
-    comps = []
-    for axis in range(grid.dims):
-        comps.append(
-            ScalarField(grid, grid.irfftn(1j * grid.deriv_wavenumber(axis) * f.hat))
-        )
-    return VelocityField(comps)
+    return VelocityField([
+        ScalarField._adopting(grid, grid.irfftn(1j * grid.deriv_wavenumber(axis) * f.hat))
+        for axis in range(grid.dims)
+    ])
 
 
 def _dealiased_product(grid: PeriodicGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -397,7 +401,7 @@ def _parseval_dot(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> float:
 def divergence(u: VelocityField) -> ScalarField:
     """Spectral divergence, summed over axes."""
     grid = u.grid
-    return ScalarField(grid, grid.irfftn(_div_hat(grid, [c.hat for c in u.components])))
+    return ScalarField._adopting(grid, grid.irfftn(_div_hat(grid, [c.hat for c in u.components])))
 
 
 def curl_2d(u: VelocityField) -> ScalarField:
@@ -409,7 +413,7 @@ def curl_2d(u: VelocityField) -> ScalarField:
         1j * grid.deriv_wavenumber(0) * u.components[1].hat
         - 1j * grid.deriv_wavenumber(1) * u.components[0].hat
     )
-    return ScalarField(grid, grid.irfftn(hat))
+    return ScalarField._adopting(grid, grid.irfftn(hat))
 
 
 def leray_project(u: VelocityField) -> VelocityField:

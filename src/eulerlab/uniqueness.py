@@ -13,12 +13,14 @@ gradient, estimated from the designated regular solution only), and the
 budget is the commutator bound at the working mollifier scale.
 
 One pipeline certifies all three systems: ``_certify_pair`` takes a solved
-A/B pair, computes the per-snapshot series (with one Besov probe per B
-snapshot), the route budget, the Gronwall certificate and the verdict, and
-returns the one ``UniquenessReport``.  The homogeneous experiment feeds it
-``run_pair(..., solve)``; the variable-density and Boussinesq experiments
-(:mod:`~eulerlab.extensions`) add a weighted energy, a per-quantity
-hypothesis and a scalar-contraction audit (a ``solver.PairAudit``) as data.
+A/B pair, computes the per-snapshot series in one pass that reads each
+recorded state once per leg (with one Besov probe per B snapshot, and the
+extended systems' mid-horizon exponents), reads B's first state again for the
+route budget, certifies and returns the one ``UniquenessReport``.  The
+homogeneous experiment feeds it ``run_pair(..., solve)``; the variable-density
+and Boussinesq experiments (:mod:`~eulerlab.extensions`) add a weighted
+energy, the transported scalar's name and a scalar-contraction audit (a
+``solver.PairAudit``) as data.
 All three first pass ``_check_sweep``, which asks ``mollify.epsilon_problem``
 about every sweep epsilon on the finer leg's grid and checks ``alpha``,
 ``p_int`` and the certify tolerance, before solving anything.
@@ -36,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .besov import BesovEstimate, _check_exponents, _check_usable, besov_seminorm
-from .commutator import ROUTES, _p_problem, _sweep_intercepts, _sweep_magnitudes
+from .commutator import ROUTES, Route, _p_problem, _sweep_intercepts, _sweep_magnitudes
 from .errors import ConfigurationError, GridMismatchError
 from .grid_fields import (
     Field,
@@ -329,26 +331,40 @@ def _plain_energy(sa, ua: VelocityField, ub: VelocityField) -> float:
     return relative_energy(ua, ub)
 
 
-def _pair_series(traj_a, traj_b, energy, alpha: float, p_int: float):
-    """Per-snapshot relative energy ``energy(state_a, u_a, u_b)`` (velocities
-    on A's grid), C(t) at B's resolved mollifier scale and the Besov estimate
-    of B's velocity, as ``(E series, C series, estimates)``."""
+def _pair_series(traj_a, traj_b, energy, alpha: float, p_int: float, route: Route,
+                 scalar: Optional[str]):
+    """The one pass over a pair, reading each state once and by index (``zip``
+    keeps more alive): ``(E series, C series, B's Besov estimates, (u_a0,
+    seminorms_a), exponents)``, E from ``energy(state_a, u_a, u_b)`` on A's
+    grid.  A pair ``route`` adds A's first velocity on B's grid and the
+    seminorms there; ``scalar`` adds the mid-horizon exponents."""
     times = _shared_times(traj_a, traj_b)
-    cmp_grid = traj_a.grid
-    reg_epsilon = resolved_epsilon(traj_b.grid)
-    kernel = make_kernel(traj_b.grid, reg_epsilon)
-    energies = []
-    c_vals = []
-    estimates = []
-    for sa, sb in zip(traj_a.states, traj_b.states):
-        ua = resample(sa.velocity, cmp_grid)
-        ub = resample(sb.velocity, cmp_grid)
-        energies.append(energy(sa, ua, ub))
+    cmp_grid, grid_b = traj_a.grid, traj_b.grid
+    reg_epsilon = resolved_epsilon(grid_b)
+    kernel = make_kernel(grid_b, reg_epsilon)
+    energies, c_vals, estimates, seminorms_a = [], [], [], []
+    ua0 = exponents = None
+    for k in range(len(times)):
+        sa, sb = traj_a.states[k], traj_b.states[k]
         v = sb.velocity
+        energies.append(energy(sa, resample(sa.velocity, cmp_grid), resample(v, cmp_grid)))
         c_vals.append(one_sided_lipschitz(v, kernel))
         estimates.append(besov_seminorm(v, alpha, p_int))
-    return (RelativeEnergySeries(times, energies),
-            LipschitzSeries(times, c_vals, reg_epsilon), estimates)
+        if route.pair:
+            ua = resample(sa.velocity, grid_b)
+            ua0 = ua if k == 0 else ua0
+            seminorms_a.append(besov_seminorm(ua, alpha, p_int).seminorm)
+        if scalar and k == len(times) // 2:
+            fields = {"velocity_a": sa.velocity}
+            for leg, s in (("_a", sa), ("_b", sb)):
+                rho = fields[scalar + leg] = s.scalars[scalar]
+                fields["momentum" + leg] = VelocityField.from_arrays(
+                    rho.grid, [rho.values * c.values for c in s.velocity.components])
+            exponents = {name: _fitted_or_regular(f.grid, besov_seminorm(f, alpha, p_int))
+                         for name, f in fields.items()}
+            exponents["velocity_b"] = _fitted_or_regular(grid_b, estimates[-1])
+    return (RelativeEnergySeries(times, energies), LipschitzSeries(times, c_vals, reg_epsilon),
+            estimates, (ua0, seminorms_a), exponents)
 
 
 def _check_sweep(budget_route: str, epsilons: Sequence[float], cfg_a: RunConfig,
@@ -365,8 +381,8 @@ def _check_sweep(budget_route: str, epsilons: Sequence[float], cfg_a: RunConfig,
     if certify_tolerance is not None and not certify_tolerance > 0.0:
         raise ConfigurationError(f"certify_tolerance {certify_tolerance} is not positive")
     if budget_route not in ROUTES:
-        raise ConfigurationError("budget_route must be 'convective' or 'trilinear'")
-    problem = _p_problem(ROUTES[budget_route][0], p_int)
+        raise ConfigurationError(f"budget_route must be one of {tuple(ROUTES)}")
+    problem = _p_problem(ROUTES[budget_route].quantity, p_int)
     if problem:
         raise ConfigurationError(problem)
     if len(epsilons) < 4:
@@ -402,7 +418,7 @@ def _certify_pair(
     budget_route: str,
     working_epsilon: Optional[float],
     certify_tolerance: Optional[float],
-    hypothesis: Optional[dict] = None,
+    scalar: Optional[str] = None,
     audit: Optional[PairAudit] = None,
 ) -> UniquenessReport:
     """Certify the relative-energy Gronwall inequality of a solved A/B pair.
@@ -411,51 +427,39 @@ def _certify_pair(
     the budget routes); ``energy(state_a, u_a, u_b)`` is the relative energy
     of one snapshot.
 
-    Without ``hypothesis`` the median of B's per-snapshot fitted exponents
-    must exceed the route's threshold ``1/p``.  ``hypothesis`` maps further
-    quantities to exponents fitted at mid-horizon; B's mid-horizon velocity
-    exponent joins them as ``velocity_b``, and their minimum must exceed
-    ``EXTENDED_REQUIRED_ALPHA``.  ``audit`` (a scalar-contraction report) must
-    pass as well and is reported as ``contraction``.
+    Without ``scalar`` the median of B's per-snapshot fitted exponents
+    must exceed the route's threshold ``1/p``.  With the name of an extended
+    system's transported scalar (``"density"``, ``"theta"``), the minimum of
+    the mid-horizon exponents of both legs' scalar, momentum and velocity
+    must exceed ``EXTENDED_REQUIRED_ALPHA``.  ``audit`` (a scalar-contraction
+    report) must pass as well and is reported as ``contraction``.
     """
     epsilons = sorted((float(e) for e in epsilons), reverse=True)
-    grid_v = traj_b.grid
-    e_series, c_series, estimates = _pair_series(traj_a, traj_b, energy, alpha, p_int)
+    route = ROUTES[budget_route]
+    e_series, c_series, estimates, (ua0, seminorms_a), exponents = _pair_series(
+        traj_a, traj_b, energy, alpha, p_int, route, scalar)
     times = e_series.times
     seminorms = [e.seminorm for e in estimates]
-    quantity, power = ROUTES[budget_route]
 
-    if hypothesis is None:
+    if exponents is None:
         for e in estimates:
-            _check_usable(grid_v, e.shift_table)
+            _check_usable(traj_b.grid, e.shift_table)
         fitted_alpha = float(np.median([e.fitted_alpha for e in estimates]))
-        required = 1.0 / power
+        required = 1.0 / route.power
     else:
-        velocity_b = _fitted_or_regular(grid_v, estimates[len(times) // 2])
-        hypothesis = dict(hypothesis, velocity_b=velocity_b)
-        fitted_alpha = float(min(hypothesis.values()))
+        fitted_alpha = float(min(exponents.values()))
         required = EXTENDED_REQUIRED_ALPHA
     met = fitted_alpha > required
 
-    # the budget constant reuses the first snapshots' seminorms from above
+    # B's first state is read again: held through the pass it raises the peak
     v0 = traj_b.states[0].velocity
-    rate = power * alpha - 1.0
-    if budget_route == "convective":
-        fields = (v0, None)
-        bound_factor = seminorms[0] ** 2
-        weight = _cumulative_trapz([s * s for s in seminorms], times)[-1]
-    else:
-        su = []
-        for k, s in enumerate(traj_a.states):  # one pass: each read rebuilds the state
-            ua = resample(s.velocity, grid_v)
-            if k == 0:
-                fields = (ua, v0)
-            su.append(besov_seminorm(ua, alpha, p_int).seminorm)
-        bound_factor = su[0] ** 2 * (su[0] + seminorms[0])
-        weight = _cumulative_trapz(
-            [a * a * (a + b) for a, b in zip(su, seminorms)], times
-        )[-1]
-    magnitudes = _sweep_magnitudes(*fields, quantity, epsilons, p_int)
+    fields, series = ((ua0, v0), (seminorms_a, seminorms)) if route.pair else \
+        ((v0, None), (seminorms,))
+    rate = route.power * alpha - 1.0
+    bound_factor = route.seminorm_factor(series[0][0] ** 2, [s[0] for s in series])
+    weight = _cumulative_trapz(
+        [route.seminorm_factor(s[0] * s[0], s) for s in zip(*series)], times)[-1]
+    magnitudes = _sweep_magnitudes(*fields, route.quantity, epsilons, p_int)
     c_fit = max(_sweep_intercepts(magnitudes, epsilons, rate, bound_factor)[0])
     budgets = [c_fit * e**rate * weight for e in epsilons]
     work_eps = float(working_epsilon) if working_epsilon is not None else min(epsilons)
@@ -489,7 +493,7 @@ def _certify_pair(
         seminorm_series=seminorms,
         fitted_alpha_series=[e.fitted_alpha for e in estimates],
         budget_route=budget_route,
-        quantity_alphas=hypothesis,
+        quantity_alphas=exponents,
         contraction=audit,
     )
 
@@ -510,10 +514,10 @@ def uniqueness_experiment(
 
     The B leg (or the higher-resolution leg when they differ) plays the role
     of the regular solution: C(t), the per-slice Besov statistics, and the
-    commutator budget are estimated from it alone.  ``budget_route`` selects
-    the bound: ``"convective"`` uses the convective commutator at rate
-    ``2 alpha - 1`` (hypothesis alpha > 1/2); ``"trilinear"`` uses the
-    trilinear pairing at rate ``3 alpha - 1`` (hypothesis alpha > 1/3).
+    commutator budget are estimated from it alone.  ``budget_route`` names
+    the bound in ``commutator.ROUTES``: ``"convective"`` (rate
+    ``2 alpha - 1``, hypothesis alpha > 1/2) or ``"trilinear"`` (rate
+    ``3 alpha - 1``, hypothesis alpha > 1/3).
     The default tolerance is ten times the pair's measured energy drift, so
     discretization error cannot masquerade as non-uniqueness.
     """

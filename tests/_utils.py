@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: deterministic random fields and oracles."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 
@@ -10,6 +11,7 @@ from eulerlab.grid_fields import (
     VelocityField,
     leray_project,
 )
+from eulerlab.solver import RecordedStates
 
 
 def count_transforms(monkeypatch) -> list:
@@ -24,6 +26,27 @@ def count_transforms(monkeypatch) -> list:
 
         monkeypatch.setattr(PeriodicGrid, name, counted)
     return calls
+
+
+def count_state_reads(monkeypatch) -> list:
+    """Record ``(states, index, alive)`` for every item read from a
+    ``RecordedStates`` from now on; each read rebuilds a state, and ``alive``
+    counts the states rebuilt by earlier reads that are still alive when this
+    one starts."""
+    reads, built = [], []
+    getitem = RecordedStates.__getitem__
+
+    def counted(self, i):
+        if isinstance(i, slice):
+            return getitem(self, i)  # its items are read through here
+        alive = sum(ref() is not None for ref in built)
+        state = getitem(self, i)
+        reads.append((self, i, alive))
+        built.append(weakref.ref(state))
+        return state
+
+    monkeypatch.setattr(RecordedStates, "__getitem__", counted)
+    return reads
 
 
 def traced_half_spectra(grid: PeriodicGrid, fn):

@@ -192,7 +192,7 @@ class TestParseAndValidate:
         assert float(printed["cfl_dt_bound"]) == 0.4 * grid.spacing / u.max_speed()
 
     def test_validate_every_demo_config(self, capsys):
-        assert len(DEMO_CONFIGS) == 8
+        assert len(DEMO_CONFIGS) == 9
         for path in DEMO_CONFIGS:
             assert validate(path) == 0, path.name
 

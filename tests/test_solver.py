@@ -34,6 +34,7 @@ from eulerlab.extensions import boussinesq_solve, inhom_solve
 from eulerlab.synth import taylor_green, taylor_green_pressure, random_divfree
 
 from _utils import (
+    count_state_reads,
     count_transforms,
     random_band_limited_scalar,
     random_band_limited_velocity,
@@ -485,17 +486,9 @@ class TestWeakResidual:
             tests.append(WeakTestFunction(
                 random_band_limited_scalar(grid, 3, seed=seed), linear_window(0.05)))
         one_at_a_time = [weak_residual(traj, t) for t in tests]
-        reads = []
-        getitem = RecordedStates.__getitem__
-
-        def counted(self, i):
-            state = getitem(self, i)
-            reads.append(i)
-            return state
-
-        monkeypatch.setattr(RecordedStates, "__getitem__", counted)
+        reads = count_state_reads(monkeypatch)
         assert weak_residuals(traj, iter(tests)) == one_at_a_time
-        assert reads == list(range(len(traj.states)))
+        assert [i for _, i, _ in reads] == list(range(len(traj.states)))
 
     def test_synthetic_linear_data_is_exact(self):
         # u(t) = (1 + b t) u0 makes every pairing linear/quadratic in t; the

@@ -1,11 +1,12 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import eulerlab.besov
 import eulerlab.uniqueness
-from eulerlab.commutator import scaling_experiment
+from eulerlab.commutator import ROUTES, scaling_experiment
 from eulerlab.errors import ConfigurationError, GridMismatchError
 from eulerlab.grid_fields import (
     VelocityField,
@@ -18,22 +19,27 @@ from eulerlab.mollify import make_kernel, mollify
 from eulerlab.synth import (
     SynthSpec,
     lacunary_field,
+    random_divfree,
     rigid_rotation_gradient,
     shear_flow,
     taylor_green,
 )
+from eulerlab.solver import solve
 from eulerlab.uniqueness import (
     LipschitzSeries,
     RelativeEnergySeries,
     RunConfig,
+    _certify_pair,
+    _plain_energy,
     gronwall_certify,
     lipschitz_from_gradient,
     one_sided_lipschitz,
     relative_energy,
+    run_pair,
     uniqueness_experiment,
 )
 
-from _utils import random_band_limited_velocity
+from _utils import count_state_reads, random_band_limited_velocity
 
 
 class TestRelativeEnergy:
@@ -478,3 +484,64 @@ class TestUniquenessExperiment:
             uniqueness_experiment(
                 zero, cfg, cfg, alpha=0.6, p_int=3.0, epsilons=self.EPS
             )
+
+
+class TestOnePass:
+    """``_certify_pair`` reads the recorded states of a pair in one pass, by
+    index, and reads B's first state once more for the budget sweep."""
+
+    EPS = [0.5, 0.25, 0.125, 0.0625]
+    LEGS = (RunConfig(32, 2e-3, 0.02, snapshot_stride=2),
+            RunConfig(64, 1e-3, 0.02, snapshot_stride=4))
+
+    @pytest.mark.parametrize("system", ["convective", "trilinear", "density", "theta"])
+    def test_each_state_read_once(self, monkeypatch, system):
+        """Each index of each leg is read once, B's index 0 once more; the
+        extended systems' contraction audit adds exactly one pass."""
+        import eulerlab.extensions
+        from eulerlab.extensions import (
+            boussinesq_uniqueness_experiment,
+            inhom_uniqueness_experiment,
+        )
+
+        reads = count_state_reads(monkeypatch)
+
+        def solved(*args, _run_pair=run_pair):
+            pair = _run_pair(*args)
+            del reads[:]  # the solvers' own ledgers read every state
+            return pair
+
+        monkeypatch.setattr(eulerlab.uniqueness, "run_pair", solved)
+        monkeypatch.setattr(eulerlab.extensions, "run_pair", solved)
+        grid = make_grid(2, 64)
+        u0 = random_divfree(grid, 2.0, seed=3)
+        scalar = grid.sample_scalar(lambda x, y: 1.0 + 0.2 * np.sin(np.pi * x))
+        kwargs = dict(alpha=0.6, p_int=3.0, epsilons=self.EPS)
+        if system == "density":
+            report = inhom_uniqueness_experiment(scalar, u0, *self.LEGS, **kwargs)
+        elif system == "theta":
+            report = boussinesq_uniqueness_experiment(scalar, u0, (0.0, -1.0), *self.LEGS,
+                                                      **kwargs)
+        else:
+            report = uniqueness_experiment(u0, *self.LEGS, budget_route=system, **kwargs)
+        counts = {32: Counter(), 64: Counter()}
+        for states, i, _ in reads:
+            counts[states.grid.n_per_axis][i] += 1
+        passes = 1 if system in ROUTES else 2
+        indices = range(len(report.times))
+        assert counts[32] == Counter({i: passes for i in indices})
+        assert counts[64] == Counter({i: passes + (i == 0) for i in indices})
+
+    @pytest.mark.parametrize("route", ["convective", "trilinear"])
+    def test_few_rebuilt_states_alive(self, monkeypatch, route):
+        """While a state is rebuilt, at most three earlier ones are alive:
+        the previous pair and the current A state.  ``enumerate(zip(...))``
+        over the legs keeps the pair from two reads back alive on alternate
+        iterations, four."""
+        traj_a, traj_b = run_pair((random_divfree(make_grid(2, 64), 2.0, seed=3),), *self.LEGS,
+                                  solve)
+        reads = count_state_reads(monkeypatch)
+        _certify_pair(traj_a, traj_b, 0.6, 3.0, self.EPS, energy=_plain_energy,
+                      budget_route=route, working_epsilon=None, certify_tolerance=None)
+        assert len(reads) == 2 * len(traj_a.times) + 1
+        assert max(alive for _, _, alive in reads) <= 3
