@@ -118,7 +118,8 @@ def _shift_diff_norm(h: Field, steps: tuple[int, ...], p_int: float,
     """``||h(. + steps * spacing) - h||_p``.
 
     ``work`` (shape ``(2,) + grid.shape``) holds a vector field's running
-    ``|d|^2`` and the difference of one component (or of a scalar field).  A probe passes one buffer to
+    ``|d|^2`` and the difference of one component (or of a scalar field),
+    and the power is taken in place there.  A probe passes one buffer to
     all its shifts: fresh temporaries per shift can cost a page fault per
     page touched, depending on how the heap happens to be laid out.
     """
@@ -126,7 +127,7 @@ def _shift_diff_norm(h: Field, steps: tuple[int, ...], p_int: float,
     sq, d = np.empty((2,) + grid.shape) if work is None else work
     if isinstance(h, ScalarField):
         _circular_diff(h.values, steps, d)
-        powered = np.abs(d) ** p_int
+        powered = np.power(np.abs(d, out=d), p_int, out=d)
     else:
         sq.fill(0.0)
         for c in h.components:
@@ -134,7 +135,7 @@ def _shift_diff_norm(h: Field, steps: tuple[int, ...], p_int: float,
             d *= d
             sq += d
         # |d|^p straight from |d|^2, without a square root in between
-        powered = sq ** (0.5 * p_int)
+        powered = np.power(sq, 0.5 * p_int, out=sq)
     return float((np.sum(powered) * grid.cell_volume) ** (1.0 / p_int))
 
 

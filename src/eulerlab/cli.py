@@ -53,7 +53,7 @@ from .solver import (
     weak_residuals,
 )
 from .synth import KINDS as SYNTH_KINDS
-from .synth import SynthSpec, field_from_spec, low_mode_divfree, low_mode_scalar
+from .synth import SynthSpec, _kmax_problem, field_from_spec, low_mode_divfree, low_mode_scalar
 from .uniqueness import RunConfig, _check_cadences, uniqueness_experiment
 
 EXPERIMENTS = (
@@ -114,6 +114,7 @@ def _section(name: str, **keys: _Key) -> dict:
 
 
 _INT = partial(_Key, lambda raw: int(raw, 0), "an integer")
+_COUNT = partial(_Key, lambda raw: int(raw, 0), "a positive integer", ok=lambda v: v >= 1)
 _FLOAT = partial(_Key, float, "a number")
 _POSITIVE = partial(_Key, float, "a positive number", ok=lambda v: v > 0.0)
 _NONNEGATIVE = partial(_Key, float, "a nonnegative number", ok=lambda v: v >= 0.0)
@@ -171,7 +172,7 @@ _KEYS = {
         theta_amplitude=_FLOAT(0.2), theta_axis=_one_of({"0": 0, "1": 1}, "0"),
     )},
     "weak_residual": {**_COMMON, **_SOLVE, **_section(
-        "weak", count=_INT(10), kmax=_INT(3), w1_tolerance=_NONNEGATIVE(1e-6),
+        "weak", count=_COUNT(10), kmax=_INT(3), w1_tolerance=_NONNEGATIVE(1e-6),
         w2_tolerance=_NONNEGATIVE(1e-10),
         window=_one_of({"cosine": cosine_window, "linear": linear_window}, "cosine"),
     )},
@@ -321,6 +322,10 @@ def _range_checks(cfg: ExperimentConfig) -> list:
     if problem:
         diags.append(f"[sweep] {problem}")
     _build_synth_spec(cfg)
+    kmax = cfg.values.get(("weak", "kmax"))
+    problem = kmax is not None and _kmax_problem(grid, kmax)
+    if problem:
+        diags.append(f"[weak] {problem}")
     if ("solver", "dt") in cfg.values:
         dt, T = cfg["solver", "dt"], cfg["solver", "T"]
         if not steps_for_horizon(T, dt):

@@ -96,12 +96,15 @@ class PeriodicGrid:
             np.pi * np.where(np.abs(f) == n // 2, 0.0, f) for f in self._frequencies
         ]
 
-        k2 = np.zeros(self.rshape)
+        # |k|^2 is built and inverted in one buffer; modes with |k|^2 = 0
+        # (the mean, and Nyquist modes whose multipliers are zeroed) get 0.
+        inv = np.zeros(self.rshape)
         for k in self._k_deriv:
-            k2 = k2 + k * k
-        self.k_squared = k2
-        with np.errstate(divide="ignore"):
-            inv = np.where(k2 > 0.0, 1.0 / np.where(k2 > 0.0, k2, 1.0), 0.0)
+            inv += k * k
+        zero = inv == 0.0
+        inv[zero] = 1.0
+        np.divide(1.0, inv, out=inv)
+        inv[zero] = 0.0
         self.inv_k_squared = inv
 
         # 2/3-rule mask: keep |k| <= kmax_int with 3*kmax_int < n, so aliases
@@ -109,7 +112,7 @@ class PeriodicGrid:
         self.dealias_kmax = (n - 1) // 3
         self.dealias_mask = self.band_mask(self.dealias_kmax)
 
-        for arr in (self.k_squared, self.inv_k_squared, self.dealias_mask):
+        for arr in (self.inv_k_squared, self.dealias_mask):
             arr.setflags(write=False)
 
     def band_mask(self, kmax: int) -> np.ndarray:

@@ -158,6 +158,11 @@ def mollify(f: Field, kernel: MollifierKernel) -> Field:
     """
     if isinstance(f, VelocityField):
         return VelocityField([mollify(c, kernel) for c in f.components])
+    return ScalarField.from_hat(f.grid, _mollified_hat(f, kernel))
+
+
+def _mollified_hat(f: ScalarField, kernel: MollifierKernel) -> np.ndarray:
+    """Half-spectrum of ``f`` convolved with the kernel."""
     if f.grid != kernel.grid:
         raise GridMismatchError("field and kernel live on different grids")
-    return ScalarField.from_hat(f.grid, f.hat * kernel.multiplier)
+    return f.hat * kernel.multiplier

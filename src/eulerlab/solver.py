@@ -27,6 +27,12 @@ stage.  Under-resolved runs are legal but show up as admissibility
 violations in the energy ledger, which is a checked property, never an
 enforced one; the check reports a ``PairAudit``, the one ordered-pair record
 that the extensions' scalar-contraction audit reports as well.
+
+The weak-form audit pairs recorded states with ``WeakTestFunction`` tests in
+spectral space: each pairing is a Parseval sum over the dealiased band,
+which is exact to round-off because the test's band check admits only tests
+band-limited below the dealias cutoff.  The audit keeps each test's band
+spectra and reads every state once.
 """
 
 from __future__ import annotations
@@ -44,11 +50,13 @@ from .grid_fields import (
     ScalarField,
     VelocityField,
     _dealiased_product_tensor,
-    _inner,
+    _div_hat,
+    _div_product_hats,
     _max_speed,
+    _parseval_dot,
+    _parseval_weights,
     _require_same_grid,
     curl_2d,
-    gradient,
     lp_norm,
 )
 
@@ -537,6 +545,20 @@ def _integrate_against(values: Sequence[float], times: Sequence[float],
     return acc
 
 
+def _band_spectra(u: VelocityField) -> tuple:
+    """What a weak-form test pairs with at a state of velocity ``u``, as
+    spectra on the dealiased band: ``u`` and ``-div(u (x) u)``, components
+    end to end, and ``-div u``.  The velocity spectra are the components'
+    cached ones; the products cost one transform per pair of components."""
+    grid = u.grid
+    mask = grid.dealias_mask
+    hats = [c.hat for c in u.components]
+    flux = _div_product_hats(grid, [c.values for c in u.components])
+    return (np.concatenate([h[mask] for h in hats]),
+            np.concatenate([-h[mask] for h in flux]),
+            -_div_hat(grid, hats)[mask])
+
+
 def weak_residuals(traj: Trajectory, tests: Iterable[WeakTestFunction]) -> list[float]:
     """Absolute defect of the weak formulation over the recorded span, one
     per test function.
@@ -548,37 +570,48 @@ def weak_residuals(traj: Trajectory, tests: Iterable[WeakTestFunction]) -> list[
     time; the temporal profile is integrated exactly, so the residual floor
     is set by the solution's own variation, not by the window's derivatives.
 
-    The states are read once, for their velocity samples, whatever the
-    number of tests; ``tests`` is consumed one at a time, so a generator
-    keeps one test's fields alive.
+    Every pairing is a Parseval sum over the dealiased band, times the cell
+    volume: ``WeakTestFunction`` admits only tests band-limited below the
+    dealias cutoff, so the grid sum of a test against any field equals, to
+    round-off, the sum over the band of their spectra (the derivative
+    moved onto the state: ``u (x) u : grad psi`` pairs ``-div(u (x) u)``
+    with ``psi``, and ``u . grad phi`` pairs ``-div u`` with ``phi``).
+    ``tests`` is consumed first, one at a time, keeping only each test's
+    band spectra (a generator keeps one test's fields alive); then every
+    state is read once, whatever the number of tests, and its samples are
+    dropped before the next is read.
     """
-    times = traj.times
     grid = traj.grid
-    velocities = [[c.values for c in s.velocity.components] for s in traj.states]
-    out = []
+    mask = grid.dealias_mask
+    band = []
     for test in tests:
         _require_same_grid(traj, test.spatial)
-        g = test.temporal
-        if isinstance(test.spatial, VelocityField):
-            psi = [c.values for c in test.spatial.components]
-            grad_psi = [[c.values for c in gradient(c).components]
-                        for c in test.spatial.components]
-            momentum = []
-            transport = []
-            for u in velocities:
-                momentum.append(_inner(grid, u, psi))
-                tr = 0.0
-                for i in range(grid.dims):
-                    for j in range(grid.dims):
-                        tr += float(np.sum(u[i] * u[j] * grad_psi[i][j]))
-                transport.append(tr * grid.cell_volume)
+        vector = isinstance(test.spatial, VelocityField)
+        parts = test.spatial.components if vector else (test.spatial,)
+        band.append((test.temporal, vector, np.concatenate([c.hat[mask] for c in parts])))
+    # one weight per real and imaginary part, then one copy per component
+    weights = np.repeat(np.broadcast_to(_parseval_weights(grid), grid.rshape)[mask], 2)
+    vector_weights = np.tile(weights, grid.dims)
+    volume = grid.cell_volume
+    series = [[] for _ in band]
+    for k in range(len(traj.states)):
+        u, flux, div = _band_spectra(traj.states[k].velocity)
+        for (_, vector, spec), out in zip(band, series):
+            if vector:
+                out.append((_parseval_dot(u, spec, vector_weights) * volume,
+                            _parseval_dot(flux, spec, vector_weights) * volume))
+            else:
+                out.append(_parseval_dot(div, spec, weights) * volume)
+    times = traj.times
+    out = []
+    for (g, vector, _), vals in zip(band, series):
+        if vector:
+            momentum, transport = zip(*vals)
             integral = _integrate_against(momentum, times, g, "derivative")
             integral += _integrate_against(transport, times, g, "value")
             boundary = momentum[-1] * g.value(times[-1]) - momentum[0] * g.value(times[0])
             out.append(abs(integral - boundary))
         else:
-            grad_phi = [c.values for c in gradient(test.spatial).components]
-            vals = [_inner(grid, u, grad_phi) for u in velocities]
             out.append(abs(_integrate_against(vals, times, g, "value")))
     return out
 

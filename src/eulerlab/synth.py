@@ -182,11 +182,17 @@ def _solenoidal_at_speed(grid: PeriodicGrid, comps, amplitude: float) -> Velocit
     return VelocityField.from_arrays(grid, arrays)
 
 
-def _check_kmax(grid: PeriodicGrid, kmax: int) -> None:
+def _kmax_problem(grid: PeriodicGrid, kmax: int) -> str | None:
+    """Why ``kmax`` is no band of a low-mode field on ``grid``, or None."""
     if kmax < 1 or kmax > grid.dealias_kmax:
-        raise ConfigurationError(
-            f"kmax must lie in [1, {grid.dealias_kmax}] on n={grid.n_per_axis}"
-        )
+        return f"kmax must lie in [1, {grid.dealias_kmax}] on n={grid.n_per_axis}"
+    return None
+
+
+def _check_kmax(grid: PeriodicGrid, kmax: int) -> None:
+    problem = _kmax_problem(grid, kmax)
+    if problem:
+        raise ConfigurationError(problem)
 
 
 def random_divfree(

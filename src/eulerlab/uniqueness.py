@@ -45,11 +45,16 @@ from .grid_fields import (
     PeriodicGrid,
     ScalarField,
     VelocityField,
-    gradient_tensor,
     make_grid,
     resample,
 )
-from .mollify import MollifierKernel, epsilon_problem, make_kernel, mollify, resolved_epsilon
+from .mollify import (
+    MollifierKernel,
+    _mollified_hat,
+    epsilon_problem,
+    make_kernel,
+    resolved_epsilon,
+)
 from .solver import PairAudit, solve
 
 __all__ = [
@@ -97,21 +102,47 @@ def lipschitz_from_gradient(grad: np.ndarray) -> float:
     """
     dims = grad.shape[0]
     if dims == 2:
-        a = grad[0, 0]
-        c = grad[1, 1]
-        b = 0.5 * (grad[0, 1] + grad[1, 0])
-        lam = -0.5 * (a + c) + np.sqrt((0.5 * (a - c)) ** 2 + b * b)
-        return max(0.0, float(lam.max()))
+        return _lipschitz_2d(grad[0, 0].copy(), grad[0, 1].copy(),
+                             grad[1, 0].copy(), grad[1, 1].copy())
     sym = 0.5 * (grad + np.swapaxes(grad, 0, 1))
     mats = np.moveaxis(sym.reshape(dims, dims, -1), -1, 0)
     eigs = np.linalg.eigvalsh(-mats)
     return max(0.0, float(eigs[:, -1].max()))
 
 
+def _lipschitz_2d(a: np.ndarray, b01: np.ndarray, b10: np.ndarray,
+                  c: np.ndarray) -> float:
+    """:func:`lipschitz_from_gradient` of the planar gradient ``[[a, b01],
+    [b10, c]]``: ``-(a + c)/2 + sqrt(((a - c)/2)^2 + ((b01 + b10)/2)^2)``,
+    evaluated in the four arrays, which are overwritten."""
+    b = b01
+    b += b10
+    b *= 0.5
+    b *= b
+    lam = np.add(a, c, out=b10)
+    lam *= -0.5
+    a -= c
+    a *= 0.5
+    a *= a
+    a += b
+    lam += np.sqrt(a, out=a)
+    return max(0.0, float(lam.max()))
+
+
 def one_sided_lipschitz(v: VelocityField, kernel: MollifierKernel) -> float:
     """Smallest one-sided Lipschitz constant of the field mollified by
-    ``kernel``."""
-    return lipschitz_from_gradient(gradient_tensor(mollify(v, kernel)))
+    ``kernel``: :func:`lipschitz_from_gradient` of the gradient taken
+    straight from the mollified spectra (no mollified field is built)."""
+    grid = v.grid
+    hats = [_mollified_hat(c, kernel) for c in v.components]
+
+    def d(i: int, j: int) -> np.ndarray:  # d(v_eps_i)/dx_j, a fresh array
+        return grid.irfftn(1j * grid.deriv_wavenumber(j) * hats[i])
+
+    if grid.dims == 2:
+        return _lipschitz_2d(d(0, 0), d(0, 1), d(1, 0), d(1, 1))
+    return lipschitz_from_gradient(np.array([[d(i, j) for j in range(grid.dims)]
+                                             for i in range(grid.dims)]))
 
 
 @dataclass

@@ -192,7 +192,7 @@ class TestParseAndValidate:
         assert float(printed["cfl_dt_bound"]) == 0.4 * grid.spacing / u.max_speed()
 
     def test_validate_every_demo_config(self, capsys):
-        assert len(DEMO_CONFIGS) == 9
+        assert len(DEMO_CONFIGS) == 10
         for path in DEMO_CONFIGS:
             assert validate(path) == 0, path.name
 
@@ -340,6 +340,8 @@ class TestRun:
                      id="besov-alpha-zero"),
         pytest.param(UNIQUENESS.replace("p = 3.0", "p = 0.5"), "a number >= 1",
                      id="certify-p-below-one"),
+        pytest.param(WEAK + "count = 0\n", "a positive integer", id="zero-weak-count"),
+        pytest.param(WEAK + "count = -3\n", "a positive integer", id="negative-weak-count"),
     ])
     def test_bad_value_rejected_before_solving(self, tmp_path, capsys, text, allowed):
         """A value outside the key's allowed values exits 1 before anything
@@ -364,6 +366,19 @@ class TestRun:
         err = capsys.readouterr().err
         assert f"bad value for '{key}'" in err
         assert "(allowed: a nonnegative number)" in err
+
+    @pytest.mark.parametrize("kmax", [0, 11, 40])
+    def test_weak_kmax_outside_the_band_rejected_before_solving(self, tmp_path, capsys, kmax):
+        """The test functions' band must lie in [1, dealias_kmax]: at n = 32
+        that is [1, 10], checked by validate and before run solves."""
+        text = WEAK.replace("n = 128", "n = 32") + f"kmax = {kmax}\n"
+        cfg = write_config(tmp_path, text)
+        assert validate(cfg) == 1
+        assert "[weak] kmax must lie in [1, 10] on n=32" in capsys.readouterr().out
+        assert run(cfg, output_dir=tmp_path / "out") == 1
+        assert not (tmp_path / "out").exists()
+        assert "[weak] kmax must lie in [1, 10] on n=32" in capsys.readouterr().err
+        assert validate(write_config(tmp_path, text.replace(f"kmax = {kmax}", "kmax = 10"))) == 0
 
     def test_convective_p_below_two_rejected_before_solving(self, tmp_path, capsys):
         """The convective route measures its commutator in L^(p/2): a p in
@@ -460,4 +475,18 @@ kmax = 3
         assert run(cfg, output_dir=out) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["max_w1_residual"] <= 1e-6
+        assert report["max_w2_residual"] <= 1e-10
+
+    def test_dynamic_demo_fails_at_a_coarse_stride(self, tmp_path):
+        """The evolving-data demo passes at its stride of 2; at stride 5 the
+        time reconstruction leaves a momentum residual (about 1.4e-6) above
+        the 1e-6 gate, and the run exits 2."""
+        text = (ROOT / "demos/configs/weak_residual_dynamic.ini").read_text()
+        assert "snapshot_stride = 2\n" in text
+        cfg = write_config(tmp_path, text.replace("snapshot_stride = 2\n", "snapshot_stride = 5\n"))
+        out = tmp_path / "out"
+        assert run(cfg, output_dir=out) == 2
+        report = json.loads((out / "report.json").read_text())
+        assert report["pass"] is False
+        assert 1e-6 < report["max_w1_residual"] < 2e-6
         assert report["max_w2_residual"] <= 1e-10

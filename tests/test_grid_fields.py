@@ -51,6 +51,17 @@ class TestMakeGrid:
         with pytest.raises(ConfigurationError):
             make_grid(2, 4)
 
+    @pytest.mark.parametrize("dims,n", [(2, 8), (2, 64), (2, 512), (3, 16)])
+    def test_inverse_laplacian_symbol(self, dims, n):
+        """``1/|k|^2`` of the derivative multipliers, 0 where ``|k|^2`` is 0,
+        bitwise as the out-of-place formula gives it."""
+        grid = make_grid(dims, n)
+        k2 = sum(grid.deriv_wavenumber(a) ** 2 for a in range(dims))
+        with np.errstate(divide="ignore"):
+            expect = np.where(k2 > 0.0, 1.0 / np.where(k2 > 0.0, k2, 1.0), 0.0)
+        assert np.array_equal(grid.inv_k_squared, expect)
+        assert not grid.inv_k_squared.flags.writeable
+
     def test_wavenumbers_are_pi_multiples(self):
         grid = make_grid(2, 16)
         k = grid.wavenumbers[0]

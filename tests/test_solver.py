@@ -8,6 +8,7 @@ from eulerlab.grid_fields import (
     _dealiased_product,
     _max_speed,
     curl_2d,
+    gradient,
     lp_norm,
     make_grid,
     max_norm,
@@ -22,6 +23,7 @@ from eulerlab.solver import (
     enstrophy,
     kinetic_energy,
     linear_window,
+    _integrate_against,
     _rk4_stage,
     _Vorticity,
     recover_pressure,
@@ -31,7 +33,13 @@ from eulerlab.solver import (
     weak_residuals,
 )
 from eulerlab.extensions import boussinesq_solve, inhom_solve
-from eulerlab.synth import taylor_green, taylor_green_pressure, random_divfree
+from eulerlab.synth import (
+    low_mode_divfree,
+    low_mode_scalar,
+    random_divfree,
+    taylor_green,
+    taylor_green_pressure,
+)
 
 from _utils import (
     count_state_reads,
@@ -489,6 +497,66 @@ class TestWeakResidual:
         reads = count_state_reads(monkeypatch)
         assert weak_residuals(traj, iter(tests)) == one_at_a_time
         assert [i for _, i, _ in reads] == list(range(len(traj.states)))
+
+    @staticmethod
+    def physical_oracle(traj, tests):
+        """The weak residuals by grid Riemann sums of the samples against the
+        tests' sampled fields and spectral gradients."""
+        grid, times, vol = traj.grid, traj.times, traj.grid.cell_volume
+        velocities = [[c.values for c in s.velocity.components] for s in traj.states]
+        out = []
+        for test in tests:
+            g = test.temporal
+            if isinstance(test.spatial, VelocityField):
+                psi = [c.values for c in test.spatial.components]
+                grad = [[d.values for d in gradient(c).components] for c in test.spatial.components]
+                momentum = [sum(np.sum(a * b) for a, b in zip(u, psi)) * vol for u in velocities]
+                transport = [sum(np.sum(u[i] * u[j] * grad[i][j]) for i in range(2)
+                                 for j in range(2)) * vol for u in velocities]
+                integral = (_integrate_against(momentum, times, g, "derivative")
+                            + _integrate_against(transport, times, g, "value"))
+                boundary = momentum[-1] * g.value(times[-1]) - momentum[0] * g.value(times[0])
+                out.append(abs(integral - boundary))
+            else:
+                grad_phi = [d.values for d in gradient(test.spatial).components]
+                vals = [sum(np.sum(a * b) for a, b in zip(u, grad_phi)) * vol
+                        for u in velocities]
+                out.append(abs(_integrate_against(vals, times, g, "value")))
+        return out
+
+    @staticmethod
+    def dynamic_tests(grid, T, count):
+        for i in range(count):
+            yield WeakTestFunction(low_mode_divfree(grid, 3, seed=1003 + i), cosine_window(T))
+            yield WeakTestFunction(low_mode_scalar(grid, 3, seed=2003 + i), cosine_window(T))
+
+    def test_band_pairings_match_physical_sums(self):
+        # real dynamics, so the momentum residual is well above round-off
+        grid = make_grid(2, 128)
+        traj = solve(random_divfree(grid, slope=2.0, seed=3), 0.1, 1e-3, snapshot_stride=5)
+        tests = list(self.dynamic_tests(grid, 0.1, 4))
+        spectral = weak_residuals(traj, tests)
+        oracle = self.physical_oracle(traj, tests)
+        assert max(spectral[::2]) > 1e-6
+        for a, b in zip(spectral, oracle):
+            assert abs(a - b) <= 1e-15
+
+    def test_peak_memory_follows_tests_not_snapshots(self):
+        """The audit holds the tests' band spectra and one state at a time:
+        its peak does not grow from 5 to 20 snapshots (holding every
+        state's velocity samples would add about 30 half-spectra), and it
+        grows with the number of tests."""
+        grid = make_grid(2, 64)
+        u0 = random_divfree(grid, slope=2.0, seed=3)
+        few, many = (solve(u0, 0.038, 1e-3, snapshot_stride=s) for s in (10, 2))
+        assert (len(few.states), len(many.states)) == (5, 20)
+
+        def peak(traj, count):
+            return traced_half_spectra(
+                grid, lambda: weak_residuals(traj, self.dynamic_tests(grid, 0.038, count)))[2]
+
+        assert abs(peak(many, 4) - peak(few, 4)) < 1.0
+        assert peak(few, 16) - peak(few, 4) > 5.0
 
     def test_synthetic_linear_data_is_exact(self):
         # u(t) = (1 + b t) u0 makes every pairing linear/quadratic in t; the
