@@ -30,14 +30,15 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .besov import besov_seminorm
-from .commutator import DEFAULT_SLOPE_TOLERANCE, ROUTES, _p_problem, scaling_experiment
+from .commutator import (DEFAULT_SLOPE_TOLERANCE, ROUTES, Route, _sweep_problems,
+                         scaling_experiment)
 from .errors import EulerLabError, ConfigurationError
 from .extensions import (
     boussinesq_uniqueness_experiment,
     inhom_uniqueness_experiment,
 )
 from .grid_fields import make_grid
-from .mollify import MAX_EPSILON, epsilon_problem, min_epsilon, resolved_epsilon
+from .mollify import MAX_EPSILON, min_epsilon, resolved_epsilon
 from .reporting import config_hash, dump_csv, dump_json
 from .snapshots import save_trajectory
 from .solver import (
@@ -137,9 +138,7 @@ _COMMON = {
 _AUDIT = {**_section("grid", dims=_INT(2)), **_section("sweep", p=_INTEGRABILITY(3.0))}
 _SWEEP = {**_AUDIT, **_section(
     "sweep", alpha=_EXPONENT(None),  # fitted from the fields
-    slope_tolerance=_NONNEGATIVE(DEFAULT_SLOPE_TOLERANCE),
-    epsilons=_FLOATS("at least 4 strictly decreasing numbers",
-                     ok=lambda e: len(e) >= 4 and all(b < a for a, b in zip(e, e[1:]))),
+    slope_tolerance=_NONNEGATIVE(DEFAULT_SLOPE_TOLERANCE), epsilons=_FLOATS("numbers"),
 )}
 _SOLVE = _section("solver", dt=_POSITIVE(), T=_POSITIVE(), snapshot_stride=_INT(1),
                   cfl=_POSITIVE(DEFAULT_CFL))
@@ -149,8 +148,7 @@ _PAIR = {**_SOLVE, **_section(
     "solver_b", n=_INT(None), dt=_POSITIVE(None), snapshot_stride=_INT(None), cfl=_POSITIVE(None),
 ), **_section(
     "sweep", alpha=_EXPONENT(0.6), p=_INTEGRABILITY(3.0), certify_tolerance=_POSITIVE(None),
-    epsilons=_FLOATS("at least 4 distinct numbers",
-                     ok=lambda e: len(e) >= 4 and len(set(e)) == len(e)),
+    epsilons=_FLOATS("numbers"),
 )}
 _EXTENDED = {**_PAIR, **_section("sweep", contraction_tolerance=_NONNEGATIVE(1e-5))}
 
@@ -299,28 +297,24 @@ def _derived_quantities(cfg: ExperimentConfig) -> dict:
 _SCALED = {"commutator_scaling": ROUTES["convective"], "cet_scaling": ROUTES["trilinear"]}
 
 
-def _swept_quantity(cfg: ExperimentConfig) -> Optional[str]:
-    """The commutator quantity the kind sweeps, or None; the extended
+def _swept_route(cfg: ExperimentConfig) -> Optional[Route]:
+    """The budget route the kind sweeps, or None; the extended
     certifications budget the convective route."""
     if ("solver_b", "n") in cfg.values:  # the A/B certifications
-        return ROUTES[cfg.values.get(("sweep", "budget_route"), "convective")].quantity
-    return _SCALED[cfg.kind].quantity if cfg.kind in _SCALED else None
+        return ROUTES[cfg.values.get(("sweep", "budget_route"), "convective")]
+    return _SCALED.get(cfg.kind)
 
 
 def _range_checks(cfg: ExperimentConfig) -> list:
     """The checks that join several keys."""
     diags = []
     grid = _build_grid(cfg)
-    epsilons = cfg.values.get(("sweep", "epsilons"), [])
-    if epsilons:
+    route = _swept_route(cfg)
+    if route:
         # budget sweeps run on the finer leg of an A/B pair
         n_sweep = max(grid.n_per_axis, cfg.values.get(("solver_b", "n"), 0))
-        sweep_grid = make_grid(grid.dims, n_sweep)
-        diags += filter(None, (epsilon_problem(sweep_grid, eps) for eps in epsilons))
-    quantity = _swept_quantity(cfg)
-    problem = quantity and _p_problem(quantity, cfg["sweep", "p"])
-    if problem:
-        diags.append(f"[sweep] {problem}")
+        diags += [f"[sweep] {problem}" for problem in _sweep_problems(
+            route, cfg["sweep", "epsilons"], make_grid(grid.dims, n_sweep), cfg["sweep", "p"])]
     _build_synth_spec(cfg)
     kmax = cfg.values.get(("weak", "kmax"))
     problem = kmax is not None and _kmax_problem(grid, kmax)

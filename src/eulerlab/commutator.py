@@ -21,12 +21,16 @@ epsilon once (``div(v (x) v)``; the product spectra of ``u_i u_j``) and
 then spends 7 transforms per scale on the convective commutator and 5 on
 the trilinear pairing, besides the kernel's own.  The pairing never leaves
 spectral space: ``m_ij`` meets ``d_b(v_eps - u_eps)_a`` in a Parseval sum
-over half-spectra, and it streams: each ``m_ij`` is paired and freed before
-the next is built.  The factors ``v - u`` are not hoisted: they cost no
-transform, since the fields cache their spectra, and held for the whole
-sweep they would add one half-spectrum per component to its peak memory.
-Both per-scale kernels return arrays, not fields.  The public single-scale
-functions run the same per-scale code on terms they build themselves.
+over half-spectra (``grid_fields._parseval_dot``, as does the transport
+commutator in the scalar-contraction audit of :mod:`~eulerlab.extensions`),
+and it streams: each ``m_ij`` is paired and freed before the next is built.
+The factors ``v - u`` are not hoisted: they cost no transform, since the
+fields cache their spectra, and held for the whole sweep they would add one
+half-spectrum per component to its peak memory.  Both per-scale kernels
+return arrays, not fields.  The public single-scale functions run the same
+per-scale code on terms they build themselves.  ``_sweep_problems`` is the
+one home of a sweep's rules; sweeps run from the largest scale down,
+whatever order the scales are given in.
 """
 
 from __future__ import annotations
@@ -39,12 +43,14 @@ import numpy as np
 from .besov import _check_exponents, _estimate, _probe_fit, besov_seminorm
 from .errors import ConfigurationError, GridMismatchError
 from .grid_fields import (
+    PeriodicGrid,
     ScalarField,
     VelocityField,
     _dealiased_product,
     _dealiased_product_tensor,
     _div_product_hats,
     _lp_norm,
+    _parseval_dot,
     _parseval_weights,
 )
 from .mollify import MollifierKernel, epsilon_problem, make_kernel, mollify
@@ -86,13 +92,23 @@ ROUTES = {"convective": Route("convective_commutator_lp", 2.0, False),
 _BY_QUANTITY = {r.quantity: r for r in ROUTES.values()}
 
 
-def _p_problem(quantity: str, p_int: float) -> Optional[str]:
-    """Why a sweep of ``quantity`` cannot take the integrability ``p_int``,
-    or None: the convective commutator is measured in L^(p/2), a norm only
-    from ``p >= 2`` on."""
-    if quantity == "convective_commutator_lp" and not p_int >= 2.0:
-        return f"p {p_int} is below 2, the least the convective commutator's L^(p/2) norm admits"
-    return None
+def _sweep_problems(route: Route, epsilons: Sequence[float], grid: PeriodicGrid,
+                    p_int: float) -> list[str]:
+    """Every reason a sweep of ``route`` over ``epsilons`` on ``grid`` at the
+    integrability ``p_int`` cannot run, in this order: the convective
+    commutator is measured in L^(p/2), a norm only from ``p >= 2`` on; a
+    rate fit needs at least 4 distinct scales; and ``grid`` must admit each
+    scale."""
+    problems = []
+    if route.quantity == "convective_commutator_lp" and not p_int >= 2.0:
+        problems.append(f"p {p_int} is below 2, the least the convective commutator's "
+                        "L^(p/2) norm admits")
+    if len(epsilons) < 4:
+        problems.append(f"need at least 4 epsilons for a rate fit, got {len(epsilons)}")
+    if len(set(epsilons)) != len(epsilons):
+        problems.append("the sweep's epsilons must be distinct")
+    problems += filter(None, (epsilon_problem(grid, eps) for eps in epsilons))
+    return problems
 
 
 def _convective_raw(v: VelocityField) -> list[np.ndarray]:
@@ -128,13 +144,6 @@ def _cet_raw(u: VelocityField) -> list[list[np.ndarray]]:
     return _dealiased_product_tensor(u.grid, [c.values for c in u.components])
 
 
-def _re_vdot(a: np.ndarray, b: np.ndarray) -> float:
-    """``Re sum conj(a) b`` of two contiguous complex arrays, as one real dot
-    of their interleaved views in numpy's own loop: a multithreaded BLAS
-    ``vdot`` can spend more on waking its threads than on the sum."""
-    return float(np.einsum("i,i->", a.view(np.float64).ravel(), b.view(np.float64).ravel()))
-
-
 def _cet_at(u: VelocityField, v: VelocityField, products: Sequence[Sequence[np.ndarray]],
             kernel: MollifierKernel) -> float:
     """The trilinear pairing at one scale, given ``products`` from
@@ -142,21 +151,20 @@ def _cet_at(u: VelocityField, v: VelocityField, products: Sequence[Sequence[np.n
 
     ``m_ij = (u_i u_j)_eps - u_eps,i u_eps,j`` is symmetric, so each
     unordered pair is built once, paired with both ``d_j(v_eps - u_eps)_i``
-    and ``d_i(v_eps - u_eps)_j`` and freed.  Each pairing is a Parseval sum
-    over half-spectra, so neither factor is transformed back; the gradient
-    factors are rebuilt from the fields' cached spectra for each pairing,
-    and the terms are summed in row-major order.
+    and ``d_i(v_eps - u_eps)_j`` through ``_parseval_dot`` and freed, so
+    neither factor is transformed back; the gradient factors are rebuilt
+    from the fields' cached spectra for each pairing, and the terms are
+    summed in row-major order.
     """
     grid = u.grid
     mult = kernel.multiplier
-    w = _parseval_weights(grid)
+    weights = np.repeat(_parseval_weights(grid), 2)
 
     def grad_diff(a: int, b: int) -> np.ndarray:
-        """``w d_b(v_eps - u_eps)_a``, built in place: one half-spectrum."""
+        """``d_b(v_eps - u_eps)_a``, built in place: one half-spectrum."""
         g = v.components[a].hat - u.components[a].hat
-        np.multiply(w, g, out=g)
-        np.multiply(mult, g, out=g)
-        np.multiply(1j * grid.deriv_wavenumber(b), g, out=g)
+        g *= mult
+        g *= 1j * grid.deriv_wavenumber(b)
         return g
 
     u_eps = [grid.irfftn(c.hat * mult) for c in u.components]
@@ -168,7 +176,7 @@ def _cet_at(u: VelocityField, v: VelocityField, products: Sequence[Sequence[np.n
                 u_eps[i] = None  # its last product
             np.subtract(products[i][j] * mult, m, out=m)
             for a, b in {(i, j), (j, i)}:
-                terms[a][b] = _re_vdot(m, grad_diff(a, b))
+                terms[a][b] = _parseval_dot(m, grad_diff(a, b), weights)
             del m  # free m_ij before the next product is transformed
     total = 0.0
     for row in terms:
@@ -289,33 +297,24 @@ def scaling_experiment(
     log-log decay rate.
 
     ``fields`` is one velocity field for ``"convective_commutator_lp"`` and a
-    ``(u, v)`` pair for ``"cet_trilinear"``.  ``alpha`` defaults to the
-    exponent fitted from the input fields themselves (their mean for a
-    pair), so the theory slope tracks the realized regularity rather than a
-    nominal label.
+    ``(u, v)`` pair for ``"cet_trilinear"``.  The scales are swept and
+    reported largest first.  ``alpha`` defaults to the exponent fitted from
+    the input fields themselves (their mean for a pair), so the theory slope
+    tracks the realized regularity rather than a nominal label.
     """
     if quantity not in _BY_QUANTITY:
         raise ConfigurationError(
             f"unknown quantity {quantity!r}; choose from {tuple(_BY_QUANTITY)}")
     route = _BY_QUANTITY[quantity]
-    problem = _p_problem(quantity, p_int)
-    if problem:
-        raise ConfigurationError(problem)
-    epsilons = [float(e) for e in epsilons]
-    if len(epsilons) < 4:
-        raise ConfigurationError("need at least 4 epsilons for a rate fit")
-    if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
-        raise ConfigurationError("epsilons must be strictly decreasing")
-
     if not route.pair and isinstance(fields, VelocityField):
         fields = (fields,)
     elif not route.pair or isinstance(fields, VelocityField) or len(fields) != 2:
         raise ConfigurationError(f"{quantity} needs a (u, v) field pair" if route.pair
                                  else f"{quantity} takes one velocity field")
-    grid = fields[0].grid
-    problem = next(filter(None, (epsilon_problem(grid, eps) for eps in epsilons)), None)
-    if problem:
-        raise ConfigurationError(problem)
+    epsilons = sorted((float(e) for e in epsilons), reverse=True)
+    problems = _sweep_problems(route, epsilons, fields[0].grid, p_int)
+    if problems:
+        raise ConfigurationError(problems[0])
 
     if alpha is None:
         # one probe per field gives both its exponent and its seminorm

@@ -131,7 +131,9 @@ def save_trajectory(traj: Trajectory, outdir) -> Path:
 
 
 def load_trajectory(outdir) -> Trajectory:
-    """Rebuild a trajectory from a snapshot directory."""
+    """Rebuild a trajectory from a snapshot directory; a manifest that
+    records no state, lists a different number of files than times, or
+    names other components than a snapshot holds is rejected."""
     outdir = Path(outdir)
     manifest = json.loads((outdir / "manifest.json").read_text())
     if manifest.get("kind") not in _KINDS:
@@ -142,11 +144,19 @@ def load_trajectory(outdir) -> Trajectory:
     missing = [k for k in required if k not in manifest]
     if missing:
         raise ConfigurationError(f"{outdir}: manifest lacks {', '.join(missing)}")
-    names = manifest["components"]
+    names, times, files = manifest["components"], manifest["times"], manifest["files"]
+    if not times:
+        raise ConfigurationError(f"{outdir}: manifest records no states")
+    if len(files) != len(times):
+        raise ConfigurationError(
+            f"{outdir}: manifest lists {len(files)} files for {len(times)} times")
     states = []
-    for t, fname in zip(manifest["times"], manifest["files"]):
+    for t, fname in zip(times, files):
         # the velocity components come first, then the state's scalars
         grid, comps = _read_snapshot(outdir / fname)
+        if len(comps) != len(names):
+            raise ConfigurationError(f"{outdir / fname}: holds {len(comps)} components, "
+                                     f"the manifest names {len(names)}")
         scalars = {name: ScalarField(grid, a)
                    for name, a in zip(names[grid.dims:], comps[grid.dims:])}
         states.append(State(t, VelocityField.from_arrays(grid, comps[:grid.dims]), scalars))

@@ -115,9 +115,6 @@ class _Vorticity:
         self.biot_savart = (1j * k1 * grid.inv_k_squared, -1j * k0 * grid.inv_k_squared)
         self.stress = ((k0 * k0 - k1 * k1) * grid.dealias_mask, k0 * k1 * grid.dealias_mask)
 
-    def velocity(self, w_hat: np.ndarray) -> VelocityField:
-        return _biot_savart_velocity(self.grid, self.biot_savart, w_hat)
-
     def advect(self, w_hat: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
         """``-div(u w)`` in spectral form and the physical velocity ``(u1, u2)``.
 

@@ -21,9 +21,9 @@ homogeneous experiment feeds it ``run_pair(..., solve)``; the variable-density
 and Boussinesq experiments (:mod:`~eulerlab.extensions`) add a weighted
 energy, the transported scalar's name and a scalar-contraction audit (a
 ``solver.PairAudit``) as data.
-All three first pass ``_check_sweep``, which asks ``mollify.epsilon_problem``
-about every sweep epsilon on the finer leg's grid and checks ``alpha``,
-``p_int`` and the certify tolerance, before solving anything.
+All three first pass ``_check_sweep``, which checks the sweep against
+``commutator._sweep_problems`` on the finer leg's grid and checks ``alpha``
+and the certify tolerance, before solving anything.
 
 The budget routes live in ``commutator.ROUTES``: a route whose budget decays
 like ``eps^(p alpha - 1)`` needs ``alpha > 1/p``.
@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .besov import BesovEstimate, _check_exponents, _check_usable, besov_seminorm
-from .commutator import ROUTES, Route, _p_problem, _sweep_intercepts, _sweep_magnitudes
+from .commutator import ROUTES, Route, _sweep_intercepts, _sweep_magnitudes, _sweep_problems
 from .errors import ConfigurationError, GridMismatchError
 from .grid_fields import (
     Field,
@@ -48,14 +48,8 @@ from .grid_fields import (
     make_grid,
     resample,
 )
-from .mollify import (
-    MollifierKernel,
-    _mollified_hat,
-    epsilon_problem,
-    make_kernel,
-    resolved_epsilon,
-)
-from .solver import PairAudit, solve
+from .mollify import MollifierKernel, _mollified_hat, make_kernel, resolved_epsilon
+from .solver import DEFAULT_CFL, PairAudit, solve
 
 __all__ = [
     "RelativeEnergySeries",
@@ -247,7 +241,7 @@ class RunConfig:
     dt: float
     T: float
     snapshot_stride: int = 1
-    cfl: float = 0.5
+    cfl: float = DEFAULT_CFL
 
     def cadence(self) -> float:
         return self.dt * self.snapshot_stride
@@ -402,28 +396,20 @@ def _check_sweep(budget_route: str, epsilons: Sequence[float], cfg_a: RunConfig,
                  cfg_b: RunConfig, alpha: float, p_int: float,
                  certify_tolerance: Optional[float],
                  working_epsilon: Optional[float] = None) -> None:
-    """Reject an unknown budget route, a sweep with fewer than 4 distinct
-    epsilons or one the finer leg's grid (where it runs) does not admit, an
-    exponent ``alpha`` outside (0, 1), an integrability ``p_int`` below 1 (or
-    below what the route's quantity admits), or a nonpositive certify
-    tolerance or working epsilon, so a bad configuration fails before
-    solving."""
+    """Reject an exponent ``alpha`` outside (0, 1) or an integrability
+    ``p_int`` below 1, a nonpositive certify tolerance, an unknown budget
+    route, the first of the route's ``commutator._sweep_problems`` on the
+    finer leg's grid (where the sweep runs), or a nonpositive working
+    epsilon, so a bad configuration fails before solving."""
     _check_exponents(alpha, p_int)
     if certify_tolerance is not None and not certify_tolerance > 0.0:
         raise ConfigurationError(f"certify_tolerance {certify_tolerance} is not positive")
     if budget_route not in ROUTES:
         raise ConfigurationError(f"budget_route must be one of {tuple(ROUTES)}")
-    problem = _p_problem(ROUTES[budget_route].quantity, p_int)
-    if problem:
-        raise ConfigurationError(problem)
-    if len(epsilons) < 4:
-        raise ConfigurationError("need at least 4 epsilons for the budget sweep")
-    if len(set(epsilons)) != len(epsilons):
-        raise ConfigurationError("the budget sweep's epsilons must be distinct")
     grid_b = make_grid(2, max(cfg_a.grid_n, cfg_b.grid_n))
-    problem = next(filter(None, (epsilon_problem(grid_b, eps) for eps in epsilons)), None)
-    if problem:
-        raise ConfigurationError(problem)
+    problems = _sweep_problems(ROUTES[budget_route], epsilons, grid_b, p_int)
+    if problems:
+        raise ConfigurationError(problems[0])
     if working_epsilon is not None and not working_epsilon > 0.0:
         raise ConfigurationError(f"working_epsilon {working_epsilon} is not positive")
 

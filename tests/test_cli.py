@@ -321,10 +321,6 @@ class TestRun:
             id="theta_axis"),
         pytest.param(certify_config("boussinesq_uniqueness").replace("g = 0.0 -1.0", "g = -1.0"),
                      "two numbers", id="one-component-g"),
-        pytest.param(UNIQUENESS.replace("0.5 0.25 0.125 0.0625", "0.5 0.25 0.125"),
-                     "at least 4 distinct numbers", id="three-certify-epsilons"),
-        pytest.param(UNIQUENESS.replace("0.5 0.25 0.125 0.0625", "0.5 0.25 0.125 0.125"),
-                     "at least 4 distinct numbers", id="repeated-certify-epsilon"),
         pytest.param(MINIMAL_ENERGY.replace("dt = 1e-3", "dt = -1e-3"), "a positive number",
                      id="negative-dt"),
         pytest.param(MINIMAL_ENERGY + "cfl = 0\n", "a positive number", id="zero-cfl"),
@@ -397,6 +393,36 @@ class TestRun:
                      certify_config("uniqueness", "budget_route = trilinear\n")]
         for text in trilinear:
             assert validate(write_config(tmp_path, text.replace("p = 3.0", "p = 1.5"))) == 0
+
+    @pytest.mark.parametrize("epsilons, problem", [
+        pytest.param("0.5 0.25 0.125", "need at least 4 epsilons for a rate fit, got 3",
+                     id="three-certify-epsilons"),
+        pytest.param("0.5 0.25 0.125 0.125", "the sweep's epsilons must be distinct",
+                     id="repeated-certify-epsilon"),
+    ])
+    def test_bad_sweep_rejected_before_solving(self, tmp_path, capsys, monkeypatch, epsilons,
+                                               problem):
+        """A sweep that parses but breaks a rule of ``_sweep_problems`` fails
+        validate and run with a ``[sweep]`` diagnostic, and nothing runs."""
+        import eulerlab.cli
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("ran a certification with a bad sweep")
+
+        monkeypatch.setattr(eulerlab.cli, "uniqueness_experiment", no_run)
+        cfg = write_config(tmp_path, UNIQUENESS.replace("0.5 0.25 0.125 0.0625", epsilons))
+        assert validate(cfg) == 1
+        assert f"diagnostic: [sweep] {problem}" in capsys.readouterr().out
+        assert run(cfg, output_dir=tmp_path / "out") == 1
+        assert not (tmp_path / "out").exists()
+        assert f"error: [sweep] {problem}" in capsys.readouterr().err
+
+    def test_unordered_scaling_sweep_accepted(self, tmp_path):
+        """Scaling sweeps run from the largest scale whatever the order they
+        are given in, as the certifications' sweeps do."""
+        text = TOLERANCE_CONFIGS["slope_tolerance"].replace(
+            "0.25 0.125 0.0625 0.03125", "0.0625 0.25 0.03125 0.125")
+        assert validate(write_config(tmp_path, text)) == 0
 
     def test_percent_in_value_read_literally(self, tmp_path, capsys):
         """A '%' is a plain character in a value, not an interpolation."""

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from eulerlab.commutator import (
+    ROUTES,
     _sweep_magnitudes,
+    _sweep_problems,
     cet_trilinear,
     convective_commutator,
     scaling_experiment,
@@ -201,14 +203,26 @@ class TestScalingExperiment:
         v = random_band_limited_velocity(grid, 8, seed=1, divfree=True)
         with pytest.raises(ConfigurationError, match="at least 4"):
             scaling_experiment(v, "convective_commutator_lp", [0.25, 0.125, 0.0625], 3.0)
-        with pytest.raises(ConfigurationError, match="decreasing"):
-            scaling_experiment(v, "convective_commutator_lp", [0.125, 0.25, 0.0625, 0.5], 3.0)
         with pytest.raises(ConfigurationError, match="floor"):
             scaling_experiment(v, "convective_commutator_lp", [0.25, 0.125, 0.0625, 0.001], 3.0)
         with pytest.raises(ConfigurationError, match="unknown quantity"):
             scaling_experiment(v, "nonsense", EPS_SWEEP, 3.0)
         with pytest.raises(ConfigurationError, match="pair"):
             scaling_experiment(v, "cet_trilinear", EPS_SWEEP, 3.0)
+
+    @pytest.mark.parametrize("quantity", ["convective_commutator_lp", "cet_trilinear"])
+    def test_unordered_sweep_runs_from_the_largest_scale(self, quantity):
+        """An unordered sweep of distinct scales gives the report of the same
+        scales sorted largest first."""
+        grid = make_grid(2, 64)
+        u = random_band_limited_velocity(grid, 8, seed=1, divfree=True)
+        v = random_band_limited_velocity(grid, 8, seed=2, divfree=True)
+        fields = v if quantity == "convective_commutator_lp" else (u, v)
+        unordered = scaling_experiment(fields, quantity, [0.125, 0.5, 0.0625, 0.25], 3.0,
+                                       alpha=0.6)
+        assert unordered == scaling_experiment(fields, quantity, [0.5, 0.25, 0.125, 0.0625],
+                                               3.0, alpha=0.6)
+        assert unordered.epsilons == [0.5, 0.25, 0.125, 0.0625]
 
     def test_one_input_shape_per_quantity(self):
         """The convective sweep measures one field: a pair (whose second
@@ -470,3 +484,36 @@ class TestMemory:
             u.grid, lambda: _cet_at(u, v, products, kernel))
         assert value == cet_trilinear(u, v, kernel)
         assert peak <= 6.0
+
+
+class TestSweepProblems:
+    """``_sweep_problems`` names each broken rule of a sweep once."""
+
+    GRID = make_grid(2, 64)  # admits scales in [0.0625, 0.5]
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("epsilons, p_int, problem, routes", [
+        ([0.5, 0.25, 0.125, 0.0625], 3.0, None, ()),
+        ([0.0625, 0.5, 0.125, 0.25], 3.0, None, ()),
+        ([0.5, 0.25, 0.125], 3.0, "need at least 4 epsilons for a rate fit, got 3", ROUTES),
+        ([0.5, 0.25, 0.125, 0.125], 3.0, "the sweep's epsilons must be distinct", ROUTES),
+        ([0.5, 0.25, 0.125, 0.03125], 3.0, "below the admissible floor", ROUTES),
+        ([0.5, 0.25, 0.125, 0.0], 3.0, "epsilon 0.0 is not positive", ROUTES),
+        ([1.0, 0.5, 0.25, 0.125], 3.0, "epsilon 1.0 above the maximum 0.5", ROUTES),
+        ([0.5, 0.25, 0.125, 0.0625], 1.5, "p 1.5 is below 2", ("convective",)),
+    ], ids=["sorted", "unordered", "three", "repeated", "below-floor", "zero", "above-max",
+            "p-below-two"])
+    def test_one_message_per_rule(self, route, epsilons, p_int, problem, routes):
+        problems = _sweep_problems(ROUTES[route], epsilons, self.GRID, p_int)
+        if route in routes:
+            assert len(problems) == 1
+            assert problem in problems[0]
+        else:
+            assert problems == []
+
+    def test_every_broken_rule_is_reported(self):
+        """Three scales, one repeated and one below the floor, at a p the
+        convective route does not admit: four problems, in rule order."""
+        problems = _sweep_problems(ROUTES["convective"], [0.5, 0.01, 0.5], self.GRID, 1.5)
+        assert [p.split()[:2] for p in problems] == [
+            ["p", "1.5"], ["need", "at"], ["the", "sweep's"], ["epsilon", "0.01"]]

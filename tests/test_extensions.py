@@ -3,9 +3,12 @@ import pytest
 
 import eulerlab.extensions
 from eulerlab.errors import ConfigurationError
+from eulerlab.commutator import transport_commutator
 from eulerlab.grid_fields import (
     ScalarField,
     VelocityField,
+    gradient,
+    inner,
     leray_project,
     lp_norm,
     make_grid,
@@ -18,6 +21,7 @@ from eulerlab.extensions import (
     inhom_solve,
     inhom_uniqueness_experiment,
 )
+from eulerlab.mollify import make_kernel, resolved_epsilon
 from eulerlab.solver import State, Trajectory, admissibility_check, solve
 from eulerlab.synth import random_divfree, taylor_green
 from eulerlab.uniqueness import RunConfig
@@ -185,6 +189,39 @@ class TestDensityContraction:
         assert not report.passed
         assert report.worst_pair is not None
         assert report.worst_pair[0] == 0.0
+
+
+    def test_pairing_matches_the_physical_space_oracle(self, monkeypatch):
+        """Each snapshot's spectral pairing equals the physical-space
+        ``inner(tc_a - tc_b, gradient((rho_a - rho_b)_eps))`` to 1e-12."""
+        grid = make_grid(2, 64)
+        u0 = random_divfree(grid, 3.0, seed=21)
+        # two shells: a one-shell density difference pairs to zero exactly
+        rho_b = grid.sample_scalar(lambda x, y: 1.0 + 0.3 * np.sin(np.pi * x) * np.cos(np.pi * y)
+                                   + 0.1 * np.cos(2.0 * np.pi * y))
+        a = inhom_solve(smooth_density(grid), u0, 0.02, 1e-3, snapshot_stride=10)
+        b = inhom_solve(rho_b, u0, 0.02, 1e-3, snapshot_stride=10)
+        kernel = make_kernel(grid, resolved_epsilon(grid))
+        oracle = []
+        for sa, sb in zip(a.states, b.states):
+            ra, rb = sa.scalars["density"], sb.scalars["density"]
+            tc_a = transport_commutator(ra, sa.velocity, kernel)
+            tc_b = transport_commutator(rb, sb.velocity, kernel)
+            diff_eps = ScalarField.from_hat(grid, (ra.hat - rb.hat) * kernel.multiplier)
+            diff_tc = VelocityField.from_arrays(
+                grid, [x.values - y.values for x, y in zip(tc_a.components, tc_b.components)])
+            oracle.append(abs(inner(diff_tc, gradient(diff_eps))))
+        pairings = []
+
+        def recorded(values, times, _trapz=eulerlab.extensions._cumulative_trapz):
+            pairings.append(list(values))
+            return _trapz(values, times)
+
+        monkeypatch.setattr(eulerlab.extensions, "_cumulative_trapz", recorded)
+        density_contraction_check(a, b, 1e-5)
+        assert len(pairings) == 1 and len(pairings[0]) == len(oracle) == 3
+        assert min(oracle) > 0.0
+        assert pairings[0] == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
 class TestBoussinesq:

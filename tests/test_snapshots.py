@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -193,4 +194,37 @@ class TestManifestValidation:
         del manifest[key]
         self.rewrite(tmp_path, manifest)
         with pytest.raises(ConfigurationError, match=key):
+            load_trajectory(tmp_path)
+
+    def test_rejects_more_files_than_times(self, tmp_path):
+        """A manifest listing 4 files for 3 times is an error naming the
+        directory, not a trajectory that ignores the extra file."""
+        manifest = self.save(small_runs(make_grid(2, 32))["Trajectory"], tmp_path)
+        assert len(manifest["times"]) == 3
+        extra = "state_000003.eulb"
+        (tmp_path / extra).write_bytes((tmp_path / manifest["files"][-1]).read_bytes())
+        manifest["files"].append(extra)
+        self.rewrite(tmp_path, manifest)
+        with pytest.raises(ConfigurationError,
+                           match=f"{re.escape(str(tmp_path))}: .*4 files for 3 times"):
+            load_trajectory(tmp_path)
+
+    def test_rejects_components_the_snapshots_do_not_hold(self, tmp_path):
+        """A component the snapshots do not hold is an error naming the
+        snapshot, not a state loaded without it."""
+        manifest = self.save(small_runs(make_grid(2, 32))["Trajectory"], tmp_path)
+        manifest["components"].append("density")
+        self.rewrite(tmp_path, manifest)
+        first = re.escape(str(tmp_path / manifest["files"][0]))
+        with pytest.raises(ConfigurationError, match=f"{first}: holds 3 components"):
+            load_trajectory(tmp_path)
+
+    def test_rejects_empty_manifest(self, tmp_path):
+        """A manifest with no times, files or energies is an error naming the
+        directory, not a 0-state trajectory without a grid."""
+        manifest = self.save(small_runs(make_grid(2, 32))["Trajectory"], tmp_path)
+        manifest.update(times=[], files=[], energy_ledger=[])
+        self.rewrite(tmp_path, manifest)
+        with pytest.raises(ConfigurationError,
+                           match=f"{re.escape(str(tmp_path))}: manifest records no states"):
             load_trajectory(tmp_path)
