@@ -140,12 +140,13 @@ _SWEEP = {**_AUDIT, **_section(
     "sweep", alpha=_EXPONENT(None),  # fitted from the fields
     slope_tolerance=_NONNEGATIVE(DEFAULT_SLOPE_TOLERANCE), epsilons=_FLOATS("numbers"),
 )}
-_SOLVE = _section("solver", dt=_POSITIVE(), T=_POSITIVE(), snapshot_stride=_INT(1),
+_SOLVE = _section("solver", dt=_POSITIVE(), T=_POSITIVE(), snapshot_stride=_COUNT(1),
                   cfl=_POSITIVE(DEFAULT_CFL))
 # the A/B certifications: the B leg's keys default to the A leg's, and
 # certify_tolerance to ten times the measured drift
 _PAIR = {**_SOLVE, **_section(
-    "solver_b", n=_INT(None), dt=_POSITIVE(None), snapshot_stride=_INT(None), cfl=_POSITIVE(None),
+    "solver_b", n=_INT(None), dt=_POSITIVE(None), snapshot_stride=_COUNT(None),
+    cfl=_POSITIVE(None),
 ), **_section(
     "sweep", alpha=_EXPONENT(0.6), p=_INTEGRABILITY(3.0), certify_tolerance=_POSITIVE(None),
     epsilons=_FLOATS("numbers"),
@@ -166,7 +167,8 @@ _KEYS = {
     )},
     "inhom_uniqueness": {**_COMMON, **_EXTENDED, **_section("density", amplitude=_FLOAT(0.2))},
     "boussinesq_uniqueness": {**_COMMON, **_EXTENDED, **_section(
-        "buoyancy", g=_FLOATS("two numbers", (0.0, -1.0), lambda g: len(g) == 2),
+        "buoyancy", g=_FLOATS("two numbers", (0.0, -1.0),
+                              lambda g: len(g) == 2 and np.isfinite(g).all()),
         theta_amplitude=_FLOAT(0.2), theta_axis=_one_of({"0": 0, "1": 1}, "0"),
     )},
     "weak_residual": {**_COMMON, **_SOLVE, **_section(
@@ -309,26 +311,30 @@ def _range_checks(cfg: ExperimentConfig) -> list:
     """The checks that join several keys."""
     diags = []
     grid = _build_grid(cfg)
+    grids = [grid]
+    if ("solver_b", "n") in cfg.values:  # the A/B certifications' B leg
+        grids.append(make_grid(2, cfg["solver_b", "n"]))
     route = _swept_route(cfg)
     if route:
         # budget sweeps run on the finer leg of an A/B pair
-        n_sweep = max(grid.n_per_axis, cfg.values.get(("solver_b", "n"), 0))
+        fine = max(grids, key=lambda g: g.n_per_axis)
         diags += [f"[sweep] {problem}" for problem in _sweep_problems(
-            route, cfg["sweep", "epsilons"], make_grid(grid.dims, n_sweep), cfg["sweep", "p"])]
+            route, cfg["sweep", "epsilons"], fine, cfg["sweep", "p"])]
     _build_synth_spec(cfg)
     kmax = cfg.values.get(("weak", "kmax"))
     problem = kmax is not None and _kmax_problem(grid, kmax)
     if problem:
         diags.append(f"[weak] {problem}")
-    if ("solver", "dt") in cfg.values:
-        dt, T = cfg["solver", "dt"], cfg["solver", "T"]
-        if not steps_for_horizon(T, dt):
-            diags.append(f"T={T} is not an integer multiple of dt={dt}")
+    T = cfg.values.get(("solver", "T"))
+    dts = [cfg.values[leg, "dt"] for leg in ("solver", "solver_b") if (leg, "dt") in cfg.values]
+    diags += [f"T={T} is not an integer multiple of dt={dt}"
+              for dt in dict.fromkeys(dts) if not steps_for_horizon(T, dt)]
     return diags
 
 
 # ---------------------------------------------------------------------------
-# experiment bodies: each returns (exit_code, verdict_line, report_dict, extras)
+# experiment bodies: each returns (exit_code, verdict_line, report_dict, extras);
+# `run` adds the experiment, config hash and seed to the report
 
 
 def _exp_besov_fit(cfg: ExperimentConfig, outdir: Path):
@@ -340,7 +346,6 @@ def _exp_besov_fit(cfg: ExperimentConfig, outdir: Path):
     est = besov_seminorm(field, alpha, p)
     est.to_csv(outdir / "shift_table.csv")
     report = {
-        "experiment": "besov_fit",
         "alpha": alpha,
         "p": p,
         "seminorm": est.seminorm,
@@ -367,7 +372,6 @@ def _exp_scaling(cfg: ExperimentConfig, outdir: Path):
         zip(report_obj.epsilons, report_obj.magnitudes, report_obj.intercepts),
     )
     report = report_obj.to_json_dict()
-    report["experiment"] = cfg.kind
     code = EXIT_OK if report_obj.passed else EXIT_CERT_FAIL
     flag = " (vacuous)" if report_obj.vacuous else ""
     line = (
@@ -404,7 +408,6 @@ def _exp_energy_conservation(cfg: ExperimentConfig, outdir: Path):
         save_trajectory(traj, outdir / "snapshots")
     passed = drift <= drift_tol and adm.passed
     report = {
-        "experiment": "energy_conservation",
         "relative_drift": drift,
         "drift_tolerance": drift_tol,
         "admissibility": {
@@ -468,7 +471,6 @@ def _exp_certify(cfg: ExperimentConfig, outdir: Path):
         zip(rep.times, rep.energy, rep.lipschitz.c_values, *columns.values()),
     )
     report = rep.to_json_dict()
-    report["experiment"] = cfg.kind
     line = f"{cfg.kind}: verdict={rep.verdict} maxE={max(rep.energy):.3e} {tail}"
     return _VERDICT_CODES[rep.verdict], line, report, artifacts
 
@@ -495,7 +497,6 @@ def _exp_weak_residual(cfg: ExperimentConfig, outdir: Path):
              zip(range(count), w1, w2))
     passed = worst_w1 <= w1_tol and worst_w2 <= w2_tol
     report = {
-        "experiment": "weak_residual",
         "count": count,
         "max_w1_residual": worst_w1,
         "max_w2_residual": worst_w2,
@@ -548,6 +549,7 @@ def run(config_path, output_dir=None, jobs: int = 1, seed_override=None) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         started = time.time()
         code, line, report, artifacts = _BODIES[cfg.kind](cfg, outdir)
+        report["experiment"] = cfg.kind
         report["config_hash"] = cfg.hash
         report["seed"] = cfg.seed
         dump_json(report, outdir / "report.json")

@@ -54,7 +54,7 @@ from .grid_fields import (
     _parseval_weights,
 )
 from .mollify import MollifierKernel, epsilon_problem, make_kernel, mollify
-from .reporting import dump_json
+from .reporting import _as_json, dump_json
 
 __all__ = [
     "ScalingReport",
@@ -237,20 +237,7 @@ class ScalingReport:
     slope_tolerance: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "alpha": self.alpha,
-            "p": self.p_int,
-            "epsilons": list(self.epsilons),
-            "magnitudes": list(self.magnitudes),
-            "fitted_slope": self.fitted_slope,
-            "theory_slope": self.theory_slope,
-            "pass": self.passed,
-            "vacuous": self.vacuous,
-            "intercepts": list(self.intercepts),
-            "seminorms": dict(self.seminorms),
-            "slope_tolerance": self.slope_tolerance,
-        }
+        return _as_json(self)
 
     def save(self, path) -> None:
         dump_json(self.to_json_dict(), path)

@@ -73,7 +73,6 @@ from .solver import (
     Trajectory,
     _biot_savart_velocity,
     _check_initial_velocity,
-    _run_config,
     _Vorticity,
     integrate,
     kinetic_energy,
@@ -306,16 +305,14 @@ def inhom_solve(
         d_u, p_hat = _inhom_velocity_tendency(pressure, rho_phys, u_phys, p_hat)
         return (d_rho, *d_u), _max_speed(u_phys) if with_speed else None
 
-    hats = tuple(f.hat * grid.dealias_mask for f in (rho0, *u0.components))
-    states = integrate(grid, hats, rhs, materialize, T, dt, snapshot_stride, cfl, check)
-    energy, mass = [], []
-    for s in states:  # one rebuild per state for both ledgers
+    def ledgers(s: State) -> dict:
         rho = s.scalars["density"]
-        energy.append(_weighted_kinetic_energy(grid, rho.values,
-                                               [c.values for c in s.velocity.components]))
-        mass.append(_total(rho))
-    return Trajectory(states, dt, _run_config(grid, T, dt, snapshot_stride, cfl), energy,
-                      {"mass": mass})
+        return {"energy": _weighted_kinetic_energy(grid, rho.values,
+                                                   [c.values for c in s.velocity.components]),
+                "mass": _total(rho)}
+
+    hats = tuple(f.hat * grid.dealias_mask for f in (rho0, *u0.components))
+    return integrate(grid, hats, rhs, materialize, T, dt, snapshot_stride, cfl, ledgers, check)
 
 
 def density_contraction_check(
@@ -375,7 +372,8 @@ def boussinesq_solve(
 ) -> Trajectory:
     """Vorticity dynamics with buoyancy torque ``curl(theta g)`` and
     conservative transport of ``theta``; the ``"theta"`` ledger records
-    ``int theta``.
+    ``int theta``, and the run config adds the gravity vector ``g`` (two
+    finite numbers).
 
     The vorticity tendency is the homogeneous advection term plus the torque,
     added afterwards; a vanishing ``theta`` therefore reproduces the
@@ -387,7 +385,9 @@ def boussinesq_solve(
         raise ConfigurationError("the Boussinesq solver supports dims=2 only")
     if grid != u0.grid:
         raise ConfigurationError("theta and velocity must share a grid")
-    g = (float(g[0]), float(g[1]))
+    g = tuple(float(x) for x in g)
+    if len(g) != 2 or not all(map(math.isfinite, g)):
+        raise ConfigurationError(f"g must be two finite numbers, got {g}")
     _check_initial_velocity(u0)
     torque_symbol = 1j * (g[1] * grid.deriv_wavenumber(0) - g[0] * grid.deriv_wavenumber(1))
     vort = _Vorticity(grid)
@@ -406,14 +406,11 @@ def boussinesq_solve(
                      {"theta": ScalarField.from_hat(grid, hats[1])})
 
     hats = (curl_2d(u0).hat * grid.dealias_mask, theta0.hat * grid.dealias_mask)
-    states = integrate(grid, hats, rhs, materialize, T, dt, snapshot_stride, cfl)
-    cfg = _run_config(grid, T, dt, snapshot_stride, cfl)
-    cfg["g"] = list(g)
-    energy, theta = [], []
-    for s in states:  # one rebuild per state for both ledgers
-        energy.append(kinetic_energy(s.velocity))
-        theta.append(_total(s.scalars["theta"]))
-    return Trajectory(states, dt, cfg, energy, {"theta": theta})
+    traj = integrate(grid, hats, rhs, materialize, T, dt, snapshot_stride, cfl,
+                     lambda s: {"energy": kinetic_energy(s.velocity),
+                                "theta": _total(s.scalars["theta"])})
+    traj.config["g"] = list(g)
+    return traj
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ power-of-two number of points per axis.  Scalar and velocity fields carry a
 lazily computed real-to-complex transform; differentiation, divergence, and
 Leray projection act on that half-spectrum and are exact for band-limited
 fields.  Integrals are plain Riemann sums, which are spectrally accurate for
-smooth periodic integrands.
+smooth periodic integrands.  Both field kinds have ``components``: a
+velocity's one scalar field per axis, and a scalar field's ``(self,)``, so
+a norm or pairing that walks components takes either kind.
 
 Conventions
 -----------
@@ -247,6 +249,12 @@ class ScalarField:
             self._hat = h
         return self._hat
 
+    @property
+    def components(self) -> tuple["ScalarField"]:
+        """``(self,)``: a scalar field is its own one component, so code that
+        walks a field's components takes either kind."""
+        return (self,)
+
     def mean(self) -> float:
         return float(self.values.mean())
 
@@ -444,8 +452,7 @@ def lp_norm(f: Field, p_int: float) -> float:
 
     Vector fields use the pointwise Euclidean magnitude.
     """
-    arrays = [f.values] if isinstance(f, ScalarField) else [c.values for c in f.components]
-    return _lp_norm(f.grid, arrays, p_int)
+    return _lp_norm(f.grid, [c.values for c in f.components], p_int)
 
 
 def max_norm(f: Field) -> float:
@@ -458,20 +465,12 @@ def max_norm(f: Field) -> float:
 def inner(f: Field, g: Field) -> float:
     """Discrete L^2 pairing ``sum f.g h^N``."""
     _require_same_grid(f, g)
-    if isinstance(f, ScalarField) and isinstance(g, ScalarField):
-        return float(np.sum(f.values * g.values) * f.grid.cell_volume)
-    if isinstance(f, VelocityField) and isinstance(g, VelocityField):
-        return _inner(f.grid, [c.values for c in f.components],
-                      [c.values for c in g.components])
-    raise ConfigurationError("inner product requires two fields of the same kind")
-
-
-def _inner(grid: PeriodicGrid, f: Sequence[np.ndarray], g: Sequence[np.ndarray]) -> float:
-    """``sum f.g h^N`` of two vector fields' component samples."""
+    if len(f.components) != len(g.components):
+        raise ConfigurationError("inner product requires two fields of the same kind")
     acc = 0.0
-    for a, b in zip(f, g):
-        acc += np.sum(a * b)
-    return float(acc * grid.cell_volume)
+    for a, b in zip(f.components, g.components):
+        acc += np.sum(a.values * b.values)
+    return float(acc * f.grid.cell_volume)
 
 
 def gradient_tensor(u: VelocityField) -> np.ndarray:

@@ -2,17 +2,30 @@
 
 Reports carry no timestamps and are dumped with sorted keys, so identical
 inputs produce byte-identical files; volatile metadata lives in a separate
-sidecar written by the CLI.
+sidecar written by the CLI.  A report record (``ScalingReport``,
+``GronwallCertificate``, ``PairAudit``) takes its JSON keys from its own
+fields through ``_as_json``; only the names in ``_RENAMED`` differ.  The
+CLI adds the ``experiment`` key to every report.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 from typing import Iterable, Sequence
 
 __all__ = ["dump_json", "dump_csv", "config_hash"]
+
+# field name -> JSON key, where the key is the report's established name
+_RENAMED = {"passed": "pass", "p_int": "p"}
+
+
+def _as_json(record) -> dict:
+    """The fields of the dataclass ``record`` as a JSON-ready dict, keyed by
+    field name except as ``_RENAMED`` says."""
+    return {_RENAMED.get(k, k): v for k, v in dataclasses.asdict(record).items()}
 
 
 def dump_json(obj, path) -> None:

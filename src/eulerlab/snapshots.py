@@ -71,10 +71,7 @@ def _read_snapshot(path) -> tuple[PeriodicGrid, list[np.ndarray]]:
 
 def write_field(path, field: Field) -> None:
     """Persist one scalar or velocity field."""
-    if isinstance(field, ScalarField):
-        _write_snapshot(path, field.grid, [field.values])
-    else:
-        _write_snapshot(path, field.grid, [c.values for c in field.components])
+    _write_snapshot(path, field.grid, [c.values for c in field.components])
 
 
 def read_field(path) -> Field:

@@ -18,7 +18,10 @@ solver the vorticity spectrum alone), read-only and uncopied, and rebuilds a
 snapshot's :class:`State` from it each time the state is read.  One rebuild
 costs the system's inverse transforms (three here: ``u1``, ``u2`` and the
 vorticity), so a caller that reads a state twice should hold it; the
-trajectory's times, grid, length and ledgers rebuild nothing.
+trajectory's times, grid, length and ledgers rebuild nothing.  All three
+systems step through :func:`integrate`, which also builds the run's
+:class:`Trajectory`: it rebuilds each recorded state once for all of the
+system's ledgers and records the run's parameters as its config.
 
 Energy and enstrophy of the dealiased semi-discretization are conserved in
 continuous time; all recorded drift is the integrator's and shrinks like
@@ -59,6 +62,7 @@ from .grid_fields import (
     curl_2d,
     lp_norm,
 )
+from .reporting import _as_json
 
 __all__ = [
     "State",
@@ -280,16 +284,23 @@ def steps_for_horizon(T: float, dt: float) -> int:
     return n_steps
 
 
+def _run_steps(T: float, dt: float, snapshot_stride: int) -> int:
+    """The number of steps of a run, after rejecting a nonpositive ``dt``, a
+    ``snapshot_stride`` below 1 or a horizon ``T`` that is not a positive
+    integer multiple of ``dt``."""
+    if dt <= 0.0:
+        raise ConfigurationError(f"dt must be positive, got {dt}")
+    if snapshot_stride < 1:
+        raise ConfigurationError("snapshot_stride must be >= 1")
+    n_steps = steps_for_horizon(T, dt)
+    if not n_steps:
+        raise ConfigurationError(f"T={T} must be a positive integer multiple of dt={dt}")
+    return n_steps
+
+
 def _check_initial_velocity(u0: VelocityField) -> None:
     if not u0.check_divergence_free(1e-8):
         raise ConfigurationError("initial velocity is not divergence-free")
-
-
-def _run_config(grid: PeriodicGrid, T: float, dt: float, snapshot_stride: int,
-                cfl: float) -> dict:
-    """The integration parameters of one run."""
-    return {"T": T, "dt": dt, "snapshot_stride": snapshot_stride, "cfl": cfl,
-            "grid_n": grid.n_per_axis}
 
 
 def integrate(
@@ -301,9 +312,11 @@ def integrate(
     dt: float,
     snapshot_stride: int,
     cfl: float,
+    ledgers: Callable[[State], dict[str, float]],
     check: Optional[Callable[[float, tuple], None]] = None,
-) -> RecordedStates:
-    """Advance the spectral state ``hats`` to ``T`` in RK4 steps of ``dt``.
+) -> Trajectory:
+    """Advance the spectral state ``hats`` to ``T`` in RK4 steps of ``dt``
+    and return the run's :class:`Trajectory`.
 
     ``rhs`` follows :func:`_rk4_stage`'s contract.  The spectral tuple is
     recorded, read-only and uncopied, at t = 0, every ``snapshot_stride``
@@ -312,15 +325,11 @@ def integrate(
     the speed its first stage measures; a breach raises
     :class:`StepSizeError` naming the step, and a non-finite state aborts the
     run.  ``check(t, hats)``, when given, vets each recorded tuple as it is
-    recorded.
+    recorded.  ``ledgers(state)`` gives one entry per ledger name, the
+    kinetic energy under ``"energy"``; each recorded state is rebuilt once
+    for all of them.  The trajectory's config holds the run's parameters.
     """
-    if dt <= 0.0:
-        raise ConfigurationError(f"dt must be positive, got {dt}")
-    if snapshot_stride < 1:
-        raise ConfigurationError("snapshot_stride must be >= 1")
-    n_steps = steps_for_horizon(T, dt)
-    if not n_steps:
-        raise ConfigurationError(f"T={T} must be a positive integer multiple of dt={dt}")
+    n_steps = _run_steps(T, dt, snapshot_stride)
     times, records = [], []
 
     def record(t: float, hats: tuple) -> None:
@@ -341,7 +350,12 @@ def integrate(
             raise SolverAbort(f"non-finite state at t={t}", t)
         if k % snapshot_stride == 0 or k == n_steps:
             record(t, hats)
-    return RecordedStates(grid, times, records, materialize)
+    states = RecordedStates(grid, times, records, materialize)
+    rows = [ledgers(s) for s in states]  # one rebuild per state for every ledger
+    series = {name: [row[name] for row in rows] for name in rows[0]}
+    config = {"T": T, "dt": dt, "snapshot_stride": snapshot_stride, "cfl": cfl,
+              "grid_n": grid.n_per_axis}
+    return Trajectory(states, dt, config, series.pop("energy"), series)
 
 
 def solve(
@@ -370,9 +384,8 @@ def solve(
                      {"vorticity": ScalarField.from_hat(grid, hats[0])})
 
     w_hat = curl_2d(u0).hat * grid.dealias_mask
-    states = integrate(grid, (w_hat,), rhs, materialize, T, dt, snapshot_stride, cfl)
-    return Trajectory(states, dt, _run_config(grid, T, dt, snapshot_stride, cfl),
-                      [kinetic_energy(s.velocity) for s in states])
+    return integrate(grid, (w_hat,), rhs, materialize, T, dt, snapshot_stride, cfl,
+                     lambda s: {"energy": kinetic_energy(s.velocity)})
 
 
 def recover_pressure(u: VelocityField) -> ScalarField:
@@ -433,14 +446,9 @@ class PairAudit:
                    list(times), list(values))
 
     def to_json_dict(self) -> dict:
-        return {
-            "pass": self.passed,
-            "max_violation": self.max_violation,
-            "worst_pair": list(self.worst_pair) if self.worst_pair else None,
-            "budget": self.budget,
-            "tolerance": self.tolerance,
-            "series": {"t": list(self.times), "D": list(self.values)},
-        }
+        out = _as_json(self)
+        out["series"] = {"t": out.pop("times"), "D": out.pop("values")}
+        return out
 
 
 def admissibility_check(traj: Trajectory, tolerance: float) -> PairAudit:
@@ -502,13 +510,10 @@ class WeakTestFunction:
 
     def __post_init__(self):
         grid = self.spatial.grid
-        if isinstance(self.spatial, VelocityField):
-            if not self.spatial.check_divergence_free(1e-12):
-                raise ConfigurationError("vector test function must be divergence-free")
-            hats = [c.hat for c in self.spatial.components]
-        else:
-            hats = [self.spatial.hat]
-        for h in hats:
+        if (isinstance(self.spatial, VelocityField)
+                and not self.spatial.check_divergence_free(1e-12)):
+            raise ConfigurationError("vector test function must be divergence-free")
+        for h in (c.hat for c in self.spatial.components):
             tail = np.abs(h[~grid.dealias_mask])
             if tail.size and tail.max() > 1e-12 * max(1.0, np.abs(h).max()):
                 raise ConfigurationError(
@@ -583,9 +588,8 @@ def weak_residuals(traj: Trajectory, tests: Iterable[WeakTestFunction]) -> list[
     band = []
     for test in tests:
         _require_same_grid(traj, test.spatial)
-        vector = isinstance(test.spatial, VelocityField)
-        parts = test.spatial.components if vector else (test.spatial,)
-        band.append((test.temporal, vector, np.concatenate([c.hat[mask] for c in parts])))
+        band.append((test.temporal, isinstance(test.spatial, VelocityField),
+                     np.concatenate([c.hat[mask] for c in test.spatial.components])))
     # one weight per real and imaginary part, then one copy per component
     weights = np.repeat(np.broadcast_to(_parseval_weights(grid), grid.rshape)[mask], 2)
     vector_weights = np.tile(weights, grid.dims)

@@ -43,13 +43,13 @@ from .errors import ConfigurationError, GridMismatchError
 from .grid_fields import (
     Field,
     PeriodicGrid,
-    ScalarField,
     VelocityField,
     make_grid,
     resample,
 )
 from .mollify import MollifierKernel, _mollified_hat, make_kernel, resolved_epsilon
-from .solver import DEFAULT_CFL, PairAudit, solve
+from .reporting import _as_json
+from .solver import DEFAULT_CFL, PairAudit, _run_steps, solve
 
 __all__ = [
     "RelativeEnergySeries",
@@ -75,11 +75,10 @@ def relative_energy(u: Field, v: Field) -> float:
     two scalar fields; zero iff the fields agree."""
     if u.grid != v.grid:
         raise GridMismatchError("relative energy needs a shared grid")
-    parts = [(f,) if isinstance(f, ScalarField) else f.components for f in (u, v)]
-    if len(parts[0]) != len(parts[1]):
+    if len(u.components) != len(v.components):
         raise ConfigurationError("relative energy needs two fields of the same kind")
     acc = 0.0
-    for a, b in zip(*parts):
+    for a, b in zip(u.components, v.components):
         d = a.values - b.values
         acc += float(np.sum(d * d))
     return 0.5 * acc * u.grid.cell_volume
@@ -182,16 +181,7 @@ class GronwallCertificate:
     certify_tolerance: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "tau1": self.tau1,
-            "tau2": self.tau2,
-            "lhs": self.lhs,
-            "bound": self.bound,
-            "slack": self.slack,
-            "pass": self.passed,
-            "commutator_budget": self.commutator_budget,
-            "certify_tolerance": self.certify_tolerance,
-        }
+        return _as_json(self)
 
 
 def gronwall_certify(
@@ -332,21 +322,22 @@ def run_pair(fields: Sequence, cfg_a: RunConfig, cfg_b: RunConfig, solve_leg):
     """Integrate both legs from shared initial ``fields`` (restricted
     spectrally to each leg's grid) with ``solve_leg(*fields, T=, dt=,
     snapshot_stride=, cfl=)``; snapshot cadences must agree in physical time.
+    Both legs' grids, steps and horizons are checked before either is solved.
 
     Returns ``(A, B)`` with B the finer leg, the designated regular solution.
     """
     if abs(cfg_a.T - cfg_b.T) > 1e-12:
         raise ConfigurationError("both runs must share the horizon T")
     _check_cadences(cfg_a.cadence(), cfg_b.cadence())
-    traj = []
+    legs = []
     for cfg in (cfg_a, cfg_b):
-        grid = make_grid(fields[0].grid.dims, cfg.grid_n)
-        traj.append(
-            solve_leg(
-                *(resample(f, grid) for f in fields), T=cfg.T, dt=cfg.dt,
-                snapshot_stride=cfg.snapshot_stride, cfl=cfg.cfl,
-            )
-        )
+        _run_steps(cfg.T, cfg.dt, cfg.snapshot_stride)
+        legs.append((cfg, make_grid(fields[0].grid.dims, cfg.grid_n)))
+    traj = [
+        solve_leg(*(resample(f, grid) for f in fields), T=cfg.T, dt=cfg.dt,
+                  snapshot_stride=cfg.snapshot_stride, cfl=cfg.cfl)
+        for cfg, grid in legs
+    ]
     if cfg_a.grid_n > cfg_b.grid_n:
         traj.reverse()
     return traj[0], traj[1]

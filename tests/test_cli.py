@@ -321,6 +321,9 @@ class TestRun:
             id="theta_axis"),
         pytest.param(certify_config("boussinesq_uniqueness").replace("g = 0.0 -1.0", "g = -1.0"),
                      "two numbers", id="one-component-g"),
+        pytest.param(certify_config("boussinesq_uniqueness").replace("g = 0.0 -1.0",
+                                                                     "g = nan -1.0"),
+                     "two numbers", id="non-finite-g"),
         pytest.param(MINIMAL_ENERGY.replace("dt = 1e-3", "dt = -1e-3"), "a positive number",
                      id="negative-dt"),
         pytest.param(MINIMAL_ENERGY + "cfl = 0\n", "a positive number", id="zero-cfl"),
@@ -337,6 +340,10 @@ class TestRun:
         pytest.param(UNIQUENESS.replace("p = 3.0", "p = 0.5"), "a number >= 1",
                      id="certify-p-below-one"),
         pytest.param(WEAK + "count = 0\n", "a positive integer", id="zero-weak-count"),
+        pytest.param(UNIQUENESS.replace("snapshot_stride = 2", "snapshot_stride = 0"),
+                     "a positive integer", id="zero-stride"),
+        pytest.param(certify_config("uniqueness", "[solver_b]\nsnapshot_stride = 0\n"),
+                     "a positive integer", id="zero-b-stride"),
         pytest.param(WEAK + "count = -3\n", "a positive integer", id="negative-weak-count"),
     ])
     def test_bad_value_rejected_before_solving(self, tmp_path, capsys, text, allowed):
@@ -416,6 +423,34 @@ class TestRun:
         assert run(cfg, output_dir=tmp_path / "out") == 1
         assert not (tmp_path / "out").exists()
         assert f"error: [sweep] {problem}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver_b, message", [
+        pytest.param("n = 64\ndt = 3e-3", "T=0.014 is not an integer multiple of dt=0.003",
+                     id="b-dt-not-dividing-T"),
+        pytest.param("n = 12", "n_per_axis must be a power of two >= 8, got 12",
+                     id="b-n-not-a-power-of-two"),
+    ])
+    def test_bad_b_leg_rejected_before_solving(self, tmp_path, capsys, monkeypatch, solver_b,
+                                               message):
+        """A B leg that ``run`` could not integrate fails ``validate`` as
+        well, and ``run`` fails before solving either leg."""
+        import eulerlab.uniqueness
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a leg of a pair with a bad B leg")
+
+        monkeypatch.setattr(eulerlab.uniqueness, "solve", no_solve)
+        text = (UNIQUENESS.replace("n = 64", "n = 32").replace("T = 0.02", "T = 0.014")
+                .replace("snapshot_stride = 2", "snapshot_stride = 3")
+                + "\n[solver_b]\n")
+        assert validate(write_config(tmp_path, text + "n = 64\n")) == 0
+        capsys.readouterr()
+        cfg = write_config(tmp_path, text + solver_b + "\n")
+        assert validate(cfg) == 1
+        assert message in "".join(capsys.readouterr())
+        assert run(cfg, output_dir=tmp_path / "out") == 1
+        assert not (tmp_path / "out").exists()
+        assert message in capsys.readouterr().err
 
     def test_unordered_scaling_sweep_accepted(self, tmp_path):
         """Scaling sweeps run from the largest scale whatever the order they

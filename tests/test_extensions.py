@@ -245,6 +245,14 @@ class TestBoussinesq:
             for ca, cb in zip(a.velocity.components, b.velocity.components):
                 assert np.max(np.abs(ca.values - cb.values)) <= 1e-8
 
+    @pytest.mark.parametrize("g", [(float("nan"), -1.0), (0.0, float("inf")), (-1.0,)],
+                             ids=["nan", "inf", "one-component"])
+    def test_gravity_must_be_two_finite_numbers(self, g):
+        grid = make_grid(2, 32)
+        th0 = grid.sample_scalar(lambda x, y: np.sin(np.pi * y))
+        with pytest.raises(ConfigurationError, match="g must be two finite numbers"):
+            boussinesq_solve(th0, taylor_green(grid, 1.0), g, 0.002, 1e-3)
+
     def test_theta_total_conserved(self):
         grid = make_grid(2, 128)
         u0 = random_divfree(grid, 3.0, seed=21)

@@ -1,0 +1,39 @@
+"""Import hygiene: every name a package module imports is used in it.
+
+The package's ``__init__`` imports names to re-export them, so it is left
+out.  Only the standard library's ``ast`` reads the sources.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "eulerlab"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def imported_names(tree: ast.Module) -> set[str]:
+    """The names that the module's import statements bind."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Every bare name the module reads, in code or in an annotation."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_modules_found():
+    assert len(MODULES) >= 10
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert sorted(imported_names(tree) - used_names(tree)) == []

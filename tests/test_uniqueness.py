@@ -325,6 +325,23 @@ class TestUniquenessExperiment:
                 epsilons=self.EPS,
             )
 
+    @pytest.mark.parametrize("cfg_b, match", [
+        (RunConfig(64, 3e-3, 0.014, snapshot_stride=2), "T=0.014 must be a positive integer"),
+        (RunConfig(12, 2e-3, 0.014, snapshot_stride=3), "n_per_axis must be a power of two"),
+    ], ids=["b-dt-not-dividing-T", "b-n-not-a-power-of-two"])
+    def test_run_pair_checks_both_legs_before_solving(self, cfg_b, match):
+        """A B leg that cannot be integrated fails before the A leg is solved."""
+        solved = []
+
+        def solve_leg(*fields, **kwargs):
+            solved.append(kwargs)
+            return solve(*fields, **kwargs)
+
+        u0 = taylor_green(make_grid(2, 64), 1.0)
+        with pytest.raises(ConfigurationError, match=match):
+            run_pair((u0,), RunConfig(32, 2e-3, 0.014, snapshot_stride=3), cfg_b, solve_leg)
+        assert solved == []
+
     def test_report_schema(self):
         u0 = taylor_green(make_grid(2, 64), 1.0)
         cfg = RunConfig(64, 2e-3, 0.02, snapshot_stride=2)
