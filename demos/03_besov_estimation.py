@@ -23,4 +23,5 @@ u = lacunary_field(SynthSpec("lacunary", alpha=0.5, j_max=7, seed=42), grid)
 est = besov_seminorm(u, 0.5, 3.0)
 for mag, norm, ratio in est.shift_table[::4]:
     print(f"  |xi| = {mag:8.5f}   norm = {norm:8.5f}   norm/|xi|^a = {ratio:8.4f}")
-print("(the seminorm is the max ratio; export the full table with est.to_csv)")
+print("(the seminorm is the max ratio; a besov_fit run writes the full table "
+      "to shift_table.csv)")

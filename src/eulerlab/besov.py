@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid_fields import Field, PeriodicGrid, ScalarField
-from .reporting import dump_csv
 
 __all__ = [
     "BesovEstimate",
@@ -74,9 +73,6 @@ class BesovEstimate:
     seminorm: float
     shift_table: list[tuple[float, float, float]]
     fitted_alpha: float
-
-    def to_csv(self, path) -> None:
-        dump_csv(path, ["xi_magnitude", "lp_diff_norm", "ratio"], self.shift_table)
 
 
 def _steps_from_xi(grid: PeriodicGrid, xi: Sequence[float]) -> tuple[int, ...]:

@@ -57,17 +57,6 @@ from .synth import KINDS as SYNTH_KINDS
 from .synth import SynthSpec, _kmax_problem, field_from_spec, low_mode_divfree, low_mode_scalar
 from .uniqueness import RunConfig, _check_cadences, uniqueness_experiment
 
-EXPERIMENTS = (
-    "besov_fit",
-    "commutator_scaling",
-    "cet_scaling",
-    "energy_conservation",
-    "uniqueness",
-    "inhom_uniqueness",
-    "boussinesq_uniqueness",
-    "weak_residual",
-)
-
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CERT_FAIL = 2
@@ -89,7 +78,8 @@ _REQUIRED = object()
 
 class _Key(NamedTuple):
     """How one ``[section] key`` is read: ``convert`` raises ``ValueError``
-    or ``KeyError`` on bad text and ``ok`` rejects values outside ``allowed``;
+    or ``KeyError`` on bad text, every number read must be finite (an infinite
+    tolerance gates nothing) and ``ok`` rejects values outside ``allowed``;
     ``default`` stands in when the key is absent (``None``: absent, or filled
     by ``_fill_derived``)."""
 
@@ -100,7 +90,8 @@ class _Key(NamedTuple):
 
     def read(self, raw: str):
         value = self.convert(raw)
-        if not self.ok(value):
+        finite = not isinstance(value, (float, list)) or np.isfinite(value).all()
+        if not (finite and self.ok(value)):
             raise ValueError(raw)
         return value
 
@@ -125,7 +116,7 @@ _FLOATS = partial(_Key, lambda raw: [float(tok) for tok in raw.split()])
 
 _COMMON = {
     # the kind picks the table, so it is checked before the table is read
-    **_section("experiment", kind=_Key(str, ", ".join(EXPERIMENTS)), seed=_INT(0)),
+    **_section("experiment", kind=_Key(str, "an experiment kind"), seed=_INT(0)),
     **_section("grid", n=_INT()),
     **_section(
         "synth", kind=_one_of({k: k for k in SYNTH_KINDS}, "taylor_green"),
@@ -167,8 +158,7 @@ _KEYS = {
     )},
     "inhom_uniqueness": {**_COMMON, **_EXTENDED, **_section("density", amplitude=_FLOAT(0.2))},
     "boussinesq_uniqueness": {**_COMMON, **_EXTENDED, **_section(
-        "buoyancy", g=_FLOATS("two numbers", (0.0, -1.0),
-                              lambda g: len(g) == 2 and np.isfinite(g).all()),
+        "buoyancy", g=_FLOATS("two numbers", (0.0, -1.0), lambda g: len(g) == 2),
         theta_amplitude=_FLOAT(0.2), theta_axis=_one_of({"0": 0, "1": 1}, "0"),
     )},
     "weak_residual": {**_COMMON, **_SOLVE, **_section(
@@ -178,6 +168,7 @@ _KEYS = {
     )},
 }
 
+EXPERIMENTS = tuple(_KEYS)
 _ANY_KIND = {sk for table in _KEYS.values() for sk in table}
 _SECTIONS = {section for section, _ in _ANY_KIND}
 
@@ -333,8 +324,10 @@ def _range_checks(cfg: ExperimentConfig) -> list:
 
 
 # ---------------------------------------------------------------------------
-# experiment bodies: each returns (exit_code, verdict_line, report_dict, extras);
-# `run` adds the experiment, config hash and seed to the report
+# experiment bodies: each returns (exit_code, verdict_line, report_dict, tables),
+# where tables maps an artifact name to the (header, rows) of its CSV; `run`
+# writes each table as <name>.csv and adds the experiment, config hash and
+# seed to the report
 
 
 def _exp_besov_fit(cfg: ExperimentConfig, outdir: Path):
@@ -344,7 +337,6 @@ def _exp_besov_fit(cfg: ExperimentConfig, outdir: Path):
     alpha = cfg["sweep", "alpha"]
     p = cfg["sweep", "p"]
     est = besov_seminorm(field, alpha, p)
-    est.to_csv(outdir / "shift_table.csv")
     report = {
         "alpha": alpha,
         "p": p,
@@ -353,7 +345,9 @@ def _exp_besov_fit(cfg: ExperimentConfig, outdir: Path):
         "synth": spec.kind,
     }
     line = f"besov_fit: fitted_alpha={est.fitted_alpha:.4f} seminorm={est.seminorm:.4f}"
-    return EXIT_OK, line, report, {"shift_table": "shift_table.csv"}
+    return EXIT_OK, line, report, {
+        "shift_table": (["xi_magnitude", "lp_diff_norm", "ratio"], est.shift_table)
+    }
 
 
 def _exp_scaling(cfg: ExperimentConfig, outdir: Path):
@@ -366,11 +360,6 @@ def _exp_scaling(cfg: ExperimentConfig, outdir: Path):
         fields, route.quantity, cfg["sweep", "epsilons"], cfg["sweep", "p"],
         alpha=cfg["sweep", "alpha"], slope_tolerance=cfg["sweep", "slope_tolerance"],
     )
-    dump_csv(
-        outdir / "scaling.csv",
-        ["epsilon", "magnitude", "intercept"],
-        zip(report_obj.epsilons, report_obj.magnitudes, report_obj.intercepts),
-    )
     report = report_obj.to_json_dict()
     code = EXIT_OK if report_obj.passed else EXIT_CERT_FAIL
     flag = " (vacuous)" if report_obj.vacuous else ""
@@ -378,7 +367,10 @@ def _exp_scaling(cfg: ExperimentConfig, outdir: Path):
         f"{cfg.kind}: fitted_slope={report_obj.fitted_slope:.4f} "
         f"theory={report_obj.theory_slope:.4f} pass={report_obj.passed}{flag}"
     )
-    return code, line, report, {"scaling": "scaling.csv"}
+    return code, line, report, {"scaling": (
+        ["epsilon", "magnitude", "intercept"],
+        zip(report_obj.epsilons, report_obj.magnitudes, report_obj.intercepts),
+    )}
 
 
 def _single_run(cfg: ExperimentConfig):
@@ -396,14 +388,8 @@ def _exp_energy_conservation(cfg: ExperimentConfig, outdir: Path):
     drift_tol = cfg["solver", "drift_tolerance"]
     drift = traj.energy_drift() / max(traj.energy_ledger[0], 1e-300)
     adm = admissibility_check(traj, cfg["solver", "admissibility_tolerance"])
-    dump_csv(
-        outdir / "energy.csv",
-        ["t", "kinetic_energy", "enstrophy"],
-        [
-            (t, e, enstrophy(s.scalars["vorticity"]))
-            for t, e, s in zip(traj.times, traj.energy_ledger, traj.states)
-        ],
-    )
+    energy = [(t, e, enstrophy(s.scalars["vorticity"]))
+              for t, e, s in zip(traj.times, traj.energy_ledger, traj.states)]
     if cfg["output", "save_snapshots"]:
         save_trajectory(traj, outdir / "snapshots")
     passed = drift <= drift_tol and adm.passed
@@ -418,7 +404,9 @@ def _exp_energy_conservation(cfg: ExperimentConfig, outdir: Path):
         "pass": passed,
     }
     line = f"energy_conservation: drift={drift:.3e} admissible={adm.passed} pass={passed}"
-    return (EXIT_OK if passed else EXIT_CERT_FAIL), line, report, {"energy": "energy.csv"}
+    return (EXIT_OK if passed else EXIT_CERT_FAIL), line, report, {
+        "energy": (["t", "kinetic_energy", "enstrophy"], energy)
+    }
 
 
 def _exp_certify(cfg: ExperimentConfig, outdir: Path):
@@ -440,9 +428,8 @@ def _exp_certify(cfg: ExperimentConfig, outdir: Path):
             working_epsilon=cfg["sweep", "working_epsilon"],
         )
         columns = {"seminorm": rep.seminorm_series, "fitted_alpha": rep.fitted_alpha_series}
-        dump_csv(outdir / "budgets.csv", ["epsilon", "budget"],
-                 zip(rep.budgets_epsilons, rep.budgets_values))
-        artifacts = {"series": "series.csv", "budgets": "budgets.csv"}
+        tables = {"budgets": (["epsilon", "budget"],
+                              zip(rep.budgets_epsilons, rep.budgets_values))}
         tail = f"slack={rep.certificate.slack:.3e}"
     else:
         kw = dict(
@@ -463,16 +450,15 @@ def _exp_certify(cfg: ExperimentConfig, outdir: Path):
                 theta0, u0, cfg["buoyancy", "g"], *args, **kw
             )
         columns = {"D_scalar": rep.contraction.values}
-        artifacts = {"series": "series.csv"}
+        tables = {}
         tail = f"contraction_pass={rep.contraction.passed}"
-    dump_csv(
-        outdir / "series.csv",
+    tables["series"] = (
         ["t", "E", "C", *columns],
         zip(rep.times, rep.energy, rep.lipschitz.c_values, *columns.values()),
     )
     report = rep.to_json_dict()
     line = f"{cfg.kind}: verdict={rep.verdict} maxE={max(rep.energy):.3e} {tail}"
-    return _VERDICT_CODES[rep.verdict], line, report, artifacts
+    return _VERDICT_CODES[rep.verdict], line, report, tables
 
 
 def _exp_weak_residual(cfg: ExperimentConfig, outdir: Path):
@@ -493,8 +479,6 @@ def _exp_weak_residual(cfg: ExperimentConfig, outdir: Path):
     w1, w2 = residuals[::2], residuals[1::2]
     worst_w1 = max([0.0, *w1])
     worst_w2 = max([0.0, *w2])
-    dump_csv(outdir / "residuals.csv", ["test_index", "w1_residual", "w2_residual"],
-             zip(range(count), w1, w2))
     passed = worst_w1 <= w1_tol and worst_w2 <= w2_tol
     report = {
         "count": count,
@@ -508,7 +492,7 @@ def _exp_weak_residual(cfg: ExperimentConfig, outdir: Path):
         f"weak_residual: max_w1={worst_w1:.3e} max_w2={worst_w2:.3e} pass={passed}"
     )
     return (EXIT_OK if passed else EXIT_CERT_FAIL), line, report, {
-        "residuals": "residuals.csv"
+        "residuals": (["test_index", "w1_residual", "w2_residual"], zip(range(count), w1, w2))
     }
 
 
@@ -548,7 +532,9 @@ def run(config_path, output_dir=None, jobs: int = 1, seed_override=None) -> int:
         outdir = _resolve_outdir(cfg, config_path, output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
         started = time.time()
-        code, line, report, artifacts = _BODIES[cfg.kind](cfg, outdir)
+        code, line, report, tables = _BODIES[cfg.kind](cfg, outdir)
+        for name, (header, rows) in tables.items():
+            dump_csv(outdir / f"{name}.csv", header, rows)
         report["experiment"] = cfg.kind
         report["config_hash"] = cfg.hash
         report["seed"] = cfg.seed
@@ -556,7 +542,7 @@ def run(config_path, output_dir=None, jobs: int = 1, seed_override=None) -> int:
         manifest = {
             "config_hash": cfg.hash,
             "experiment": cfg.kind,
-            "artifacts": dict(artifacts, report="report.json"),
+            "artifacts": {**{name: f"{name}.csv" for name in tables}, "report": "report.json"},
         }
         dump_json(manifest, outdir / "manifest.json")
         dump_json(

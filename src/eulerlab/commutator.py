@@ -54,7 +54,7 @@ from .grid_fields import (
     _parseval_weights,
 )
 from .mollify import MollifierKernel, epsilon_problem, make_kernel, mollify
-from .reporting import _as_json, dump_json
+from .reporting import _as_json
 
 __all__ = [
     "ScalingReport",
@@ -238,9 +238,6 @@ class ScalingReport:
 
     def to_json_dict(self) -> dict:
         return _as_json(self)
-
-    def save(self, path) -> None:
-        dump_json(self.to_json_dict(), path)
 
 
 def _sweep_magnitudes(primary: VelocityField, secondary: Optional[VelocityField],

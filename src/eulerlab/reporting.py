@@ -1,11 +1,12 @@
-"""Deterministic JSON/CSV artifact writers shared by experiments and the CLI.
+"""Deterministic JSON/CSV artifact writers for the CLI and the snapshot store.
 
 Reports carry no timestamps and are dumped with sorted keys, so identical
 inputs produce byte-identical files; volatile metadata lives in a separate
 sidecar written by the CLI.  A report record (``ScalingReport``,
 ``GronwallCertificate``, ``PairAudit``) takes its JSON keys from its own
-fields through ``_as_json``; only the names in ``_RENAMED`` differ.  The
-CLI adds the ``experiment`` key to every report.
+fields through ``_as_json`` and writes no file; only the names in
+``_RENAMED`` differ.  The CLI adds the ``experiment`` key to every report
+and writes every CSV table an experiment returns.
 """
 
 from __future__ import annotations

@@ -275,8 +275,8 @@ def _check_cfl(speed: float, grid: PeriodicGrid, dt: float, cfl: float,
 
 def steps_for_horizon(T: float, dt: float) -> int:
     """Number of ``dt`` steps spanning ``T``; 0 unless ``T`` is a positive
-    integer multiple of ``dt``."""
-    if dt <= 0.0:
+    integer multiple of ``dt`` and both are finite."""
+    if not (dt > 0.0 and math.isfinite(T / dt)):
         return 0
     n_steps = round(T / dt)
     if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(1.0, abs(T)):
@@ -285,10 +285,10 @@ def steps_for_horizon(T: float, dt: float) -> int:
 
 
 def _run_steps(T: float, dt: float, snapshot_stride: int) -> int:
-    """The number of steps of a run, after rejecting a nonpositive ``dt``, a
-    ``snapshot_stride`` below 1 or a horizon ``T`` that is not a positive
-    integer multiple of ``dt``."""
-    if dt <= 0.0:
+    """The number of steps of a run, after rejecting a nonpositive or NaN
+    ``dt``, a ``snapshot_stride`` below 1 or a horizon ``T`` that is not a
+    positive integer multiple of ``dt``."""
+    if not dt > 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
     if snapshot_stride < 1:
         raise ConfigurationError("snapshot_stride must be >= 1")

@@ -117,16 +117,6 @@ class TestBesovSeminorm:
         with pytest.raises(ConfigurationError):
             besov_seminorm(h, 1.5, 2.0)
 
-    def test_csv_export(self, tmp_path):
-        grid = make_grid(2, 32)
-        h = random_band_limited_scalar(grid, 5, seed=10)
-        est = besov_seminorm(h, 0.5, 2.0)
-        path = tmp_path / "shifts.csv"
-        est.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "xi_magnitude,lp_diff_norm,ratio"
-        assert len(lines) == len(est.shift_table) + 1
-
 
 class TestFitRegularityExponent:
     def test_smooth_field_near_one(self):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from eulerlab.besov import besov_seminorm
 from eulerlab.cli import _KEYS, EXPERIMENTS, main, parse_config, run, validate
 from eulerlab.errors import ConfigurationError
 from eulerlab.grid_fields import make_grid
@@ -154,6 +155,26 @@ class TestParseAndValidate:
         with pytest.raises(ConfigurationError, match="unknown experiment"):
             parse_config(cfg)
 
+    @pytest.mark.parametrize("text, message", [
+        pytest.param(MINIMAL_ENERGY.replace("n = 128\n", ""), "missing key 'n' in [grid]",
+                     id="missing-grid-n"),
+        pytest.param("kind = besov_fit\n" + BESOV, "config parse error", id="no-section"),
+        # a B dt without a stride must divide A's cadence, 2 * 2e-3
+        pytest.param(UNIQUENESS + "\n[solver_b]\ndt = 3e-3\n",
+                     "solver_b.dt incompatible with the snapshot cadence", id="b-dt-off-cadence"),
+    ])
+    def test_unreadable_config_rejected(self, tmp_path, text, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            parse_config(write_config(tmp_path, text))
+
+    def test_besov_alpha_defaults_to_synth_alpha(self, tmp_path):
+        """``besov_fit`` takes ``[sweep] alpha`` from ``[synth] alpha``, or
+        0.5 when neither is set."""
+        text = BESOV.replace("alpha = 0.5\np", "p").replace("alpha = 0.5", "alpha = 0.35")
+        assert parse_config(write_config(tmp_path, text))["sweep", "alpha"] == 0.35
+        text = text.replace("kind = lacunary\nalpha = 0.35\nj_max = 6", "kind = taylor_green")
+        assert parse_config(write_config(tmp_path, text))["sweep", "alpha"] == 0.5
+
     def test_readme_table_names_every_key(self):
         """The README's config table lists exactly the key table's
         ``(section, key)`` pairs, each with the kinds that read it."""
@@ -247,7 +268,29 @@ class TestRun:
         assert run(cfg, output_dir=out) == 0
         report = json.loads((out / "report.json").read_text())
         assert abs(report["fitted_alpha"] - 0.5) <= 0.05
-        assert (out / "shift_table.csv").exists()
+        lines = (out / "shift_table.csv").read_text().strip().splitlines()
+        assert lines[0] == "xi_magnitude,lp_diff_norm,ratio"
+        u = field_from_spec(SynthSpec("lacunary", alpha=0.5, j_max=6, seed=3), make_grid(2, 256))
+        assert len(lines) == len(besov_seminorm(u, 0.5, 3.0).shift_table) + 1
+
+    @pytest.mark.parametrize("alpha", ["", "alpha = 0.99\n"], ids=["fitted", "alpha-too-high"])
+    @pytest.mark.parametrize("kind", sorted(SCALING))
+    def test_scaling_kinds(self, tmp_path, capsys, kind, alpha):
+        """A scaling run exits 0 on a passing slope fit and 2 otherwise, and
+        writes one ``scaling.csv`` row per epsilon, the largest first."""
+        text = (BESOV.replace("besov_fit", kind).replace("n = 256", "n = 64")
+                .replace("j_max = 6", "j_max = 4").replace("alpha = 0.5\np", alpha + "p")
+                + "epsilons = 0.125 0.5 0.25 0.0625\n")
+        out = tmp_path / "out"
+        code = run(write_config(tmp_path, text), output_dir=out)
+        report = json.loads((out / "report.json").read_text())
+        assert code == (0 if report["pass"] else 2)
+        assert report["pass"] is not bool(alpha)
+        lines = (out / "scaling.csv").read_text().strip().splitlines()
+        assert lines[0] == "epsilon,magnitude,intercept"
+        assert [float(line.split(",")[0]) for line in lines[1:]] == [0.5, 0.25, 0.125, 0.0625]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["artifacts"] == {"scaling": "scaling.csv", "report": "report.json"}
 
     def test_uniqueness_identical_configs(self, tmp_path, capsys):
         cfg = write_config(tmp_path, UNIQUENESS)
@@ -327,6 +370,12 @@ class TestRun:
         pytest.param(MINIMAL_ENERGY.replace("dt = 1e-3", "dt = -1e-3"), "a positive number",
                      id="negative-dt"),
         pytest.param(MINIMAL_ENERGY + "cfl = 0\n", "a positive number", id="zero-cfl"),
+        pytest.param(MINIMAL_ENERGY.replace("T = 0.05", "T = inf"), "a positive number",
+                     id="infinite-T"),
+        pytest.param(MINIMAL_ENERGY + "drift_tolerance = inf\n", "a nonnegative number",
+                     id="infinite-drift-tolerance"),
+        pytest.param(certify_config("uniqueness", "certify_tolerance = inf\n"),
+                     "a positive number", id="infinite-certify-tolerance"),
         pytest.param(certify_config("uniqueness", "[solver_b]\ncfl = -0.5\n"),
                      "a positive number", id="negative-b-cfl"),
         pytest.param(certify_config("uniqueness", "working_epsilon = -0.1\n"),

@@ -284,21 +284,6 @@ class TestScalingExperiment:
         assert len(calls) == count
         assert got.to_json_dict() == expect.to_json_dict()
 
-    def test_json_round_trip(self, tmp_path):
-        import json
-
-        grid = make_grid(2, 128)
-        v = lacunary_field(SynthSpec("lacunary", alpha=0.5, j_max=5, seed=2), grid)
-        report = scaling_experiment(
-            v, "convective_commutator_lp", [0.25, 0.125, 0.0625, 0.03125], 3.0, alpha=0.5
-        )
-        path = tmp_path / "report.json"
-        report.save(path)
-        data = json.loads(path.read_text())
-        for key in ("quantity", "alpha", "p", "epsilons", "magnitudes",
-                    "fitted_slope", "theory_slope", "pass"):
-            assert key in data
-
 
 def old_convective_commutator(v, kernel):
     """``convective_commutator`` before the product tensor: every ordered

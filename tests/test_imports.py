@@ -37,3 +37,12 @@ def test_modules_found():
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert sorted(imported_names(tree) - used_names(tree)) == []
+
+
+def test_only_the_runner_and_snapshots_write_files():
+    """Records return data; ``cli`` and ``snapshots`` are the only modules
+    that import the artifact writers."""
+    writers = {"dump_csv", "dump_json"}
+    importers = {path.stem for path in MODULES
+                 if writers & imported_names(ast.parse(path.read_text(), filename=str(path)))}
+    assert importers == {"cli", "snapshots"}

@@ -268,9 +268,20 @@ class TestSolve:
     @pytest.mark.parametrize("T,dt,expected", [
         (0.02, 1e-3, 20), (0.0105, 1e-3, 0), (0.0, 1e-3, 0), (-0.02, 1e-3, 0),
         (1.0, 0.0, 0), (1.0, -0.5, 0), (-1.0, -0.5, 0),
+        (float("inf"), 1e-3, 0), (float("nan"), 1e-3, 0), (1.0, float("nan"), 0),
+        (1.0, float("inf"), 0), (float("inf"), float("inf"), 0),
     ])
     def test_steps_for_horizon(self, T, dt, expected):
         assert steps_for_horizon(T, dt) == expected
+
+    def test_non_finite_horizon_or_step_rejected(self):
+        """A non-finite ``T`` or ``dt`` is a configuration error, not an
+        ``OverflowError`` or ``ValueError``."""
+        tg = taylor_green(make_grid(2, 32), 1.0)
+        with pytest.raises(ConfigurationError, match="T=inf must be a positive integer"):
+            solve(tg, float("inf"), 1e-3)
+        with pytest.raises(ConfigurationError, match="dt must be positive, got nan"):
+            solve(tg, 0.01, float("nan"))
 
     def test_snapshot_cadence_and_ledger(self):
         grid = make_grid(2, 64)

@@ -342,6 +342,18 @@ class TestUniquenessExperiment:
             run_pair((u0,), RunConfig(32, 2e-3, 0.014, snapshot_stride=3), cfg_b, solve_leg)
         assert solved == []
 
+    def test_leg_order_does_not_matter(self):
+        """The finer leg is B whichever argument it is passed as, so swapping
+        the legs gives the same report."""
+        u0 = random_divfree(make_grid(2, 64), 2.0, seed=3)
+        coarse = RunConfig(32, 2e-3, 0.02, snapshot_stride=5)
+        fine = RunConfig(64, 1e-3, 0.02, snapshot_stride=10)
+        kwargs = dict(alpha=0.6, p_int=3.0, epsilons=[0.25, 0.2, 0.15, 0.125])
+        as_given = uniqueness_experiment(u0, coarse, fine, **kwargs)
+        swapped = uniqueness_experiment(u0, fine, coarse, **kwargs)
+        assert max(as_given.energy) > 0.0
+        assert swapped.to_json_dict() == as_given.to_json_dict()
+
     def test_report_schema(self):
         u0 = taylor_green(make_grid(2, 64), 1.0)
         cfg = RunConfig(64, 2e-3, 0.02, snapshot_stride=2)
