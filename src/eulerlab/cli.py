@@ -42,7 +42,7 @@ from .mollify import MAX_EPSILON, min_epsilon, resolved_epsilon
 from .reporting import config_hash, dump_csv, dump_json
 from .snapshots import save_trajectory
 from .solver import (
-    DEFAULT_CFL,
+    CFL,
     WeakTestFunction,
     admissibility_check,
     cfl_dt_bound,
@@ -131,13 +131,11 @@ _SWEEP = {**_AUDIT, **_section(
     "sweep", alpha=_EXPONENT(None),  # fitted from the fields
     slope_tolerance=_NONNEGATIVE(DEFAULT_SLOPE_TOLERANCE), epsilons=_FLOATS("numbers"),
 )}
-_SOLVE = _section("solver", dt=_POSITIVE(), T=_POSITIVE(), snapshot_stride=_COUNT(1),
-                  cfl=_POSITIVE(DEFAULT_CFL))
+_SOLVE = _section("solver", dt=_POSITIVE(), T=_POSITIVE(), snapshot_stride=_COUNT(1))
 # the A/B certifications: the B leg's keys default to the A leg's, and
 # certify_tolerance to ten times the measured drift
 _PAIR = {**_SOLVE, **_section(
     "solver_b", n=_INT(None), dt=_POSITIVE(None), snapshot_stride=_COUNT(None),
-    cfl=_POSITIVE(None),
 ), **_section(
     "sweep", alpha=_EXPONENT(0.6), p=_INTEGRABILITY(3.0), certify_tolerance=_POSITIVE(None),
     epsilons=_FLOATS("numbers"),
@@ -188,8 +186,7 @@ def _fill_derived(kind: str, v: dict) -> None:
             raise ConfigurationError("solver_b.dt incompatible with the snapshot cadence; "
                                      "set solver_b.snapshot_stride explicitly")
         v["solver_b", "snapshot_stride"] = round(ratio)
-    for key, source in (("n", "grid"), ("dt", "solver"), ("snapshot_stride", "solver"),
-                        ("cfl", "solver")):
+    for key, source in (("n", "grid"), ("dt", "solver"), ("snapshot_stride", "solver")):
         if v["solver_b", key] is None:
             v["solver_b", key] = v[source, key]
     _check_cadences(v["solver", "dt"] * v["solver", "snapshot_stride"],
@@ -280,9 +277,8 @@ def _derived_quantities(cfg: ExperimentConfig) -> dict:
     # The CFL bound comes from the synthesized initial field: lacunary data
     # peak well above their amplitude.
     speed = field_from_spec(_build_synth_spec(cfg), grid).max_speed()
-    cfl = cfg.values.get(("solver", "cfl"), DEFAULT_CFL)
     out["initial_max_speed"] = speed
-    out["cfl_dt_bound"] = cfl_dt_bound(grid, speed, cfl)
+    out["cfl_dt_bound"] = cfl_dt_bound(grid, speed, CFL)
     return out
 
 
@@ -377,10 +373,8 @@ def _single_run(cfg: ExperimentConfig):
     """Solve from the configured initial data on the configured grid."""
     grid = _build_grid(cfg)
     u0 = field_from_spec(_build_synth_spec(cfg), grid)
-    return solve(
-        u0, cfg["solver", "T"], cfg["solver", "dt"],
-        snapshot_stride=cfg["solver", "snapshot_stride"], cfl=cfg["solver", "cfl"],
-    )
+    return solve(u0, cfg["solver", "T"], cfg["solver", "dt"],
+                 snapshot_stride=cfg["solver", "snapshot_stride"])
 
 
 def _exp_energy_conservation(cfg: ExperimentConfig, outdir: Path):
@@ -412,10 +406,9 @@ def _exp_energy_conservation(cfg: ExperimentConfig, outdir: Path):
 def _exp_certify(cfg: ExperimentConfig, outdir: Path):
     """The three A/B certifications: one report, per-kind series columns."""
     T = cfg["solver", "T"]
-    cfg_a = RunConfig(cfg["grid", "n"], cfg["solver", "dt"], T,
-                      cfg["solver", "snapshot_stride"], cfg["solver", "cfl"])
+    cfg_a = RunConfig(cfg["grid", "n"], cfg["solver", "dt"], T, cfg["solver", "snapshot_stride"])
     cfg_b = RunConfig(cfg["solver_b", "n"], cfg["solver_b", "dt"], T,
-                      cfg["solver_b", "snapshot_stride"], cfg["solver_b", "cfl"])
+                      cfg["solver_b", "snapshot_stride"])
     # the initial velocity lives on the finer grid
     fine = make_grid(2, max(cfg_a.grid_n, cfg_b.grid_n))
     u0 = field_from_spec(_build_synth_spec(cfg), fine)

@@ -67,12 +67,11 @@ from .grid_fields import (
 )
 from .mollify import make_kernel, resolved_epsilon
 from .solver import (
-    DEFAULT_CFL,
     PairAudit,
     State,
     Trajectory,
     _biot_savart_velocity,
-    _check_initial_velocity,
+    _check_initial,
     _Vorticity,
     integrate,
     kinetic_energy,
@@ -272,19 +271,13 @@ def inhom_solve(
     T: float,
     dt: float,
     snapshot_stride: int = 1,
-    cfl: float = DEFAULT_CFL,
 ) -> Trajectory:
     """Integrate the variable-density system from positive density and
     solenoidal velocity; the energy ledger records ``0.5 int rho |u|^2`` and
     the ``"mass"`` ledger ``int rho``."""
-    grid = rho0.grid
-    if grid.dims != 2:
-        raise ConfigurationError("the inhomogeneous solver supports dims=2 only")
-    if grid != u0.grid:
-        raise ConfigurationError("density and velocity must share a grid")
+    grid = _check_initial(u0, rho0)
     if float(rho0.values.min()) <= 0.0:
         raise ConfigurationError("initial density must be strictly positive")
-    _check_initial_velocity(u0)
 
     def materialize(t: float, hats: tuple) -> State:
         vel = VelocityField([ScalarField.from_hat(grid, h) for h in hats[1:]])
@@ -312,7 +305,7 @@ def inhom_solve(
                 "mass": _total(rho)}
 
     hats = tuple(f.hat * grid.dealias_mask for f in (rho0, *u0.components))
-    return integrate(grid, hats, rhs, materialize, T, dt, snapshot_stride, cfl, ledgers, check)
+    return integrate(grid, hats, rhs, materialize, T, dt, snapshot_stride, ledgers, check)
 
 
 def density_contraction_check(
@@ -368,7 +361,6 @@ def boussinesq_solve(
     T: float,
     dt: float,
     snapshot_stride: int = 1,
-    cfl: float = DEFAULT_CFL,
 ) -> Trajectory:
     """Vorticity dynamics with buoyancy torque ``curl(theta g)`` and
     conservative transport of ``theta``; the ``"theta"`` ledger records
@@ -380,17 +372,12 @@ def boussinesq_solve(
     homogeneous solver's arithmetic exactly.  The advection term's physical
     velocity also carries ``theta``, so a stage costs seven transforms.
     """
-    grid = theta0.grid
-    if grid.dims != 2:
-        raise ConfigurationError("the Boussinesq solver supports dims=2 only")
-    if grid != u0.grid:
-        raise ConfigurationError("theta and velocity must share a grid")
+    grid = _check_initial(u0, theta0)
     g = tuple(float(x) for x in g)
     if len(g) != 2 or not all(map(math.isfinite, g)):
         raise ConfigurationError(f"g must be two finite numbers, got {g}")
-    _check_initial_velocity(u0)
     torque_symbol = 1j * (g[1] * grid.deriv_wavenumber(0) - g[0] * grid.deriv_wavenumber(1))
-    vort = _Vorticity(grid)
+    vort = _Vorticity(u0)
 
     def rhs(hats: tuple, with_speed: bool) -> tuple:
         wh, th = hats
@@ -406,7 +393,7 @@ def boussinesq_solve(
                      {"theta": ScalarField.from_hat(grid, hats[1])})
 
     hats = (curl_2d(u0).hat * grid.dealias_mask, theta0.hat * grid.dealias_mask)
-    traj = integrate(grid, hats, rhs, materialize, T, dt, snapshot_stride, cfl,
+    traj = integrate(grid, hats, rhs, materialize, T, dt, snapshot_stride,
                      lambda s: {"energy": kinetic_energy(s.velocity),
                                 "theta": _total(s.scalars["theta"])})
     traj.config["g"] = list(g)

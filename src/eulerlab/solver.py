@@ -3,7 +3,8 @@
 Vorticity-streamfunction formulation: the scalar vorticity is advanced with
 the classical 4-stage explicit integrator, velocity is recovered through the
 spectral Biot-Savart map (which enforces the divergence constraint
-identically), and the quadratic advection term is evaluated in stress form,
+identically) plus the initial velocity's mean, which the flow conserves and
+the vorticity does not see, and the advection term is taken in stress form,
 ``-div(u w) = (d2^2 - d1^2)(u1 u2) + d1 d2 (u1^2 - u2^2)`` for solenoidal
 ``u`` with ``w = curl u``.  The products are taken pointwise and the
 2/3-dealias mask is folded into the real stress symbols, so the term is the
@@ -25,9 +26,9 @@ system's ledgers and records the run's parameters as its config.
 
 Energy and enstrophy of the dealiased semi-discretization are conserved in
 continuous time; all recorded drift is the integrator's and shrinks like
-dt^4.  CFL is checked at every step against the speed of the step's first
-stage.  Under-resolved runs are legal but show up as admissibility
-violations in the energy ledger, which is a checked property, never an
+dt^4.  Each step's dt is checked against the fixed CFL number ``CFL`` at
+the speed of its first stage.  Under-resolved runs are legal but show up as
+admissibility violations in the energy ledger, a checked property, never an
 enforced one; the check reports a ``PairAudit``, the one ordered-pair record
 that the extensions' scalar-contraction audit reports as well.
 
@@ -86,7 +87,7 @@ __all__ = [
     "enstrophy",
 ]
 
-DEFAULT_CFL = 0.5
+CFL = 0.5  # every step's dt stays within CFL * spacing / speed
 
 
 def kinetic_energy(u: VelocityField) -> float:
@@ -99,24 +100,38 @@ def enstrophy(w: ScalarField) -> float:
     return lp_norm(w, 2.0) ** 2
 
 
+def _velocity_hat(w_hat: np.ndarray, b: np.ndarray, mean: complex) -> np.ndarray:
+    """One velocity component's spectrum ``w_hat * b`` with the zero-mode
+    coefficient ``mean``, which the vorticity does not carry."""
+    u_hat = w_hat * b
+    u_hat[0, 0] = mean
+    return u_hat
+
+
 def _biot_savart_velocity(grid: PeriodicGrid, biot_savart: tuple,
                           w_hat: np.ndarray) -> VelocityField:
-    """The velocity ``u_i_hat = w_hat * b_i`` of the vorticity spectrum
-    ``w_hat`` (``biot_savart`` is :class:`_Vorticity`'s ``b``)."""
-    return VelocityField([ScalarField.from_hat(grid, w_hat * b) for b in biot_savart])
+    """The velocity of the vorticity spectrum ``w_hat`` (``biot_savart`` is
+    :class:`_Vorticity`'s pairs of a symbol and a zero-mode coefficient)."""
+    return VelocityField([ScalarField.from_hat(grid, _velocity_hat(w_hat, b, mean))
+                          for b, mean in biot_savart])
 
 
 class _Vorticity:
-    """The spectral symbols of the vorticity formulation on one grid, built
-    once per solve: Biot-Savart ``u_i_hat = w_hat * b_i`` with
-    ``b = (i k1/|k|^2, -i k0/|k|^2)``, and the real stress symbols
-    ``(k0^2 - k1^2) * mask`` and ``k0 k1 * mask``, which vanish at k = 0.
-    A recorded trajectory keeps the Biot-Savart symbols only."""
+    """The spectral symbols of the vorticity formulation on the grid of the
+    initial velocity ``u0``, built once per solve: Biot-Savart
+    ``u_i_hat = w_hat * b_i`` with ``b = (i k1/|k|^2, -i k0/|k|^2)``, each
+    paired with ``u0``'s zero-mode coefficient (the mean flow, which the
+    vorticity does not see and the dynamics conserve), and the real stress
+    symbols ``(k0^2 - k1^2) * mask`` and ``k0 k1 * mask``, which vanish at
+    k = 0.  A recorded trajectory keeps the Biot-Savart pairs only."""
 
-    def __init__(self, grid: PeriodicGrid):
+    def __init__(self, u0: VelocityField):
+        grid = u0.grid
         k0, k1 = grid.deriv_wavenumber(0), grid.deriv_wavenumber(1)
         self.grid = grid
-        self.biot_savart = (1j * k1 * grid.inv_k_squared, -1j * k0 * grid.inv_k_squared)
+        mean = [c.hat[0, 0] for c in u0.components]
+        self.biot_savart = ((1j * k1 * grid.inv_k_squared, mean[0]),
+                            (-1j * k0 * grid.inv_k_squared, mean[1]))
         self.stress = ((k0 * k0 - k1 * k1) * grid.dealias_mask, k0 * k1 * grid.dealias_mask)
 
     def advect(self, w_hat: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
@@ -126,7 +141,7 @@ class _Vorticity:
         ``Q = (u2 - u1)(u2 + u1)``: four transforms, and a fresh array.
         """
         grid = self.grid
-        u1, u2 = (grid.irfftn(w_hat * b) for b in self.biot_savart)
+        u1, u2 = (grid.irfftn(_velocity_hat(w_hat, b, mean)) for b, mean in self.biot_savart)
         p_hat = grid.rfftn(u1 * u2)
         q = u2 - u1
         q *= u2 + u1
@@ -256,15 +271,14 @@ class Trajectory:
 
 
 def cfl_dt_bound(grid: PeriodicGrid, speed: float, cfl: float) -> float:
-    """Largest step the CFL condition admits at ``speed`` (inf at rest)."""
+    """Largest step the CFL number ``cfl`` admits at ``speed`` (inf at rest)."""
     return cfl * grid.spacing / speed if speed > 0.0 else math.inf
 
 
-def _check_cfl(speed: float, grid: PeriodicGrid, dt: float, cfl: float,
-               step: int, t: float) -> None:
+def _check_cfl(speed: float, grid: PeriodicGrid, dt: float, step: int, t: float) -> None:
     """Reject step ``step``, which starts at ``t`` with largest speed
-    ``speed``, when ``dt`` exceeds the CFL bound."""
-    limit = cfl_dt_bound(grid, speed, cfl)
+    ``speed``, when ``dt`` exceeds the bound of :data:`CFL`."""
+    limit = cfl_dt_bound(grid, speed, CFL)
     if dt > limit:
         raise StepSizeError(
             f"step {step} from t={t}: dt={dt} violates the CFL bound at speed "
@@ -298,9 +312,18 @@ def _run_steps(T: float, dt: float, snapshot_stride: int) -> int:
     return n_steps
 
 
-def _check_initial_velocity(u0: VelocityField) -> None:
+def _check_initial(u0: VelocityField, *scalars: ScalarField) -> PeriodicGrid:
+    """The grid of a solver's initial data, after rejecting a grid that is
+    not two-dimensional, ``scalars`` off the velocity ``u0``'s grid and a
+    ``u0`` that is not divergence-free."""
+    grid = u0.grid
+    if grid.dims != 2:
+        raise ConfigurationError(f"the solvers support dims=2 only, got dims={grid.dims}")
+    if any(f.grid != grid for f in scalars):
+        raise ConfigurationError("the initial fields must share a grid")
     if not u0.check_divergence_free(1e-8):
         raise ConfigurationError("initial velocity is not divergence-free")
+    return grid
 
 
 def integrate(
@@ -311,7 +334,6 @@ def integrate(
     T: float,
     dt: float,
     snapshot_stride: int,
-    cfl: float,
     ledgers: Callable[[State], dict[str, float]],
     check: Optional[Callable[[float, tuple], None]] = None,
 ) -> Trajectory:
@@ -344,7 +366,7 @@ def integrate(
     record(0.0, hats)
     for k in range(1, n_steps + 1):
         hats, speed = _rk4_stage(hats, dt, rhs)
-        _check_cfl(speed, grid, dt, cfl, k, (k - 1) * dt)
+        _check_cfl(speed, grid, dt, k, (k - 1) * dt)
         t = k * dt
         if not all(np.all(np.isfinite(h)) for h in hats):
             raise SolverAbort(f"non-finite state at t={t}", t)
@@ -353,7 +375,7 @@ def integrate(
     states = RecordedStates(grid, times, records, materialize)
     rows = [ledgers(s) for s in states]  # one rebuild per state for every ledger
     series = {name: [row[name] for row in rows] for name in rows[0]}
-    config = {"T": T, "dt": dt, "snapshot_stride": snapshot_stride, "cfl": cfl,
+    config = {"T": T, "dt": dt, "snapshot_stride": snapshot_stride, "cfl": CFL,
               "grid_n": grid.n_per_axis}
     return Trajectory(states, dt, config, series.pop("energy"), series)
 
@@ -363,15 +385,11 @@ def solve(
     T: float,
     dt: float,
     snapshot_stride: int = 1,
-    cfl: float = DEFAULT_CFL,
 ) -> Trajectory:
     """Integrate from divergence-free initial data, recording snapshots every
     ``snapshot_stride`` steps (the final state is always recorded)."""
-    grid = u0.grid
-    if grid.dims != 2:
-        raise ConfigurationError("the solver supports dims=2 only")
-    _check_initial_velocity(u0)
-    vort = _Vorticity(grid)
+    grid = _check_initial(u0)
+    vort = _Vorticity(u0)
 
     def rhs(hats: tuple, with_speed: bool) -> tuple:
         dw, u = vort.advect(hats[0])
@@ -384,7 +402,7 @@ def solve(
                      {"vorticity": ScalarField.from_hat(grid, hats[0])})
 
     w_hat = curl_2d(u0).hat * grid.dealias_mask
-    return integrate(grid, (w_hat,), rhs, materialize, T, dt, snapshot_stride, cfl,
+    return integrate(grid, (w_hat,), rhs, materialize, T, dt, snapshot_stride,
                      lambda s: {"energy": kinetic_energy(s.velocity)})
 
 

@@ -49,7 +49,7 @@ from .grid_fields import (
 )
 from .mollify import MollifierKernel, _mollified_hat, make_kernel, resolved_epsilon
 from .reporting import _as_json
-from .solver import DEFAULT_CFL, PairAudit, _run_steps, solve
+from .solver import PairAudit, _run_steps, solve
 
 __all__ = [
     "RelativeEnergySeries",
@@ -66,7 +66,7 @@ __all__ = [
 
 # The extended systems gate the smallest per-quantity exponent at the
 # trilinear threshold whatever the budget route; matching it to the route
-# (ROADMAP item 2) changes recorded verdicts.
+# (ROADMAP item 3) changes recorded verdicts.
 EXTENDED_REQUIRED_ALPHA = 1.0 / 3.0
 
 
@@ -231,7 +231,6 @@ class RunConfig:
     dt: float
     T: float
     snapshot_stride: int = 1
-    cfl: float = DEFAULT_CFL
 
     def cadence(self) -> float:
         return self.dt * self.snapshot_stride
@@ -321,7 +320,7 @@ def _shared_times(a, b) -> list[float]:
 def run_pair(fields: Sequence, cfg_a: RunConfig, cfg_b: RunConfig, solve_leg):
     """Integrate both legs from shared initial ``fields`` (restricted
     spectrally to each leg's grid) with ``solve_leg(*fields, T=, dt=,
-    snapshot_stride=, cfl=)``; snapshot cadences must agree in physical time.
+    snapshot_stride=)``; snapshot cadences must agree in physical time.
     Both legs' grids, steps and horizons are checked before either is solved.
 
     Returns ``(A, B)`` with B the finer leg, the designated regular solution.
@@ -335,7 +334,7 @@ def run_pair(fields: Sequence, cfg_a: RunConfig, cfg_b: RunConfig, solve_leg):
         legs.append((cfg, make_grid(fields[0].grid.dims, cfg.grid_n)))
     traj = [
         solve_leg(*(resample(f, grid) for f in fields), T=cfg.T, dt=cfg.dt,
-                  snapshot_stride=cfg.snapshot_stride, cfl=cfg.cfl)
+                  snapshot_stride=cfg.snapshot_stride)
         for cfg, grid in legs
     ]
     if cfg_a.grid_n > cfg_b.grid_n:

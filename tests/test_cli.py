@@ -199,7 +199,7 @@ class TestParseAndValidate:
             "[experiment]\nkind = energy_conservation\nseed = 7\n\n"
             "[grid]\nn = 512\n\n"
             "[synth]\nkind = lacunary\nalpha = 0.6\nj_max = 7\namplitude = 1.0\n\n"
-            "[solver]\ndt = 1e-4\nT = 0.01\ncfl = 0.4\n"
+            "[solver]\ndt = 1e-4\nT = 0.01\n"
         )
         assert validate(write_config(tmp_path, text)) == 0
         printed = dict(
@@ -210,7 +210,7 @@ class TestParseAndValidate:
         u = field_from_spec(SynthSpec("lacunary", alpha=0.6, j_max=7, seed=7), grid)
         assert u.max_speed() > 3.5
         assert float(printed["initial_max_speed"]) == u.max_speed()
-        assert float(printed["cfl_dt_bound"]) == 0.4 * grid.spacing / u.max_speed()
+        assert float(printed["cfl_dt_bound"]) == 0.5 * grid.spacing / u.max_speed()
 
     def test_validate_every_demo_config(self, capsys):
         assert len(DEMO_CONFIGS) == 10
@@ -256,6 +256,33 @@ class TestRun:
         assert (out / "manifest.json").exists()
         assert (out / "metadata.json").exists()
         assert (out / "snapshots" / "manifest.json").exists()
+
+    def test_constant_flow_keeps_its_energy(self, tmp_path, capsys):
+        """The mean flow is conserved, so a constant flow keeps its kinetic
+        energy, 2.0 on the torus of area 4, and its speed bounds dt: at
+        dt = 0.05 on 32^2 the CFL bound 0.5 h / 1 = 0.03125 stops step 1."""
+        text = MINIMAL_ENERGY.replace("n = 128", "n = 32").replace(
+            "kind = taylor_green", "kind = constant")
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, text), output_dir=out) == 0
+        rows = (out / "energy.csv").read_text().splitlines()[1:]
+        assert len(rows) == 6
+        assert all(float(row.split(",")[1]) == 2.0 for row in rows)
+        text = text.replace("dt = 1e-3\nT = 0.05\nsnapshot_stride = 10", "dt = 0.05\nT = 0.05")
+        assert run(write_config(tmp_path, text), output_dir=tmp_path / "o") == 1
+        assert "step 1 from t=0.0: dt=0.05 violates the CFL bound" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, section", [
+        pytest.param(MINIMAL_ENERGY + "cfl = 0.5\n", "solver", id="solver"),
+        pytest.param(certify_config("uniqueness", "[solver_b]\ncfl = 0.5\n"), "solver_b",
+                     id="solver_b"),
+    ])
+    def test_cfl_is_not_a_key(self, tmp_path, capsys, text, section):
+        """The CFL number is the constant ``solver.CFL``; no config sets it."""
+        cfg = write_config(tmp_path, text)
+        assert validate(cfg) == 1
+        assert run(cfg, output_dir=tmp_path / "out") == 1
+        assert f"unknown key 'cfl' in [{section}]" in capsys.readouterr().err
 
     def test_grid_7_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL_ENERGY.replace("n = 128", "n = 7"))
@@ -369,15 +396,12 @@ class TestRun:
                      "two numbers", id="non-finite-g"),
         pytest.param(MINIMAL_ENERGY.replace("dt = 1e-3", "dt = -1e-3"), "a positive number",
                      id="negative-dt"),
-        pytest.param(MINIMAL_ENERGY + "cfl = 0\n", "a positive number", id="zero-cfl"),
         pytest.param(MINIMAL_ENERGY.replace("T = 0.05", "T = inf"), "a positive number",
                      id="infinite-T"),
         pytest.param(MINIMAL_ENERGY + "drift_tolerance = inf\n", "a nonnegative number",
                      id="infinite-drift-tolerance"),
         pytest.param(certify_config("uniqueness", "certify_tolerance = inf\n"),
                      "a positive number", id="infinite-certify-tolerance"),
-        pytest.param(certify_config("uniqueness", "[solver_b]\ncfl = -0.5\n"),
-                     "a positive number", id="negative-b-cfl"),
         pytest.param(certify_config("uniqueness", "working_epsilon = -0.1\n"),
                      "a positive number", id="negative-working-epsilon"),
         *(pytest.param(certify_config(kind, "certify_tolerance = 0\n"), "a positive number",

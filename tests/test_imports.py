@@ -46,3 +46,22 @@ def test_only_the_runner_and_snapshots_write_files():
     importers = {path.stem for path in MODULES
                  if writers & imported_names(ast.parse(path.read_text(), filename=str(path)))}
     assert importers == {"cli", "snapshots"}
+
+
+def test_cfl_number_is_a_constant():
+    """``solver.CFL`` is the one CFL number: no function parameter or class
+    field is named ``cfl`` except the argument of ``cfl_dt_bound``, which
+    computes the bound for any number."""
+    found = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+                if node.name != "cfl_dt_bound" and any(a and a.arg == "cfl" for a in params):
+                    found.add(f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.ClassDef):
+                if any(isinstance(item, ast.AnnAssign) and getattr(item.target, "id", None) == "cfl"
+                       for item in node.body):
+                    found.add(f"{path.stem}.{node.name}")
+    assert sorted(found) == []

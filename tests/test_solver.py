@@ -54,17 +54,30 @@ from _utils import (
 SYSTEMS = ("solve", "inhom_solve", "boussinesq_solve")
 
 
-def run_system(system, u0, T, dt, scalar=None):
+def run_system(system, u0, T, dt, scalar=None, snapshot_stride=1):
     """Integrate ``u0`` with one of the three solvers; the extensions start
     from ``scalar``, by default unit density or zero temperature."""
     grid = u0.grid
     if system == "solve":
-        return solve(u0, T, dt)
+        return solve(u0, T, dt, snapshot_stride)
     if system == "inhom_solve":
         rho = scalar if scalar is not None else grid.sample_scalar(lambda x, y: 1.0 + 0.0 * x)
-        return inhom_solve(rho, u0, T, dt)
+        return inhom_solve(rho, u0, T, dt, snapshot_stride)
     theta = scalar if scalar is not None else grid.sample_scalar(lambda x, y: 0.0 * x)
-    return boussinesq_solve(theta, u0, (0.0, -1.0), T, dt)
+    return boussinesq_solve(theta, u0, (0.0, -1.0), T, dt, snapshot_stride)
+
+
+def boosted_taylor_green(grid, U, t):
+    """``U + TG(x - U t)``: the Galilean boost of the steady cell flow by the
+    mean flow ``U``, an exact solution at time ``t``."""
+    x, y = grid.meshgrid()
+    a, b = np.pi * (x - U[0] * t), np.pi * (y - U[1] * t)
+    return VelocityField.from_arrays(
+        grid, [U[0] + np.sin(a) * np.cos(b), U[1] - np.cos(a) * np.sin(b)])
+
+
+def constant_field(grid, value):
+    return ScalarField(grid, np.full(grid.shape, value))
 
 
 def conservative_tendency(grid, w_hat):
@@ -173,20 +186,20 @@ class TestStressForm:
         for seed in (1, 2):
             w_hat = random_band_limited_scalar(grid, grid.dealias_kmax, seed).hat
             expect = conservative_tendency(grid, w_hat)
-            got, _ = _Vorticity(grid).advect(w_hat)
+            got, _ = _Vorticity(taylor_green(grid, 1.0)).advect(w_hat)
             assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
     def test_zero_mode_exactly_zero(self):
         grid = make_grid(2, 64)
         w_hat = random_band_limited_scalar(grid, grid.dealias_kmax, 3).hat
-        got, _ = _Vorticity(grid).advect(w_hat)
+        got, _ = _Vorticity(taylor_green(grid, 1.0)).advect(w_hat)
         assert got[0, 0] == 0.0
 
     def test_velocity_and_speed(self):
         grid = make_grid(2, 64)
         u0 = random_divfree(grid, 2.0, seed=4)
         w_hat = curl_2d(u0).hat * grid.dealias_mask
-        vort = _Vorticity(grid)
+        vort = _Vorticity(u0)
         _, (u1, u2) = vort.advect(w_hat)
         u = _biot_savart_velocity(grid, vort.biot_savart, w_hat)
         for a, b in zip((u1, u2), u.components):
@@ -257,6 +270,46 @@ class TestSolve:
         )
         with pytest.raises(ConfigurationError, match="divergence-free"):
             solve(u0, 0.1, 1e-3)
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_initial_data_rules(self, system):
+        """Every solver rejects initial data on a grid that is not
+        two-dimensional and a velocity that is not divergence-free, with one
+        message per rule."""
+        cube = make_grid(3, 8)
+        at_rest = VelocityField.from_arrays(cube, [np.zeros(cube.shape)] * 3)
+        with pytest.raises(ConfigurationError, match="support dims=2 only, got dims=3"):
+            run_system(system, at_rest, 0.1, 0.05, scalar=constant_field(cube, 1.0))
+        grid = make_grid(2, 32)
+        divergent = grid.sample_velocity(lambda x, y: np.sin(np.pi * x), lambda x, y: 0.0 * x)
+        with pytest.raises(ConfigurationError, match="^initial velocity is not divergence-free$"):
+            run_system(system, divergent, 0.1, 0.05, scalar=constant_field(grid, 1.0))
+
+    @pytest.mark.parametrize("system", SYSTEMS[1:])
+    def test_initial_scalar_shares_the_grid(self, system):
+        grid = make_grid(2, 32)
+        with pytest.raises(ConfigurationError, match="^the initial fields must share a grid$"):
+            run_system(system, taylor_green(grid, 1.0), 0.1, 0.05,
+                       scalar=constant_field(make_grid(2, 16), 1.0))
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_boosted_taylor_green_is_exact(self, system):
+        """The mean of u is conserved on the torus: the vorticity solvers carry
+        it beside the vorticity, so the boosted cell flow stays exact, and the
+        energy ledger starts at the kinetic energy of u0 (1.2, not the 1.0 of
+        the vorticity's velocity alone)."""
+        grid = make_grid(2, 64)
+        U = (0.3, 0.1)
+        u0 = boosted_taylor_green(grid, U, 0.0)
+        traj = run_system(system, u0, 0.5, 2e-3, snapshot_stride=125)
+        exact = boosted_taylor_green(grid, U, 0.5)
+        got = traj.final().velocity
+        assert max(np.abs(a.values - b.values).max()
+                   for a, b in zip(got.components, exact.components)) <= 1e-10
+        assert traj.energy_ledger[0] == kinetic_energy(u0)
+        assert traj.energy_ledger[0] == pytest.approx(1.2, rel=1e-12)
+        for s in traj.states:
+            assert [c.mean() for c in s.velocity.components] == pytest.approx(U, abs=1e-14)
 
     @pytest.mark.parametrize("system", SYSTEMS)
     def test_mismatched_horizon(self, system):
@@ -382,6 +435,21 @@ class TestRecordedStates:
             grid, lambda: solve(u0, 0.05, 0.005, snapshot_stride=2))
         assert len(traj.states) == 6
         assert held <= len(traj.states) + 4
+
+    @pytest.mark.parametrize("system, arrays", [("solve", 1), ("boussinesq_solve", 2)])
+    def test_vorticity_run_holds_its_spectra_and_biot_savart(self, system, arrays):
+        # the recorded spectra, the two Biot-Savart symbols and half a
+        # half-spectrum of slack: holding the real stress symbols as well
+        # (one half-spectrum) breaks the bound
+        grid = make_grid(2, 64)
+        u0 = random_divfree(grid, 2.0, seed=3)
+        theta = constant_field(grid, 0.0)
+        for c in (theta, *u0.components):
+            c.hat  # the cached spectra are inputs, not the run's
+        traj, held, _ = traced_half_spectra(
+            grid, lambda: run_system(system, u0, 0.01, 0.005, scalar=theta))
+        assert len(traj.states) == 3
+        assert held <= arrays * len(traj.states) + 2 + 0.5
 
     def test_density_loss_aborts_at_its_snapshot(self):
         # a shear flow needs no pressure and folds cos(pi x1) until the
