@@ -30,14 +30,13 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .besov import besov_seminorm
-from .commutator import (DEFAULT_SLOPE_TOLERANCE, ROUTES, Route, _sweep_problems,
-                         scaling_experiment)
+from .commutator import ROUTES, Route, _sweep_problems, scaling_experiment
 from .errors import EulerLabError, ConfigurationError
 from .extensions import (
     boussinesq_uniqueness_experiment,
     inhom_uniqueness_experiment,
 )
-from .grid_fields import make_grid
+from .grid_fields import PeriodicGrid, make_grid, resample
 from .mollify import MAX_EPSILON, min_epsilon, resolved_epsilon
 from .reporting import config_hash, dump_csv, dump_json
 from .snapshots import save_trajectory
@@ -48,7 +47,6 @@ from .solver import (
     cfl_dt_bound,
     cosine_window,
     enstrophy,
-    linear_window,
     solve,
     steps_for_horizon,
     weak_residuals,
@@ -107,6 +105,7 @@ def _section(name: str, **keys: _Key) -> dict:
 
 _INT = partial(_Key, lambda raw: int(raw, 0), "an integer")
 _COUNT = partial(_Key, lambda raw: int(raw, 0), "a positive integer", ok=lambda v: v >= 1)
+_SEED = _Key(lambda raw: int(raw, 0), "a nonnegative integer", 0, lambda v: v >= 0)
 _FLOAT = partial(_Key, float, "a number")
 _POSITIVE = partial(_Key, float, "a positive number", ok=lambda v: v > 0.0)
 _NONNEGATIVE = partial(_Key, float, "a nonnegative number", ok=lambda v: v >= 0.0)
@@ -116,29 +115,24 @@ _FLOATS = partial(_Key, lambda raw: [float(tok) for tok in raw.split()])
 
 _COMMON = {
     # the kind picks the table, so it is checked before the table is read
-    **_section("experiment", kind=_Key(str, "an experiment kind"), seed=_INT(0)),
+    **_section("experiment", kind=_Key(str, "an experiment kind"), seed=_SEED),
     **_section("grid", n=_INT()),
     **_section(
         "synth", kind=_one_of({k: k for k in SYNTH_KINDS}, "taylor_green"),
-        alpha=_FLOAT(None), j_max=_INT(None), slope=_FLOAT(None), amplitude=_FLOAT(1.0),
-        seed=_INT(None),  # the experiment seed
+        alpha=_EXPONENT(None), j_max=_INT(None), slope=_FLOAT(None), amplitude=_FLOAT(1.0),
     ),
     **_section("output", dir=_Key(str, "a path", None)),
 }
 # the field audits; the solvers are two-dimensional and read no dims
 _AUDIT = {**_section("grid", dims=_INT(2)), **_section("sweep", p=_INTEGRABILITY(3.0))}
-_SWEEP = {**_AUDIT, **_section(
-    "sweep", alpha=_EXPONENT(None),  # fitted from the fields
-    slope_tolerance=_NONNEGATIVE(DEFAULT_SLOPE_TOLERANCE), epsilons=_FLOATS("numbers"),
-)}
+# the scaling kinds fit [sweep] alpha from the fields when it is absent
+_SWEEP = {**_AUDIT, **_section("sweep", alpha=_EXPONENT(None), epsilons=_FLOATS("numbers"))}
 _SOLVE = _section("solver", dt=_POSITIVE(), T=_POSITIVE(), snapshot_stride=_COUNT(1))
-# the A/B certifications: the B leg's keys default to the A leg's, and
-# certify_tolerance to ten times the measured drift
+# the A/B certifications: the B leg's keys default to the A leg's
 _PAIR = {**_SOLVE, **_section(
     "solver_b", n=_INT(None), dt=_POSITIVE(None), snapshot_stride=_COUNT(None),
 ), **_section(
-    "sweep", alpha=_EXPONENT(0.6), p=_INTEGRABILITY(3.0), certify_tolerance=_POSITIVE(None),
-    epsilons=_FLOATS("numbers"),
+    "sweep", alpha=_EXPONENT(0.6), p=_INTEGRABILITY(3.0), epsilons=_FLOATS("numbers"),
 )}
 _EXTENDED = {**_PAIR, **_section("sweep", contraction_tolerance=_NONNEGATIVE(1e-5))}
 
@@ -151,9 +145,7 @@ _KEYS = {
         "solver", drift_tolerance=_NONNEGATIVE(1e-6), admissibility_tolerance=_NONNEGATIVE(1e-7),
     ), **_section("output", save_snapshots=_INT(1))},
     "uniqueness": {**_COMMON, **_PAIR, **_section(
-        "sweep", budget_route=_one_of({r: r for r in ROUTES}, "convective"),
-        working_epsilon=_POSITIVE(None),  # the smallest epsilon
-    )},
+        "sweep", budget_route=_one_of({r: r for r in ROUTES}, "convective"))},
     "inhom_uniqueness": {**_COMMON, **_EXTENDED, **_section("density", amplitude=_FLOAT(0.2))},
     "boussinesq_uniqueness": {**_COMMON, **_EXTENDED, **_section(
         "buoyancy", g=_FLOATS("two numbers", (0.0, -1.0), lambda g: len(g) == 2),
@@ -161,9 +153,7 @@ _KEYS = {
     )},
     "weak_residual": {**_COMMON, **_SOLVE, **_section(
         "weak", count=_COUNT(10), kmax=_INT(3), w1_tolerance=_NONNEGATIVE(1e-6),
-        w2_tolerance=_NONNEGATIVE(1e-10),
-        window=_one_of({"cosine": cosine_window, "linear": linear_window}, "cosine"),
-    )},
+        w2_tolerance=_NONNEGATIVE(1e-10))},
 }
 
 EXPERIMENTS = tuple(_KEYS)
@@ -173,10 +163,8 @@ _SECTIONS = {section for section, _ in _ANY_KIND}
 
 def _fill_derived(kind: str, v: dict) -> None:
     """Fill the defaults that other values decide."""
-    if v["synth", "seed"] is None:
-        v["synth", "seed"] = v["experiment", "seed"]
     if kind == "besov_fit" and v["sweep", "alpha"] is None:
-        v["sweep", "alpha"] = v["synth", "alpha"] or 0.5
+        v["sweep", "alpha"] = 0.5 if v["synth", "alpha"] is None else v["synth", "alpha"]
     if ("solver_b", "n") not in v:
         return
     if v["solver_b", "dt"] is not None and v["solver_b", "snapshot_stride"] is None:
@@ -231,10 +219,13 @@ class ExperimentConfig:
                 errors.append(
                     f"bad value for '{key}' in [{section}]: {raw!r} (allowed: {spec.allowed})"
                 )
+        if seed_override is not None:
+            if not _SEED.ok(seed_override):
+                errors.append(f"bad value for --seed-override: {seed_override} "
+                              f"(allowed: {_SEED.allowed})")
+            self.values["experiment", "seed"] = seed_override
         if errors:
             raise ConfigurationError("; ".join(errors))
-        if seed_override is not None:
-            self.values["experiment", "seed"] = seed_override
         self.seed = self.values["experiment", "seed"]
         _fill_derived(self.kind, self.values)
 
@@ -259,10 +250,18 @@ def _build_grid(cfg: ExperimentConfig):
     return make_grid(cfg.values.get(("grid", "dims"), 2), cfg["grid", "n"])
 
 
+def _fine_grid(cfg: ExperimentConfig) -> PeriodicGrid:
+    """The grid the initial data are synthesized on and the budget sweeps
+    run on: the finer leg of an A/B pair, else the configured grid."""
+    grids = [_build_grid(cfg)]
+    if ("solver_b", "n") in cfg.values:  # the A/B certifications' B leg
+        grids.append(make_grid(2, cfg["solver_b", "n"]))
+    return max(grids, key=lambda g: g.n_per_axis)
+
+
 def _build_synth_spec(cfg: ExperimentConfig) -> SynthSpec:
-    return SynthSpec(**{
-        key: cfg["synth", key]
-        for key in ("kind", "alpha", "j_max", "seed", "amplitude", "slope")
+    return SynthSpec(seed=cfg.seed, **{
+        key: cfg["synth", key] for key in ("kind", "alpha", "j_max", "amplitude", "slope")
     })
 
 
@@ -274,9 +273,10 @@ def _derived_quantities(cfg: ExperimentConfig) -> dict:
     out["epsilon_min"] = min_epsilon(grid)
     out["epsilon_resolved"] = resolved_epsilon(grid)
     out["epsilon_max"] = MAX_EPSILON
-    # The CFL bound comes from the synthesized initial field: lacunary data
-    # peak well above their amplitude.
-    speed = field_from_spec(_build_synth_spec(cfg), grid).max_speed()
+    # The CFL bound comes from the initial field the configured leg starts
+    # from: lacunary data peak well above their amplitude.
+    u0 = field_from_spec(_build_synth_spec(cfg), _fine_grid(cfg))
+    speed = resample(u0, grid).max_speed()
     out["initial_max_speed"] = speed
     out["cfl_dt_bound"] = cfl_dt_bound(grid, speed, CFL)
     return out
@@ -297,18 +297,13 @@ def _swept_route(cfg: ExperimentConfig) -> Optional[Route]:
 def _range_checks(cfg: ExperimentConfig) -> list:
     """The checks that join several keys."""
     diags = []
-    grid = _build_grid(cfg)
-    grids = [grid]
-    if ("solver_b", "n") in cfg.values:  # the A/B certifications' B leg
-        grids.append(make_grid(2, cfg["solver_b", "n"]))
+    grid = _fine_grid(cfg)
     route = _swept_route(cfg)
     if route:
-        # budget sweeps run on the finer leg of an A/B pair
-        fine = max(grids, key=lambda g: g.n_per_axis)
         diags += [f"[sweep] {problem}" for problem in _sweep_problems(
-            route, cfg["sweep", "epsilons"], fine, cfg["sweep", "p"])]
+            route, cfg["sweep", "epsilons"], grid, cfg["sweep", "p"])]
     _build_synth_spec(cfg)
-    kmax = cfg.values.get(("weak", "kmax"))
+    kmax = cfg.values.get(("weak", "kmax"))  # read by a single-grid kind
     problem = kmax is not None and _kmax_problem(grid, kmax)
     if problem:
         diags.append(f"[weak] {problem}")
@@ -354,7 +349,7 @@ def _exp_scaling(cfg: ExperimentConfig, outdir: Path):
     fields = (field_from_spec(replace(spec, seed=spec.seed + 1), grid), v) if route.pair else v
     report_obj = scaling_experiment(
         fields, route.quantity, cfg["sweep", "epsilons"], cfg["sweep", "p"],
-        alpha=cfg["sweep", "alpha"], slope_tolerance=cfg["sweep", "slope_tolerance"],
+        alpha=cfg["sweep", "alpha"],
     )
     report = report_obj.to_json_dict()
     code = EXIT_OK if report_obj.passed else EXIT_CERT_FAIL
@@ -409,26 +404,17 @@ def _exp_certify(cfg: ExperimentConfig, outdir: Path):
     cfg_a = RunConfig(cfg["grid", "n"], cfg["solver", "dt"], T, cfg["solver", "snapshot_stride"])
     cfg_b = RunConfig(cfg["solver_b", "n"], cfg["solver_b", "dt"], T,
                       cfg["solver_b", "snapshot_stride"])
-    # the initial velocity lives on the finer grid
-    fine = make_grid(2, max(cfg_a.grid_n, cfg_b.grid_n))
+    fine = _fine_grid(cfg)
     u0 = field_from_spec(_build_synth_spec(cfg), fine)
     args = (cfg_a, cfg_b, cfg["sweep", "alpha"], cfg["sweep", "p"], cfg["sweep", "epsilons"])
-    certify_tolerance = cfg["sweep", "certify_tolerance"]
     if cfg.kind == "uniqueness":
-        rep = uniqueness_experiment(
-            u0, *args, certify_tolerance=certify_tolerance,
-            budget_route=cfg["sweep", "budget_route"],
-            working_epsilon=cfg["sweep", "working_epsilon"],
-        )
+        rep = uniqueness_experiment(u0, *args, budget_route=cfg["sweep", "budget_route"])
         columns = {"seminorm": rep.seminorm_series, "fitted_alpha": rep.fitted_alpha_series}
         tables = {"budgets": (["epsilon", "budget"],
                               zip(rep.budgets_epsilons, rep.budgets_values))}
         tail = f"slack={rep.certificate.slack:.3e}"
     else:
-        kw = dict(
-            contraction_tolerance=cfg["sweep", "contraction_tolerance"],
-            certify_tolerance=certify_tolerance,
-        )
+        kw = dict(contraction_tolerance=cfg["sweep", "contraction_tolerance"])
         if cfg.kind == "inhom_uniqueness":
             amp = cfg["density", "amplitude"]
             rho0 = fine.sample_scalar(
@@ -458,15 +444,15 @@ def _exp_weak_residual(cfg: ExperimentConfig, outdir: Path):
     traj = _single_run(cfg)
     grid = traj.grid
     T = cfg["solver", "T"]
-    count, kmax, window = cfg["weak", "count"], cfg["weak", "kmax"], cfg["weak", "window"]
+    count, kmax, window = cfg["weak", "count"], cfg["weak", "kmax"], cosine_window(T)
     w1_tol, w2_tol = cfg["weak", "w1_tolerance"], cfg["weak", "w2_tolerance"]
 
     def tests():  # built one at a time, as weak_residuals consumes them
         for i in range(count):
             yield WeakTestFunction(low_mode_divfree(grid, kmax, seed=cfg.seed + 1000 + i),
-                                   window(T))
+                                   window)
             yield WeakTestFunction(low_mode_scalar(grid, kmax, seed=cfg.seed + 2000 + i),
-                                   window(T))
+                                   window)
 
     residuals = weak_residuals(traj, tests())
     w1, w2 = residuals[::2], residuals[1::2]

@@ -11,6 +11,9 @@ magnitude decays like ``eps^(3 alpha - 1)``.  A transport variant
 whether it sweeps a ``(u, v)`` pair, and the power ``p`` of its rate
 ``eps^(p alpha - 1)``, which decays exactly when ``alpha > 1/p``, the
 route's hypothesis threshold.
+``scaling_experiment`` fits a sweep's log-log slope and passes it when the
+slope comes within the constant ``SLOPE_TOLERANCE`` (0.15) of the theory
+slope ``p alpha - 1``.
 
 Quadratic products are evaluated pointwise and 2/3-dealiased before any
 derivative is taken, matching the solver convention, so every term is the
@@ -62,12 +65,12 @@ __all__ = [
     "cet_trilinear",
     "transport_commutator",
     "scaling_experiment",
-    "DEFAULT_SLOPE_TOLERANCE",
+    "SLOPE_TOLERANCE",
 ]
 
 # Finite grids and finite eps ranges bias log-log fits; calibrated headroom
 # for the pass verdict.
-DEFAULT_SLOPE_TOLERANCE = 0.15
+SLOPE_TOLERANCE = 0.15
 
 # Magnitudes below this are quadrature noise; sweeps that never rise above it
 # are reported as vacuous passes.
@@ -275,7 +278,6 @@ def scaling_experiment(
     p_int: float = 3.0,
     *,
     alpha: Optional[float] = None,
-    slope_tolerance: float = DEFAULT_SLOPE_TOLERANCE,
 ) -> ScalingReport:
     """Evaluate a commutator quantity over a dyadic epsilon sweep and fit its
     log-log decay rate.
@@ -323,7 +325,7 @@ def scaling_experiment(
         loge = np.log(epsilons)
         logm = np.log(np.maximum(magnitudes, 1e-300))
         fitted_slope = float(np.polyfit(loge, logm, 1)[0])
-        passed = fitted_slope >= theory_slope - slope_tolerance
+        passed = fitted_slope >= theory_slope - SLOPE_TOLERANCE
     return ScalingReport(
         quantity=quantity,
         alpha=float(alpha),
@@ -336,5 +338,5 @@ def scaling_experiment(
         vacuous=vacuous,
         intercepts=intercepts,
         seminorms=seminorms,
-        slope_tolerance=float(slope_tolerance),
+        slope_tolerance=SLOPE_TOLERANCE,
     )

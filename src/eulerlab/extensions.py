@@ -425,14 +425,13 @@ def _extended_experiment(
     epsilons: Sequence[float],
     *,
     contraction_tolerance: float,
-    certify_tolerance: Optional[float],
 ) -> UniquenessReport:
     """Check the sweep, solve the pair from the ``initial`` fields with
     ``solve_leg``, audit the contraction of the transported scalar
     ``scalar_name``, and certify the pair against the convective budget at
     the sweep's smallest epsilon, with the Besov hypothesis over every
     quantity the uniqueness statement lists."""
-    _check_sweep("convective", epsilons, cfg_a, cfg_b, alpha, p_int, certify_tolerance)
+    _check_sweep("convective", epsilons, cfg_a, cfg_b, alpha, p_int)
     traj_a, traj_b = run_pair(initial, cfg_a, cfg_b, solve_leg)
     # the contraction audit mollifies on the comparison grid, whose resolved
     # scale may be coarser than the velocity sweep's smallest epsilon
@@ -442,12 +441,8 @@ def _extended_experiment(
         working_epsilon=max(work_eps, resolved_epsilon(traj_a.grid)),
         field=scalar_name,
     )
-    return _certify_pair(
-        traj_a, traj_b, alpha, p_int, epsilons, energy=energy_of,
-        budget_route="convective", working_epsilon=None,
-        certify_tolerance=certify_tolerance,
-        scalar=scalar_name, audit=contraction,
-    )
+    return _certify_pair(traj_a, traj_b, alpha, p_int, epsilons, energy=energy_of,
+                         budget_route="convective", scalar=scalar_name, audit=contraction)
 
 
 def inhom_uniqueness_experiment(
@@ -460,14 +455,12 @@ def inhom_uniqueness_experiment(
     epsilons: Sequence[float],
     *,
     contraction_tolerance: float = 1e-5,
-    certify_tolerance: Optional[float] = None,
 ) -> UniquenessReport:
     """A/B certification for the inhomogeneous system: weighted relative
     energy with C(t) from the finer run, plus the density contraction audit."""
     return _extended_experiment(
         (rho0, u0), cfg_a, cfg_b, inhom_solve, "density", _weighted_energy, alpha, p_int,
         epsilons, contraction_tolerance=contraction_tolerance,
-        certify_tolerance=certify_tolerance,
     )
 
 
@@ -482,7 +475,6 @@ def boussinesq_uniqueness_experiment(
     epsilons: Sequence[float],
     *,
     contraction_tolerance: float = 1e-5,
-    certify_tolerance: Optional[float] = None,
 ) -> UniquenessReport:
     """A/B certification for the Boussinesq system: homogeneous-style
     relative-energy certificate plus the theta contraction audit, with C(t)
@@ -490,5 +482,4 @@ def boussinesq_uniqueness_experiment(
     return _extended_experiment(
         (theta0, u0), cfg_a, cfg_b, functools.partial(boussinesq_solve, g=g), "theta",
         _plain_energy, alpha, p_int, epsilons, contraction_tolerance=contraction_tolerance,
-        certify_tolerance=certify_tolerance,
     )

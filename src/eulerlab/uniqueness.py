@@ -9,8 +9,10 @@ closure: for every ordered pair of recorded times,
 where ``E`` is the integrated relative energy between two runs, ``C(t)`` is
 the smallest constant with ``zeta . grad(v_eps) . zeta >= -C |zeta|^2``
 pointwise (the largest eigenvalue of the negated symmetric mollified
-gradient, estimated from the designated regular solution only), and the
-budget is the commutator bound at the working mollifier scale.
+gradient, estimated from the designated regular solution only), the budget
+is the commutator bound at the working mollifier scale, always the sweep's
+smallest epsilon, and the tolerance is ten times the pair's larger energy
+drift, so discretization error cannot masquerade as non-uniqueness.
 
 One pipeline certifies all three systems: ``_certify_pair`` takes a solved
 A/B pair, computes the per-snapshot series in one pass that reads each
@@ -23,7 +25,7 @@ energy, the transported scalar's name and a scalar-contraction audit (a
 ``solver.PairAudit``) as data.
 All three first pass ``_check_sweep``, which checks the sweep against
 ``commutator._sweep_problems`` on the finer leg's grid and checks ``alpha``
-and the certify tolerance, before solving anything.
+and ``p``, before solving anything.
 
 The budget routes live in ``commutator.ROUTES``: a route whose budget decays
 like ``eps^(p alpha - 1)`` needs ``alpha > 1/p``.
@@ -383,25 +385,18 @@ def _pair_series(traj_a, traj_b, energy, alpha: float, p_int: float, route: Rout
 
 
 def _check_sweep(budget_route: str, epsilons: Sequence[float], cfg_a: RunConfig,
-                 cfg_b: RunConfig, alpha: float, p_int: float,
-                 certify_tolerance: Optional[float],
-                 working_epsilon: Optional[float] = None) -> None:
+                 cfg_b: RunConfig, alpha: float, p_int: float) -> None:
     """Reject an exponent ``alpha`` outside (0, 1) or an integrability
-    ``p_int`` below 1, a nonpositive certify tolerance, an unknown budget
-    route, the first of the route's ``commutator._sweep_problems`` on the
-    finer leg's grid (where the sweep runs), or a nonpositive working
-    epsilon, so a bad configuration fails before solving."""
+    ``p_int`` below 1, an unknown budget route, or the first of the route's
+    ``commutator._sweep_problems`` on the finer leg's grid (where the sweep
+    runs), so a bad configuration fails before solving."""
     _check_exponents(alpha, p_int)
-    if certify_tolerance is not None and not certify_tolerance > 0.0:
-        raise ConfigurationError(f"certify_tolerance {certify_tolerance} is not positive")
     if budget_route not in ROUTES:
         raise ConfigurationError(f"budget_route must be one of {tuple(ROUTES)}")
     grid_b = make_grid(2, max(cfg_a.grid_n, cfg_b.grid_n))
     problems = _sweep_problems(ROUTES[budget_route], epsilons, grid_b, p_int)
     if problems:
         raise ConfigurationError(problems[0])
-    if working_epsilon is not None and not working_epsilon > 0.0:
-        raise ConfigurationError(f"working_epsilon {working_epsilon} is not positive")
 
 
 def _fitted_or_regular(grid: PeriodicGrid, estimate: BesovEstimate) -> float:
@@ -423,8 +418,6 @@ def _certify_pair(
     *,
     energy,
     budget_route: str,
-    working_epsilon: Optional[float],
-    certify_tolerance: Optional[float],
     scalar: Optional[str] = None,
     audit: Optional[PairAudit] = None,
 ) -> UniquenessReport:
@@ -469,14 +462,10 @@ def _certify_pair(
     magnitudes = _sweep_magnitudes(*fields, route.quantity, epsilons, p_int)
     c_fit = max(_sweep_intercepts(magnitudes, epsilons, rate, bound_factor)[0])
     budgets = [c_fit * e**rate * weight for e in epsilons]
-    work_eps = float(working_epsilon) if working_epsilon is not None else min(epsilons)
+    work_eps = epsilons[-1]  # the smallest, as the sweep runs largest first
     budget = c_fit * work_eps**rate * weight
-
-    # by default ten times the pair's larger energy drift, so discretization
-    # error cannot masquerade as non-uniqueness
-    if certify_tolerance is None:
-        certify_tolerance = 10.0 * max(traj_a.energy_drift(), traj_b.energy_drift(), 1e-16)
-    certificate = gronwall_certify(e_series, c_series, budget, float(certify_tolerance))
+    tolerance = 10.0 * max(traj_a.energy_drift(), traj_b.energy_drift(), 1e-16)
+    certificate = gronwall_certify(e_series, c_series, budget, tolerance)
     if not met:
         verdict = "hypothesis-not-met"
     elif certificate.passed and (audit is None or audit.passed):
@@ -514,8 +503,6 @@ def uniqueness_experiment(
     epsilons: Sequence[float],
     *,
     budget_route: str = "convective",
-    working_epsilon: Optional[float] = None,
-    certify_tolerance: Optional[float] = None,
 ) -> UniquenessReport:
     """Run the A/B pair and certify the relative-energy Gronwall inequality.
 
@@ -525,14 +512,8 @@ def uniqueness_experiment(
     the bound in ``commutator.ROUTES``: ``"convective"`` (rate
     ``2 alpha - 1``, hypothesis alpha > 1/2) or ``"trilinear"`` (rate
     ``3 alpha - 1``, hypothesis alpha > 1/3).
-    The default tolerance is ten times the pair's measured energy drift, so
-    discretization error cannot masquerade as non-uniqueness.
     """
-    _check_sweep(budget_route, epsilons, cfg_a, cfg_b, alpha, p_int, certify_tolerance,
-                 working_epsilon)
+    _check_sweep(budget_route, epsilons, cfg_a, cfg_b, alpha, p_int)
     traj_a, traj_b = run_pair((u0,), cfg_a, cfg_b, solve)
-    return _certify_pair(
-        traj_a, traj_b, alpha, p_int, epsilons, energy=_plain_energy,
-        budget_route=budget_route, working_epsilon=working_epsilon,
-        certify_tolerance=certify_tolerance,
-    )
+    return _certify_pair(traj_a, traj_b, alpha, p_int, epsilons, energy=_plain_energy,
+                         budget_route=budget_route)

@@ -1,3 +1,4 @@
+import configparser
 import json
 import re
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 from eulerlab.besov import besov_seminorm
 from eulerlab.cli import _KEYS, EXPERIMENTS, main, parse_config, run, validate
 from eulerlab.errors import ConfigurationError
-from eulerlab.grid_fields import make_grid
+from eulerlab.grid_fields import make_grid, resample
 from eulerlab.synth import SynthSpec, field_from_spec
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -119,15 +120,21 @@ CERTIFY_EXTRA = {
 
 
 WEAK = MINIMAL_ENERGY.replace("energy_conservation", "weak_residual") + "\n[weak]\n"
+COMMUTATOR = (BESOV.replace("besov_fit", "commutator_scaling")
+              + "epsilons = 0.25 0.125 0.0625 0.03125\n")
 # each tolerance key -> a config whose last section is the key's
 TOLERANCE_CONFIGS = {
     "drift_tolerance": MINIMAL_ENERGY,
     "admissibility_tolerance": MINIMAL_ENERGY,
     "w1_tolerance": WEAK,
     "w2_tolerance": WEAK,
-    "slope_tolerance": BESOV.replace("besov_fit", "commutator_scaling")
-    + "epsilons = 0.25 0.125 0.0625 0.03125\n",
     "contraction_tolerance": UNIQUENESS.replace("= uniqueness", "= inhom_uniqueness"),
+}
+# keys that no demo config sets, each kept for a reason
+UNSET_KEYS = {
+    ("grid", "dims"): "the field audits' dimension N, which the 2D solvers do not read",
+    ("output", "dir"): "a deployment path, not a property of the experiment",
+    ("output", "save_snapshots"): "the benchmark's ledgers_buoyancy workload sets it",
 }
 
 
@@ -184,6 +191,19 @@ class TestParseAndValidate:
                 readers.setdefault(section_key, set()).add(kind)
         assert readme_key_table() == readers
 
+    def test_every_key_is_set_by_a_demo_config(self):
+        """Every key some kind reads is set by at least one demo config, or
+        is one of the few ``UNSET_KEYS`` kept for a reason: a setting that no
+        caller changes is a constant, not a key."""
+        keys = {section_key for table in _KEYS.values() for section_key in table}
+        demo_set = set()
+        for path in DEMO_CONFIGS:
+            parsed = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+            parsed.optionxform = str  # keep key case, as the runner does
+            parsed.read_string(path.read_text())
+            demo_set |= {(s, key) for s in parsed.sections() for key in parsed[s]}
+        assert sorted(keys - demo_set) == sorted(UNSET_KEYS)
+
     def test_validate_good_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL_ENERGY)
         assert validate(cfg) == 0
@@ -211,6 +231,24 @@ class TestParseAndValidate:
         assert u.max_speed() > 3.5
         assert float(printed["initial_max_speed"]) == u.max_speed()
         assert float(printed["cfl_dt_bound"]) == 0.5 * grid.spacing / u.max_speed()
+
+    def test_validate_synthesizes_on_the_finer_leg(self, tmp_path, capsys):
+        """A certify kind synthesizes its initial data on the finer leg, so
+        ``validate`` accepts an octave that only B's grid resolves, as ``run``
+        does, and prints the speed of the field the A leg starts from."""
+        text = certify_config("uniqueness").replace(
+            "kind = taylor_green", "kind = lacunary\nalpha = 0.6\nj_max = 5"
+        ) + "\n[solver_b]\nn = 128\n"
+        assert validate(write_config(tmp_path, text)) == 0
+        printed = dict(
+            line.strip().split(" = ") for line in capsys.readouterr().out.splitlines()
+            if " = " in line
+        )
+        u0 = field_from_spec(SynthSpec("lacunary", alpha=0.6, j_max=5, seed=5), make_grid(2, 128))
+        grid = make_grid(2, 64)
+        speed = resample(u0, grid).max_speed()
+        assert float(printed["initial_max_speed"]) == speed
+        assert float(printed["cfl_dt_bound"]) == 0.5 * grid.spacing / speed
 
     def test_validate_every_demo_config(self, capsys):
         assert len(DEMO_CONFIGS) == 10
@@ -283,6 +321,42 @@ class TestRun:
         assert validate(cfg) == 1
         assert run(cfg, output_dir=tmp_path / "out") == 1
         assert f"unknown key 'cfl' in [{section}]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, section, key", [
+        pytest.param(certify_config("uniqueness", "working_epsilon = 0.0625\n"), "sweep",
+                     "working_epsilon", id="working_epsilon"),
+        *(pytest.param(certify_config(kind, "certify_tolerance = 1e-6\n"), "sweep",
+                       "certify_tolerance", id=f"certify_tolerance-{kind}")
+          for kind in sorted(CERTIFY_EXTRA)),
+        pytest.param(COMMUTATOR + "slope_tolerance = 0.15\n", "sweep", "slope_tolerance",
+                     id="slope_tolerance"),
+        pytest.param(WEAK + "window = linear\n", "weak", "window", id="window"),
+        pytest.param(BESOV.replace("[synth]\n", "[synth]\nseed = 3\n"), "synth", "seed",
+                     id="synth-seed"),
+    ])
+    def test_fixed_setting_is_not_a_key(self, tmp_path, capsys, text, section, key):
+        """The budget's scale (the smallest epsilon), the certify tolerance
+        (ten times the drift), the slope headroom (``SLOPE_TOLERANCE``), the
+        weak-form window (cosine) and the synthesis seed (the experiment's)
+        are fixed: a config that sets one exits 1 before anything runs."""
+        cfg = write_config(tmp_path, text)
+        assert validate(cfg) == 1
+        assert run(cfg, output_dir=tmp_path / "out") == 1
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert err.count(f"unknown key '{key}' in [{section}]") == 2
+
+    def test_negative_seed_override_rejected(self, tmp_path, capsys):
+        """A seed must be a nonnegative integer, from the config or from
+        ``--seed-override``: a negative one exits 1, naming the seed, and
+        leaves no output directory."""
+        cfg = write_config(tmp_path, BESOV)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--seed-override", "-5", "--output-dir", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "bad value for --seed-override: -5 (allowed: a nonnegative integer)" in err
+        assert run(cfg, output_dir=out, seed_override=0) == 0
 
     def test_grid_7_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL_ENERGY.replace("n = 128", "n = 7"))
@@ -384,8 +458,6 @@ class TestRun:
         assert "does not apply to kind" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, allowed", [
-        pytest.param(MINIMAL_ENERGY.replace("energy_conservation", "weak_residual")
-                     + "\n[weak]\nwindow = bogus\n", "cosine, linear", id="window"),
         pytest.param(certify_config("boussinesq_uniqueness").replace(
             "theta_amplitude = 0.2", "theta_amplitude = 0.2\ntheta_axis = 5"), "0, 1",
             id="theta_axis"),
@@ -400,16 +472,16 @@ class TestRun:
                      id="infinite-T"),
         pytest.param(MINIMAL_ENERGY + "drift_tolerance = inf\n", "a nonnegative number",
                      id="infinite-drift-tolerance"),
-        pytest.param(certify_config("uniqueness", "certify_tolerance = inf\n"),
-                     "a positive number", id="infinite-certify-tolerance"),
-        pytest.param(certify_config("uniqueness", "working_epsilon = -0.1\n"),
-                     "a positive number", id="negative-working-epsilon"),
-        *(pytest.param(certify_config(kind, "certify_tolerance = 0\n"), "a positive number",
-                       id=f"zero-certify-tolerance-on-{kind}") for kind in sorted(CERTIFY_EXTRA)),
         pytest.param(UNIQUENESS.replace("alpha = 0.6", "alpha = 1.5"), "a number in (0, 1)",
                      id="certify-alpha-above-one"),
         pytest.param(BESOV.replace("alpha = 0.5\np", "alpha = 0\np"), "a number in (0, 1)",
                      id="besov-alpha-zero"),
+        # besov_fit takes its [sweep] alpha from [synth] alpha
+        *(pytest.param(BESOV.replace("alpha = 0.5\np", "p").replace(
+            "kind = lacunary\nalpha = 0.5\nj_max = 6", f"kind = taylor_green\nalpha = {alpha}"),
+            "a number in (0, 1)", id=f"synth-alpha-{alpha}") for alpha in ("1.5", "0")),
+        pytest.param(BESOV.replace("seed = 3", "seed = -1"), "a nonnegative integer",
+                     id="negative-seed"),
         pytest.param(UNIQUENESS.replace("p = 3.0", "p = 0.5"), "a number >= 1",
                      id="certify-p-below-one"),
         pytest.param(WEAK + "count = 0\n", "a positive integer", id="zero-weak-count"),
@@ -460,7 +532,7 @@ class TestRun:
         """The convective route measures its commutator in L^(p/2): a p in
         [1, 2) fails validate and run, naming ``[sweep] p``, before anything
         is solved or written.  The pairing and the trilinear route take it."""
-        scaling = TOLERANCE_CONFIGS["slope_tolerance"]
+        scaling = COMMUTATOR
         convective = [scaling] + [certify_config(kind) for kind in sorted(CERTIFY_EXTRA)]
         for text in convective:
             cfg = write_config(tmp_path, text.replace("p = 3.0", "p = 1.5"))
@@ -528,7 +600,7 @@ class TestRun:
     def test_unordered_scaling_sweep_accepted(self, tmp_path):
         """Scaling sweeps run from the largest scale whatever the order they
         are given in, as the certifications' sweeps do."""
-        text = TOLERANCE_CONFIGS["slope_tolerance"].replace(
+        text = COMMUTATOR.replace(
             "0.25 0.125 0.0625 0.03125", "0.0625 0.25 0.03125 0.125")
         assert validate(write_config(tmp_path, text)) == 0
 

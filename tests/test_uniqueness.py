@@ -428,7 +428,7 @@ class TestUniquenessExperiment:
 
     def test_sweep_checked_on_the_finer_leg(self, monkeypatch):
         """Epsilons are checked against the finer (B) leg's grid, where the
-        sweep runs; a nonpositive working epsilon also fails before solving."""
+        sweep runs."""
         class Solved(Exception):
             pass
 
@@ -444,18 +444,13 @@ class TestUniquenessExperiment:
             uniqueness_experiment(u0, *legs, epsilons=[0.5, 0.25, 0.125, 0.04], **kwargs)
         with pytest.raises(ConfigurationError, match=r"floor .* \(needs n >= 256\)"):
             uniqueness_experiment(u0, *legs, epsilons=[0.5, 0.25, 0.125, 0.02], **kwargs)
-        for work_eps in (0.0, -0.1):
-            with pytest.raises(ConfigurationError, match="working_epsilon"):
-                uniqueness_experiment(u0, *legs, epsilons=self.EPS, working_epsilon=work_eps,
-                                      **kwargs)
 
     @pytest.mark.parametrize("bad", [
         dict(alpha=0.0), dict(alpha=1.5), dict(p_int=0.5),
-        dict(certify_tolerance=0.0), dict(certify_tolerance=-1e-9),
-    ], ids=["alpha-0", "alpha-1.5", "p-0.5", "tolerance-0", "tolerance-negative"])
+    ], ids=["alpha-0", "alpha-1.5", "p-0.5"])
     def test_bad_arguments_rejected_before_solving(self, monkeypatch, bad):
-        """All three certify experiments reject a bad exponent, integrability
-        or tolerance without solving a leg."""
+        """All three certify experiments reject a bad exponent or
+        integrability without solving a leg."""
         import eulerlab.extensions
         from eulerlab.extensions import (
             boussinesq_uniqueness_experiment,
@@ -520,7 +515,7 @@ class TestUniquenessExperiment:
             with pytest.raises(ConfigurationError, match="p 1.5 is below 2"):
                 run()
         assert len(calls) == 0
-        _check_sweep("trilinear", self.EPS, cfg, cfg, 0.6, 1.5, None)
+        _check_sweep("trilinear", self.EPS, cfg, cfg, 0.6, 1.5)
 
     def test_degenerate_b_snapshot_rejected(self):
         grid = make_grid(2, 64)
@@ -588,6 +583,6 @@ class TestOnePass:
                                   solve)
         reads = count_state_reads(monkeypatch)
         _certify_pair(traj_a, traj_b, 0.6, 3.0, self.EPS, energy=_plain_energy,
-                      budget_route=route, working_epsilon=None, certify_tolerance=None)
+                      budget_route=route)
         assert len(reads) == 2 * len(traj_a.times) + 1
         assert max(alive for _, _, alive in reads) <= 3
