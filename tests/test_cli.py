@@ -328,8 +328,10 @@ class TestRun:
         *(pytest.param(certify_config(kind, "certify_tolerance = 1e-6\n"), "sweep",
                        "certify_tolerance", id=f"certify_tolerance-{kind}")
           for kind in sorted(CERTIFY_EXTRA)),
-        pytest.param(COMMUTATOR + "slope_tolerance = 0.15\n", "sweep", "slope_tolerance",
-                     id="slope_tolerance"),
+        pytest.param(certify_config("uniqueness", "certify_tolerance = inf\n"), "sweep",
+                     "certify_tolerance", id="certify_tolerance-inf"),
+        *(pytest.param(COMMUTATOR + f"slope_tolerance = {value}\n", "sweep", "slope_tolerance",
+                       id=f"slope_tolerance-{value}") for value in ("0.15", "nan", "-1")),
         pytest.param(WEAK + "window = linear\n", "weak", "window", id="window"),
         pytest.param(BESOV.replace("[synth]\n", "[synth]\nseed = 3\n"), "synth", "seed",
                      id="synth-seed"),
