@@ -265,7 +265,9 @@ def _build_synth_spec(cfg: ExperimentConfig) -> SynthSpec:
     })
 
 
-def _derived_quantities(cfg: ExperimentConfig) -> dict:
+def _derived_quantities(cfg: ExperimentConfig, u0) -> dict:
+    """The quantities ``validate`` prints; ``u0`` is the initial field on
+    :func:`_fine_grid`."""
     out = {}
     grid = _build_grid(cfg)
     out["spacing"] = grid.spacing
@@ -273,13 +275,33 @@ def _derived_quantities(cfg: ExperimentConfig) -> dict:
     out["epsilon_min"] = min_epsilon(grid)
     out["epsilon_resolved"] = resolved_epsilon(grid)
     out["epsilon_max"] = MAX_EPSILON
-    # The CFL bound comes from the initial field the configured leg starts
-    # from: lacunary data peak well above their amplitude.
-    u0 = field_from_spec(_build_synth_spec(cfg), _fine_grid(cfg))
-    speed = resample(u0, grid).max_speed()
-    out["initial_max_speed"] = speed
-    out["cfl_dt_bound"] = cfl_dt_bound(grid, speed, CFL)
+    out["initial_max_speed"], out["cfl_dt_bound"] = _initial_cfl(u0, grid)
     return out
+
+
+def _initial_cfl(u0, grid: PeriodicGrid) -> tuple[float, float]:
+    """The largest speed of ``u0`` restricted to ``grid``, the field a leg
+    on ``grid`` starts from, and the CFL bound on ``dt`` there: lacunary
+    data peak well above their amplitude."""
+    speed = resample(u0, grid).max_speed()
+    return speed, cfl_dt_bound(grid, speed, CFL)
+
+
+def _cfl_problems(cfg: ExperimentConfig, u0) -> list:
+    """One diagnostic per solver leg whose ``dt`` exceeds the CFL bound at
+    the speed of the initial field on the leg's grid, the check a run makes
+    before its first step.  ``u0`` is the initial field on :func:`_fine_grid`."""
+    diags = []
+    for section, n_key in (("solver", ("grid", "n")), ("solver_b", ("solver_b", "n"))):
+        if (section, "dt") not in cfg.values:
+            continue
+        grid = make_grid(2, cfg[n_key])
+        speed, bound = _initial_cfl(u0, grid)
+        dt = cfg[section, "dt"]
+        if dt > bound:
+            diags.append(f"[{section}] dt={dt} exceeds the CFL bound {bound} at the initial "
+                         f"speed {speed} on n={grid.n_per_axis}")
+    return diags
 
 
 # the scaling kinds' budget routes
@@ -509,9 +531,16 @@ def run(config_path, output_dir=None, jobs: int = 1, seed_override=None) -> int:
                 print(f"error: {d}", file=sys.stderr)
             return EXIT_ERROR
         outdir = _resolve_outdir(cfg, config_path, output_dir)
+        created = not outdir.exists()
         outdir.mkdir(parents=True, exist_ok=True)
         started = time.time()
-        code, line, report, tables = _BODIES[cfg.kind](cfg, outdir)
+        try:
+            code, line, report, tables = _BODIES[cfg.kind](cfg, outdir)
+        except BaseException:
+            # a failed run leaves no empty directory of its own behind
+            if created and not any(outdir.iterdir()):
+                outdir.rmdir()
+            raise
         for name, (header, rows) in tables.items():
             dump_csv(outdir / f"{name}.csv", header, rows)
         report["experiment"] = cfg.kind
@@ -540,7 +569,9 @@ def validate(config_path) -> int:
     try:
         cfg = parse_config(config_path)
         diags = _range_checks(cfg)
-        derived = _derived_quantities(cfg)
+        u0 = field_from_spec(_build_synth_spec(cfg), _fine_grid(cfg))
+        derived = _derived_quantities(cfg, u0)
+        diags += _cfl_problems(cfg, u0)
     except EulerLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

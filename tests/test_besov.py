@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from eulerlab import besov
 from eulerlab.besov import (
     _check_usable,
-    _circular_diff,
+    _diff_rows,
+    _probe,
     _shift_diff_norm,
     _shifts,
     besov_seminorm,
@@ -11,7 +15,7 @@ from eulerlab.besov import (
     translation_difference_norm,
 )
 from eulerlab.errors import ConfigurationError
-from eulerlab.grid_fields import ScalarField, lp_norm, make_grid
+from eulerlab.grid_fields import ScalarField, VelocityField, lp_norm, make_grid
 from eulerlab.mollify import make_kernel, mollify
 from eulerlab.synth import SynthSpec, lacunary_field, random_divfree
 
@@ -155,26 +159,21 @@ class TestShiftPolicy:
         assert len(shifts) == 4 * len(counts)
 
 
-class TestShiftDiffKernel:
-    """The probe kernel against its former body: Euclidean magnitude by a
-    square root, then raised to ``p``."""
+def roll_norm(h, steps, p_int):
+    """``||h(. + steps * spacing) - h||_p`` the plain way: ``np.roll`` copies,
+    the Euclidean magnitude by a square root, then raised to ``p``."""
+    grid = h.grid
+    axes = tuple(range(grid.dims))
+    neg = tuple(-s for s in steps)
+    sq = np.zeros(grid.shape)
+    for c in h.components:
+        d = np.roll(c.values, neg, axis=axes) - c.values
+        sq += d * d
+    return float((np.sum(np.sqrt(sq) ** p_int) * grid.cell_volume) ** (1.0 / p_int))
 
-    @staticmethod
-    def old_kernel(h, steps, p_int, root=True):
-        """``root=False`` raises a vector field's ``|d|^2`` to ``p/2`` with
-        ``**``, as the kernel does in place."""
-        grid = h.grid
-        axes = tuple(range(grid.dims))
-        neg = tuple(-s for s in steps)
-        if isinstance(h, ScalarField):
-            powered = np.abs(np.roll(h.values, neg, axis=axes) - h.values) ** p_int
-        else:
-            sq = np.zeros(grid.shape)
-            for c in h.components:
-                d = np.roll(c.values, neg, axis=axes) - c.values
-                sq += d * d
-            powered = np.sqrt(sq) ** p_int if root else sq ** (0.5 * p_int)
-        return float((np.sum(powered) * grid.cell_volume) ** (1.0 / p_int))
+
+class TestShiftDiffKernel:
+    """The tiled probe kernel against the ``np.roll`` route."""
 
     STEPS = ((1, 0), (0, 3), (4, 4), (16, -16), (32, 0))
 
@@ -185,25 +184,29 @@ class TestShiftDiffKernel:
             lacunary_field(SynthSpec("lacunary", alpha=0.6, j_max=5, seed=4), grid),
             random_divfree(grid, 2.0, seed=9),
         )
-        work = np.empty((2,) + grid.shape)  # shared across shifts, as a probe does
         for u in fields:
             for steps in self.STEPS:
-                expect = self.old_kernel(u, steps, p_int)
+                expect = roll_norm(u, steps, p_int)
                 got = _shift_diff_norm(u, steps, p_int)
                 assert abs(got - expect) <= 1e-14 * expect
-                assert got == self.old_kernel(u, steps, p_int, root=False)
-                assert _shift_diff_norm(u, steps, p_int, work) == got
 
     @pytest.mark.parametrize("p_int", [1.0, 2.0, 3.0, 4.0, 4.5])
     def test_scalar_path_bitwise(self, p_int):
+        """One kernel for both kinds: a scalar field's norm is bitwise that
+        of the vector field with it as the only nonzero component."""
         grid = make_grid(2, 64)
         h = random_band_limited_scalar(grid, 12, seed=5)
+        padded = VelocityField([h, ScalarField(grid, np.zeros(grid.shape))])
         for steps in self.STEPS:
-            assert _shift_diff_norm(h, steps, p_int) == self.old_kernel(h, steps, p_int)
+            got = _shift_diff_norm(h, steps, p_int)
+            assert got == _shift_diff_norm(padded, steps, p_int)
+            expect = roll_norm(h, steps, p_int)
+            assert abs(got - expect) <= 1e-13 * expect
 
 
 class TestCircularDiff:
-    """The sliced circular difference is bitwise the ``np.roll`` one."""
+    """The tiled circular difference is bitwise the ``np.roll`` one, for
+    every tile height, including tiles whose source rows wrap."""
 
     @pytest.mark.parametrize("dims,n,steps", [
         (2, 16, (0, 0)), (2, 16, (3, 0)), (2, 16, (0, -5)), (2, 16, (-7, 9)),
@@ -212,8 +215,57 @@ class TestCircularDiff:
     ])
     def test_matches_roll(self, dims, n, steps):
         values = rng(dims * 100 + n).standard_normal((n,) * dims)
-        out = np.full(values.shape, np.nan)
-        _circular_diff(values, steps, out)
         axes = tuple(range(dims))
         expect = np.roll(values, tuple(-s for s in steps), axis=axes) - values
-        assert np.array_equal(out, expect)
+        ks = tuple(s % n for s in steps)
+        for rows in (1, 3, n):
+            out = np.full(values.shape, np.nan)
+            for r0 in range(0, n, rows):
+                r1 = min(r0 + rows, n)
+                _diff_rows(values, ks, r0, r1, out[r0:r1].reshape(-1))
+            assert np.array_equal(out, expect)
+
+
+class TestProbeAgainstRoll:
+    """Every probed shift, through the probe and through
+    ``translation_difference_norm``, against :func:`roll_norm`."""
+
+    @pytest.mark.parametrize("dims,n,tile_rows", [
+        (2, 32, 5), (2, 128, None), (3, 16, 3), (3, 16, None),
+    ])
+    @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+    @pytest.mark.parametrize("p_int", [1.0, 2.0, 2.5, 3.0])
+    def test_every_probed_shift(self, dims, n, tile_rows, vector, p_int, monkeypatch):
+        if tile_rows is not None:  # several tiles, a short last one
+            monkeypatch.setattr(besov, "TILE_ROWS", tile_rows)
+        grid = make_grid(dims, n)
+        comps = [ScalarField(grid, rng(10 * dims + a).standard_normal(grid.shape))
+                 for a in range(dims)]
+        h = VelocityField(comps) if vector else comps[0]
+        rows = _probe(h, p_int)
+        expect = []
+        for m, d in _shifts(grid):
+            steps = tuple(m * c for c in d)
+            want = roll_norm(h, steps, p_int)
+            got = translation_difference_norm(h, tuple(s * grid.spacing for s in steps), p_int)
+            assert abs(got - want) <= 1e-13 * want
+            expect.append((grid.spacing * m * float(np.linalg.norm(d)), want))
+        expect.sort(key=lambda r: r[0])
+        assert [r[0] for r in rows] == [r[0] for r in expect]
+        for (_, got), (_, want) in zip(rows, expect):
+            assert abs(got - want) <= 1e-13 * want
+
+
+def test_probe_scratch_is_tile_sized():
+    """At 256^2 the probe's scratch stays below one field's samples
+    (512 KiB); a full-size work buffer is two of them."""
+    grid = make_grid(2, 256)
+    u = lacunary_field(SynthSpec("lacunary", alpha=0.5, j_max=6, seed=3), grid)
+    besov_seminorm(u, 0.5, 3.0)  # first-call set-up is not the probe's scratch
+    tracemalloc.start()
+    try:
+        besov_seminorm(u, 0.5, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= grid.shape[0] * grid.shape[1] * 8

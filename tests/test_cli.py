@@ -130,6 +130,10 @@ TOLERANCE_CONFIGS = {
     "w2_tolerance": WEAK,
     "contraction_tolerance": UNIQUENESS.replace("= uniqueness", "= inhom_uniqueness"),
 }
+# Taylor-Green (speed 1) on 32^2 at dt = 0.05, above the CFL bound 0.5 h / 1 = 0.03125
+ENERGY_CFL_BREACH = MINIMAL_ENERGY.replace("n = 128", "n = 32").replace(
+    "dt = 1e-3\nT = 0.05\nsnapshot_stride = 10", "dt = 0.05\nT = 0.05")
+
 # keys that no demo config sets, each kept for a reason
 UNSET_KEYS = {
     ("grid", "dims"): "the field audits' dimension N, which the 2D solvers do not read",
@@ -255,6 +259,26 @@ class TestParseAndValidate:
         for path in DEMO_CONFIGS:
             assert validate(path) == 0, path.name
 
+    @pytest.mark.parametrize("text, section, bound", [
+        pytest.param(ENERGY_CFL_BREACH, "solver", 0.03125, id="solver"),
+        # A: dt 2e-3 on 64^2 (bound 0.015625); B: dt 0.01 on 128^2 (bound 0.0078125)
+        pytest.param(UNIQUENESS.replace("snapshot_stride = 2", "snapshot_stride = 5")
+                     + "\n[solver_b]\nn = 128\ndt = 0.01\n", "solver_b", 0.0078125,
+                     id="solver_b"),
+    ])
+    def test_validate_rejects_a_cfl_breach(self, tmp_path, capsys, text, section, bound):
+        """Each leg's ``dt`` is checked against the CFL bound at the initial
+        speed on its own grid, as the run checks it before step 1."""
+        cfg = write_config(tmp_path, text)
+        assert validate(cfg) == 1
+        diags = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("diagnostic:")]
+        assert len(diags) == 1
+        assert diags[0].startswith(f"diagnostic: [{section}] dt=")
+        assert f"CFL bound {bound} " in diags[0]
+        assert run(cfg, output_dir=tmp_path / "out") == 1
+        assert "violates the CFL bound" in capsys.readouterr().err
+
     def test_validate_power_of_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL_ENERGY.replace("n = 128", "n = 7"))
         assert validate(cfg) == 1
@@ -309,6 +333,24 @@ class TestRun:
         text = text.replace("dt = 1e-3\nT = 0.05\nsnapshot_stride = 10", "dt = 0.05\nT = 0.05")
         assert run(write_config(tmp_path, text), output_dir=tmp_path / "o") == 1
         assert "step 1 from t=0.0: dt=0.05 violates the CFL bound" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param(ENERGY_CFL_BREACH, "step 1 from t=0.0: dt=0.05 violates", id="cfl"),
+        pytest.param(MINIMAL_ENERGY.replace("n = 128", "n = 32").replace(
+            "kind = taylor_green", "kind = lacunary\nalpha = 0.6\nj_max = 5"),
+            "finest octave j_max=5 exceeds the dealiased band", id="octave"),
+    ])
+    def test_failed_run_leaves_no_directory(self, tmp_path, capsys, text, message):
+        """A run that fails in its body removes the output directory it
+        created; a directory that was there before stays."""
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert run(cfg, output_dir=out) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        out.mkdir()
+        assert run(cfg, output_dir=out) == 1
+        assert out.is_dir()
 
     @pytest.mark.parametrize("text, section", [
         pytest.param(MINIMAL_ENERGY + "cfl = 0.5\n", "solver", id="solver"),
