@@ -60,10 +60,12 @@ def _fit_bounds(grid: PeriodicGrid) -> tuple[float, float]:
 def _shifts(grid: PeriodicGrid) -> list[tuple[int, tuple[int, ...]]]:
     """The probed shifts as ``(m, d)``: dyadic lattice step counts ``m`` from
     1 while ``m * spacing <= 1/2``, each along every axis, the diagonal and
-    the antidiagonal ``d``.  The shift vector is ``m * d * spacing``."""
+    the antidiagonal ``d``.  The shift vector is ``m * d * spacing``.  The
+    antidiagonal flips axis 0 alone, so no inner-axis step wraps past half
+    the axis, where most of each tile would be rewritten block by block."""
     axes = [tuple(1 if a == ax else 0 for a in range(grid.dims)) for ax in range(grid.dims)]
     diag = tuple([1] * grid.dims)
-    anti = tuple(1 if a % 2 == 0 else -1 for a in range(grid.dims))
+    anti = (-1,) + diag[1:]
     counts, m = [], 1
     while m * grid.spacing <= 0.5:
         counts.append(m)

@@ -24,16 +24,17 @@ epsilon once (``div(v (x) v)``; the product spectra of ``u_i u_j``) and
 then spends 7 transforms per scale on the convective commutator and 5 on
 the trilinear pairing, besides the kernel's own.  The pairing never leaves
 spectral space: ``m_ij`` meets ``d_b(v_eps - u_eps)_a`` in a Parseval sum
-over half-spectra (``grid_fields._parseval_dot``, as does the transport
-commutator in the scalar-contraction audit of :mod:`~eulerlab.extensions`),
-and it streams: each ``m_ij`` is paired and freed before the next is built.
-The factors ``v - u`` are not hoisted: they cost no transform, since the
-fields cache their spectra, and held for the whole sweep they would add one
-half-spectrum per component to its peak memory.  Both per-scale kernels
-return arrays, not fields.  The public single-scale functions run the same
-per-scale code on terms they build themselves.  ``_sweep_problems`` is the
-one home of a sweep's rules; sweeps run from the largest scale down,
-whatever order the scales are given in.
+over half-spectra (``grid_fields._parseval_dot``, with the grid's ``ik`` and
+``parseval_weights``), and it streams: each ``m_ij`` is paired and freed
+before the next is built.  The factors ``v - u`` are not hoisted: they cost
+no transform, since the fields cache their spectra, and held for the whole
+sweep they would add one half-spectrum per component to its peak memory.
+The per-scale kernels return arrays, not fields, and so does
+``_transport_at``, whose spectra the scalar-contraction audit of
+:mod:`~eulerlab.extensions` pairs the same way.  The public single-scale
+functions run the same code on terms they build themselves.
+``_sweep_problems`` is the one home of a sweep's rules; sweeps run from the
+largest scale down, whatever order the scales are given in.
 """
 
 from __future__ import annotations
@@ -54,9 +55,8 @@ from .grid_fields import (
     _div_product_hats,
     _lp_norm,
     _parseval_dot,
-    _parseval_weights,
 )
-from .mollify import MollifierKernel, epsilon_problem, make_kernel, mollify
+from .mollify import MollifierKernel, epsilon_problem, make_kernel
 from .reporting import _as_json
 
 __all__ = [
@@ -161,13 +161,12 @@ def _cet_at(u: VelocityField, v: VelocityField, products: Sequence[Sequence[np.n
     """
     grid = u.grid
     mult = kernel.multiplier
-    weights = np.repeat(_parseval_weights(grid), 2)
 
     def grad_diff(a: int, b: int) -> np.ndarray:
         """``d_b(v_eps - u_eps)_a``, built in place: one half-spectrum."""
         g = v.components[a].hat - u.components[a].hat
         g *= mult
-        g *= 1j * grid.deriv_wavenumber(b)
+        g *= grid.ik[b]
         return g
 
     u_eps = [grid.irfftn(c.hat * mult) for c in u.components]
@@ -179,7 +178,7 @@ def _cet_at(u: VelocityField, v: VelocityField, products: Sequence[Sequence[np.n
                 u_eps[i] = None  # its last product
             np.subtract(products[i][j] * mult, m, out=m)
             for a, b in {(i, j), (j, i)}:
-                terms[a][b] = _parseval_dot(m, grad_diff(a, b), weights)
+                terms[a][b] = _parseval_dot(m, grad_diff(a, b), grid.parseval_weights)
             del m  # free m_ij before the next product is transformed
     total = 0.0
     for row in terms:
@@ -197,6 +196,22 @@ def cet_trilinear(u: VelocityField, v: VelocityField, kernel: MollifierKernel) -
     return _cet_at(u, v, _cet_raw(u), kernel)
 
 
+def _transport_at(rho: ScalarField, u: VelocityField,
+                  kernel: MollifierKernel) -> list[np.ndarray]:
+    """The transport commutator's component spectra: 7 transforms in 2D
+    (``rho_eps``, the two ``u_eps`` components and the four products), none
+    of them back to samples of the result."""
+    grid = rho.grid
+    mult = kernel.multiplier
+    rho_eps = grid.irfftn(rho.hat * mult)
+    hats = []
+    for c in u.components:
+        hat = _dealiased_product(grid, rho.values, c.values) * mult
+        hat -= _dealiased_product(grid, rho_eps, grid.irfftn(c.hat * mult))
+        hats.append(hat)
+    return hats
+
+
 def transport_commutator(
     rho: ScalarField, u: VelocityField, kernel: MollifierKernel
 ) -> VelocityField:
@@ -204,17 +219,7 @@ def transport_commutator(
     grid = rho.grid
     if grid != u.grid or grid != kernel.grid:
         raise GridMismatchError("fields and kernel live on different grids")
-    rho_eps = mollify(rho, kernel)
-    u_eps = mollify(u, kernel)
-    comps = []
-    for i in range(grid.dims):
-        hat = (
-            _dealiased_product(grid, rho.values, u.components[i].values)
-            * kernel.multiplier
-            - _dealiased_product(grid, rho_eps.values, u_eps.components[i].values)
-        )
-        comps.append(ScalarField.from_hat(grid, hat))
-    return VelocityField(comps)
+    return VelocityField([ScalarField.from_hat(grid, h) for h in _transport_at(rho, u, kernel)])
 
 
 @dataclass

@@ -6,13 +6,13 @@ transport of the density and the velocity form of the momentum equation,
 variable-coefficient equation ``div(grad(p)/rho) = -div((u.grad)u)`` by
 preconditioned conjugate gradients, so the velocity stays exactly solenoidal.
 The CG iterate lives on half-spectrum coefficients: inner products are the
-grid inner products through Parseval (weight 1 on the first and last columns
-of the last axis, 2 elsewhere), and each RK stage starts from the previous
-stage's pressure.  The preconditioner is the inverse-coefficient sandwich
-``(-lap)^-1 (-div(rho grad((-lap)^-1 .)))``: exact for uniform density, it
-clusters the spectrum at 1 otherwise, so a solve takes a few iterations even
-at high density contrast.  An iteration costs eight transforms, four for the
-operator and four for the preconditioner.
+grid inner products through Parseval, with the grid's ``parseval_weights``,
+derivatives multiply by the grid's ``ik``, and each RK stage starts from the
+previous stage's pressure.  The preconditioner is the inverse-coefficient
+sandwich ``(-lap)^-1 (-div(rho grad((-lap)^-1 .)))``: exact for uniform
+density, it clusters the spectrum at 1 otherwise, so a solve takes a few
+iterations even at high density contrast.  An iteration costs eight
+transforms, four for the operator and four for the preconditioner.
 
 The Boussinesq system advances the vorticity with the homogeneous advection
 tendency plus the buoyancy torque ``curl(theta g)``, and transports
@@ -44,7 +44,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .commutator import transport_commutator
+from .commutator import _transport_at
 from .errors import (
     ConfigurationError,
     PoissonConvergenceError,
@@ -60,7 +60,6 @@ from .grid_fields import (
     _leray_hats,
     _max_speed,
     _parseval_dot,
-    _parseval_weights,
     _squared_magnitude,
     curl_2d,
     resample,
@@ -124,131 +123,120 @@ def _weighted_kinetic_energy(grid: PeriodicGrid, rho: np.ndarray,
     return 0.5 * float(np.sum(rho * _squared_magnitude(u)) * grid.cell_volume)
 
 
-class _Pressure:
-    """The pressure CG's constants on one grid, built once per
-    ``inhom_solve`` call as ``solver._Vorticity`` builds its symbols: the
-    derivative symbols ``i k`` (Nyquist zeroed), which both the operator and
-    the preconditioner use, and the interleaved Parseval weights of the
-    inner product."""
+def _flux(grid: PeriodicGrid, coef: np.ndarray, p_hat: np.ndarray) -> list[np.ndarray]:
+    """``coef grad p``, spectral: two transforms per axis."""
+    return [grid.rfftn(coef * grid.irfftn(ik * p_hat)) for ik in grid.ik]
 
-    def __init__(self, grid: PeriodicGrid):
-        self.grid = grid
-        self.ik = [1j * grid.deriv_wavenumber(a) for a in range(grid.dims)]
-        self.weights = np.repeat(_parseval_weights(grid), 2)
 
-    def _flux(self, coef: np.ndarray, p_hat: np.ndarray) -> list[np.ndarray]:
-        """``coef grad p``, spectral: two transforms per axis."""
-        grid = self.grid
-        return [grid.rfftn(coef * grid.irfftn(k * p_hat)) for k in self.ik]
+def _neg_div(grid: PeriodicGrid, flux: Sequence[np.ndarray]) -> np.ndarray:
+    """``-div(flux)``, spectral, in a fresh array."""
+    div = grid.ik[0] * flux[0]
+    for ik, f in zip(grid.ik[1:], flux[1:]):
+        div += ik * f
+    return np.negative(div, out=div)
 
-    def _neg_div(self, flux: Sequence[np.ndarray]) -> np.ndarray:
-        """``-div(flux)``, spectral, in a fresh array."""
-        div = self.ik[0] * flux[0]
-        for k, f in zip(self.ik[1:], flux[1:]):
-            div += k * f
-        return np.negative(div, out=div)
 
-    def _precondition(self, rho: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """The inverse-coefficient sandwich ``L (-div(rho grad(L r)))`` with
-        ``L = (-lap)^-1``: four transforms."""
-        inv_k2 = self.grid.inv_k_squared
-        z = self._neg_div(self._flux(rho, r * inv_k2))
-        z *= inv_k2
-        return z
+def _precondition(grid: PeriodicGrid, rho: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The inverse-coefficient sandwich ``L (-div(rho grad(L r)))`` with
+    ``L = (-lap)^-1``: four transforms."""
+    inv_k2 = grid.inv_k_squared
+    z = _neg_div(grid, _flux(grid, rho, r * inv_k2))
+    z *= inv_k2
+    return z
 
-    def gradient_over_rho(self, rho: np.ndarray, rhs_div: np.ndarray,
-                          p0: Optional[np.ndarray] = None):
-        """Solve ``div(grad(p)/rho) = rhs_div`` (both sides spectral) by
-        preconditioned CG on half-spectrum coefficients.
 
-        ``A = -div(beta grad .)``, ``beta = 1/rho``, is symmetric positive
-        definite on zero-mean fields in the grid inner product, taken here
-        through Parseval, so the iteration is the physical-space one without
-        its transforms.  The preconditioner is ``P = L (-div(rho grad .)) L``
-        with ``L = (-lap)^-1``.  With ``R = grad L^(1/2)``, an isometry onto
-        gradient fields, ``P A`` is similar to ``I - R* rho (I - Q) beta R``
-        (``Q`` the projection onto gradient fields): exact for uniform
-        density, where CG converges in one iteration, and otherwise clustered
-        at 1, with only the solenoidal part of ``beta grad p`` left to
-        iterate on.  An iteration costs eight transforms, four for ``A`` and
-        four for ``P``.  ``p0`` warm-starts the iterate for four more; when
-        its residual already meets the tolerance the solve returns after 0
-        iterations.  The solve stops at ``|r| <= POISSON_TOLERANCE |b|``.
+def _gradient_over_rho(grid: PeriodicGrid, rho: np.ndarray, rhs_div: np.ndarray,
+                       p0: Optional[np.ndarray] = None):
+    """Solve ``div(grad(p)/rho) = rhs_div`` (both sides spectral) by
+    preconditioned CG on half-spectrum coefficients.
 
-        Returns ``(flux_hats, p_hat, iterations)`` with ``flux_hats`` the
-        spectral components of ``beta * grad p``, accumulated alongside the
-        iterate so no transform is spent on them at the end.  ``p_hat`` is
-        None where there is nothing to warm-start from: a zero right-hand side
-        (exact zero fluxes) or non-finite input (non-finite fluxes, returned
-        at once for the integrator to report).
-        """
-        grid = self.grid
-        beta = 1.0 / rho
+    ``A = -div(beta grad .)``, ``beta = 1/rho``, is symmetric positive
+    definite on zero-mean fields in the grid inner product, taken here
+    through Parseval, so the iteration is the physical-space one without
+    its transforms.  The preconditioner is ``P = L (-div(rho grad .)) L``
+    with ``L = (-lap)^-1``.  With ``R = grad L^(1/2)``, an isometry onto
+    gradient fields, ``P A`` is similar to ``I - R* rho (I - Q) beta R``
+    (``Q`` the projection onto gradient fields): exact for uniform
+    density, where CG converges in one iteration, and otherwise clustered
+    at 1, with only the solenoidal part of ``beta grad p`` left to
+    iterate on.  An iteration costs eight transforms, four for ``A`` and
+    four for ``P``.  ``p0`` warm-starts the iterate for four more; when
+    its residual already meets the tolerance the solve returns after 0
+    iterations.  The solve stops at ``|r| <= POISSON_TOLERANCE |b|``.
 
-        def dot(a: np.ndarray, b: np.ndarray) -> float:
-            return _parseval_dot(a, b, self.weights)
+    Returns ``(flux_hats, p_hat, iterations)`` with ``flux_hats`` the
+    spectral components of ``beta * grad p``, accumulated alongside the
+    iterate so no transform is spent on them at the end.  ``p_hat`` is
+    None where there is nothing to warm-start from: a zero right-hand side
+    (exact zero fluxes) or non-finite input (non-finite fluxes, returned
+    at once for the integrator to report).
+    """
+    beta = 1.0 / rho
 
-        def apply_op(p_hat: np.ndarray):
-            """``-div(beta grad p)`` and the flux ``beta grad p``, spectral."""
-            flux = self._flux(beta, p_hat)
-            return self._neg_div(flux), flux
+    def dot(a: np.ndarray, b: np.ndarray) -> float:
+        return _parseval_dot(a, b, grid.parseval_weights)
 
-        def filled(value: float) -> list[np.ndarray]:
-            return [np.full(grid.rshape, value, dtype=complex) for _ in range(grid.dims)]
+    def apply_op(p_hat: np.ndarray):
+        """``-div(beta grad p)`` and the flux ``beta grad p``, spectral."""
+        flux = _flux(grid, beta, p_hat)
+        return _neg_div(grid, flux), flux
 
-        b = -rhs_div
-        b_norm = math.sqrt(dot(b, b))
-        if b_norm == 0.0:
-            return filled(0.0), None, 0
-        if not math.isfinite(b_norm):
-            return filled(np.nan), None, 0
-        if p0 is None:
-            x = np.zeros(grid.rshape, dtype=complex)
-            flux = filled(0.0)
-            r = b
-        else:
-            Ax, flux = apply_op(p0)
-            x = p0.copy()
-            r = b - Ax
+    def filled(value: float) -> list[np.ndarray]:
+        return [np.full(grid.rshape, value, dtype=complex) for _ in range(grid.dims)]
+
+    b = -rhs_div
+    b_norm = math.sqrt(dot(b, b))
+    if b_norm == 0.0:
+        return filled(0.0), None, 0
+    if not math.isfinite(b_norm):
+        return filled(np.nan), None, 0
+    if p0 is None:
+        x = np.zeros(grid.rshape, dtype=complex)
+        flux = filled(0.0)
+        r = b
+    else:
+        Ax, flux = apply_op(p0)
+        x = p0.copy()
+        r = b - Ax
+    r_norm = math.sqrt(dot(r, r))
+    if r_norm <= POISSON_TOLERANCE * b_norm:
+        return flux, x, 0
+    # updates run in place: fewer short-lived arrays keep the heap small
+    d = _precondition(grid, rho, r)
+    rz = dot(r, d)
+    for it in range(1, POISSON_MAX_ITER + 1):
+        Ad, flux_d = apply_op(d)
+        dAd = dot(d, Ad)
+        if not math.isfinite(dAd):
+            return filled(np.nan), None, it
+        if dAd <= 0.0:
+            raise PoissonConvergenceError(
+                "pressure operator lost positivity (density too irregular?)",
+                it,
+                r_norm,
+            )
+        step = rz / dAd
+        x += step * d
+        for f, fd in zip(flux, flux_d):
+            f += step * fd
+        r -= step * Ad
         r_norm = math.sqrt(dot(r, r))
         if r_norm <= POISSON_TOLERANCE * b_norm:
-            return flux, x, 0
-        # updates run in place: fewer short-lived arrays keep the heap small
-        d = self._precondition(rho, r)
-        rz = dot(r, d)
-        for it in range(1, POISSON_MAX_ITER + 1):
-            Ad, flux_d = apply_op(d)
-            dAd = dot(d, Ad)
-            if not math.isfinite(dAd):
-                return filled(np.nan), None, it
-            if dAd <= 0.0:
-                raise PoissonConvergenceError(
-                    "pressure operator lost positivity (density too irregular?)",
-                    it,
-                    r_norm,
-                )
-            step = rz / dAd
-            x += step * d
-            for f, fd in zip(flux, flux_d):
-                f += step * fd
-            r -= step * Ad
-            r_norm = math.sqrt(dot(r, r))
-            if r_norm <= POISSON_TOLERANCE * b_norm:
-                return flux, x, it
-            z = self._precondition(rho, r)
-            rz_new = dot(r, z)
-            d *= rz_new / rz
-            d += z
-            rz = rz_new
-        raise PoissonConvergenceError(
-            f"pressure solve did not reach {POISSON_TOLERANCE} in {POISSON_MAX_ITER} iterations",
-            POISSON_MAX_ITER,
-            r_norm / b_norm,
-        )
+            return flux, x, it
+        z = _precondition(grid, rho, r)
+        rz_new = dot(r, z)
+        d *= rz_new / rz
+        d += z
+        rz = rz_new
+    raise PoissonConvergenceError(
+        f"pressure solve did not reach {POISSON_TOLERANCE} in {POISSON_MAX_ITER} iterations",
+        POISSON_MAX_ITER,
+        r_norm / b_norm,
+    )
 
 
 def _inhom_velocity_tendency(
-    pressure: _Pressure,
+    grid: PeriodicGrid,
     rho: np.ndarray,
     u: Sequence[np.ndarray],
     p0: Optional[np.ndarray],
@@ -256,10 +244,9 @@ def _inhom_velocity_tendency(
     """``-(u.grad)u - grad(p)/rho`` with the constraint-enforcing pressure,
     returned in spectral form and Leray-scrubbed of the CG residual, together
     with the pressure (the next stage's warm start)."""
-    grid = pressure.grid
     adv_hats = _div_product_hats(grid, u)
     rhs_div = _div_hat(grid, adv_hats)  # div((u.grad)u) for div-free u
-    bgp_hats, p_hat, _ = pressure.gradient_over_rho(rho, -rhs_div, p0)
+    bgp_hats, p_hat, _ = _gradient_over_rho(grid, rho, -rhs_div, p0)
     f_hats = [-adv_hats[i] - bgp_hats[i] for i in range(grid.dims)]
     # scrub the leftover CG residual so stage velocities stay solenoidal
     return _leray_hats(grid, f_hats), p_hat
@@ -287,7 +274,6 @@ def inhom_solve(
         if float(grid.irfftn(hats[0]).min()) <= 0.0:
             raise SolverAbort(f"density lost positivity at t={t}", t)
 
-    pressure = _Pressure(grid)
     p_hat = None  # the last stage's pressure warm-starts the next solve
 
     def rhs(hats: tuple, with_speed: bool) -> tuple:
@@ -295,7 +281,7 @@ def inhom_solve(
         rho_phys = grid.irfftn(hats[0])
         u_phys = [grid.irfftn(h) for h in hats[1:]]
         d_rho = _transport_tendency(grid, rho_phys, u_phys)
-        d_u, p_hat = _inhom_velocity_tendency(pressure, rho_phys, u_phys, p_hat)
+        d_u, p_hat = _inhom_velocity_tendency(grid, rho_phys, u_phys, p_hat)
         return (d_rho, *d_u), _max_speed(u_phys) if with_speed else None
 
     def ledgers(s: State) -> dict:
@@ -321,15 +307,15 @@ def density_contraction_check(
     ``field`` selects which scalar to audit (density for the inhomogeneous
     system, theta for Boussinesq); both trajectories must share snapshot
     times.  The pairing ``int (tc_a - tc_b) . grad(rho_a - rho_b)_eps`` is a
-    Parseval sum of the commutators' cached spectra against
-    ``i k (rho_a - rho_b)_eps``: no factor is transformed back.
+    Parseval sum of the commutators' spectra, as ``commutator._transport_at``
+    returns them, against ``i k (rho_a - rho_b)_eps``: no factor is
+    transformed back.
     """
     times = _shared_times(traj_a, traj_b)
     grid_a, grid_b = traj_a.grid, traj_b.grid
     cmp_grid = grid_a if grid_a.n_per_axis <= grid_b.n_per_axis else grid_b
     eps = working_epsilon if working_epsilon is not None else resolved_epsilon(cmp_grid)
     kernel = make_kernel(cmp_grid, eps)
-    weights = np.repeat(_parseval_weights(cmp_grid), 2)
 
     values = []
     pairing = []
@@ -339,13 +325,12 @@ def density_contraction_check(
         ua = resample(sa.velocity, cmp_grid)
         ub = resample(sb.velocity, cmp_grid)
         values.append(relative_energy(ra, rb))
-        tc_a = transport_commutator(ra, ua, kernel)
-        tc_b = transport_commutator(rb, ub, kernel)
+        tc_a = _transport_at(ra, ua, kernel)
+        tc_b = _transport_at(rb, ub, kernel)
         diff_eps = (ra.hat - rb.hat) * kernel.multiplier
         acc = 0.0
-        for axis, (a, b) in enumerate(zip(tc_a.components, tc_b.components)):
-            ik_diff = 1j * cmp_grid.deriv_wavenumber(axis) * diff_eps
-            acc += _parseval_dot(a.hat - b.hat, ik_diff, weights)
+        for ik, a, b in zip(cmp_grid.ik, tc_a, tc_b):
+            acc += _parseval_dot(a - b, ik * diff_eps, cmp_grid.parseval_weights)
         pairing.append(abs(acc * cmp_grid.cell_volume))
     return PairAudit.of(times, values, _cumulative_trapz(pairing, times)[-1], tolerance)
 

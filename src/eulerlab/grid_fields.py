@@ -9,6 +9,12 @@ smooth periodic integrands.  Both field kinds have ``components``: a
 velocity's one scalar field per axis, and a scalar field's ``(self,)``, so
 a norm or pairing that walks components takes either kind.
 
+The grid owns the two per-grid constants of every spectral pairing: the
+derivative symbols ``ik`` and the interleaved ``parseval_weights`` that
+:func:`_parseval_dot` takes.  The kernels here, the commutator pairings,
+the pressure CG and the weak-form audit all read them; no other module
+rebuilds them.
+
 Conventions
 -----------
 * Axis ``i`` of a value array corresponds to coordinate ``x_{i+1}``; sample
@@ -58,9 +64,11 @@ class PeriodicGrid:
 
     Precomputed attributes include per-axis wavenumbers (integer multiples of
     pi), broadcastable derivative multipliers for the half-spectrum layout,
-    the inverse Laplacian symbol, and the 2/3-rule dealias mask
-    ``band_mask(dealias_kmax)``.  Every transform goes through :meth:`rfftn`
-    and :meth:`irfftn`.
+    the derivative symbols ``ik`` (``1j`` times each multiplier), the
+    inverse Laplacian symbol, the 2/3-rule dealias mask
+    ``band_mask(dealias_kmax)`` and the interleaved ``parseval_weights``;
+    all are read-only.  Every transform goes through :meth:`rfftn` and
+    :meth:`irfftn`.
     """
 
     def __init__(self, dims: int, n_per_axis: int):
@@ -97,6 +105,9 @@ class PeriodicGrid:
         self._k_deriv = [
             np.pi * np.where(np.abs(f) == n // 2, 0.0, f) for f in self._frequencies
         ]
+        # The derivative symbols i k: a kernel's (1j * k) * h is bitwise the
+        # left-to-right product 1j * k * h.
+        self.ik = tuple(1j * k for k in self._k_deriv)
 
         # |k|^2 is built and inverted in one buffer; modes with |k|^2 = 0
         # (the mean, and Nyquist modes whose multipliers are zeroed) get 0.
@@ -114,7 +125,18 @@ class PeriodicGrid:
         self.dealias_kmax = (n - 1) // 3
         self.dealias_mask = self.band_mask(self.dealias_kmax)
 
-        for arr in (self.inv_k_squared, self.dealias_mask):
+        # Parseval weights w over the last half-spectrum axis, with sum_x f g
+        # = sum_k w Re(conj(F) G) for real fields on N points: 1/N on the
+        # first and last columns, which are their own mirror images, and 2/N
+        # elsewhere, where each coefficient also stands for its mirror.  They
+        # are stored interleaved, one weight per real and per imaginary part,
+        # the layout _parseval_dot reads.
+        size = float(np.prod(self.shape))
+        w = np.full(self.rshape[-1], 2.0 / size)
+        w[0] = w[-1] = 1.0 / size
+        self.parseval_weights = np.repeat(w, 2)
+
+        for arr in (self.inv_k_squared, self.dealias_mask, self.parseval_weights, *self.ik):
             arr.setflags(write=False)
 
     def band_mask(self, kmax: int) -> np.ndarray:
@@ -332,8 +354,7 @@ def gradient(f: ScalarField) -> VelocityField:
     """Spectral gradient; exact for band-limited fields."""
     grid = f.grid
     return VelocityField([
-        ScalarField._adopting(grid, grid.irfftn(1j * grid.deriv_wavenumber(axis) * f.hat))
-        for axis in range(grid.dims)
+        ScalarField._adopting(grid, grid.irfftn(ik * f.hat)) for ik in grid.ik
     ])
 
 
@@ -366,8 +387,8 @@ def _div_hat(grid: PeriodicGrid, hats: Sequence[np.ndarray]) -> np.ndarray:
     Accumulates in place, as :func:`_leray_hats` does: every fresh
     full-size temporary costs page faults on large grids."""
     acc = np.zeros(grid.rshape, dtype=complex)
-    for axis, h in enumerate(hats):
-        acc += 1j * grid.deriv_wavenumber(axis) * h
+    for ik, h in zip(grid.ik, hats):
+        acc += ik * h
     return acc
 
 
@@ -386,25 +407,12 @@ def _leray_hats(grid: PeriodicGrid, hats: Sequence[np.ndarray]) -> list[np.ndarr
     return [h - grid.deriv_wavenumber(axis) * scale for axis, h in enumerate(hats)]
 
 
-def _parseval_weights(grid: PeriodicGrid) -> np.ndarray:
-    """Weights ``w`` over the last half-spectrum axis with ``sum_x f g =
-    sum_k w Re(conj(F) G)`` for real fields ``f``, ``g`` on ``N`` points:
-    ``1/N`` on the first and last columns, which are their own mirror
-    images, and ``2/N`` elsewhere, where each coefficient also stands for
-    its mirror.  They broadcast against any half-spectrum."""
-    size = float(np.prod(grid.shape))
-    w = np.full(grid.rshape[-1], 2.0 / size)
-    w[0] = 1.0 / size
-    w[-1] = 1.0 / size
-    return w
-
-
 def _parseval_dot(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> float:
     """``sum_k w Re(conj(a) b)`` of two C-contiguous half-spectra in one
     einsum pass over their interleaved real views: no ``w * b`` temporary,
     and no multithreaded BLAS to wake, as ``np.vdot`` would.  ``weights`` is
-    ``np.repeat(_parseval_weights(grid), 2)``, one weight per real and per
-    imaginary part."""
+    ``grid.parseval_weights`` for whole half-spectra, or those weights
+    broadcast and masked alike for spectra taken on a band."""
     return float(np.einsum("ij,ij,j->", a.view(np.float64).reshape(-1, weights.size),
                            b.view(np.float64).reshape(-1, weights.size), weights))
 
@@ -420,10 +428,7 @@ def curl_2d(u: VelocityField) -> ScalarField:
     grid = u.grid
     if grid.dims != 2:
         raise ConfigurationError("curl_2d requires a 2D grid")
-    hat = (
-        1j * grid.deriv_wavenumber(0) * u.components[1].hat
-        - 1j * grid.deriv_wavenumber(1) * u.components[0].hat
-    )
+    hat = grid.ik[0] * u.components[1].hat - grid.ik[1] * u.components[0].hat
     return ScalarField._adopting(grid, grid.irfftn(hat))
 
 
@@ -480,7 +485,7 @@ def gradient_tensor(u: VelocityField) -> np.ndarray:
     out = np.empty((grid.dims, grid.dims) + grid.shape)
     for i, c in enumerate(u.components):
         for j in range(grid.dims):
-            out[i, j] = grid.irfftn(1j * grid.deriv_wavenumber(j) * c.hat)
+            out[i, j] = grid.irfftn(grid.ik[j] * c.hat)
     return out
 
 

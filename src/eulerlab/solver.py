@@ -58,7 +58,6 @@ from .grid_fields import (
     _div_product_hats,
     _max_speed,
     _parseval_dot,
-    _parseval_weights,
     _require_same_grid,
     curl_2d,
     lp_norm,
@@ -608,8 +607,8 @@ def weak_residuals(traj: Trajectory, tests: Iterable[WeakTestFunction]) -> list[
         _require_same_grid(traj, test.spatial)
         band.append((test.temporal, isinstance(test.spatial, VelocityField),
                      np.concatenate([c.hat[mask] for c in test.spatial.components])))
-    # one weight per real and imaginary part, then one copy per component
-    weights = np.repeat(np.broadcast_to(_parseval_weights(grid), grid.rshape)[mask], 2)
+    # the band's share of the interleaved weights, then one copy per component
+    weights = np.repeat(np.broadcast_to(grid.parseval_weights[::2], grid.rshape)[mask], 2)
     vector_weights = np.tile(weights, grid.dims)
     volume = grid.cell_volume
     series = [[] for _ in band]

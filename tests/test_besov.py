@@ -158,6 +158,23 @@ class TestShiftPolicy:
         assert len({d for _, d in shifts}) == 4
         assert len(shifts) == 4 * len(counts)
 
+    @pytest.mark.parametrize("dims, n", [(2, 64), (3, 32)], ids=["2d", "3d"])
+    def test_no_inner_axis_step_wraps_past_half(self, dims, n, monkeypatch):
+        """After the probe's sign normalization no probed shift steps more
+        than ``n // 2`` along an inner axis, where the wrapped part of every
+        row is rewritten block by block."""
+        seen = set()
+
+        def recording(values, ks, r0, r1, out):
+            seen.add(ks)
+            _diff_rows(values, ks, r0, r1, out)
+
+        monkeypatch.setattr(besov, "_diff_rows", recording)
+        grid = make_grid(dims, n)
+        besov_seminorm(random_band_limited_scalar(grid, 4, seed=1), 0.5, 3.0)
+        assert len(seen) == len(_shifts(grid))
+        assert max(k for ks in seen for k in ks[1:]) <= n // 2
+
 
 def roll_norm(h, steps, p_int):
     """``||h(. + steps * spacing) - h||_p`` the plain way: ``np.roll`` copies,

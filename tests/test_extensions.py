@@ -26,6 +26,8 @@ from eulerlab.solver import State, Trajectory, admissibility_check, solve
 from eulerlab.synth import random_divfree, taylor_green
 from eulerlab.uniqueness import RunConfig
 
+from _utils import count_transforms
+
 
 def zero_velocity(grid):
     return VelocityField.from_arrays(grid, [np.zeros(grid.shape)] * 2)
@@ -222,6 +224,21 @@ class TestDensityContraction:
         assert len(pairings) == 1 and len(pairings[0]) == len(oracle) == 3
         assert min(oracle) > 0.0
         assert pairings[0] == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+    def test_seven_transforms_per_commutator(self, monkeypatch):
+        """Past the kernel's one transform, each snapshot pair costs 14
+        transforms, 7 per transport commutator: its spectra are paired as
+        they are, none is transformed back to samples."""
+        grid = make_grid(2, 32)
+        u0 = random_divfree(grid, 3.0, seed=21)
+        a = inhom_solve(smooth_density(grid), u0, 0.02, 1e-3, snapshot_stride=10)
+        b = inhom_solve(smooth_density(grid, 0.3), u0, 0.02, 1e-3, snapshot_stride=10)
+        # hold every state, so no rebuild of a recorded state is counted
+        a, b = (Trajectory(list(t.states), t.dt, t.config, t.energy_ledger, t.ledgers)
+                for t in (a, b))
+        calls = count_transforms(monkeypatch)
+        density_contraction_check(a, b, 1e-5)
+        assert len(calls) == 1 + 14 * len(a.states)
 
 
 class TestBoussinesq:

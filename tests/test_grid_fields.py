@@ -359,6 +359,22 @@ class TestBands:
             shape[axis] = -1
             assert np.array_equal(grid.deriv_wavenumber(axis), (np.pi * f).reshape(shape))
 
+    @pytest.mark.parametrize("dims,n", [(2, 16), (3, 8)])
+    def test_spectral_constants_are_read_only(self, dims, n):
+        """``ik`` holds ``1j`` times each derivative multiplier, and neither
+        it nor ``parseval_weights`` can be written."""
+        grid = make_grid(dims, n)
+        assert isinstance(grid.ik, tuple) and len(grid.ik) == dims
+        for axis, ik in enumerate(grid.ik):
+            assert np.array_equal(ik, 1j * grid.deriv_wavenumber(axis))
+            assert not ik.flags.writeable
+            with pytest.raises(ValueError):
+                ik[...] = 0.0
+        assert grid.parseval_weights.shape == (2 * grid.rshape[-1],)
+        assert not grid.parseval_weights.flags.writeable
+        with pytest.raises(ValueError):
+            grid.parseval_weights[0] = 0.0
+
     def test_integer_k_squared(self):
         grid = make_grid(2, 16)
         kx = np.fft.fftfreq(16, 1.0 / 16)[:, None]

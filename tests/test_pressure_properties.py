@@ -8,13 +8,12 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from eulerlab.extensions import _Pressure  # noqa: E402
+from eulerlab.extensions import _precondition  # noqa: E402
 from eulerlab.grid_fields import _parseval_dot, make_grid  # noqa: E402
 
 from _utils import random_band_limited_scalar, rng  # noqa: E402
 
 GRID = make_grid(2, 16)
-PRESSURE = _Pressure(GRID)
 
 
 def zero_mean_spectrum(seed: int) -> np.ndarray:
@@ -29,7 +28,7 @@ def density(seed: int, amp: float) -> np.ndarray:
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> float:
-    return _parseval_dot(a, b, PRESSURE.weights)
+    return _parseval_dot(a, b, GRID.parseval_weights)
 
 
 @settings(max_examples=40, deadline=None)
@@ -38,7 +37,7 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
 def test_preconditioner_is_symmetric_and_positive(sx, sy, srho, amp):
     x, y = zero_mean_spectrum(sx), zero_mean_spectrum(sy)
     rho = density(srho, amp)
-    px, py = PRESSURE._precondition(rho, x), PRESSURE._precondition(rho, y)
+    px, py = _precondition(GRID, rho, x), _precondition(GRID, rho, y)
     assert dot(x, py) == pytest.approx(dot(px, y), rel=1e-12, abs=1e-14 * dot(x, px))
     assert dot(x, px) > 0.0
     assert dot(y, py) > 0.0

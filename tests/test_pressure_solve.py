@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from eulerlab.errors import SolverAbort
-from eulerlab.extensions import _Pressure, inhom_solve
-from eulerlab.grid_fields import _parseval_dot, _parseval_weights, make_grid
+from eulerlab.extensions import _gradient_over_rho, inhom_solve
+from eulerlab.grid_fields import _parseval_dot, make_grid
 from eulerlab.synth import taylor_green
 
 from _utils import count_transforms, random_band_limited_scalar, random_band_limited_velocity
@@ -25,7 +25,7 @@ def problem(n, seed=0, amp=0.3):
 
 
 def solve(grid, beta, rhs_div, p0=None):
-    return _Pressure(grid).gradient_over_rho(1.0 / beta, rhs_div, p0)
+    return _gradient_over_rho(grid, 1.0 / beta, rhs_div, p0)
 
 
 def physical(grid, hats):
@@ -50,14 +50,17 @@ def dense_reference(grid, beta, rhs_div):
     return np.stack([beta * np.fft.irfftn(k * p_hat, s=grid.shape, axes=(0, 1)) for k in ks])
 
 
-def test_parseval_weights_give_the_grid_inner_product():
-    grid = make_grid(2, 16)
-    f = random_band_limited_scalar(grid, 8, 1)
-    g = random_band_limited_scalar(grid, 8, 2)
-    w = _parseval_weights(grid)
+@pytest.mark.parametrize("dims, n", [(2, 16), (3, 8)], ids=["2d", "3d"])
+def test_parseval_weights_give_the_grid_inner_product(dims, n):
+    grid = make_grid(dims, n)
+    f = random_band_limited_scalar(grid, n // 2, 1)
+    g = random_band_limited_scalar(grid, n // 2, 2)
+    # interleaved: one weight per real and one per imaginary part
+    w = grid.parseval_weights[::2]
+    assert np.array_equal(grid.parseval_weights[1::2], w)
     spectral = np.sum(w * (np.conj(f.hat) * g.hat).real)
     assert spectral == pytest.approx(np.sum(f.values * g.values), rel=1e-13)
-    assert _parseval_dot(f.hat, g.hat, np.repeat(w, 2)) == pytest.approx(spectral, rel=1e-13)
+    assert _parseval_dot(f.hat, g.hat, grid.parseval_weights) == pytest.approx(spectral, rel=1e-13)
 
 
 @pytest.mark.parametrize("n, amp", [(16, 0.3), (32, 0.3), (32, 0.8)],
