@@ -123,8 +123,9 @@ _COMMON = {
     ),
     **_section("output", dir=_Key(str, "a path", None)),
 }
-# the field audits; the solvers are two-dimensional and read no dims
-_AUDIT = {**_section("grid", dims=_INT(2)), **_section("sweep", p=_INTEGRABILITY(3.0))}
+# the field audits (2D or 3D); the solvers are two-dimensional and read no dims
+_AUDIT = {**_section("grid", dims=_one_of({"2": 2, "3": 3}, "2")),
+          **_section("sweep", p=_INTEGRABILITY(3.0))}
 # the scaling kinds fit [sweep] alpha from the fields when it is absent
 _SWEEP = {**_AUDIT, **_section("sweep", alpha=_EXPONENT(None), epsilons=_FLOATS("numbers"))}
 _SOLVE = _section("solver", dt=_POSITIVE(), T=_POSITIVE(), snapshot_stride=_COUNT(1))

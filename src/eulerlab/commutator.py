@@ -11,9 +11,11 @@ magnitude decays like ``eps^(3 alpha - 1)``.  A transport variant
 whether it sweeps a ``(u, v)`` pair, and the power ``p`` of its rate
 ``eps^(p alpha - 1)``, which decays exactly when ``alpha > 1/p``, the
 route's hypothesis threshold.
-``scaling_experiment`` fits a sweep's log-log slope and passes it when the
-slope comes within the constant ``SLOPE_TOLERANCE`` (0.15) of the theory
-slope ``p alpha - 1``.
+``_sweep`` is the one epsilon sweep of a route, shared by
+``scaling_experiment``, which fits its log-log slope and passes it when the
+slope comes within the constant ``SLOPE_TOLERANCE`` (0.15) of the rate
+``p alpha - 1``, and ``uniqueness._certify_pair``, which charges its largest
+constant as the route's budget.
 
 Quadratic products are evaluated pointwise and 2/3-dealiased before any
 derivative is taken, matching the solver convention, so every term is the
@@ -99,11 +101,11 @@ def _sweep_problems(route: Route, epsilons: Sequence[float], grid: PeriodicGrid,
                     p_int: float) -> list[str]:
     """Every reason a sweep of ``route`` over ``epsilons`` on ``grid`` at the
     integrability ``p_int`` cannot run, in this order: the convective
-    commutator is measured in L^(p/2), a norm only from ``p >= 2`` on; a
-    rate fit needs at least 4 distinct scales; and ``grid`` must admit each
-    scale."""
+    commutator, the route on one field, is measured in L^(p/2) (see
+    :func:`_sweep`), a norm only from ``p >= 2`` on; a rate fit needs at
+    least 4 distinct scales; and ``grid`` must admit each scale."""
     problems = []
-    if route.quantity == "convective_commutator_lp" and not p_int >= 2.0:
+    if not route.pair and not p_int >= 2.0:
         problems.append(f"p {p_int} is below 2, the least the convective commutator's "
                         "L^(p/2) norm admits")
     if len(epsilons) < 4:
@@ -114,16 +116,10 @@ def _sweep_problems(route: Route, epsilons: Sequence[float], grid: PeriodicGrid,
     return problems
 
 
-def _convective_raw(v: VelocityField) -> list[np.ndarray]:
-    """The epsilon-independent spectra of ``div(v (x) v)``, one per
-    component."""
-    return _div_product_hats(v.grid, [c.values for c in v.components])
-
-
 def _convective_at(v: VelocityField, div_raw: Sequence[np.ndarray],
                    kernel: MollifierKernel) -> list[np.ndarray]:
     """The convective commutator's component samples at one scale, given
-    ``div_raw`` from :func:`_convective_raw`: 7 transforms."""
+    ``div_raw``, the spectra ``_div_product_hats`` of ``v``: 7 transforms."""
     grid = v.grid
     mult = kernel.multiplier
     v_eps = [grid.irfftn(c.hat * mult) for c in v.components]
@@ -138,19 +134,14 @@ def convective_commutator(v: VelocityField, kernel: MollifierKernel) -> Velocity
     """``div(v_eps (x) v_eps) - (div(v (x) v))_eps`` as a vector field."""
     if v.grid != kernel.grid:
         raise GridMismatchError("field and kernel live on different grids")
-    return VelocityField.from_arrays(v.grid, _convective_at(v, _convective_raw(v), kernel))
-
-
-def _cet_raw(u: VelocityField) -> list[list[np.ndarray]]:
-    """The epsilon-independent part of the trilinear pairing: the table of
-    dealiased product spectra of ``u_i u_j``."""
-    return _dealiased_product_tensor(u.grid, [c.values for c in u.components])
+    div_raw = _div_product_hats(v.grid, [c.values for c in v.components])
+    return VelocityField.from_arrays(v.grid, _convective_at(v, div_raw, kernel))
 
 
 def _cet_at(u: VelocityField, v: VelocityField, products: Sequence[Sequence[np.ndarray]],
             kernel: MollifierKernel) -> float:
-    """The trilinear pairing at one scale, given ``products`` from
-    :func:`_cet_raw`: 5 transforms.
+    """The trilinear pairing at one scale, given ``products``, the spectra
+    ``_dealiased_product_tensor`` of ``u``: 5 transforms.
 
     ``m_ij = (u_i u_j)_eps - u_eps,i u_eps,j`` is symmetric, so each
     unordered pair is built once, paired with both ``d_j(v_eps - u_eps)_i``
@@ -193,7 +184,8 @@ def cet_trilinear(u: VelocityField, v: VelocityField, kernel: MollifierKernel) -
     grid = u.grid
     if grid != v.grid or grid != kernel.grid:
         raise GridMismatchError("fields and kernel live on different grids")
-    return _cet_at(u, v, _cet_raw(u), kernel)
+    products = _dealiased_product_tensor(grid, [c.values for c in u.components])
+    return _cet_at(u, v, products, kernel)
 
 
 def _transport_at(rho: ScalarField, u: VelocityField,
@@ -248,32 +240,32 @@ class ScalingReport:
         return _as_json(self)
 
 
-def _sweep_magnitudes(primary: VelocityField, secondary: Optional[VelocityField],
-                      quantity: str, epsilons: Sequence[float], p_int: float) -> list[float]:
-    """``quantity`` at each scale: the absolute trilinear pairing or the
-    convective commutator's L^(p/2) norm.  The epsilon-independent terms are
-    built once for the whole sweep."""
-    if _BY_QUANTITY[quantity].pair:
-        products = _cet_raw(primary)
-
-        def at(kern: MollifierKernel) -> float:
-            return abs(_cet_at(primary, secondary, products, kern))
+def _sweep(route: Route, fields: Sequence[VelocityField], seminorms: Sequence[float],
+           alpha: float, epsilons: Sequence[float],
+           p_int: float) -> tuple[float, list[float], list[float], bool]:
+    """Sweep ``route`` over ``epsilons`` on ``fields``, ``(v,)`` or ``(u, v)``
+    on a pair route, whose seminorms are ``seminorms`` in the same order: the
+    rate ``p alpha - 1``, the magnitudes (the absolute trilinear pairing or
+    the convective commutator's L^(p/2) norm), the constants ``magnitude /
+    (eps^rate * seminorm factor)`` (zero when every magnitude is quadrature
+    noise) and whether the sweep is vacuous.  The epsilon-independent terms
+    are built once for the whole sweep."""
+    rate = route.power * alpha - 1.0
+    bound_factor = route.seminorm_factor(seminorms[0] ** 2, seminorms)
+    grid = fields[0].grid
+    v = fields[-1]
+    if route.pair:
+        u = fields[0]
+        products = _dealiased_product_tensor(grid, [c.values for c in u.components])
+        magnitudes = [abs(_cet_at(u, v, products, make_kernel(grid, eps))) for eps in epsilons]
     else:
-        div_raw = _convective_raw(primary)
-
-        def at(kern: MollifierKernel) -> float:
-            return _lp_norm(primary.grid, _convective_at(primary, div_raw, kern), p_int / 2.0)
-    return [at(make_kernel(primary.grid, eps)) for eps in epsilons]
-
-
-def _sweep_intercepts(magnitudes: Sequence[float], epsilons: Sequence[float],
-                      rate: float, bound_factor: float) -> tuple[list[float], bool]:
-    """The constants ``magnitude / (eps^rate * bound_factor)`` (zero when
-    every magnitude is quadrature noise) and whether the sweep is vacuous."""
+        div_raw = _div_product_hats(grid, [c.values for c in v.components])
+        magnitudes = [_lp_norm(grid, _convective_at(v, div_raw, make_kernel(grid, eps)),
+                               p_int / 2.0) for eps in epsilons]
     if all(m <= VACUOUS_MAGNITUDE for m in magnitudes):
-        return [0.0 for _ in epsilons], True
+        return rate, magnitudes, [0.0 for _ in epsilons], True
     denom = max(bound_factor, 1e-300)
-    return [m / (e**rate * denom) for m, e in zip(magnitudes, epsilons)], False
+    return rate, magnitudes, [m / (e**rate * denom) for m, e in zip(magnitudes, epsilons)], False
 
 
 def scaling_experiment(
@@ -316,13 +308,9 @@ def scaling_experiment(
                 for f, (rows, _) in zip(fields, probed)]
     else:
         semi = [besov_seminorm(f, alpha, p_int).seminorm for f in fields]
-    theory_slope = route.power * alpha - 1.0
     seminorms = dict(zip(("u", "v") if route.pair else ("v",), semi))
-    bound_factor = route.seminorm_factor(semi[0] ** 2, semi)
-
-    magnitudes = _sweep_magnitudes(fields[0], fields[1] if route.pair else None, quantity,
-                                   epsilons, p_int)
-    intercepts, vacuous = _sweep_intercepts(magnitudes, epsilons, theory_slope, bound_factor)
+    theory_slope, magnitudes, intercepts, vacuous = _sweep(route, fields, semi, alpha,
+                                                           epsilons, p_int)
     if vacuous:
         fitted_slope = float("nan")
         passed = True

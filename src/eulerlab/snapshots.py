@@ -10,6 +10,7 @@ component names, and the configuration hash.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 from typing import Sequence
@@ -58,9 +59,12 @@ def _read_snapshot(path) -> tuple[PeriodicGrid, list[np.ndarray]]:
             raise ConfigurationError(f"{path}: bad magic {magic!r}")
         if version != FORMAT_VERSION:
             raise ConfigurationError(f"{path}: unsupported version {version}")
+        per = n**dims
+        # a header that claims more than the file holds must not size a grid
+        if 8 * count * per > os.fstat(fh.fileno()).st_size - _HEADER.size:
+            raise ConfigurationError(f"{path}: truncated payload")
         grid = PeriodicGrid(dims, n)
         out = []
-        per = n**dims
         for _ in range(count):
             buf = fh.read(8 * per)
             if len(buf) != 8 * per:

@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .besov import BesovEstimate, _check_exponents, _check_usable, besov_seminorm
-from .commutator import ROUTES, Route, _sweep_intercepts, _sweep_magnitudes, _sweep_problems
+from .commutator import ROUTES, Route, _sweep, _sweep_problems
 from .errors import ConfigurationError, GridMismatchError
 from .grid_fields import (
     Field,
@@ -454,13 +454,12 @@ def _certify_pair(
     # B's first state is read again: held through the pass it raises the peak
     v0 = traj_b.states[0].velocity
     fields, series = ((ua0, v0), (seminorms_a, seminorms)) if route.pair else \
-        ((v0, None), (seminorms,))
-    rate = route.power * alpha - 1.0
-    bound_factor = route.seminorm_factor(series[0][0] ** 2, [s[0] for s in series])
+        ((v0,), (seminorms,))
     weight = _cumulative_trapz(
         [route.seminorm_factor(s[0] * s[0], s) for s in zip(*series)], times)[-1]
-    magnitudes = _sweep_magnitudes(*fields, route.quantity, epsilons, p_int)
-    c_fit = max(_sweep_intercepts(magnitudes, epsilons, rate, bound_factor)[0])
+    rate, _, intercepts, _ = _sweep(route, fields, [s[0] for s in series], alpha, epsilons,
+                                    p_int)
+    c_fit = max(intercepts)
     budgets = [c_fit * e**rate * weight for e in epsilons]
     work_eps = epsilons[-1]  # the smallest, as the sweep runs largest first
     tolerance = 10.0 * max(traj_a.energy_drift(), traj_b.energy_drift(), 1e-16)

@@ -526,6 +526,9 @@ class TestRun:
             "a number in (0, 1)", id=f"synth-alpha-{alpha}") for alpha in ("1.5", "0")),
         pytest.param(BESOV.replace("seed = 3", "seed = -1"), "a nonnegative integer",
                      id="negative-seed"),
+        # n 8 keeps a 4D grid small should the key accept it
+        *(pytest.param(BESOV.replace("n = 256", f"n = 8\ndims = {dims}"), "2, 3",
+                       id=f"dims-{dims}") for dims in (70, 4)),
         pytest.param(UNIQUENESS.replace("p = 3.0", "p = 0.5"), "a number >= 1",
                      id="certify-p-below-one"),
         pytest.param(WEAK + "count = 0\n", "a positive integer", id="zero-weak-count"),

@@ -3,7 +3,8 @@ import pytest
 
 from eulerlab.commutator import (
     ROUTES,
-    _sweep_magnitudes,
+    _BY_QUANTITY,
+    _sweep,
     _sweep_problems,
     cet_trilinear,
     convective_commutator,
@@ -395,16 +396,22 @@ class TestSweep:
         v = random_band_limited_velocity(grid, 12, seed=37, divfree=True)
         return u, v
 
+    def magnitudes(self, quantity, fields):
+        """The magnitudes of a sweep of ``quantity``'s route on ``fields``; the
+        seminorms and ``alpha`` scale only the constants."""
+        route = _BY_QUANTITY[quantity]
+        return _sweep(route, fields, [1.0] * len(fields), 0.6, self.EPS, 3.0)[1]
+
     def test_convective_equals_public_calls(self, fields):
         v, _ = fields
-        got = _sweep_magnitudes(v, None, "convective_commutator_lp", self.EPS, 3.0)
+        got = self.magnitudes("convective_commutator_lp", (v,))
         expect = [lp_norm(convective_commutator(v, make_kernel(v.grid, e)), 1.5)
                   for e in self.EPS]
         assert got == expect
 
     def test_cet_equals_public_calls(self, fields):
         u, v = fields
-        got = _sweep_magnitudes(u, v, "cet_trilinear", self.EPS, 3.0)
+        got = self.magnitudes("cet_trilinear", (u, v))
         expect = [abs(cet_trilinear(u, v, make_kernel(u.grid, e))) for e in self.EPS]
         assert got == expect
 
@@ -420,7 +427,7 @@ class TestSweep:
             return from_hat(cls, grid, hat)
 
         monkeypatch.setattr(ScalarField, "from_hat", classmethod(counted))
-        _sweep_magnitudes(v, None, "convective_commutator_lp", self.EPS, 3.0)
+        self.magnitudes("convective_commutator_lp", (v,))
         assert calls == []
 
     @pytest.mark.parametrize("quantity,count", [
@@ -432,7 +439,7 @@ class TestSweep:
     def test_transform_count(self, fields, monkeypatch, quantity, count):
         u, v = fields
         calls = count_transforms(monkeypatch)
-        _sweep_magnitudes(u, v, quantity, self.EPS, 3.0)
+        self.magnitudes(quantity, (u, v) if _BY_QUANTITY[quantity].pair else (u,))
         assert len(calls) == count
 
 
@@ -452,18 +459,20 @@ class TestMemory:
         return u, v
 
     def test_cet_raw_holds_only_products(self, fields):
-        from eulerlab.commutator import _cet_raw
+        from eulerlab.grid_fields import _dealiased_product_tensor
 
         u, _ = fields
-        raw, held, _ = traced_half_spectra(u.grid, lambda: _cet_raw(u))
+        raw, held, _ = traced_half_spectra(
+            u.grid, lambda: _dealiased_product_tensor(u.grid, [c.values for c in u.components]))
         assert len(raw) == 2
         assert held <= 3.5
 
     def test_cet_at_transient_peak(self, fields):
-        from eulerlab.commutator import _cet_at, _cet_raw
+        from eulerlab.commutator import _cet_at
+        from eulerlab.grid_fields import _dealiased_product_tensor
 
         u, v = fields
-        products = _cet_raw(u)
+        products = _dealiased_product_tensor(u.grid, [c.values for c in u.components])
         kernel = make_kernel(u.grid, 0.25)
         value, _, peak = traced_half_spectra(
             u.grid, lambda: _cet_at(u, v, products, kernel))

@@ -89,3 +89,20 @@ def test_only_the_grid_builds_derivative_symbols():
                     or (is_k(node.left) and is_1j(node.right))):
                 found.add(f"{path.stem}:{node.lineno}")
     assert sorted(found) == []
+
+
+def test_no_code_compares_a_quantity_name():
+    """A sweep's rules key on its ``Route``, not on the name of its quantity:
+    no comparison in a package module has a route's quantity name as an
+    operand."""
+    from eulerlab.commutator import ROUTES
+
+    quantities = {r.quantity for r in ROUTES.values()}
+    found = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(operand, ast.Constant) and operand.value in quantities
+                    for operand in (node.left, *node.comparators)):
+                found.add(f"{path.stem}:{node.lineno}")
+    assert sorted(found) == []

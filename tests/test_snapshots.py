@@ -1,5 +1,6 @@
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -50,6 +51,16 @@ class TestFieldRoundTrip:
         path = tmp_path / "bad.eulb"
         path.write_bytes(b"NOPE" + b"\x00" * 60)
         with pytest.raises(ConfigurationError, match="magic"):
+            read_field(path)
+
+    @pytest.mark.parametrize("dims, n", [(70, 8), (3, 2**20)], ids=["dims-70", "n-2^20"])
+    def test_rejects_a_header_larger_than_its_payload(self, tmp_path, dims, n):
+        """A header that claims more samples than the file holds is a
+        truncated payload, found before a grid of the claimed size is built."""
+        path = tmp_path / "big.eulb"
+        header = struct.pack("<4sHHII16s", b"EULB", 1, dims, n, 1, b"\x00" * 16)
+        path.write_bytes(header + b"\x00" * 64)
+        with pytest.raises(ConfigurationError, match="truncated payload"):
             read_field(path)
 
 

@@ -30,6 +30,7 @@ from eulerlab.uniqueness import (
     RelativeEnergySeries,
     RunConfig,
     _certify_pair,
+    _cumulative_trapz,
     _plain_energy,
     gronwall_certify,
     lipschitz_from_gradient,
@@ -312,6 +313,23 @@ class TestUniquenessExperiment:
         fields = v if quantity == "convective_commutator_lp" else (u0, v)
         sweep = scaling_experiment(fields, quantity, self.EPS, 3.0, alpha=report.alpha)
         assert sweep.theory_slope == p * report.alpha - 1.0
+
+    def test_budget_is_the_scaling_sweep_of_b(self):
+        """The convective budget is the scaling experiment's sweep of B's first
+        velocity: its largest constant times ``eps^rate`` times the integrated
+        squared seminorms, bit for bit."""
+        eps = [0.25, 0.125, 0.0625, 0.03125]
+        u0 = random_divfree(make_grid(2, 128), 2.0, seed=3)
+        legs = (RunConfig(64, 2e-3, 0.02, snapshot_stride=5),
+                RunConfig(128, 1e-3, 0.02, snapshot_stride=10))
+        traj_a, traj_b = run_pair((u0,), *legs, solve)
+        report = _certify_pair(traj_a, traj_b, 0.6, 3.0, eps, energy=_plain_energy,
+                               budget_route="convective")
+        s = scaling_experiment(traj_b.states[0].velocity, "convective_commutator_lp", eps, 3.0,
+                               alpha=0.6)
+        w = _cumulative_trapz([x * x for x in report.seminorm_series], report.times)[-1]
+        assert report.budgets_values == [max(s.intercepts) * e**s.theory_slope * w
+                                         for e in report.budgets_epsilons]
 
     def test_cadence_mismatch_rejected(self):
         u0 = taylor_green(make_grid(2, 64), 1.0)
