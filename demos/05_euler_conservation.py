@@ -24,7 +24,7 @@ from eulerlab import (
     weak_residuals,
 )
 
-grid = make_grid(2, 256)
+grid = make_grid(2, 128)
 
 tg = taylor_green(grid, 1.0)
 traj = solve(tg, 0.5, 1e-3, snapshot_stride=100)

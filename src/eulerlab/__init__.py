@@ -26,7 +26,6 @@ from .grid_fields import (
     curl_2d,
     divergence,
     gradient,
-    gradient_tensor,
     inner,
     leray_project,
     lp_norm,
@@ -48,7 +47,6 @@ from .synth import (
     low_mode_divfree,
     low_mode_scalar,
     random_divfree,
-    rigid_rotation_gradient,
     shear_flow,
     taylor_green,
     taylor_green_pressure,
@@ -70,7 +68,6 @@ from .solver import (
     cosine_window,
     enstrophy,
     kinetic_energy,
-    linear_window,
     recover_pressure,
     solve,
     weak_residual,

@@ -47,7 +47,6 @@ __all__ = [
     "lp_norm",
     "max_norm",
     "inner",
-    "gradient_tensor",
     "resample",
 ]
 
@@ -159,23 +158,6 @@ class PeriodicGrid:
         """Full coordinate arrays, one per axis, ``indexing='ij'``."""
         axis = -1.0 + self.spacing * np.arange(self.n_per_axis)
         return list(np.meshgrid(*[axis] * self.dims, indexing="ij"))
-
-    def offsets(self) -> list[np.ndarray]:
-        """Signed periodic offsets from the origin along each axis.
-
-        Entry ``j`` is the coordinate of lattice point ``j`` relative to the
-        origin under the minimum-image convention, so a kernel sampled on
-        these offsets is centred at index 0.
-        """
-        n = self.n_per_axis
-        idx = np.arange(n)
-        signed = np.where(idx < n // 2, idx, idx - n)
-        out = []
-        for axis in range(self.dims):
-            shape = [1] * self.dims
-            shape[axis] = -1
-            out.append((self.spacing * signed).reshape(shape))
-        return out
 
     def deriv_wavenumber(self, axis: int) -> np.ndarray:
         """Broadcastable derivative multiplier for ``axis`` (Nyquist zeroed)."""
@@ -307,10 +289,6 @@ class VelocityField:
     @classmethod
     def from_arrays(cls, grid: PeriodicGrid, arrays: Sequence[np.ndarray]) -> "VelocityField":
         return cls([ScalarField(grid, a) for a in arrays])
-
-    def magnitude(self) -> np.ndarray:
-        """Pointwise Euclidean speed."""
-        return np.sqrt(_squared_magnitude([c.values for c in self.components]))
 
     def max_speed(self) -> float:
         """Largest pointwise Euclidean speed."""
@@ -476,17 +454,6 @@ def inner(f: Field, g: Field) -> float:
     for a, b in zip(f.components, g.components):
         acc += np.sum(a.values * b.values)
     return float(acc * f.grid.cell_volume)
-
-
-def gradient_tensor(u: VelocityField) -> np.ndarray:
-    """Full velocity gradient, shape ``(N, N) + grid.shape``; entry ``[i, j]``
-    is ``d(u_i)/dx_j``."""
-    grid = u.grid
-    out = np.empty((grid.dims, grid.dims) + grid.shape)
-    for i, c in enumerate(u.components):
-        for j in range(grid.dims):
-            out[i, j] = grid.irfftn(grid.ik[j] * c.hat)
-    return out
 
 
 def _resample_hat(src_grid: PeriodicGrid, hat: np.ndarray, dst_grid: PeriodicGrid) -> np.ndarray:

@@ -71,7 +71,6 @@ __all__ = [
     "TimeProfile",
     "WeakTestFunction",
     "cosine_window",
-    "linear_window",
     "solve",
     "integrate",
     "steps_for_horizon",
@@ -499,16 +498,6 @@ def cosine_window(T: float) -> TimeProfile:
         value=lambda t: 0.5 * (1.0 + math.cos(w * t)),
         antiderivative=lambda t: 0.5 * t + 0.5 / w * math.sin(w * t),
         antiderivative2=lambda t: 0.25 * t * t - 0.5 / (w * w) * math.cos(w * t),
-        horizon=T,
-    )
-
-
-def linear_window(T: float) -> TimeProfile:
-    """``1 - t/T``: the gentlest C^1 weight vanishing at the horizon."""
-    return TimeProfile(
-        value=lambda t: 1.0 - t / T,
-        antiderivative=lambda t: t - t * t / (2.0 * T),
-        antiderivative2=lambda t: t * t / 2.0 - t**3 / (6.0 * T),
         horizon=T,
     )
 

@@ -28,7 +28,6 @@ __all__ = [
     "shear_flow",
     "random_divfree",
     "low_mode_divfree",
-    "rigid_rotation_gradient",
     "field_from_spec",
 ]
 
@@ -209,47 +208,26 @@ def random_divfree(
     return _solenoidal_at_speed(grid, comps, amplitude)
 
 
-def low_mode_scalar(
-    grid: PeriodicGrid, kmax: int, seed: int, amplitude: float = 1.0
-) -> ScalarField:
+def low_mode_scalar(grid: PeriodicGrid, kmax: int, seed: int) -> ScalarField:
     """Gaussian scalar confined to integer modes ``|k_i| <= kmax``, sup-norm
-    normalized to ``amplitude``."""
+    normalized to 1."""
     _check_kmax(grid, kmax)
     vals = _filtered_noise(grid, _rng(seed), grid.band_mask(kmax))
     top = np.abs(vals).max()
     if top > 0.0:
-        vals *= amplitude / top
+        vals *= 1.0 / top
     return ScalarField(grid, vals)
 
 
-def low_mode_divfree(
-    grid: PeriodicGrid, kmax: int, seed: int, amplitude: float = 1.0
-) -> VelocityField:
+def low_mode_divfree(grid: PeriodicGrid, kmax: int, seed: int) -> VelocityField:
     """Gaussian solenoidal field confined to integer modes ``|k_i| <= kmax``;
-    max speed normalized to ``amplitude``.  Useful as a weak-formulation test
+    max speed normalized to 1.  Useful as a weak-formulation test
     function (band-limited far below the dealias cutoff)."""
     _check_kmax(grid, kmax)
     gen = _rng(seed)
     mask = grid.band_mask(kmax)
     comps = [_filtered_noise(grid, gen, mask) for _ in range(grid.dims)]
-    return _solenoidal_at_speed(grid, comps, amplitude)
-
-
-def rigid_rotation_gradient(grid: PeriodicGrid, rate: float = 1.0) -> np.ndarray:
-    """Constant antisymmetric gradient tensor of the rotation ``rate*(-x2, x1)``.
-
-    No nonconstant periodic velocity field has a pointwise antisymmetric
-    gradient (Korn rigidity forces such a field to be affine, and periodicity
-    kills the linear part), so the rotation enters the laboratory only at the
-    gradient-tensor level, shaped like :func:`grid_fields.gradient_tensor`
-    output.
-    """
-    if grid.dims != 2:
-        raise ConfigurationError("rigid_rotation_gradient requires dims=2")
-    out = np.zeros((2, 2) + grid.shape)
-    out[0, 1] = -rate
-    out[1, 0] = rate
-    return out
+    return _solenoidal_at_speed(grid, comps, 1.0)
 
 
 def field_from_spec(spec: SynthSpec, grid: PeriodicGrid) -> VelocityField:

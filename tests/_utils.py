@@ -11,7 +11,7 @@ from eulerlab.grid_fields import (
     VelocityField,
     leray_project,
 )
-from eulerlab.solver import RecordedStates
+from eulerlab.solver import RecordedStates, TimeProfile
 
 
 def count_transforms(monkeypatch) -> list:
@@ -61,6 +61,35 @@ def traced_half_spectra(grid: PeriodicGrid, fn):
         tracemalloc.stop()
     unit = np.prod(grid.rshape) * 16
     return result, held / unit, peak / unit
+
+
+def linear_window(T: float) -> TimeProfile:
+    """``1 - t/T``: the gentlest C^1 weight vanishing at the horizon, a
+    second profile beside the package's ``cosine_window``."""
+    return TimeProfile(
+        value=lambda t: 1.0 - t / T,
+        antiderivative=lambda t: t - t * t / (2.0 * T),
+        antiderivative2=lambda t: t * t / 2.0 - t**3 / (6.0 * T),
+        horizon=T,
+    )
+
+
+def offsets(grid: PeriodicGrid) -> list[np.ndarray]:
+    """Signed periodic offsets from the origin along each axis.
+
+    Entry ``j`` is the coordinate of lattice point ``j`` relative to the
+    origin under the minimum-image convention, so a kernel sampled on
+    these offsets is centred at index 0.
+    """
+    n = grid.n_per_axis
+    idx = np.arange(n)
+    signed = np.where(idx < n // 2, idx, idx - n)
+    out = []
+    for axis in range(grid.dims):
+        shape = [1] * grid.dims
+        shape[axis] = -1
+        out.append((grid.spacing * signed).reshape(shape))
+    return out
 
 
 def rng(seed: int) -> np.random.Generator:

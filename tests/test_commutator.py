@@ -17,6 +17,8 @@ from eulerlab.grid_fields import (
     VelocityField,
     _dealiased_product,
     _div_hat,
+    divergence,
+    gradient,
     lp_norm,
     make_grid,
     max_norm,
@@ -385,7 +387,9 @@ class TestPairReuse:
 
 class TestSweep:
     """A sweep builds the epsilon-independent terms once and evaluates each
-    scale through the same helper as the public functions."""
+    scale through the same helper as the public functions; on fields whose
+    products the 2/3 mask keeps whole, its magnitudes are those of the
+    physical-space definitions."""
 
     EPS = [0.5, 0.25, 0.125, 0.0625]
 
@@ -394,6 +398,15 @@ class TestSweep:
         grid = make_grid(2, 64)
         u = random_band_limited_velocity(grid, 12, seed=36, divfree=True)
         v = random_band_limited_velocity(grid, 12, seed=37, divfree=True)
+        return u, v
+
+    @pytest.fixture
+    def low_fields(self):
+        """Fields band-limited below n/6: every mode of their products lies
+        inside the 2/3 mask, so dealiasing leaves the products exact."""
+        grid = make_grid(2, 64)
+        u = random_band_limited_velocity(grid, 10, seed=38, divfree=True)
+        v = random_band_limited_velocity(grid, 10, seed=39, divfree=True)
         return u, v
 
     def magnitudes(self, quantity, fields):
@@ -414,6 +427,50 @@ class TestSweep:
         got = self.magnitudes("cet_trilinear", (u, v))
         expect = [abs(cet_trilinear(u, v, make_kernel(u.grid, e))) for e in self.EPS]
         assert got == expect
+
+    def test_convective_matches_physical_space(self, low_fields):
+        """``||div(v_eps (x) v_eps) - (div(v (x) v))_eps||_{L^(p/2)}`` from
+        pointwise products and the public calculus."""
+        _, v = low_fields
+        grid = v.grid
+
+        def div_outer(w):
+            """``div(w (x) w)`` row by row: ``sum_j d_j(w_i w_j)``."""
+            vals = [c.values for c in w.components]
+            return [divergence(VelocityField.from_arrays(grid, [a * b for b in vals]))
+                    for a in vals]
+
+        expect = []
+        for eps in self.EPS:
+            kernel = make_kernel(grid, eps)
+            smooth = div_outer(mollify(v, kernel))
+            raw = [mollify(d, kernel) for d in div_outer(v)]
+            comm = VelocityField.from_arrays(
+                grid, [s.values - r.values for s, r in zip(smooth, raw)])
+            expect.append(lp_norm(comm, 1.5))
+        got = self.magnitudes("convective_commutator_lp", (v,))
+        assert got == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+    def test_cet_matches_physical_space(self, low_fields):
+        """``|sum [(u (x) u)_eps - u_eps (x) u_eps] : grad(v_eps - u_eps) h^N|``
+        from pointwise products and the public gradient."""
+        u, v = low_fields
+        grid = u.grid
+        uu = [c.values for c in u.components]
+        expect = []
+        for eps in self.EPS:
+            kernel = make_kernel(grid, eps)
+            ue = [c.values for c in mollify(u, kernel).components]
+            ve = [c.values for c in mollify(v, kernel).components]
+            total = 0.0
+            for i in range(grid.dims):
+                grad_i = gradient(ScalarField(grid, ve[i] - ue[i])).components
+                for j in range(grid.dims):
+                    m = mollify(ScalarField(grid, uu[i] * uu[j]), kernel).values - ue[i] * ue[j]
+                    total += np.sum(m * grad_i[j].values)
+            expect.append(abs(total * grid.cell_volume))
+        got = self.magnitudes("cet_trilinear", (u, v))
+        assert got == pytest.approx(expect, rel=1e-12, abs=0.0)
 
     def test_convective_sweep_builds_no_fields(self, fields, monkeypatch):
         """The convective sweep stays on arrays: no ``ScalarField.from_hat``

@@ -14,7 +14,6 @@ from eulerlab.grid_fields import (
     _leray_hats,
     divergence,
     gradient,
-    gradient_tensor,
     inner,
     leray_project,
     lp_norm,
@@ -245,17 +244,6 @@ class TestAdjointness:
         lhs = inner(gradient(f), u)
         rhs = -inner(f, divergence(u))
         assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, abs(lhs)))
-
-
-class TestGradientTensor:
-    def test_matches_component_gradients(self):
-        grid = make_grid(2, 32)
-        u = random_band_limited_velocity(grid, 8, seed=13)
-        T = gradient_tensor(u)
-        for i, c in enumerate(u.components):
-            g = gradient(c)
-            for j in range(2):
-                assert np.allclose(T[i, j], g.components[j].values, atol=1e-13)
 
 
 class TestThreeDimensional:

@@ -106,3 +106,47 @@ def test_no_code_compares_a_quantity_name():
                     for operand in (node.left, *node.comparators)):
                 found.add(f"{path.stem}:{node.lineno}")
     assert sorted(found) == []
+
+
+# Documented API with no caller outside the tests: README specifies the
+# ``.eulb`` snapshot format, and these read it back.
+DOCUMENTED_ONLY = {"snapshots.read_field", "snapshots.load_trajectory"}
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Every bare name and every attribute the module reads."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def trace_targets(tree: ast.Module) -> set[str]:
+    """The function names in the string table ``TARGETS`` of ``bench/spans.py``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS"
+                                                for t in node.targets):
+            return {part for entry in ast.literal_eval(node.value) for part in entry[1].split(".")}
+    return set()
+
+
+def test_every_public_name_has_a_caller():
+    """Every name in a package module's ``__all__`` is read somewhere outside
+    the tests: in another line of the package (``__init__`` re-exports, so it
+    is left out), in a demo script, or in the benchmark, whose trace targets
+    ``bench/spans.py`` names as strings."""
+    root = PACKAGE.parents[1]
+    callers = set()
+    for path in [*MODULES, *root.glob("demos/*.py"), *root.glob("bench/*.py")]:
+        if path.name.startswith("test_"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        callers |= referenced_names(tree)
+        if path == root / "bench" / "spans.py":
+            callers |= trace_targets(tree)
+    uncalled = set()
+    for path in MODULES:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                    for t in node.targets):
+                uncalled |= {f"{path.stem}.{name}" for name in ast.literal_eval(node.value)
+                             if name not in callers}
+    assert sorted(uncalled - DOCUMENTED_ONLY) == []

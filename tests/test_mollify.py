@@ -14,6 +14,7 @@ from eulerlab.mollify import make_kernel, mollify
 
 from _utils import (
     direct_convolution,
+    offsets,
     random_band_limited_scalar,
     random_band_limited_velocity,
     traced_half_spectra,
@@ -39,7 +40,7 @@ class TestMakeKernel:
         eps = 0.125
         k = make_kernel(grid, eps)
         r2 = np.zeros(grid.shape)
-        for off in grid.offsets():
+        for off in offsets(grid):
             r2 = r2 + np.broadcast_to(off * off, grid.shape)
         outside = r2 >= eps * eps
         assert np.all(k.values.values[outside] == 0.0)
@@ -66,7 +67,7 @@ def full_grid_kernel(grid, eps):
     """``make_kernel``'s samples and multiplier before the support patch:
     the bump evaluated on the whole grid."""
     r2 = np.zeros(grid.shape)
-    for off in grid.offsets():
+    for off in offsets(grid):
         r2 = r2 + np.broadcast_to(off * off, grid.shape)
     s = r2 / (eps * eps)
     vals = np.zeros(grid.shape)
