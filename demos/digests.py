@@ -1,6 +1,7 @@
 """Print the SHA-256 of every artifact of every demo config.
 
     python demos/digests.py > digests.txt
+    python demos/digests.py --check demos/digests.txt
 
 Each ``demos/configs/*.ini`` runs through ``eulerlab.cli.run`` in a fresh
 temporary directory, with ``eulerlab`` imported from ``src/`` of the checkout
@@ -9,13 +10,21 @@ per artifact, in sorted order; ``metadata.json`` holds wall-clock data and is
 left out.  Run the script in two checkouts and ``diff`` the outputs: a change
 that moves no number prints the same lines.
 
+With ``--check FILE`` nothing is printed but the lines that differ from
+``FILE``: ``- <line>`` for a line of the file the run did not print and
+``+ <line>`` for a printed line the file lacks.  ``demos/digests.txt`` holds
+the lines of the checked-in code, so a change that claims to move no number
+passes ``--check demos/digests.txt`` as it stands.
+
 BLAS and OpenMP are pinned to one thread before numpy loads, so the digests do
 not depend on how a threaded BLAS splits a dot product.  The exit status is 1
-when any config exits 1 (a configuration or runtime error), else 0.
+when any config exits 1 (a configuration or runtime error) or, with
+``--check``, when any line differs, else 0.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import os
@@ -41,7 +50,11 @@ def digest_lines(config: Path, outdir: Path) -> list[str]:
     return lines
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="SHA-256 of every demo config's artifacts")
+    parser.add_argument("--check", metavar="FILE", type=Path,
+                        help="print only the lines that differ from FILE; exit 1 if any do")
+    args = parser.parse_args(argv)
     for name in THREAD_VARIABLES:
         os.environ[name] = "1"
     sys.path.insert(0, str(SRC))
@@ -51,6 +64,7 @@ def main() -> int:
         print(f"error: eulerlab imported from {cli.__file__}, not {SRC}", file=sys.stderr)
         return 1
     failed = False
+    lines = []
     with tempfile.TemporaryDirectory() as tmp:
         for config in CONFIGS:
             outdir = Path(tmp) / config.stem
@@ -58,8 +72,18 @@ def main() -> int:
                 code = cli.run(config, output_dir=outdir)
             print(f"{config.stem}: exit {code}", file=sys.stderr)
             failed |= code == cli.EXIT_ERROR
-            for line in digest_lines(config, outdir):
-                print(line)
+            lines += digest_lines(config, outdir)
+    if args.check is None:
+        for line in lines:
+            print(line)
+    else:
+        expected = args.check.read_text().splitlines()
+        diff = [f"- {line}" for line in expected if line not in lines]
+        diff += [f"+ {line}" for line in lines if line not in expected]
+        for line in diff:
+            print(line)
+        print(f"{args.check}: {len(diff)} lines differ", file=sys.stderr)
+        failed |= bool(diff)
     return 1 if failed else 0
 
 

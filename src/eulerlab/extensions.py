@@ -23,7 +23,8 @@ the reduction holds value-for-value, not merely to a tolerance.
 Both systems step through the homogeneous solver's single integrator
 (``solver.integrate``) and return its ``Trajectory`` with one extra named
 ledger: ``"mass"`` or ``"theta"``.  Its states are rebuilt on access from
-the recorded spectra ``(rho, u1, u2)`` or ``(w, theta)``, three inverse
+the recorded spectra ``(rho, u1, u2)``, whole half-spectra, or ``(w,
+theta)``, dealias bands as ``solver.solve`` steps them, three inverse
 transforms per read; the variable-density run checks each recorded density
 for positivity as it is recorded.  Their A/B certifications run the legs
 through ``uniqueness.run_pair`` and certify through the homogeneous pipeline's
@@ -355,29 +356,31 @@ def boussinesq_solve(
     The vorticity tendency is the homogeneous advection term plus the torque,
     added afterwards; a vanishing ``theta`` therefore reproduces the
     homogeneous solver's arithmetic exactly.  The advection term's physical
-    velocity also carries ``theta``, so a stage costs seven transforms.
+    velocity also carries ``theta``, so a stage costs seven transforms.  Both
+    spectra live on the dealias band, as in :func:`~eulerlab.solver.solve`.
     """
     grid = _check_initial(u0, theta0)
     g = tuple(float(x) for x in g)
     if len(g) != 2 or not all(map(math.isfinite, g)):
         raise ConfigurationError(f"g must be two finite numbers, got {g}")
-    torque_symbol = 1j * (g[1] * grid.deriv_wavenumber(0) - g[0] * grid.deriv_wavenumber(1))
+    torque_symbol = grid.to_band(
+        1j * (g[1] * grid.deriv_wavenumber(0) - g[0] * grid.deriv_wavenumber(1)))
     vort = _Vorticity(u0)
 
     def rhs(hats: tuple, with_speed: bool) -> tuple:
         wh, th = hats
         dw, u = vort.advect(wh)
         dw += torque_symbol * th
-        dth = _transport_tendency(grid, grid.irfftn(th), u)
+        dth = vort.transport(th)
         return (dw, dth), _max_speed(u) if with_speed else None
 
     biot_savart = vort.biot_savart
 
     def materialize(t: float, hats: tuple) -> State:
         return State(t, _biot_savart_velocity(grid, biot_savart, hats[0]),
-                     {"theta": ScalarField.from_hat(grid, hats[1])})
+                     {"theta": ScalarField.from_hat(grid, grid.from_band(hats[1]))})
 
-    hats = (curl_2d(u0).hat * grid.dealias_mask, theta0.hat * grid.dealias_mask)
+    hats = (grid.to_band(curl_2d(u0).hat), grid.to_band(theta0.hat))
     traj = integrate(grid, hats, rhs, materialize, T, dt, snapshot_stride,
                      lambda s: {"energy": kinetic_energy(s.velocity),
                                 "theta": _total(s.scalars["theta"])})

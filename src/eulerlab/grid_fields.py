@@ -65,9 +65,11 @@ class PeriodicGrid:
     pi), broadcastable derivative multipliers for the half-spectrum layout,
     the derivative symbols ``ik`` (``1j`` times each multiplier), the
     inverse Laplacian symbol, the 2/3-rule dealias mask
-    ``band_mask(dealias_kmax)`` and the interleaved ``parseval_weights``;
-    all are read-only.  Every transform goes through :meth:`rfftn` and
-    :meth:`irfftn`.
+    ``band_mask(dealias_kmax)``, the ``band_index`` of that band's compressed
+    layout (``band_shape``) and the interleaved ``parseval_weights``; all are
+    read-only.  Every transform goes through :meth:`rfftn` and
+    :meth:`irfftn`, whose band mode maps samples to the compressed band
+    and back.
     """
 
     def __init__(self, dims: int, n_per_axis: int):
@@ -124,6 +126,14 @@ class PeriodicGrid:
         self.dealias_kmax = (n - 1) // 3
         self.dealias_mask = self.band_mask(self.dealias_kmax)
 
+        # The compressed dealias band: on each leading axis the rows 0..k and
+        # then -k..-1 (the half-spectrum's own order), on the last axis the
+        # columns 0..k; band_index picks it out of a half-spectrum.
+        k = self.dealias_kmax
+        rows = np.r_[0 : k + 1, n - k : n]
+        self.band_shape = (2 * k + 1,) * (dims - 1) + (k + 1,)
+        self.band_index = np.ix_(*[rows] * (dims - 1), np.arange(k + 1))
+
         # Parseval weights w over the last half-spectrum axis, with sum_x f g
         # = sum_k w Re(conj(F) G) for real fields on N points: 1/N on the
         # first and last columns, which are their own mirror images, and 2/N
@@ -135,7 +145,8 @@ class PeriodicGrid:
         w[0] = w[-1] = 1.0 / size
         self.parseval_weights = np.repeat(w, 2)
 
-        for arr in (self.inv_k_squared, self.dealias_mask, self.parseval_weights, *self.ik):
+        for arr in (self.inv_k_squared, self.dealias_mask, self.parseval_weights, *self.ik,
+                    *self.band_index):
             arr.setflags(write=False)
 
     def band_mask(self, kmax: int) -> np.ndarray:
@@ -177,11 +188,68 @@ class PeriodicGrid:
             )
         return VelocityField([self.sample_scalar(f) for f in fns])
 
-    def rfftn(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.rfftn(values)
+    def to_band(self, hat: np.ndarray) -> np.ndarray:
+        """The compressed dealias band of a half-spectrum (or of a symbol
+        that broadcasts to one), fresh."""
+        return np.broadcast_to(hat, self.rshape)[self.band_index]
 
-    def irfftn(self, hat: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(hat, s=self.shape, axes=tuple(range(self.dims)))
+    def from_band(self, band: np.ndarray) -> np.ndarray:
+        """The half-spectrum that holds the compressed ``band`` and zeros."""
+        hat = np.zeros(self.rshape, dtype=complex)
+        hat[self.band_index] = band
+        return hat
+
+    def band_work(self) -> "_BandWork":
+        """Scratch arrays for band-mode transforms on this grid."""
+        return _BandWork(self)
+
+    def rfftn(self, values: np.ndarray, band: bool = False,
+              out: np.ndarray = None, work: "_BandWork" = None) -> np.ndarray:
+        """Half-spectrum of the real samples ``values`` (numpy's ``rfftn``).
+
+        With ``band``, the compressed dealias band (:attr:`band_shape`),
+        bitwise ``rfftn(values)[band_index]``: numpy's passes in numpy's
+        order, but each leading axis's complex pass runs only over the
+        band's columns, and over the band's rows of the axes already
+        passed.  The passes write into ``work`` (a :meth:`band_work`) and
+        the result into ``out``; either is fresh when not given.
+        """
+        if not band:
+            return np.fft.rfftn(values)
+        work = work if work is not None else self.band_work()
+        x = np.fft.rfft(values, axis=-1, out=work.half)[..., : self.dealias_kmax + 1]
+        for axis in range(self.dims - 2, -1, -1):
+            full = np.fft.fft(x, axis=axis, out=work.forward[axis])
+            x = work.gathered[axis] if axis else out
+            if x is None:
+                x = np.empty(self.band_shape, dtype=complex)
+            lo, hi, hi_full = _row_blocks(axis, self.dealias_kmax)
+            x[lo] = full[lo]
+            x[hi] = full[hi_full]
+        return x
+
+    def irfftn(self, hat: np.ndarray, band: bool = False,
+               out: np.ndarray = None, work: "_BandWork" = None) -> np.ndarray:
+        """Real samples of the half-spectrum ``hat`` (numpy's ``irfftn``).
+
+        With ``band``, ``hat`` is a compressed dealias band and the result
+        is bitwise ``irfftn(from_band(hat))``: each leading axis's complex
+        pass runs only over the band's columns, and over the band's rows of
+        the axes not yet passed, on zero-padded copies in ``work`` (a
+        :meth:`band_work`); the samples go into ``out``.  Either is fresh
+        when not given.
+        """
+        if not band:
+            return np.fft.irfftn(hat, s=self.shape, axes=tuple(range(self.dims)))
+        work = work if work is not None else self.band_work()
+        x = hat
+        for axis in range(self.dims - 1):
+            padded = work.padded[axis]  # zero outside the band rows, written once
+            lo, hi, hi_full = _row_blocks(axis, self.dealias_kmax)
+            padded[lo] = x[lo]
+            padded[hi_full] = x[hi]
+            x = np.fft.ifft(padded, axis=axis, out=work.inverse[axis])
+        return np.fft.irfft(work.full, n=self.n_per_axis, axis=-1, out=out)
 
     def __eq__(self, other) -> bool:
         return (
@@ -195,6 +263,43 @@ class PeriodicGrid:
 
     def __repr__(self) -> str:
         return f"PeriodicGrid(dims={self.dims}, n_per_axis={self.n_per_axis})"
+
+
+def _row_blocks(axis: int, k: int) -> tuple:
+    """Index tuples of the band's two row blocks along ``axis``: the rows
+    0..k of either layout, the rows -k..-1 of a compressed array, and the
+    same rows of a full one."""
+    pre = (slice(None),) * axis
+    return pre + (slice(0, k + 1),), pre + (slice(k + 1, 2 * k + 1),), pre + (slice(-k, None),)
+
+
+class _BandWork:
+    """The scratch of :meth:`PeriodicGrid.rfftn` and :meth:`~PeriodicGrid.irfftn`
+    in band mode, one array per pass, so a caller that keeps one allocates
+    nothing full-size per transform.  Between passes over the leading axes,
+    an array is full along the axes passed and on the band elsewhere (its
+    last axis holds the band's columns): ``forward[a]`` is the forward pass
+    over axis ``a`` and ``gathered[a]`` its band rows, ``padded[a]`` is the
+    inverse pass's input, zero-padded along ``a``, and ``inverse[a]`` its
+    output, the band columns of ``full`` for the last leading axis.
+    ``half`` takes the forward real pass and ``full``, zero beyond the band
+    columns, feeds the inverse one."""
+
+    __slots__ = ("half", "forward", "gathered", "padded", "inverse", "full")
+
+    def __init__(self, grid: PeriodicGrid):
+        n, k, lead = grid.n_per_axis, grid.dealias_kmax, grid.dims - 1
+
+        def shape(passed: int) -> tuple:
+            return (n,) * passed + (2 * k + 1,) * (lead - passed) + (k + 1,)
+
+        self.half = np.empty(grid.rshape, dtype=complex)
+        self.full = np.zeros(grid.rshape, dtype=complex)
+        self.forward = [np.empty(shape(a + 1), dtype=complex) for a in range(lead)]
+        self.gathered = [None] + [np.empty(shape(a), dtype=complex) for a in range(1, lead)]
+        self.padded = [np.zeros(shape(a + 1), dtype=complex) for a in range(lead)]
+        self.inverse = [np.empty(shape(a + 1), dtype=complex) for a in range(lead - 1)]
+        self.inverse.append(self.full[..., : k + 1])
 
 
 def make_grid(dims: int, n_per_axis: int) -> PeriodicGrid:

@@ -14,9 +14,19 @@ products forward; the vorticity itself never leaves spectral space.
 Pressure never enters the time loop; it is recovered diagnostically from the
 div-div Poisson equation.
 
+The vorticity lives on the compressed dealias band (``grid.band_shape``),
+outside which every dealiased spectrum is zero: the state, its RK4 stages
+and the symbols hold only the band, and the transforms run in the grid's
+band mode, whose leading complex passes are pruned to the band's columns
+and bitwise equal to the whole half-spectrum's on the band.  The passes,
+the velocity samples and the products write into work arrays that one
+solve allocates once (:class:`_Vorticity`), so a stage allocates no
+full-size array.
+
 A run records the integrator's own spectral state at each snapshot (for this
-solver the vorticity spectrum alone), read-only and uncopied, and rebuilds a
-snapshot's :class:`State` from it each time the state is read.  One rebuild
+solver the band vorticity spectrum alone), read-only and uncopied, and
+rebuilds a snapshot's :class:`State` from it, scattered into a whole
+half-spectrum, each time the state is read.  One rebuild
 costs the system's inverse transforms (three here: ``u1``, ``u2`` and the
 vorticity), so a caller that reads a state twice should hold it; the
 trajectory's times, grid, length and ledgers rebuild nothing.  All three
@@ -107,48 +117,74 @@ def _velocity_hat(w_hat: np.ndarray, b: np.ndarray, mean: complex) -> np.ndarray
 
 
 def _biot_savart_velocity(grid: PeriodicGrid, biot_savart: tuple,
-                          w_hat: np.ndarray) -> VelocityField:
-    """The velocity of the vorticity spectrum ``w_hat`` (``biot_savart`` is
-    :class:`_Vorticity`'s pairs of a symbol and a zero-mode coefficient)."""
-    return VelocityField([ScalarField.from_hat(grid, _velocity_hat(w_hat, b, mean))
-                          for b, mean in biot_savart])
+                          w_band: np.ndarray) -> VelocityField:
+    """The velocity of the band vorticity spectrum ``w_band``
+    (``biot_savart`` is :class:`_Vorticity`'s pairs of a band symbol and a
+    zero-mode coefficient), with full half-spectra."""
+    return VelocityField([
+        ScalarField.from_hat(grid, grid.from_band(_velocity_hat(w_band, b, mean)))
+        for b, mean in biot_savart])
 
 
 class _Vorticity:
-    """The spectral symbols of the vorticity formulation on the grid of the
-    initial velocity ``u0``, built once per solve: Biot-Savart
-    ``u_i_hat = w_hat * b_i`` with ``b = (i k1/|k|^2, -i k0/|k|^2)``, each
-    paired with ``u0``'s zero-mode coefficient (the mean flow, which the
-    vorticity does not see and the dynamics conserve), and the real stress
-    symbols ``(k0^2 - k1^2) * mask`` and ``k0 k1 * mask``, which vanish at
-    k = 0.  A recorded trajectory keeps the Biot-Savart pairs only."""
+    """The spectral symbols and work arrays of the vorticity formulation on
+    the grid of the initial velocity ``u0``, built once per solve.  Its
+    spectra are compressed dealias bands (``grid.band_shape``), on which
+    every symbol lives: Biot-Savart ``u_i_hat = w_hat * b_i`` with
+    ``b = (i k1/|k|^2, -i k0/|k|^2)``, each paired with ``u0``'s zero-mode
+    coefficient (the mean flow, which the vorticity does not see and the
+    dynamics conserve), the real stress symbols ``k0^2 - k1^2`` and
+    ``k0 k1``, which vanish at k = 0, and the derivative symbols ``ik``.
+    The work arrays are the band transforms' scratch, the velocity samples
+    ``u`` and two sample-space product buffers; each call overwrites them.
+    A recorded trajectory keeps the Biot-Savart pairs only."""
 
     def __init__(self, u0: VelocityField):
         grid = u0.grid
         k0, k1 = grid.deriv_wavenumber(0), grid.deriv_wavenumber(1)
         self.grid = grid
         mean = [c.hat[0, 0] for c in u0.components]
-        self.biot_savart = ((1j * k1 * grid.inv_k_squared, mean[0]),
-                            (-1j * k0 * grid.inv_k_squared, mean[1]))
-        self.stress = ((k0 * k0 - k1 * k1) * grid.dealias_mask, k0 * k1 * grid.dealias_mask)
+        self.biot_savart = ((grid.to_band(1j * k1 * grid.inv_k_squared), mean[0]),
+                            (grid.to_band(-1j * k0 * grid.inv_k_squared), mean[1]))
+        self.stress = (grid.to_band(k0 * k0 - k1 * k1), grid.to_band(k0 * k1))
+        self.ik = tuple(grid.to_band(ik) for ik in grid.ik)
+        self.work = grid.band_work()
+        self.u = np.empty((2, *grid.shape))
+        self.products = np.empty((2, *grid.shape))
 
-    def advect(self, w_hat: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        """``-div(u w)`` in spectral form and the physical velocity ``(u1, u2)``.
+    def advect(self, w_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``-div(u w)`` of the band spectrum ``w_hat``, a fresh band
+        spectrum, and the physical velocity ``u`` (the work array).
 
         The tendency is ``s_P * P_hat + s_Q * Q_hat`` with ``P = u1 u2`` and
-        ``Q = (u2 - u1)(u2 + u1)``: four transforms, and a fresh array.
+        ``Q = (u2 - u1)(u2 + u1)``: four transforms.
         """
-        grid = self.grid
-        u1, u2 = (grid.irfftn(_velocity_hat(w_hat, b, mean)) for b, mean in self.biot_savart)
-        p_hat = grid.rfftn(u1 * u2)
-        q = u2 - u1
-        q *= u2 + u1
-        q_hat = grid.rfftn(q)
+        grid, work = self.grid, self.work
+        for (b, mean), u in zip(self.biot_savart, self.u):
+            grid.irfftn(_velocity_hat(w_hat, b, mean), band=True, out=u, work=work)
+        u1, u2 = self.u
+        p, q = self.products
+        p_hat = grid.rfftn(np.multiply(u1, u2, out=p), band=True, work=work)
+        np.subtract(u2, u1, out=q)
+        q *= np.add(u2, u1, out=p)
+        q_hat = grid.rfftn(q, band=True, work=work)
         s_p, s_q = self.stress
         p_hat *= s_p
         q_hat *= s_q
         p_hat += q_hat
-        return p_hat, (u1, u2)
+        return p_hat, self.u
+
+    def transport(self, s_hat: np.ndarray) -> np.ndarray:
+        """``-div(u s)`` of the band spectrum ``s_hat`` of a scalar carried by
+        the velocity ``u`` of the last :meth:`advect`, a fresh band
+        spectrum: three transforms."""
+        grid, work = self.grid, self.work
+        s, prod = self.products
+        grid.irfftn(s_hat, band=True, out=s, work=work)
+        acc = np.zeros(grid.band_shape, dtype=complex)
+        for ik, u in zip(self.ik, self.u):
+            acc += ik * grid.rfftn(np.multiply(s, u, out=prod), band=True, work=work)
+        return np.negative(acc, out=acc)
 
 
 def _rk4_stage(hats: tuple, dt: float, rhs: Callable[[tuple, bool], tuple]) -> tuple:
@@ -397,9 +433,9 @@ def solve(
 
     def materialize(t: float, hats: tuple) -> State:
         return State(t, _biot_savart_velocity(grid, biot_savart, hats[0]),
-                     {"vorticity": ScalarField.from_hat(grid, hats[0])})
+                     {"vorticity": ScalarField.from_hat(grid, grid.from_band(hats[0]))})
 
-    w_hat = curl_2d(u0).hat * grid.dealias_mask
+    w_hat = grid.to_band(curl_2d(u0).hat)
     return integrate(grid, (w_hat,), rhs, materialize, T, dt, snapshot_stride,
                      lambda s: {"energy": kinetic_energy(s.velocity)})
 

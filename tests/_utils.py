@@ -9,9 +9,11 @@ from eulerlab.grid_fields import (
     PeriodicGrid,
     ScalarField,
     VelocityField,
+    curl_2d,
     leray_project,
 )
-from eulerlab.solver import RecordedStates, TimeProfile
+from eulerlab.extensions import _transport_tendency
+from eulerlab.solver import RecordedStates, TimeProfile, _rk4_stage
 
 
 def count_transforms(monkeypatch) -> list:
@@ -20,9 +22,9 @@ def count_transforms(monkeypatch) -> list:
     for name in ("rfftn", "irfftn"):
         method = getattr(PeriodicGrid, name)
 
-        def counted(self, arr, _method=method, _name=name):
+        def counted(self, arr, *args, _method=method, _name=name, **kwargs):
             calls.append(_name)
-            return _method(self, arr)
+            return _method(self, arr, *args, **kwargs)
 
         monkeypatch.setattr(PeriodicGrid, name, counted)
     return calls
@@ -61,6 +63,69 @@ def traced_half_spectra(grid: PeriodicGrid, fn):
         tracemalloc.stop()
     unit = np.prod(grid.rshape) * 16
     return result, held / unit, peak / unit
+
+
+class FullLayoutVorticity:
+    """The vorticity formulation on whole half-spectra, as the solvers
+    stepped it before they kept only the dealias band: the oracle of
+    ``solver._Vorticity``.  The symbols carry the 2/3 mask and every
+    spectrum is full-size; the values on the band must agree bitwise."""
+
+    def __init__(self, u0: VelocityField):
+        grid = u0.grid
+        k0, k1 = grid.deriv_wavenumber(0), grid.deriv_wavenumber(1)
+        self.grid = grid
+        mean = [c.hat[0, 0] for c in u0.components]
+        self.biot_savart = ((1j * k1 * grid.inv_k_squared, mean[0]),
+                            (-1j * k0 * grid.inv_k_squared, mean[1]))
+        self.stress = ((k0 * k0 - k1 * k1) * grid.dealias_mask, k0 * k1 * grid.dealias_mask)
+
+    def velocity(self, w_hat: np.ndarray) -> list:
+        out = []
+        for b, mean in self.biot_savart:
+            u_hat = w_hat * b
+            u_hat[0, 0] = mean
+            out.append(self.grid.irfftn(u_hat))
+        return out
+
+    def advect(self, w_hat: np.ndarray):
+        """``-div(u w)`` in spectral form and the physical velocity ``(u1, u2)``."""
+        grid = self.grid
+        u1, u2 = self.velocity(w_hat)
+        p_hat = grid.rfftn(u1 * u2)
+        q = u2 - u1
+        q *= u2 + u1
+        q_hat = grid.rfftn(q)
+        s_p, s_q = self.stress
+        p_hat *= s_p
+        q_hat *= s_q
+        p_hat += q_hat
+        return p_hat, (u1, u2)
+
+
+def full_layout_run(u0: VelocityField, dt: float, steps: int, theta=None, g=None) -> list:
+    """The spectral states of ``steps`` RK4 steps of ``solve`` (``theta``
+    None) or ``boussinesq_solve`` on :class:`FullLayoutVorticity`, the
+    initial state first."""
+    grid = u0.grid
+    vort = FullLayoutVorticity(u0)
+    hats = (curl_2d(u0).hat * grid.dealias_mask,)
+    if theta is not None:
+        torque = 1j * (g[1] * grid.deriv_wavenumber(0) - g[0] * grid.deriv_wavenumber(1))
+        hats += (theta.hat * grid.dealias_mask,)
+
+    def rhs(hs, with_speed):
+        dw, u = vort.advect(hs[0])
+        if theta is None:
+            return (dw,), None
+        dw += torque * hs[1]
+        return (dw, _transport_tendency(grid, grid.irfftn(hs[1]), u)), None
+
+    states = [hats]
+    for _ in range(steps):
+        hats, _ = _rk4_stage(hats, dt, rhs)
+        states.append(hats)
+    return states
 
 
 def linear_window(T: float) -> TimeProfile:

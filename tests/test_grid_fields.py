@@ -370,6 +370,61 @@ class TestBands:
         assert np.array_equal(grid.integer_k_squared(), kx**2 + ky**2)
 
 
+BAND_GRIDS = [(2, 8), (2, 16), (2, 64), (2, 128), (3, 16)]
+
+
+class TestBandTransforms:
+    """Band mode of ``rfftn``/``irfftn``: numpy's passes pruned to the
+    compressed dealias band, with the same bits."""
+
+    @staticmethod
+    def random_band(grid, gen):
+        band = gen.standard_normal(grid.band_shape) + 1j * gen.standard_normal(grid.band_shape)
+        band[(0,) * grid.dims] = band[(0,) * grid.dims].real
+        return band
+
+    @pytest.mark.parametrize("dims,n", BAND_GRIDS)
+    def test_band_layout(self, dims, n):
+        grid = make_grid(dims, n)
+        k = grid.dealias_kmax
+        assert grid.band_shape == (2 * k + 1,) * (dims - 1) + (k + 1,)
+        mask = np.zeros(grid.rshape, dtype=bool)
+        mask[grid.band_index] = True
+        assert np.array_equal(mask, grid.dealias_mask)
+        hat = np.arange(np.prod(grid.rshape), dtype=complex).reshape(grid.rshape)
+        assert np.array_equal(grid.to_band(hat), hat[grid.dealias_mask].reshape(grid.band_shape))
+        assert np.array_equal(grid.from_band(grid.to_band(hat)), hat * grid.dealias_mask)
+
+    @pytest.mark.parametrize("dims,n", BAND_GRIDS)
+    def test_forward_is_bitwise_the_full_transform_on_the_band(self, dims, n):
+        grid = make_grid(dims, n)
+        gen = np.random.default_rng(n + dims)
+        work, out = grid.band_work(), np.empty(grid.band_shape, dtype=complex)
+        for _ in range(2):  # samples that are not band-limited, then band-limited ones
+            for x in (gen.standard_normal(grid.shape),
+                      grid.irfftn(grid.from_band(self.random_band(grid, gen)))):
+                expect = grid.rfftn(x)[grid.band_index]
+                assert np.array_equal(grid.rfftn(x, band=True), expect)
+                got = grid.rfftn(x, band=True, out=out, work=work)  # reused: out, work
+                assert got is out
+                assert np.array_equal(got, expect)
+                assert np.array_equal(got, (grid.rfftn(x) * grid.dealias_mask)[grid.band_index])
+
+    @pytest.mark.parametrize("dims,n", BAND_GRIDS)
+    def test_inverse_is_bitwise_the_full_transform_of_the_padded_band(self, dims, n):
+        grid = make_grid(dims, n)
+        gen = np.random.default_rng(2 * n + dims)
+        work, out = grid.band_work(), np.empty(grid.shape)
+        for _ in range(2):  # random band spectra, then spectra of rough samples
+            for band in (self.random_band(grid, gen),
+                         grid.rfftn(gen.standard_normal(grid.shape), band=True)):
+                expect = grid.irfftn(grid.from_band(band))
+                assert np.array_equal(grid.irfftn(band, band=True), expect)
+                got = grid.irfftn(band, band=True, out=out, work=work)  # reused: out, work
+                assert got is out
+                assert np.array_equal(got, expect)
+
+
 class TestProductTensor:
     def test_symmetric_and_equal_to_each_ordered_product(self):
         grid = make_grid(2, 64)

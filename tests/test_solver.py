@@ -43,7 +43,9 @@ from eulerlab.synth import (
 )
 
 from _utils import (
+    FullLayoutVorticity,
     count_state_reads,
+    full_layout_run,
     count_transforms,
     linear_window,
     random_band_limited_scalar,
@@ -187,19 +189,19 @@ class TestStressForm:
         for seed in (1, 2):
             w_hat = random_band_limited_scalar(grid, grid.dealias_kmax, seed).hat
             expect = conservative_tendency(grid, w_hat)
-            got, _ = _Vorticity(taylor_green(grid, 1.0)).advect(w_hat)
+            got = grid.from_band(_Vorticity(taylor_green(grid, 1.0)).advect(grid.to_band(w_hat))[0])
             assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
     def test_zero_mode_exactly_zero(self):
         grid = make_grid(2, 64)
         w_hat = random_band_limited_scalar(grid, grid.dealias_kmax, 3).hat
-        got, _ = _Vorticity(taylor_green(grid, 1.0)).advect(w_hat)
+        got, _ = _Vorticity(taylor_green(grid, 1.0)).advect(grid.to_band(w_hat))
         assert got[0, 0] == 0.0
 
     def test_velocity_and_speed(self):
         grid = make_grid(2, 64)
         u0 = random_divfree(grid, 2.0, seed=4)
-        w_hat = curl_2d(u0).hat * grid.dealias_mask
+        w_hat = grid.to_band(curl_2d(u0).hat)
         vort = _Vorticity(u0)
         _, (u1, u2) = vort.advect(w_hat)
         u = _biot_savart_velocity(grid, vort.biot_savart, w_hat)
@@ -233,6 +235,36 @@ class TestStressForm:
                                  snapshot_stride=n_steps)
             counts.append(len(calls))
         assert counts[1] - counts[0] == 3 * 4 * per_stage
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("system", ["solve", "boussinesq_solve"])
+    def test_band_state_matches_full_layout_oracle(self, system, n):
+        # the solvers step the compressed dealias band; stepping whole
+        # half-spectra through the same RK4 gives the same bits on the band
+        # and zeros off it, and the states rebuilt from either agree
+        grid = make_grid(2, n)
+        u0 = random_divfree(grid, 2.0, seed=5)
+        theta = random_band_limited_scalar(grid, 6, seed=6)
+        g = (0.3, -1.0)
+        dt, steps = 2e-3, 10
+        if system == "solve":
+            traj = solve(u0, steps * dt, dt)
+            expect = full_layout_run(u0, dt, steps)
+        else:
+            traj = boussinesq_solve(theta, u0, g, steps * dt, dt)
+            expect = full_layout_run(u0, dt, steps, theta, g)
+        oracle = FullLayoutVorticity(u0)
+        assert len(traj.states.hats) == len(expect) == steps + 1
+        for k, (got, full) in enumerate(zip(traj.states.hats, expect)):
+            for band, hat in zip(got, full, strict=True):
+                assert band.shape == grid.band_shape
+                assert np.array_equal(band, hat[grid.band_index])
+                assert not np.any(hat[~grid.dealias_mask])
+            state = traj.states[k]
+            for c, u in zip(state.velocity.components, oracle.velocity(full[0])):
+                assert np.array_equal(c.values, u)
+            name = "vorticity" if system == "solve" else "theta"
+            assert np.array_equal(state.scalars[name].values, grid.irfftn(full[-1]))
 
     def test_rk4_in_place_bitwise_textbook(self):
         gen = np.random.default_rng(7)
@@ -426,9 +458,17 @@ class TestRecordedStates:
         Trajectory(traj.states, traj.dt, traj.config, traj.energy_ledger)
         assert calls == []
 
+    @staticmethod
+    def band(grid):
+        """One compressed dealias band in units of a half-spectrum (0.448 at 64^2)."""
+        return np.prod(grid.band_shape) / np.prod(grid.rshape)
+
     def test_solve_holds_its_spectra(self):
-        # S recorded vorticity spectra and the two Biot-Savart symbols; the
-        # samples and cached spectra of S materialized states held 35.7
+        # S recorded band vorticity spectra and the two band Biot-Savart
+        # symbols, with half a band of slack (held 8.24 bands); the samples
+        # and cached spectra of S materialized states held 35.7
+        # half-spectra, S full-layout spectra alone 2.2 S bands, and the
+        # solve's work arrays about 17 bands
         grid = make_grid(2, 64)
         u0 = random_divfree(grid, 2.0, seed=3)
         for c in u0.components:
@@ -436,13 +476,13 @@ class TestRecordedStates:
         traj, held, _ = traced_half_spectra(
             grid, lambda: solve(u0, 0.05, 0.005, snapshot_stride=2))
         assert len(traj.states) == 6
-        assert held <= len(traj.states) + 4
+        assert held <= (len(traj.states) + 2 + 0.5) * self.band(grid)
 
     @pytest.mark.parametrize("system, arrays", [("solve", 1), ("boussinesq_solve", 2)])
     def test_vorticity_run_holds_its_spectra_and_biot_savart(self, system, arrays):
-        # the recorded spectra, the two Biot-Savart symbols and half a
-        # half-spectrum of slack: holding the real stress symbols as well
-        # (one half-spectrum) breaks the bound
+        # the recorded band spectra, the two band Biot-Savart symbols and
+        # half a band of slack: holding the real stress symbols as well
+        # (one band), or the solve's work arrays, breaks the bound
         grid = make_grid(2, 64)
         u0 = random_divfree(grid, 2.0, seed=3)
         theta = constant_field(grid, 0.0)
@@ -451,7 +491,7 @@ class TestRecordedStates:
         traj, held, _ = traced_half_spectra(
             grid, lambda: run_system(system, u0, 0.01, 0.005, scalar=theta))
         assert len(traj.states) == 3
-        assert held <= arrays * len(traj.states) + 2 + 0.5
+        assert held <= (arrays * len(traj.states) + 2 + 0.5) * self.band(grid)
 
     def test_density_loss_aborts_at_its_snapshot(self):
         # a shear flow needs no pressure and folds cos(pi x1) until the
