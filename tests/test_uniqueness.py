@@ -14,16 +14,18 @@ from eulerlab.grid_fields import (
     inner,
     lp_norm,
     make_grid,
+    resample,
 )
 from eulerlab.mollify import make_kernel, mollify
 from eulerlab.synth import (
     SynthSpec,
     lacunary_field,
+    low_mode_divfree,
     random_divfree,
     shear_flow,
     taylor_green,
 )
-from eulerlab.solver import solve
+from eulerlab.solver import State, Trajectory, solve
 from eulerlab.uniqueness import (
     LipschitzSeries,
     RelativeEnergySeries,
@@ -547,6 +549,60 @@ class TestUniquenessExperiment:
             uniqueness_experiment(
                 zero, cfg, cfg, alpha=0.6, p_int=3.0, epsilons=self.EPS
             )
+
+
+class TestCertificateCanFail:
+    """The certify tolerance is ten times B's energy drift alone.  On the
+    64^2/128^2 Taylor-Green pair (T 0.1, convective budget 3.8e-4) a kick of
+    the A leg fails the certificate, which a tolerance from A's drift, grown
+    by the kick, would pass; perturbed initial data pass."""
+
+    EPS = [0.25, 0.125, 0.0625, 0.03125]
+
+    @staticmethod
+    def legs():
+        """B from Taylor-Green at 128^2, dt 1e-3, stride 10, and its data
+        on A's 64^2 grid."""
+        v0 = taylor_green(make_grid(2, 128), 1.0)
+        return solve(v0, 0.1, 1e-3, snapshot_stride=10), resample(v0, make_grid(2, 64))
+
+    @staticmethod
+    def plus_kick(u, delta):
+        """``u + delta w`` with ``w`` the mean-free ``low_mode_divfree(grid, 3, seed=11)``."""
+        w = low_mode_divfree(u.grid, 3, seed=11)
+        return VelocityField.from_arrays(u.grid, [a.values + delta * (b.values - b.mean())
+                                                  for a, b in zip(u.components, w.components)])
+
+    def certify(self, traj_a, traj_b):
+        return _certify_pair(traj_a, traj_b, 0.6, 3.0, self.EPS, energy=_plain_energy,
+                             budget_route="convective")
+
+    @pytest.mark.parametrize("delta, verdict", [(0.0, "pass"), (0.1, "certificate-failed")])
+    def test_kicked_leg_fails(self, delta, verdict):
+        traj_b, u0 = self.legs()
+        before = solve(u0, 0.04, 2e-3, snapshot_stride=5)
+        after = solve(self.plus_kick(before.final().velocity, delta), 0.06, 2e-3,
+                      snapshot_stride=5)
+        # A runs to t = 0.04, is kicked there, and runs on from the kicked state
+        states = list(before.states)[:-1] + list(after.states)
+        traj_a = Trajectory([State(t, s.velocity, s.scalars)
+                             for t, s in zip(traj_b.times, states, strict=True)],
+                            2e-3, before.config, before.energy_ledger[:-1] + after.energy_ledger)
+        report = self.certify(traj_a, traj_b)
+        assert report.hypothesis_met
+        assert report.verdict == verdict
+        tolerance = report.certificate.certify_tolerance
+        assert tolerance == 10 * max(traj_b.energy_drift(), 1e-16)
+        if delta:
+            # the kick moves A's energy: ten times A's drift would hide it
+            assert tolerance < -report.certificate.slack < 10 * traj_a.energy_drift()
+
+    def test_perturbed_data_pass(self):
+        traj_b, u0 = self.legs()
+        traj_a = solve(self.plus_kick(u0, 0.1), 0.1, 2e-3, snapshot_stride=5)
+        report = self.certify(traj_a, traj_b)
+        assert max(report.energy) > 1e-3
+        assert report.verdict == "pass"
 
 
 class TestOnePass:
