@@ -199,10 +199,6 @@ class PeriodicGrid:
         hat[self.band_index] = band
         return hat
 
-    def band_work(self) -> "_BandWork":
-        """Scratch arrays for band-mode transforms on this grid."""
-        return _BandWork(self)
-
     def rfftn(self, values: np.ndarray, band: bool = False,
               out: np.ndarray = None, work: "_BandWork" = None) -> np.ndarray:
         """Half-spectrum of the real samples ``values`` (numpy's ``rfftn``).
@@ -211,12 +207,12 @@ class PeriodicGrid:
         bitwise ``rfftn(values)[band_index]``: numpy's passes in numpy's
         order, but each leading axis's complex pass runs only over the
         band's columns, and over the band's rows of the axes already
-        passed.  The passes write into ``work`` (a :meth:`band_work`) and
-        the result into ``out``; either is fresh when not given.
+        passed.  The passes write into ``work`` (a ``_BandWork`` of this
+        grid) and the result into ``out``; either is fresh when not given.
         """
         if not band:
             return np.fft.rfftn(values)
-        work = work if work is not None else self.band_work()
+        work = work if work is not None else _BandWork(self)
         x = np.fft.rfft(values, axis=-1, out=work.half)[..., : self.dealias_kmax + 1]
         for axis in range(self.dims - 2, -1, -1):
             full = np.fft.fft(x, axis=axis, out=work.forward[axis])
@@ -236,12 +232,12 @@ class PeriodicGrid:
         is bitwise ``irfftn(from_band(hat))``: each leading axis's complex
         pass runs only over the band's columns, and over the band's rows of
         the axes not yet passed, on zero-padded copies in ``work`` (a
-        :meth:`band_work`); the samples go into ``out``.  Either is fresh
-        when not given.
+        ``_BandWork`` of this grid); the samples go into ``out``.  Either is
+        fresh when not given.
         """
         if not band:
             return np.fft.irfftn(hat, s=self.shape, axes=tuple(range(self.dims)))
-        work = work if work is not None else self.band_work()
+        work = work if work is not None else _BandWork(self)
         x = hat
         for axis in range(self.dims - 1):
             padded = work.padded[axis]  # zero outside the band rows, written once

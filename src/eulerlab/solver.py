@@ -63,6 +63,7 @@ from .grid_fields import (
     PeriodicGrid,
     ScalarField,
     VelocityField,
+    _BandWork,
     _dealiased_product_tensor,
     _div_hat,
     _div_product_hats,
@@ -148,7 +149,7 @@ class _Vorticity:
                             (grid.to_band(-1j * k0 * grid.inv_k_squared), mean[1]))
         self.stress = (grid.to_band(k0 * k0 - k1 * k1), grid.to_band(k0 * k1))
         self.ik = tuple(grid.to_band(ik) for ik in grid.ik)
-        self.work = grid.band_work()
+        self.work = _BandWork(grid)
         self.u = np.empty((2, *grid.shape))
         self.products = np.empty((2, *grid.shape))
 
