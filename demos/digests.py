@@ -10,11 +10,12 @@ per artifact, in sorted order; ``metadata.json`` holds wall-clock data and is
 left out.  Run the script in two checkouts and ``diff`` the outputs: a change
 that moves no number prints the same lines.
 
-With ``--check FILE`` nothing is printed but the lines that differ from
-``FILE``: ``- <line>`` for a line of the file the run did not print and
-``+ <line>`` for a printed line the file lacks.  ``demos/digests.txt`` holds
-the lines of the checked-in code, so a change that claims to move no number
-passes ``--check demos/digests.txt`` as it stands.
+With ``--check FILE`` nothing is printed but a unified diff of ``FILE``
+against the printed lines, so order and repeats count: ``-`` marks a line of
+the file and ``+`` a printed line.  ``demos/digests.txt`` holds the lines of
+the checked-in code on numpy 2.4.6, and ``tests/test_demos.py`` runs the
+check, so a change that moves a number fails the suite until it regenerates
+the file and names the moved lines.
 
 BLAS and OpenMP are pinned to one thread before numpy loads, so the digests do
 not depend on how a threaded BLAS splits a dot product.  The exit status is 1
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import difflib
 import hashlib
 import os
 import sys
@@ -78,11 +80,9 @@ def main(argv: list[str] | None = None) -> int:
             print(line)
     else:
         expected = args.check.read_text().splitlines()
-        diff = [f"- {line}" for line in expected if line not in lines]
-        diff += [f"+ {line}" for line in lines if line not in expected]
+        diff = list(difflib.unified_diff(expected, lines, str(args.check), "run", lineterm=""))
         for line in diff:
             print(line)
-        print(f"{args.check}: {len(diff)} lines differ", file=sys.stderr)
         failed |= bool(diff)
     return 1 if failed else 0
 

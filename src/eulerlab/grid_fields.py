@@ -28,7 +28,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -66,10 +66,10 @@ class PeriodicGrid:
     the derivative symbols ``ik`` (``1j`` times each multiplier), the
     inverse Laplacian symbol, the 2/3-rule dealias mask
     ``band_mask(dealias_kmax)``, the ``band_index`` of that band's compressed
-    layout (``band_shape``) and the interleaved ``parseval_weights``; all are
-    read-only.  Every transform goes through :meth:`rfftn` and
-    :meth:`irfftn`, whose band mode maps samples to the compressed band
-    and back.
+    layout (``band_shape``), the derivative symbols on it (``band_ik``) and
+    the interleaved ``parseval_weights``; all are read-only.  Every
+    transform goes through :meth:`rfftn` and :meth:`irfftn`, whose band
+    mode maps a 2-D grid's samples to the compressed band and back.
     """
 
     def __init__(self, dims: int, n_per_axis: int):
@@ -128,11 +128,15 @@ class PeriodicGrid:
 
         # The compressed dealias band: on each leading axis the rows 0..k and
         # then -k..-1 (the half-spectrum's own order), on the last axis the
-        # columns 0..k; band_index picks it out of a half-spectrum.
+        # columns 0..k; band_index picks it out of a half-spectrum, and
+        # band_ik holds the derivative symbols' band entries, as broadcastable
+        # as ik itself.
         k = self.dealias_kmax
         rows = np.r_[0 : k + 1, n - k : n]
         self.band_shape = (2 * k + 1,) * (dims - 1) + (k + 1,)
         self.band_index = np.ix_(*[rows] * (dims - 1), np.arange(k + 1))
+        self.band_ik = tuple(np.take(ik, idx.ravel(), axis=axis)
+                             for axis, (ik, idx) in enumerate(zip(self.ik, self.band_index)))
 
         # Parseval weights w over the last half-spectrum axis, with sum_x f g
         # = sum_k w Re(conj(F) G) for real fields on N points: 1/N on the
@@ -146,7 +150,7 @@ class PeriodicGrid:
         self.parseval_weights = np.repeat(w, 2)
 
         for arr in (self.inv_k_squared, self.dealias_mask, self.parseval_weights, *self.ik,
-                    *self.band_index):
+                    *self.band_index, *self.band_ik):
             arr.setflags(write=False)
 
     def band_mask(self, kmax: int) -> np.ndarray:
@@ -199,53 +203,45 @@ class PeriodicGrid:
         hat[self.band_index] = band
         return hat
 
-    def rfftn(self, values: np.ndarray, band: bool = False,
-              out: np.ndarray = None, work: "_BandWork" = None) -> np.ndarray:
+    def rfftn(self, values: np.ndarray, band: "_BandWork" = None,
+              out: np.ndarray = None) -> np.ndarray:
         """Half-spectrum of the real samples ``values`` (numpy's ``rfftn``).
 
-        With ``band``, the compressed dealias band (:attr:`band_shape`),
-        bitwise ``rfftn(values)[band_index]``: numpy's passes in numpy's
-        order, but each leading axis's complex pass runs only over the
-        band's columns, and over the band's rows of the axes already
-        passed.  The passes write into ``work`` (a ``_BandWork`` of this
-        grid) and the result into ``out``; either is fresh when not given.
-        """
-        if not band:
-            return np.fft.rfftn(values)
-        work = work if work is not None else _BandWork(self)
-        x = np.fft.rfft(values, axis=-1, out=work.half)[..., : self.dealias_kmax + 1]
-        for axis in range(self.dims - 2, -1, -1):
-            full = np.fft.fft(x, axis=axis, out=work.forward[axis])
-            x = work.gathered[axis] if axis else out
-            if x is None:
-                x = np.empty(self.band_shape, dtype=complex)
-            lo, hi, hi_full = _row_blocks(axis, self.dealias_kmax)
-            x[lo] = full[lo]
-            x[hi] = full[hi_full]
-        return x
-
-    def irfftn(self, hat: np.ndarray, band: bool = False,
-               out: np.ndarray = None, work: "_BandWork" = None) -> np.ndarray:
-        """Real samples of the half-spectrum ``hat`` (numpy's ``irfftn``).
-
-        With ``band``, ``hat`` is a compressed dealias band and the result
-        is bitwise ``irfftn(from_band(hat))``: each leading axis's complex
-        pass runs only over the band's columns, and over the band's rows of
-        the axes not yet passed, on zero-padded copies in ``work`` (a
-        ``_BandWork`` of this grid); the samples go into ``out``.  Either is
+        Given ``band``, a ``_BandWork`` of this 2-D grid, the compressed
+        dealias band (:attr:`band_shape`), bitwise
+        ``rfftn(values)[band_index]``: numpy's two passes in numpy's order,
+        but the complex pass over axis 0 runs only over the band's columns.
+        The passes write into ``band``'s arrays and the band into ``out``,
         fresh when not given.
         """
-        if not band:
+        if band is None:
+            return np.fft.rfftn(values)
+        k = self.dealias_kmax
+        half = np.fft.rfft(values, axis=-1, out=band.half)
+        columns = np.fft.fft(half[:, : k + 1], axis=0, out=band.full[:, : k + 1])
+        out = np.empty(self.band_shape, dtype=complex) if out is None else out
+        out[: k + 1] = columns[: k + 1]
+        out[k + 1 :] = columns[-k:]
+        return out
+
+    def irfftn(self, hat: np.ndarray, band: "_BandWork" = None,
+               out: np.ndarray = None) -> np.ndarray:
+        """Real samples of the half-spectrum ``hat`` (numpy's ``irfftn``).
+
+        Given ``band``, a ``_BandWork`` of this 2-D grid, ``hat`` is the
+        compressed dealias band and the result is bitwise
+        ``irfftn(from_band(hat))``: the complex pass over axis 0 runs only
+        over the band's columns, on a zero-padded copy in ``band``'s arrays;
+        the samples go into ``out``, fresh when not given.
+        """
+        if band is None:
             return np.fft.irfftn(hat, s=self.shape, axes=tuple(range(self.dims)))
-        work = work if work is not None else _BandWork(self)
-        x = hat
-        for axis in range(self.dims - 1):
-            padded = work.padded[axis]  # zero outside the band rows, written once
-            lo, hi, hi_full = _row_blocks(axis, self.dealias_kmax)
-            padded[lo] = x[lo]
-            padded[hi_full] = x[hi]
-            x = np.fft.ifft(padded, axis=axis, out=work.inverse[axis])
-        return np.fft.irfft(work.full, n=self.n_per_axis, axis=-1, out=out)
+        k = self.dealias_kmax
+        padded = band.padded  # zero outside the band rows
+        padded[: k + 1] = hat[: k + 1]
+        padded[-k:] = hat[k + 1 :]
+        np.fft.ifft(padded, axis=0, out=band.full[:, : k + 1])
+        return np.fft.irfft(band.full, n=self.n_per_axis, axis=-1, out=out)
 
     def __eq__(self, other) -> bool:
         return (
@@ -261,41 +257,25 @@ class PeriodicGrid:
         return f"PeriodicGrid(dims={self.dims}, n_per_axis={self.n_per_axis})"
 
 
-def _row_blocks(axis: int, k: int) -> tuple:
-    """Index tuples of the band's two row blocks along ``axis``: the rows
-    0..k of either layout, the rows -k..-1 of a compressed array, and the
-    same rows of a full one."""
-    pre = (slice(None),) * axis
-    return pre + (slice(0, k + 1),), pre + (slice(k + 1, 2 * k + 1),), pre + (slice(-k, None),)
-
-
 class _BandWork:
     """The scratch of :meth:`PeriodicGrid.rfftn` and :meth:`~PeriodicGrid.irfftn`
-    in band mode, one array per pass, so a caller that keeps one allocates
-    nothing full-size per transform.  Between passes over the leading axes,
-    an array is full along the axes passed and on the band elsewhere (its
-    last axis holds the band's columns): ``forward[a]`` is the forward pass
-    over axis ``a`` and ``gathered[a]`` its band rows, ``padded[a]`` is the
-    inverse pass's input, zero-padded along ``a``, and ``inverse[a]`` its
-    output, the band columns of ``full`` for the last leading axis.
-    ``half`` takes the forward real pass and ``full``, zero beyond the band
-    columns, feeds the inverse one."""
+    in band mode on a 2-D grid, which passing one selects, so a caller that
+    keeps one allocates nothing full-size per transform.  ``half`` takes
+    the forward real pass; ``full``, zero beyond the band columns, takes
+    either complex pass over those columns and feeds the inverse real pass;
+    ``padded``, zero outside the band rows, is the inverse complex pass's
+    input.  ``spectrum`` is a band spectrum for a caller's temporaries,
+    which no transform touches."""
 
-    __slots__ = ("half", "forward", "gathered", "padded", "inverse", "full")
+    __slots__ = ("half", "full", "padded", "spectrum")
 
     def __init__(self, grid: PeriodicGrid):
-        n, k, lead = grid.n_per_axis, grid.dealias_kmax, grid.dims - 1
-
-        def shape(passed: int) -> tuple:
-            return (n,) * passed + (2 * k + 1,) * (lead - passed) + (k + 1,)
-
+        if grid.dims != 2:
+            raise ConfigurationError(f"band transforms support dims=2 only, got dims={grid.dims}")
         self.half = np.empty(grid.rshape, dtype=complex)
         self.full = np.zeros(grid.rshape, dtype=complex)
-        self.forward = [np.empty(shape(a + 1), dtype=complex) for a in range(lead)]
-        self.gathered = [None] + [np.empty(shape(a), dtype=complex) for a in range(1, lead)]
-        self.padded = [np.zeros(shape(a + 1), dtype=complex) for a in range(lead)]
-        self.inverse = [np.empty(shape(a + 1), dtype=complex) for a in range(lead - 1)]
-        self.inverse.append(self.full[..., : k + 1])
+        self.padded = np.zeros((grid.n_per_axis, grid.dealias_kmax + 1), dtype=complex)
+        self.spectrum = np.empty(grid.band_shape, dtype=complex)
 
 
 def make_grid(dims: int, n_per_axis: int) -> PeriodicGrid:
@@ -460,13 +440,16 @@ def _dealiased_product_tensor(
     return table
 
 
-def _div_hat(grid: PeriodicGrid, hats: Sequence[np.ndarray]) -> np.ndarray:
-    """Spectral divergence ``sum_j i k_j h_j`` of one spectrum per axis.
+def _div_hat(grid: PeriodicGrid, hats: Iterable[np.ndarray], band: bool = False) -> np.ndarray:
+    """Spectral divergence ``sum_j i k_j h_j`` of one spectrum per axis:
+    half-spectra, or with ``band`` compressed dealias bands.
 
     Accumulates in place, as :func:`_leray_hats` does: every fresh
-    full-size temporary costs page faults on large grids."""
-    acc = np.zeros(grid.rshape, dtype=complex)
-    for ik, h in zip(grid.ik, hats):
+    full-size temporary costs page faults on large grids.  Each term is
+    added before the next spectrum is drawn, so ``hats`` may be a
+    generator that yields one buffer over and over."""
+    acc = np.zeros(grid.band_shape if band else grid.rshape, dtype=complex)
+    for ik, h in zip(grid.band_ik if band else grid.ik, hats):
         acc += ik * h
     return acc
 

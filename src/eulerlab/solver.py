@@ -17,11 +17,11 @@ div-div Poisson equation.
 The vorticity lives on the compressed dealias band (``grid.band_shape``),
 outside which every dealiased spectrum is zero: the state, its RK4 stages
 and the symbols hold only the band, and the transforms run in the grid's
-band mode, whose leading complex passes are pruned to the band's columns
+band mode, whose complex pass over axis 0 is pruned to the band's columns
 and bitwise equal to the whole half-spectrum's on the band.  The passes,
-the velocity samples and the products write into work arrays that one
-solve allocates once (:class:`_Vorticity`), so a stage allocates no
-full-size array.
+the velocity samples, the products and the temporary band spectra write
+into work arrays that one solve allocates once (:class:`_Vorticity`), so
+a stage allocates no full-size array.
 
 A run records the integrator's own spectral state at each snapshot (for this
 solver the band vorticity spectrum alone), read-only and uncopied, and
@@ -109,10 +109,12 @@ def enstrophy(w: ScalarField) -> float:
     return lp_norm(w, 2.0) ** 2
 
 
-def _velocity_hat(w_hat: np.ndarray, b: np.ndarray, mean: complex) -> np.ndarray:
+def _velocity_hat(w_hat: np.ndarray, b: np.ndarray, mean: complex,
+                  out: np.ndarray = None) -> np.ndarray:
     """One velocity component's spectrum ``w_hat * b`` with the zero-mode
-    coefficient ``mean``, which the vorticity does not carry."""
-    u_hat = w_hat * b
+    coefficient ``mean``, which the vorticity does not carry, in ``out``
+    (fresh when not given)."""
+    u_hat = np.multiply(w_hat, b, out=out)
     u_hat[0, 0] = mean
     return u_hat
 
@@ -135,10 +137,11 @@ class _Vorticity:
     ``b = (i k1/|k|^2, -i k0/|k|^2)``, each paired with ``u0``'s zero-mode
     coefficient (the mean flow, which the vorticity does not see and the
     dynamics conserve), the real stress symbols ``k0^2 - k1^2`` and
-    ``k0 k1``, which vanish at k = 0, and the derivative symbols ``ik``.
-    The work arrays are the band transforms' scratch, the velocity samples
-    ``u`` and two sample-space product buffers; each call overwrites them.
-    A recorded trajectory keeps the Biot-Savart pairs only."""
+    ``k0 k1``, which vanish at k = 0.  The work arrays are the band
+    transforms' scratch (whose ``spectrum`` takes the velocity spectra and
+    the temporary product spectra), the velocity samples ``u`` and two
+    sample-space product buffers; each call overwrites them.  A recorded
+    trajectory keeps the Biot-Savart pairs only."""
 
     def __init__(self, u0: VelocityField):
         grid = u0.grid
@@ -148,7 +151,6 @@ class _Vorticity:
         self.biot_savart = ((grid.to_band(1j * k1 * grid.inv_k_squared), mean[0]),
                             (grid.to_band(-1j * k0 * grid.inv_k_squared), mean[1]))
         self.stress = (grid.to_band(k0 * k0 - k1 * k1), grid.to_band(k0 * k1))
-        self.ik = tuple(grid.to_band(ik) for ik in grid.ik)
         self.work = _BandWork(grid)
         self.u = np.empty((2, *grid.shape))
         self.products = np.empty((2, *grid.shape))
@@ -162,13 +164,14 @@ class _Vorticity:
         """
         grid, work = self.grid, self.work
         for (b, mean), u in zip(self.biot_savart, self.u):
-            grid.irfftn(_velocity_hat(w_hat, b, mean), band=True, out=u, work=work)
+            u_hat = _velocity_hat(w_hat, b, mean, out=work.spectrum)
+            grid.irfftn(u_hat, band=work, out=u)
         u1, u2 = self.u
         p, q = self.products
-        p_hat = grid.rfftn(np.multiply(u1, u2, out=p), band=True, work=work)
+        p_hat = grid.rfftn(np.multiply(u1, u2, out=p), band=work)
         np.subtract(u2, u1, out=q)
         q *= np.add(u2, u1, out=p)
-        q_hat = grid.rfftn(q, band=True, work=work)
+        q_hat = grid.rfftn(q, band=work, out=work.spectrum)
         s_p, s_q = self.stress
         p_hat *= s_p
         q_hat *= s_q
@@ -181,10 +184,9 @@ class _Vorticity:
         spectrum: three transforms."""
         grid, work = self.grid, self.work
         s, prod = self.products
-        grid.irfftn(s_hat, band=True, out=s, work=work)
-        acc = np.zeros(grid.band_shape, dtype=complex)
-        for ik, u in zip(self.ik, self.u):
-            acc += ik * grid.rfftn(np.multiply(s, u, out=prod), band=True, work=work)
+        grid.irfftn(s_hat, band=work, out=s)
+        acc = _div_hat(grid, (grid.rfftn(np.multiply(s, u, out=prod), band=work,
+                                         out=work.spectrum) for u in self.u), band=True)
         return np.negative(acc, out=acc)
 
 
