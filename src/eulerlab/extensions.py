@@ -70,7 +70,7 @@ from .solver import (
     PairAudit,
     State,
     Trajectory,
-    _biot_savart_velocity,
+    _band_states,
     _check_initial,
     _Vorticity,
     integrate,
@@ -124,24 +124,20 @@ def _weighted_kinetic_energy(grid: PeriodicGrid, rho: np.ndarray,
     return 0.5 * float(np.sum(rho * _squared_magnitude(u)) * grid.cell_volume)
 
 
-def _flux(grid: PeriodicGrid, coef: np.ndarray, p_hat: np.ndarray) -> list[np.ndarray]:
-    """``coef grad p``, spectral: two transforms per axis."""
-    return [grid.rfftn(coef * grid.irfftn(ik * p_hat)) for ik in grid.ik]
-
-
-def _neg_div(grid: PeriodicGrid, flux: Sequence[np.ndarray]) -> np.ndarray:
-    """``-div(flux)``, spectral, in a fresh array."""
-    div = grid.ik[0] * flux[0]
-    for ik, f in zip(grid.ik[1:], flux[1:]):
-        div += ik * f
-    return np.negative(div, out=div)
+def _neg_div_flux(grid: PeriodicGrid, coef: np.ndarray,
+                  p_hat: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``-div(coef grad p)`` in a fresh array and the flux ``coef grad p``,
+    spectral: two transforms per axis."""
+    flux = [grid.rfftn(coef * grid.irfftn(ik * p_hat)) for ik in grid.ik]
+    div = _div_hat(grid, flux)
+    return np.negative(div, out=div), flux
 
 
 def _precondition(grid: PeriodicGrid, rho: np.ndarray, r: np.ndarray) -> np.ndarray:
     """The inverse-coefficient sandwich ``L (-div(rho grad(L r)))`` with
     ``L = (-lap)^-1``: four transforms."""
     inv_k2 = grid.inv_k_squared
-    z = _neg_div(grid, _flux(grid, rho, r * inv_k2))
+    z, _ = _neg_div_flux(grid, rho, r * inv_k2)
     z *= inv_k2
     return z
 
@@ -177,11 +173,6 @@ def _gradient_over_rho(grid: PeriodicGrid, rho: np.ndarray, rhs_div: np.ndarray,
     def dot(a: np.ndarray, b: np.ndarray) -> float:
         return _parseval_dot(a, b, grid.parseval_weights)
 
-    def apply_op(p_hat: np.ndarray):
-        """``-div(beta grad p)`` and the flux ``beta grad p``, spectral."""
-        flux = _flux(grid, beta, p_hat)
-        return _neg_div(grid, flux), flux
-
     def filled(value: float) -> list[np.ndarray]:
         return [np.full(grid.rshape, value, dtype=complex) for _ in range(grid.dims)]
 
@@ -196,7 +187,7 @@ def _gradient_over_rho(grid: PeriodicGrid, rho: np.ndarray, rhs_div: np.ndarray,
         flux = filled(0.0)
         r = b
     else:
-        Ax, flux = apply_op(p0)
+        Ax, flux = _neg_div_flux(grid, beta, p0)
         x = p0.copy()
         r = b - Ax
     r_norm = math.sqrt(dot(r, r))
@@ -206,7 +197,7 @@ def _gradient_over_rho(grid: PeriodicGrid, rho: np.ndarray, rhs_div: np.ndarray,
     d = _precondition(grid, rho, r)
     rz = dot(r, d)
     for it in range(1, POISSON_MAX_ITER + 1):
-        Ad, flux_d = apply_op(d)
+        Ad, flux_d = _neg_div_flux(grid, beta, d)
         dAd = dot(d, Ad)
         if not math.isfinite(dAd):
             return filled(np.nan), None, it
@@ -363,8 +354,7 @@ def boussinesq_solve(
     g = tuple(float(x) for x in g)
     if len(g) != 2 or not all(map(math.isfinite, g)):
         raise ConfigurationError(f"g must be two finite numbers, got {g}")
-    torque_symbol = grid.to_band(
-        1j * (g[1] * grid.deriv_wavenumber(0) - g[0] * grid.deriv_wavenumber(1)))
+    torque_symbol = grid.to_band(g[1] * grid.ik[0] - g[0] * grid.ik[1])
     vort = _Vorticity(u0)
 
     def rhs(hats: tuple, with_speed: bool) -> tuple:
@@ -374,14 +364,9 @@ def boussinesq_solve(
         dth = vort.transport(th)
         return (dw, dth), _max_speed(u) if with_speed else None
 
-    biot_savart = vort.biot_savart
-
-    def materialize(t: float, hats: tuple) -> State:
-        return State(t, _biot_savart_velocity(grid, biot_savart, hats[0]),
-                     {"theta": ScalarField.from_hat(grid, grid.from_band(hats[1]))})
-
     hats = (grid.to_band(curl_2d(u0).hat), grid.to_band(theta0.hat))
-    traj = integrate(grid, hats, rhs, materialize, T, dt, snapshot_stride,
+    traj = integrate(grid, hats, rhs, _band_states(grid, vort.biot_savart, "theta"),
+                     T, dt, snapshot_stride,
                      lambda s: {"energy": kinetic_energy(s.velocity),
                                 "theta": _total(s.scalars["theta"])})
     traj.config["g"] = list(g)

@@ -119,14 +119,21 @@ def _velocity_hat(w_hat: np.ndarray, b: np.ndarray, mean: complex,
     return u_hat
 
 
-def _biot_savart_velocity(grid: PeriodicGrid, biot_savart: tuple,
-                          w_band: np.ndarray) -> VelocityField:
-    """The velocity of the band vorticity spectrum ``w_band``
-    (``biot_savart`` is :class:`_Vorticity`'s pairs of a band symbol and a
-    zero-mode coefficient), with full half-spectra."""
-    return VelocityField([
-        ScalarField.from_hat(grid, grid.from_band(_velocity_hat(w_band, b, mean)))
-        for b, mean in biot_savart])
+def _band_states(grid: PeriodicGrid, biot_savart: tuple,
+                 name: str) -> Callable[[float, tuple], State]:
+    """The ``materialize`` of both vorticity systems: a recorded tuple of
+    band spectra, the vorticity first and the scalar ``name`` last, becomes
+    a :class:`State` with full half-spectra, its velocity the Biot-Savart
+    map of the vorticity (``biot_savart`` is :class:`_Vorticity`'s pairs of
+    a band symbol and a zero-mode coefficient)."""
+
+    def materialize(t: float, hats: tuple) -> State:
+        velocity = VelocityField([
+            ScalarField.from_hat(grid, grid.from_band(_velocity_hat(hats[0], b, mean)))
+            for b, mean in biot_savart])
+        return State(t, velocity, {name: ScalarField.from_hat(grid, grid.from_band(hats[-1]))})
+
+    return materialize
 
 
 class _Vorticity:
@@ -146,10 +153,11 @@ class _Vorticity:
     def __init__(self, u0: VelocityField):
         grid = u0.grid
         k0, k1 = grid.deriv_wavenumber(0), grid.deriv_wavenumber(1)
+        ik0, ik1 = grid.ik
         self.grid = grid
         mean = [c.hat[0, 0] for c in u0.components]
-        self.biot_savart = ((grid.to_band(1j * k1 * grid.inv_k_squared), mean[0]),
-                            (grid.to_band(-1j * k0 * grid.inv_k_squared), mean[1]))
+        self.biot_savart = ((grid.to_band(ik1 * grid.inv_k_squared), mean[0]),
+                            (grid.to_band(-ik0 * grid.inv_k_squared), mean[1]))
         self.stress = (grid.to_band(k0 * k0 - k1 * k1), grid.to_band(k0 * k1))
         self.work = _BandWork(grid)
         self.u = np.empty((2, *grid.shape))
@@ -432,14 +440,9 @@ def solve(
         dw, u = vort.advect(hats[0])
         return (dw,), _max_speed(u) if with_speed else None
 
-    biot_savart = vort.biot_savart
-
-    def materialize(t: float, hats: tuple) -> State:
-        return State(t, _biot_savart_velocity(grid, biot_savart, hats[0]),
-                     {"vorticity": ScalarField.from_hat(grid, grid.from_band(hats[0]))})
-
     w_hat = grid.to_band(curl_2d(u0).hat)
-    return integrate(grid, (w_hat,), rhs, materialize, T, dt, snapshot_stride,
+    return integrate(grid, (w_hat,), rhs, _band_states(grid, vort.biot_savart, "vorticity"),
+                     T, dt, snapshot_stride,
                      lambda s: {"energy": kinetic_energy(s.velocity)})
 
 

@@ -23,7 +23,7 @@ from eulerlab.solver import (
     cosine_window,
     enstrophy,
     kinetic_energy,
-    _biot_savart_velocity,
+    _band_states,
     _integrate_against,
     _rk4_stage,
     _Vorticity,
@@ -205,7 +205,7 @@ class TestStressForm:
         w_hat = grid.to_band(curl_2d(u0).hat)
         vort = _Vorticity(u0)
         _, (u1, u2) = vort.advect(w_hat)
-        u = _biot_savart_velocity(grid, vort.biot_savart, w_hat)
+        u = _band_states(grid, vort.biot_savart, "vorticity")(0.0, (w_hat,)).velocity
         for a, b in zip((u1, u2), u.components):
             assert np.max(np.abs(a - b.values)) <= 1e-12 * max_norm(u)
         assert _max_speed((u1, u2)) == pytest.approx(u.max_speed(), rel=1e-12)
