@@ -61,9 +61,10 @@ class PeriodicGrid:
     n_per_axis : int
         Samples per axis; a power of two, at least 8.
 
-    Precomputed attributes include per-axis wavenumbers (integer multiples of
-    pi), broadcastable derivative multipliers for the half-spectrum layout,
-    the derivative symbols ``ik`` (``1j`` times each multiplier), the
+    Precomputed attributes include the broadcastable derivative multipliers
+    for the half-spectrum layout (integer multiples of pi, read through
+    :meth:`deriv_wavenumber`), the derivative symbols ``ik`` (``1j`` times
+    each multiplier), the
     inverse Laplacian symbol, the 2/3-rule dealias mask
     ``band_mask(dealias_kmax)``, the ``band_index`` of that band's compressed
     layout (``band_shape``), the derivative symbols on it (``band_ik``) and
@@ -90,9 +91,6 @@ class PeriodicGrid:
         n = n_per_axis
         self._freq_full = np.fft.fftfreq(n, d=1.0 / n)  # 0, 1, ..., -n/2, ..., -1
         self._freq_half = np.arange(n // 2 + 1, dtype=float)
-
-        # Per-axis wavenumbers pi*k over the symmetric integer range.
-        self.wavenumbers = [np.pi * self._freq_full.copy() for _ in range(dims)]
 
         # Integer frequencies per axis, broadcastable against the half-spectrum.
         self._frequencies = []
@@ -150,7 +148,7 @@ class PeriodicGrid:
         self.parseval_weights = np.repeat(w, 2)
 
         for arr in (self.inv_k_squared, self.dealias_mask, self.parseval_weights, *self.ik,
-                    *self.band_index, *self.band_ik):
+                    *self._k_deriv, *self.band_index, *self.band_ik):
             arr.setflags(write=False)
 
     def band_mask(self, kmax: int) -> np.ndarray:
@@ -205,17 +203,17 @@ class PeriodicGrid:
 
     def rfftn(self, values: np.ndarray, band: "_BandWork" = None,
               out: np.ndarray = None) -> np.ndarray:
-        """Half-spectrum of the real samples ``values`` (numpy's ``rfftn``).
+        """Half-spectrum of the real samples ``values`` (numpy's ``rfftn``),
+        in ``out`` when given, else fresh.
 
         Given ``band``, a ``_BandWork`` of this 2-D grid, the compressed
         dealias band (:attr:`band_shape`), bitwise
         ``rfftn(values)[band_index]``: numpy's two passes in numpy's order,
-        but the complex pass over axis 0 runs only over the band's columns.
-        The passes write into ``band``'s arrays and the band into ``out``,
-        fresh when not given.
+        but the complex pass over axis 0 runs only over the band's columns,
+        and the passes write into ``band``'s arrays.
         """
         if band is None:
-            return np.fft.rfftn(values)
+            return np.fft.rfftn(values, out=out)
         k = self.dealias_kmax
         half = np.fft.rfft(values, axis=-1, out=band.half)
         columns = np.fft.fft(half[:, : k + 1], axis=0, out=band.full[:, : k + 1])
@@ -226,16 +224,16 @@ class PeriodicGrid:
 
     def irfftn(self, hat: np.ndarray, band: "_BandWork" = None,
                out: np.ndarray = None) -> np.ndarray:
-        """Real samples of the half-spectrum ``hat`` (numpy's ``irfftn``).
+        """Real samples of the half-spectrum ``hat`` (numpy's ``irfftn``),
+        in ``out`` when given, else fresh.
 
         Given ``band``, a ``_BandWork`` of this 2-D grid, ``hat`` is the
         compressed dealias band and the result is bitwise
         ``irfftn(from_band(hat))``: the complex pass over axis 0 runs only
-        over the band's columns, on a zero-padded copy in ``band``'s arrays;
-        the samples go into ``out``, fresh when not given.
+        over the band's columns, on a zero-padded copy in ``band``'s arrays.
         """
         if band is None:
-            return np.fft.irfftn(hat, s=self.shape, axes=tuple(range(self.dims)))
+            return np.fft.irfftn(hat, s=self.shape, axes=tuple(range(self.dims)), out=out)
         k = self.dealias_kmax
         padded = band.padded  # zero outside the band rows
         padded[: k + 1] = hat[: k + 1]

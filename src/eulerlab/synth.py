@@ -31,7 +31,7 @@ __all__ = [
     "field_from_spec",
 ]
 
-KINDS = ("lacunary", "taylor_green", "shear", "random_divfree", "constant")
+KINDS = ("lacunary", "taylor_green", "shear", "random_divfree")
 
 # Lattice directions probed per octave; four of them so no single axis
 # dominates the translation statistics.
@@ -241,9 +241,4 @@ def field_from_spec(spec: SynthSpec, grid: PeriodicGrid) -> VelocityField:
         return shear_flow(grid, profile)
     if spec.kind == "random_divfree":
         return random_divfree(grid, spec.slope, spec.seed, spec.amplitude)
-    if spec.kind == "constant":
-        arrays = [np.full(grid.shape, spec.amplitude)] + [
-            np.zeros(grid.shape) for _ in range(grid.dims - 1)
-        ]
-        return VelocityField.from_arrays(grid, arrays)
     raise ConfigurationError(f"unknown synth kind {spec.kind!r}")

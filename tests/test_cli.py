@@ -3,12 +3,14 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from eulerlab import cli
 from eulerlab.besov import besov_seminorm
 from eulerlab.cli import _KEYS, EXPERIMENTS, main, parse_config, run, validate
 from eulerlab.errors import ConfigurationError
-from eulerlab.grid_fields import make_grid, resample
+from eulerlab.grid_fields import VelocityField, make_grid, resample
 from eulerlab.synth import SynthSpec, field_from_spec
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -319,12 +321,15 @@ class TestRun:
         assert (out / "metadata.json").exists()
         assert (out / "snapshots" / "manifest.json").exists()
 
-    def test_constant_flow_keeps_its_energy(self, tmp_path, capsys):
+    def test_constant_flow_keeps_its_energy(self, tmp_path, capsys, monkeypatch):
         """The mean flow is conserved, so a constant flow keeps its kinetic
         energy, 2.0 on the torus of area 4, and its speed bounds dt: at
-        dt = 0.05 on 32^2 the CFL bound 0.5 h / 1 = 0.03125 stops step 1."""
-        text = MINIMAL_ENERGY.replace("n = 128", "n = 32").replace(
-            "kind = taylor_green", "kind = constant")
+        dt = 0.05 on 32^2 the CFL bound 0.5 h / 1 = 0.03125 stops step 1.
+        No synth kind is a constant flow, so the run's initial field is
+        replaced by the unit flow along x1."""
+        monkeypatch.setattr(cli, "field_from_spec", lambda spec, grid: VelocityField.from_arrays(
+            grid, [np.ones(grid.shape), np.zeros(grid.shape)]))
+        text = MINIMAL_ENERGY.replace("n = 128", "n = 32")
         out = tmp_path / "out"
         assert run(write_config(tmp_path, text), output_dir=out) == 0
         rows = (out / "energy.csv").read_text().splitlines()[1:]

@@ -69,24 +69,15 @@ def test_cfl_number_is_a_constant():
 
 def test_only_the_grid_builds_derivative_symbols():
     """``PeriodicGrid.ik`` is the one home of the symbols ``i k``: outside
-    ``grid_fields`` no module multiplies ``1j`` by a ``deriv_wavenumber``
-    call."""
-
-    def is_1j(node):
-        return isinstance(node, ast.Constant) and isinstance(node.value, complex) \
-            and node.value == 1j
-
-    def is_k(node):
-        return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "deriv_wavenumber"
-
+    ``grid_fields`` no module holds an imaginary literal such as ``1j``, so
+    none builds a symbol by hand.  ``synth`` is exempt: its
+    ``np.exp(1j * phase)`` is a phase, not a symbol."""
     found = set()
     for path in MODULES:
-        if path.stem == "grid_fields":
+        if path.stem in ("grid_fields", "synth"):
             continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and (
-                    (is_1j(node.left) and is_k(node.right))
-                    or (is_k(node.left) and is_1j(node.right))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, complex):
                 found.add(f"{path.stem}:{node.lineno}")
     assert sorted(found) == []
 

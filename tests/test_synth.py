@@ -228,7 +228,6 @@ class TestFieldFromSpec:
         for kind, kw in (
             ("taylor_green", {}),
             ("shear", {}),
-            ("constant", {}),
             ("lacunary", {"alpha": 0.5, "j_max": 3}),
             ("random_divfree", {"slope": 3.0}),
         ):
