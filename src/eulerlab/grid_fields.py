@@ -64,11 +64,11 @@ class PeriodicGrid:
     Precomputed attributes include the broadcastable derivative multipliers
     for the half-spectrum layout (integer multiples of pi, read through
     :meth:`deriv_wavenumber`), the derivative symbols ``ik`` (``1j`` times
-    each multiplier), the
-    inverse Laplacian symbol, the 2/3-rule dealias mask
-    ``band_mask(dealias_kmax)``, the ``band_index`` of that band's compressed
-    layout (``band_shape``), the derivative symbols on it (``band_ik``) and
-    the interleaved ``parseval_weights``; all are read-only.  Every
+    each multiplier), the inverse Laplacian symbol, the 2/3-rule dealias
+    mask ``band_mask(dealias_kmax)``, the ``band_index`` of that band's
+    compressed layout (``band_shape``), the derivative symbols on it
+    (``band_ik``) and the interleaved ``parseval_weights``; all are
+    read-only.  Every
     transform goes through :meth:`rfftn` and :meth:`irfftn`, whose band
     mode maps a 2-D grid's samples to the compressed band and back.
     """

@@ -442,8 +442,7 @@ def solve(
 
     w_hat = grid.to_band(curl_2d(u0).hat)
     return integrate(grid, (w_hat,), rhs, _band_states(grid, vort.biot_savart, "vorticity"),
-                     T, dt, snapshot_stride,
-                     lambda s: {"energy": kinetic_energy(s.velocity)})
+                     T, dt, snapshot_stride, lambda s: {"energy": kinetic_energy(s.velocity)})
 
 
 def recover_pressure(u: VelocityField) -> ScalarField:
