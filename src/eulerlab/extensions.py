@@ -13,6 +13,14 @@ sandwich ``(-lap)^-1 (-div(rho grad((-lap)^-1 .)))``: exact for uniform
 density, it clusters the spectrum at 1 otherwise, so a solve takes a few
 iterations even at high density contrast.  An iteration costs eight
 transforms, four for the operator and four for the preconditioner.
+A solve builds one set of work arrays (``_DensityWork``) that every stage
+overwrites: the samples, the five dealiased product spectra, the advection
+rows and the CG's vectors and temporary.  The CG updates and the Leray
+scrub run in place, so only what the integrator keeps is fresh: the
+tendencies (the velocity's are the CG's flux accumulators) and the
+pressure.  Each operation keeps the order and operands of its allocating
+form, so every result is bitwise the same, and every transform still goes
+through the grid.
 
 The Boussinesq system advances the vorticity with the homogeneous advection
 tendency plus the buoyancy torque ``curl(theta g)``, and transports
@@ -56,8 +64,8 @@ from .grid_fields import (
     ScalarField,
     VelocityField,
     _dealiased_product,
+    _dealiased_product_tensor,
     _div_hat,
-    _div_product_hats,
     _leray_hats,
     _max_speed,
     _parseval_dot,
@@ -104,9 +112,17 @@ POISSON_MAX_ITER = 500
 # density transport
 
 
-def _transport_tendency(grid: PeriodicGrid, rho: np.ndarray, u: Sequence[np.ndarray]) -> np.ndarray:
-    """``-div(rho u)`` in spectral form (zero mode exactly untouched)."""
-    return -_div_hat(grid, [_dealiased_product(grid, rho, ui) for ui in u])
+def _transport_tendency(grid: PeriodicGrid, rho: np.ndarray, u: Sequence[np.ndarray],
+                        work: Optional["_DensityWork"] = None) -> np.ndarray:
+    """``-div(rho u)`` in spectral form (zero mode exactly untouched), fresh;
+    given ``work``, the products and their spectra go into its arrays."""
+    if work is None:
+        flux = [_dealiased_product(grid, rho, ui) for ui in u]
+    else:
+        flux = [_dealiased_product(grid, rho, ui, out=out, samples=work.product)
+                for ui, out in zip(u, work.products)]
+    div = _div_hat(grid, flux, term=None if work is None else work.term)
+    return np.negative(div, out=div)
 
 
 # ---------------------------------------------------------------------------
@@ -124,28 +140,66 @@ def _weighted_kinetic_energy(grid: PeriodicGrid, rho: np.ndarray,
     return 0.5 * float(np.sum(rho * _squared_magnitude(u)) * grid.cell_volume)
 
 
-def _neg_div_flux(grid: PeriodicGrid, coef: np.ndarray,
-                  p_hat: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """``-div(coef grad p)`` in a fresh array and the flux ``coef grad p``,
+class _DensityWork:
+    """The work arrays of the variable-density system on ``grid``, which one
+    solve builds once, as :class:`~eulerlab.solver._Vorticity` builds its
+    own; each call overwrites them.
+
+    Samples: a stage's density ``rho`` and velocity ``u`` (one row per
+    axis), the CG's ``beta = 1/rho``, and ``product``, which takes one
+    pointwise product or one gradient component at a time.  Half-spectra:
+    the five dealiased ``products`` (``rho u_i``, then ``u_i u_j`` for
+    ``i <= j``), the advection ``rows`` ``div(u_i u)``, and the pressure
+    CG's ``residual``, search ``direction``, preconditioned residual ``z``,
+    operator ``image`` ``A d``, the direction's ``flux`` (one per axis) and
+    one temporary ``term``.
+    """
+
+    __slots__ = ("grid", "rho", "u", "beta", "product", "products", "rows",
+                 "residual", "direction", "z", "image", "flux", "term")
+
+    def __init__(self, grid: PeriodicGrid):
+        dims = grid.dims
+        self.grid = grid
+        self.rho = np.empty(grid.shape)
+        self.u = np.empty((dims, *grid.shape))
+        self.beta = np.empty(grid.shape)
+        self.product = np.empty(grid.shape)
+        self.products = np.empty((dims + dims * (dims + 1) // 2, *grid.rshape), dtype=complex)
+        self.rows = np.empty((dims, *grid.rshape), dtype=complex)
+        self.residual, self.direction, self.z, self.image, self.term = np.empty(
+            (5, *grid.rshape), dtype=complex)
+        self.flux = np.empty((dims, *grid.rshape), dtype=complex)
+
+
+def _neg_div_flux(work: _DensityWork, coef: np.ndarray, p_hat: np.ndarray, out: np.ndarray,
+                  flux: Sequence[np.ndarray]) -> tuple[np.ndarray, Sequence[np.ndarray]]:
+    """``-div(coef grad p)`` in ``out``, which may be ``p_hat`` itself, and
+    the flux ``coef grad p`` in ``flux``, one half-spectrum per axis,
     spectral: two transforms per axis."""
-    flux = [grid.rfftn(coef * grid.irfftn(ik * p_hat)) for ik in grid.ik]
-    div = _div_hat(grid, flux)
+    grid, g = work.grid, work.product
+    for ik, f in zip(grid.ik, flux):
+        grid.irfftn(np.multiply(ik, p_hat, out=work.term), out=g)
+        grid.rfftn(np.multiply(coef, g, out=g), out=f)
+    div = _div_hat(grid, flux, out=out, term=work.term)
     return np.negative(div, out=div), flux
 
 
-def _precondition(grid: PeriodicGrid, rho: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _precondition(work: _DensityWork, rho: np.ndarray, r: np.ndarray,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
     """The inverse-coefficient sandwich ``L (-div(rho grad(L r)))`` with
-    ``L = (-lap)^-1``: four transforms."""
-    inv_k2 = grid.inv_k_squared
-    z, _ = _neg_div_flux(grid, rho, r * inv_k2)
+    ``L = (-lap)^-1``, in ``out`` when given, else fresh: four transforms."""
+    inv_k2 = work.grid.inv_k_squared
+    z = np.multiply(r, inv_k2, out=out)
+    _neg_div_flux(work, rho, z, z, work.flux)
     z *= inv_k2
     return z
 
 
-def _gradient_over_rho(grid: PeriodicGrid, rho: np.ndarray, rhs_div: np.ndarray,
+def _gradient_over_rho(work: _DensityWork, rho: np.ndarray, rhs_div: np.ndarray,
                        p0: Optional[np.ndarray] = None):
-    """Solve ``div(grad(p)/rho) = rhs_div`` (both sides spectral) by
-    preconditioned CG on half-spectrum coefficients.
+    """Solve ``div(grad(p)/rho) = rhs_div`` (both sides spectral) on
+    ``work``'s grid by preconditioned CG on half-spectrum coefficients.
 
     ``A = -div(beta grad .)``, ``beta = 1/rho``, is symmetric positive
     definite on zero-mean fields in the grid inner product, taken here
@@ -161,14 +215,18 @@ def _gradient_over_rho(grid: PeriodicGrid, rho: np.ndarray, rhs_div: np.ndarray,
     its residual already meets the tolerance the solve returns after 0
     iterations.  The solve stops at ``|r| <= POISSON_TOLERANCE |b|``.
 
+    The iteration's vectors and temporaries are ``work``'s arrays, which
+    ``rhs_div`` may be, and its updates run in place.
+
     Returns ``(flux_hats, p_hat, iterations)`` with ``flux_hats`` the
     spectral components of ``beta * grad p``, accumulated alongside the
-    iterate so no transform is spent on them at the end.  ``p_hat`` is
-    None where there is nothing to warm-start from: a zero right-hand side
-    (exact zero fluxes) or non-finite input (non-finite fluxes, returned
-    at once for the integrator to report).
+    iterate so no transform is spent on them at the end.  Both are fresh.
+    ``p_hat`` is None where there is nothing to warm-start from: a zero
+    right-hand side (exact zero fluxes) or non-finite input (non-finite
+    fluxes, returned at once for the integrator to report).
     """
-    beta = 1.0 / rho
+    grid, term = work.grid, work.term
+    beta = np.divide(1.0, rho, out=work.beta)
 
     def dot(a: np.ndarray, b: np.ndarray) -> float:
         return _parseval_dot(a, b, grid.parseval_weights)
@@ -176,28 +234,28 @@ def _gradient_over_rho(grid: PeriodicGrid, rho: np.ndarray, rhs_div: np.ndarray,
     def filled(value: float) -> list[np.ndarray]:
         return [np.full(grid.rshape, value, dtype=complex) for _ in range(grid.dims)]
 
-    b = -rhs_div
+    b = np.negative(rhs_div, out=work.residual)
     b_norm = math.sqrt(dot(b, b))
     if b_norm == 0.0:
         return filled(0.0), None, 0
     if not math.isfinite(b_norm):
         return filled(np.nan), None, 0
+    r = b  # the residual overwrites b
     if p0 is None:
         x = np.zeros(grid.rshape, dtype=complex)
         flux = filled(0.0)
-        r = b
     else:
-        Ax, flux = _neg_div_flux(grid, beta, p0)
+        flux = [np.empty(grid.rshape, dtype=complex) for _ in range(grid.dims)]
+        Ax, _ = _neg_div_flux(work, beta, p0, work.image, flux)
         x = p0.copy()
-        r = b - Ax
+        r -= Ax
     r_norm = math.sqrt(dot(r, r))
     if r_norm <= POISSON_TOLERANCE * b_norm:
         return flux, x, 0
-    # updates run in place: fewer short-lived arrays keep the heap small
-    d = _precondition(grid, rho, r)
+    d = _precondition(work, rho, r, work.direction)
     rz = dot(r, d)
     for it in range(1, POISSON_MAX_ITER + 1):
-        Ad, flux_d = _neg_div_flux(grid, beta, d)
+        Ad, flux_d = _neg_div_flux(work, beta, d, work.image, work.flux)
         dAd = dot(d, Ad)
         if not math.isfinite(dAd):
             return filled(np.nan), None, it
@@ -208,14 +266,14 @@ def _gradient_over_rho(grid: PeriodicGrid, rho: np.ndarray, rhs_div: np.ndarray,
                 r_norm,
             )
         step = rz / dAd
-        x += step * d
+        x += np.multiply(step, d, out=term)
         for f, fd in zip(flux, flux_d):
-            f += step * fd
-        r -= step * Ad
+            f += np.multiply(step, fd, out=term)
+        r -= np.multiply(step, Ad, out=term)
         r_norm = math.sqrt(dot(r, r))
         if r_norm <= POISSON_TOLERANCE * b_norm:
             return flux, x, it
-        z = _precondition(grid, rho, r)
+        z = _precondition(work, rho, r, work.z)
         rz_new = dot(r, z)
         d *= rz_new / rz
         d += z
@@ -228,20 +286,25 @@ def _gradient_over_rho(grid: PeriodicGrid, rho: np.ndarray, rhs_div: np.ndarray,
 
 
 def _inhom_velocity_tendency(
-    grid: PeriodicGrid,
+    work: _DensityWork,
     rho: np.ndarray,
     u: Sequence[np.ndarray],
     p0: Optional[np.ndarray],
 ) -> tuple[list[np.ndarray], Optional[np.ndarray]]:
     """``-(u.grad)u - grad(p)/rho`` with the constraint-enforcing pressure,
     returned in spectral form and Leray-scrubbed of the CG residual, together
-    with the pressure (the next stage's warm start)."""
-    adv_hats = _div_product_hats(grid, u)
-    rhs_div = _div_hat(grid, adv_hats)  # div((u.grad)u) for div-free u
-    bgp_hats, p_hat, _ = _gradient_over_rho(grid, rho, -rhs_div, p0)
-    f_hats = [-adv_hats[i] - bgp_hats[i] for i in range(grid.dims)]
+    with the pressure (the next stage's warm start).  The tendencies are the
+    CG's fresh flux accumulators, overwritten in place; every other
+    spectrum is one of ``work``'s arrays."""
+    grid, term = work.grid, work.term
+    table = _dealiased_product_tensor(grid, u, work.products[grid.dims:], work.product)
+    adv_hats = [_div_hat(grid, row, out=out, term=term) for row, out in zip(table, work.rows)]
+    rhs_div = _div_hat(grid, adv_hats, out=work.residual, term=term)  # div((u.grad)u), div-free u
+    bgp_hats, p_hat, _ = _gradient_over_rho(work, rho, np.negative(rhs_div, out=rhs_div), p0)
+    for adv, bgp in zip(adv_hats, bgp_hats):
+        np.subtract(np.negative(adv, out=adv), bgp, out=bgp)
     # scrub the leftover CG residual so stage velocities stay solenoidal
-    return _leray_hats(grid, f_hats), p_hat
+    return _leray_hats(grid, bgp_hats, bgp_hats, work.z, term), p_hat
 
 
 def inhom_solve(
@@ -266,15 +329,17 @@ def inhom_solve(
         if float(grid.irfftn(hats[0]).min()) <= 0.0:
             raise SolverAbort(f"density lost positivity at t={t}", t)
 
+    work = _DensityWork(grid)
     p_hat = None  # the last stage's pressure warm-starts the next solve
 
     def rhs(hats: tuple, with_speed: bool) -> tuple:
         nonlocal p_hat
-        rho_phys = grid.irfftn(hats[0])
-        u_phys = [grid.irfftn(h) for h in hats[1:]]
-        d_rho = _transport_tendency(grid, rho_phys, u_phys)
-        d_u, p_hat = _inhom_velocity_tendency(grid, rho_phys, u_phys, p_hat)
-        return (d_rho, *d_u), _max_speed(u_phys) if with_speed else None
+        rho, u = grid.irfftn(hats[0], out=work.rho), work.u
+        for h, ui in zip(hats[1:], u):
+            grid.irfftn(h, out=ui)
+        d_rho = _transport_tendency(grid, rho, u, work)
+        d_u, p_hat = _inhom_velocity_tendency(work, rho, u, p_hat)
+        return (d_rho, *d_u), _max_speed(u) if with_speed else None
 
     def ledgers(s: State) -> dict:
         rho = s.scalars["density"]

@@ -27,6 +27,7 @@ Conventions
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Iterable, Sequence, Union
 
@@ -415,40 +416,53 @@ def gradient(f: ScalarField) -> VelocityField:
     ])
 
 
-def _dealiased_product(grid: PeriodicGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Half-spectrum of the pointwise product ``a * b``, 2/3-dealiased."""
-    hat = grid.rfftn(a * b)
+def _dealiased_product(grid: PeriodicGrid, a: np.ndarray, b: np.ndarray,
+                       out: np.ndarray = None, samples: np.ndarray = None) -> np.ndarray:
+    """Half-spectrum of the pointwise product ``a * b``, 2/3-dealiased, in
+    ``out`` when given, else fresh; ``samples``, when given, takes the
+    product."""
+    hat = grid.rfftn(np.multiply(a, b, out=samples), out=out)
     hat *= grid.dealias_mask
     return hat
 
 
 def _dealiased_product_tensor(
-    grid: PeriodicGrid, arrays: Sequence[np.ndarray]
+    grid: PeriodicGrid, arrays: Sequence[np.ndarray],
+    out: Iterable[np.ndarray] = None, samples: np.ndarray = None,
 ) -> list[list[np.ndarray]]:
     """Symmetric table of the half-spectra of ``a_i * a_j``, 2/3-dealiased.
 
     Entries ``[i][j]`` and ``[j][i]`` are one array, transformed once: the
-    pointwise product commutes exactly in floating point.
+    pointwise product commutes exactly in floating point.  Given ``out``,
+    one half-spectrum per unordered pair in row order, and ``samples``, the
+    table is written into them, as :func:`_dealiased_product` would be.
     """
     dims = len(arrays)
+    spectra = itertools.repeat(None) if out is None else iter(out)
     table = [[None] * dims for _ in range(dims)]
     for i in range(dims):
         for j in range(i, dims):
-            table[i][j] = table[j][i] = _dealiased_product(grid, arrays[i], arrays[j])
+            table[i][j] = table[j][i] = _dealiased_product(
+                grid, arrays[i], arrays[j], next(spectra), samples)
     return table
 
 
-def _div_hat(grid: PeriodicGrid, hats: Iterable[np.ndarray], band: bool = False) -> np.ndarray:
+def _div_hat(grid: PeriodicGrid, hats: Iterable[np.ndarray], band: bool = False,
+             out: np.ndarray = None, term: np.ndarray = None) -> np.ndarray:
     """Spectral divergence ``sum_j i k_j h_j`` of one spectrum per axis:
-    half-spectra, or with ``band`` compressed dealias bands.
+    half-spectra, or with ``band`` compressed dealias bands; in ``out``
+    when given, else fresh.
 
-    Accumulates in place, as :func:`_leray_hats` does: every fresh
-    full-size temporary costs page faults on large grids.  Each term is
-    added before the next spectrum is drawn, so ``hats`` may be a
-    generator that yields one buffer over and over."""
-    acc = np.zeros(grid.band_shape if band else grid.rshape, dtype=complex)
-    for ik, h in zip(grid.band_ik if band else grid.ik, hats):
-        acc += ik * h
+    The sum starts from its first term and adds the others in place, each
+    in ``term`` when given: every fresh full-size temporary costs page
+    faults on large grids.  Each term is added before the next spectrum is
+    drawn, so ``hats`` may be a generator that yields one buffer over and
+    over."""
+    terms = zip(grid.band_ik if band else grid.ik, hats)
+    ik, h = next(terms)
+    acc = np.multiply(ik, h, out=out)
+    for ik, h in terms:
+        acc += np.multiply(ik, h, out=term)
     return acc
 
 
@@ -458,13 +472,22 @@ def _div_product_hats(grid: PeriodicGrid, arrays: Sequence[np.ndarray]) -> list[
     return [_div_hat(grid, row) for row in _dealiased_product_tensor(grid, arrays)]
 
 
-def _leray_hats(grid: PeriodicGrid, hats: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """``h - k (k.h)/|k|^2`` on one spectrum per axis."""
-    scale = np.zeros(grid.rshape, dtype=complex)
+def _leray_hats(grid: PeriodicGrid, hats: Sequence[np.ndarray],
+                out: Sequence[np.ndarray] = None, scale: np.ndarray = None,
+                term: np.ndarray = None) -> list[np.ndarray]:
+    """``h - k (k.h)/|k|^2`` on one spectrum per axis, in ``out`` when given
+    (``hats`` itself projects in place), else fresh; ``scale`` and
+    ``term``, when given, take ``(k.h)/|k|^2`` and each product by ``k``."""
+    if scale is None:
+        scale = np.zeros(grid.rshape, dtype=complex)
+    else:
+        scale.fill(0.0)
     for axis, h in enumerate(hats):
-        scale += grid.deriv_wavenumber(axis) * h
+        scale += np.multiply(grid.deriv_wavenumber(axis), h, out=term)
     scale *= grid.inv_k_squared
-    return [h - grid.deriv_wavenumber(axis) * scale for axis, h in enumerate(hats)]
+    out = [None] * len(hats) if out is None else out
+    return [np.subtract(h, np.multiply(grid.deriv_wavenumber(axis), scale, out=term), out=o)
+            for axis, (h, o) in enumerate(zip(hats, out))]
 
 
 def _parseval_dot(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> float:

@@ -206,18 +206,18 @@ def _rk4_stage(hats: tuple, dt: float, rhs: Callable[[tuple, bool], tuple]) -> t
     ``rhs(hats, with_speed)`` returns ``(tendencies, speed)``: fresh arrays,
     which this step overwrites, and the largest speed of ``hats`` when
     ``with_speed`` is set (else None); only the first stage asks for it.
-    The stage inputs and the final combine run in place, in the operation
-    order of ``h + (dt/6) (k1 + 2 k2 + 2 k3 + k4)``, so the step is bitwise
-    equal to that formula evaluated out of place.
+    The three stage inputs share one set of arrays, so ``rhs`` must keep
+    no reference to its input.  They and the final combine run in place,
+    in the operation order of ``h + (dt/6) (k1 + 2 k2 + 2 k3 + k4)``, so
+    the step is bitwise equal to that formula evaluated out of place.
     """
+    inputs = tuple(np.empty_like(h) for h in hats)
 
     def stage_input(ks: tuple, scale: float) -> tuple:
-        out = []
-        for h, k in zip(hats, ks):
-            x = k * scale
+        for h, k, x in zip(hats, ks, inputs):
+            np.multiply(k, scale, out=x)
             x += h
-            out.append(x)
-        return tuple(out)
+        return inputs
 
     k1, speed = rhs(hats, True)
     k2, _ = rhs(stage_input(k1, 0.5 * dt), False)

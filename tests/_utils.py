@@ -1,5 +1,6 @@
 """Shared helpers for the test suite: deterministic random fields and oracles."""
 
+import math
 import tracemalloc
 import weakref
 
@@ -9,10 +10,12 @@ from eulerlab.grid_fields import (
     PeriodicGrid,
     ScalarField,
     VelocityField,
+    _leray_hats,
+    _parseval_dot,
     curl_2d,
     leray_project,
 )
-from eulerlab.extensions import _transport_tendency
+from eulerlab.extensions import POISSON_TOLERANCE, _transport_tendency
 from eulerlab.solver import RecordedStates, TimeProfile, _rk4_stage
 
 
@@ -121,6 +124,93 @@ def full_layout_run(u0: VelocityField, dt: float, steps: int, theta=None, g=None
         dw += torque * hs[1]
         return (dw, _transport_tendency(grid, grid.irfftn(hs[1]), u)), None
 
+    states = [hats]
+    for _ in range(steps):
+        hats, _ = _rk4_stage(hats, dt, rhs)
+        states.append(hats)
+    return states
+
+
+def allocating_inhom_run(rho0: ScalarField, u0: VelocityField, dt: float, steps: int) -> list:
+    """The spectral states of ``steps`` RK4 steps of ``inhom_solve`` with the
+    pressure CG and stage tendency as they ran before their work arrays:
+    every spectrum fresh, every divergence summed onto zeros.  The oracle
+    of ``extensions._DensityWork``; the initial state comes first.  The
+    non-finite and non-convergent exits are left out."""
+    grid = u0.grid
+    dims = grid.dims
+    inv_k2 = grid.inv_k_squared
+
+    def div(hats):
+        acc = np.zeros(grid.rshape, dtype=complex)
+        for ik, h in zip(grid.ik, hats):
+            acc += ik * h
+        return acc
+
+    def product(a, b):
+        hat = grid.rfftn(a * b)
+        hat *= grid.dealias_mask
+        return hat
+
+    def neg_div_flux(coef, p_hat):
+        flux = [grid.rfftn(coef * grid.irfftn(ik * p_hat)) for ik in grid.ik]
+        acc = div(flux)
+        return np.negative(acc, out=acc), flux
+
+    def precondition(rho, r):
+        z, _ = neg_div_flux(rho, r * inv_k2)
+        z *= inv_k2
+        return z
+
+    def dot(a, b):
+        return _parseval_dot(a, b, grid.parseval_weights)
+
+    def pressure(rho, rhs_div, p0):
+        beta = 1.0 / rho
+        b = -rhs_div
+        b_norm = math.sqrt(dot(b, b))
+        if b_norm == 0.0:
+            return [np.zeros(grid.rshape, dtype=complex) for _ in range(dims)], None
+        if p0 is None:
+            x = np.zeros(grid.rshape, dtype=complex)
+            flux = [np.zeros(grid.rshape, dtype=complex) for _ in range(dims)]
+            r = b
+        else:
+            Ax, flux = neg_div_flux(beta, p0)
+            x = p0.copy()
+            r = b - Ax
+        if math.sqrt(dot(r, r)) <= POISSON_TOLERANCE * b_norm:
+            return flux, x
+        d = precondition(rho, r)
+        rz = dot(r, d)
+        while True:
+            Ad, flux_d = neg_div_flux(beta, d)
+            step = rz / dot(d, Ad)
+            x += step * d
+            for f, fd in zip(flux, flux_d):
+                f += step * fd
+            r -= step * Ad
+            if math.sqrt(dot(r, r)) <= POISSON_TOLERANCE * b_norm:
+                return flux, x
+            z = precondition(rho, r)
+            rz_new = dot(r, z)
+            d *= rz_new / rz
+            d += z
+            rz = rz_new
+
+    p_hat = None
+
+    def rhs(hats, with_speed):
+        nonlocal p_hat
+        rho = grid.irfftn(hats[0])
+        u = [grid.irfftn(h) for h in hats[1:]]
+        d_rho = -div([product(rho, ui) for ui in u])
+        table = {(i, j): product(u[i], u[j]) for i in range(dims) for j in range(i, dims)}
+        adv = [div([table[min(i, j), max(i, j)] for j in range(dims)]) for i in range(dims)]
+        bgp, p_hat = pressure(rho, -div(adv), p_hat)
+        return (d_rho, *_leray_hats(grid, [-adv[i] - bgp[i] for i in range(dims)])), None
+
+    hats = tuple(f.hat * grid.dealias_mask for f in (rho0, *u0.components))
     states = [hats]
     for _ in range(steps):
         hats, _ = _rk4_stage(hats, dt, rhs)

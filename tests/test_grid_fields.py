@@ -1,9 +1,6 @@
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import eulerlab
 from eulerlab.errors import ConfigurationError, GridMismatchError
 from eulerlab.grid_fields import (
     ScalarField,
@@ -497,17 +494,3 @@ class TestInPlaceAccumulation:
         bands = iter([grid.to_band(h) for h in hats])  # drawn one at a time
         assert np.array_equal(_div_hat(grid, bands, band=True),
                               grid.to_band(_div_hat(grid, hats)))
-
-
-def test_numpy_fft_only_in_grid_fields():
-    """Every transform goes through ``PeriodicGrid.rfftn``/``irfftn``, so FFT
-    counts and any future backend have one choke point."""
-    package = Path(eulerlab.__file__).parent
-    offenders = []
-    for path in sorted(package.glob("*.py")):
-        if path.name == "grid_fields.py":
-            continue
-        for lineno, line in enumerate(path.read_text().splitlines(), 1):
-            if "np.fft" in line or "numpy.fft" in line:
-                offenders.append(f"{path.name}:{lineno}: {line.strip()}")
-    assert offenders == []

@@ -82,6 +82,29 @@ def test_only_the_grid_builds_derivative_symbols():
     assert sorted(found) == []
 
 
+def test_only_the_grid_calls_numpy_fft():
+    """Every transform goes through ``PeriodicGrid.rfftn``/``irfftn``, so the
+    transform counters see every one: outside ``grid_fields`` no module
+    reads an attribute named ``fft`` or imports ``numpy.fft`` in any form."""
+    found = set()
+    for path in MODULES:
+        if path.stem == "grid_fields":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                hit = node.attr == "fft"
+            elif isinstance(node, ast.Import):
+                hit = any(a.name.startswith("numpy.fft") for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                hit = (node.module or "").startswith("numpy.fft") or (
+                    node.module == "numpy" and any(a.name == "fft" for a in node.names))
+            else:
+                hit = False
+            if hit:
+                found.add(f"{path.stem}:{node.lineno}")
+    assert sorted(found) == []
+
+
 def test_no_code_compares_a_quantity_name():
     """A sweep's rules key on its ``Route``, not on the name of its quantity:
     no comparison in a package module has a route's quantity name as an

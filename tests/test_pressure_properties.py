@@ -8,12 +8,13 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from eulerlab.extensions import _precondition  # noqa: E402
+from eulerlab.extensions import _DensityWork, _precondition  # noqa: E402
 from eulerlab.grid_fields import _parseval_dot, make_grid  # noqa: E402
 
 from _utils import random_band_limited_scalar, rng  # noqa: E402
 
 GRID = make_grid(2, 16)
+WORK = _DensityWork(GRID)
 
 
 def zero_mean_spectrum(seed: int) -> np.ndarray:
@@ -37,7 +38,7 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
 def test_preconditioner_is_symmetric_and_positive(sx, sy, srho, amp):
     x, y = zero_mean_spectrum(sx), zero_mean_spectrum(sy)
     rho = density(srho, amp)
-    px, py = _precondition(GRID, rho, x), _precondition(GRID, rho, y)
+    px, py = _precondition(WORK, rho, x), _precondition(WORK, rho, y)
     assert dot(x, py) == pytest.approx(dot(px, y), rel=1e-12, abs=1e-14 * dot(x, px))
     assert dot(x, px) > 0.0
     assert dot(y, py) > 0.0

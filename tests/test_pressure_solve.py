@@ -1,17 +1,24 @@
 """The variable-density pressure solve: half-spectrum PCG against a dense
 oracle, exactness of the preconditioner for uniform density, its iteration
 count at high contrast, the warm start, the transform budgets of one solve
-and of whole RK steps, and non-finite input."""
+and of whole RK steps, the work arrays (bitwise against the allocating
+stage, and the peak of a warm solve), and non-finite input."""
 
 import numpy as np
 import pytest
 
 from eulerlab.errors import SolverAbort
-from eulerlab.extensions import _gradient_over_rho, inhom_solve
-from eulerlab.grid_fields import _parseval_dot, make_grid
+from eulerlab.extensions import _DensityWork, _gradient_over_rho, inhom_solve
+from eulerlab.grid_fields import ScalarField, _parseval_dot, make_grid
 from eulerlab.synth import taylor_green
 
-from _utils import count_transforms, random_band_limited_scalar, random_band_limited_velocity
+from _utils import (
+    allocating_inhom_run,
+    count_transforms,
+    random_band_limited_scalar,
+    random_band_limited_velocity,
+    traced_half_spectra,
+)
 
 
 def problem(n, seed=0, amp=0.3):
@@ -25,7 +32,7 @@ def problem(n, seed=0, amp=0.3):
 
 
 def solve(grid, beta, rhs_div, p0=None):
-    return _gradient_over_rho(grid, 1.0 / beta, rhs_div, p0)
+    return _gradient_over_rho(_DensityWork(grid), 1.0 / beta, rhs_div, p0)
 
 
 def physical(grid, hats):
@@ -124,6 +131,37 @@ def test_rk_step_transform_budget(monkeypatch):
     calls = count_transforms(monkeypatch)
     inhom_solve(rho, u0, 0.04, 0.01, snapshot_stride=4)
     assert len(calls) / 4 <= 145
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("amp", [0.2, 0.8])
+def test_recorded_spectra_match_the_allocating_stage(n, amp):
+    # six steps: every stage after the first warm-starts its pressure solve
+    grid = make_grid(2, n)
+    u0 = random_band_limited_velocity(grid, n // 6, seed=n, divfree=True)
+    rho0 = ScalarField(grid, 1.0 + amp * random_band_limited_scalar(grid, 4, n + 1).values)
+    dt, steps = 2e-3, 6
+    traj = inhom_solve(rho0, u0, steps * dt, dt)
+    oracle = allocating_inhom_run(rho0, u0, dt, steps)
+    assert len(traj.states.hats) == len(oracle) == steps + 1
+    for got, want in zip(traj.states.hats, oracle):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_warm_solve_allocates_only_what_it_returns():
+    # the fresh arrays are the pressure and the two flux accumulators, plus
+    # the inverse transform's own intermediate; the iteration runs in the
+    # work arrays (allocating every vector peaked at 18 half-spectra)
+    grid, beta, rhs_div = problem(64, seed=5, amp=0.8)
+    rho = 1.0 / beta
+    work = _DensityWork(grid)
+    _, p_hat, _ = _gradient_over_rho(work, rho, rhs_div)
+    p0 = 0.5 * p_hat
+    (_, _, iterations), held, peak = traced_half_spectra(
+        grid, lambda: _gradient_over_rho(work, rho, rhs_div, p0))
+    assert iterations > 1
+    assert held <= 3.1
+    assert peak <= 5.0
 
 
 def test_non_finite_input_returns_at_once():
