@@ -68,6 +68,7 @@ from .grid_fields import (
     _div_hat,
     _leray_hats,
     _max_speed,
+    _negative,
     _parseval_dot,
     _squared_magnitude,
     curl_2d,
@@ -122,7 +123,7 @@ def _transport_tendency(grid: PeriodicGrid, rho: np.ndarray, u: Sequence[np.ndar
         flux = [_dealiased_product(grid, rho, ui, out=out, samples=work.product)
                 for ui, out in zip(u, work.products)]
     div = _div_hat(grid, flux, term=None if work is None else work.term)
-    return np.negative(div, out=div)
+    return _negative(div, div)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +183,7 @@ def _neg_div_flux(work: _DensityWork, coef: np.ndarray, p_hat: np.ndarray, out: 
         grid.irfftn(np.multiply(ik, p_hat, out=work.term), out=g)
         grid.rfftn(np.multiply(coef, g, out=g), out=f)
     div = _div_hat(grid, flux, out=out, term=work.term)
-    return np.negative(div, out=div), flux
+    return _negative(div, div), flux
 
 
 def _precondition(work: _DensityWork, rho: np.ndarray, r: np.ndarray,
@@ -234,7 +235,7 @@ def _gradient_over_rho(work: _DensityWork, rho: np.ndarray, rhs_div: np.ndarray,
     def filled(value: float) -> list[np.ndarray]:
         return [np.full(grid.rshape, value, dtype=complex) for _ in range(grid.dims)]
 
-    b = np.negative(rhs_div, out=work.residual)
+    b = _negative(rhs_div, work.residual)
     b_norm = math.sqrt(dot(b, b))
     if b_norm == 0.0:
         return filled(0.0), None, 0
@@ -300,9 +301,9 @@ def _inhom_velocity_tendency(
     table = _dealiased_product_tensor(grid, u, work.products[grid.dims:], work.product)
     adv_hats = [_div_hat(grid, row, out=out, term=term) for row, out in zip(table, work.rows)]
     rhs_div = _div_hat(grid, adv_hats, out=work.residual, term=term)  # div((u.grad)u), div-free u
-    bgp_hats, p_hat, _ = _gradient_over_rho(work, rho, np.negative(rhs_div, out=rhs_div), p0)
+    bgp_hats, p_hat, _ = _gradient_over_rho(work, rho, _negative(rhs_div, rhs_div), p0)
     for adv, bgp in zip(adv_hats, bgp_hats):
-        np.subtract(np.negative(adv, out=adv), bgp, out=bgp)
+        np.subtract(_negative(adv, adv), bgp, out=bgp)
     # scrub the leftover CG residual so stage velocities stay solenoidal
     return _leray_hats(grid, bgp_hats, bgp_hats, work.z, term), p_hat
 

@@ -466,6 +466,15 @@ def _div_hat(grid: PeriodicGrid, hats: Iterable[np.ndarray], band: bool = False,
     return acc
 
 
+def _negative(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``-a`` of a complex array into ``out``, which may be ``a`` itself;
+    both must be contiguous along their last axis.  Bitwise numpy's complex
+    negative, which flips the sign of each part, but taken as one pass over
+    the interleaved real view: numpy's complex loop runs 2-5 times slower."""
+    np.negative(a.view(np.float64), out=out.view(np.float64))
+    return out
+
+
 def _div_product_hats(grid: PeriodicGrid, arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Spectral ``div(a (x) a)``, ``sum_j d_j(a_i a_j)`` per component, of the
     samples ``arrays``: the dealiased product table, one divergence per row."""

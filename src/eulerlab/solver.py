@@ -68,6 +68,7 @@ from .grid_fields import (
     _div_hat,
     _div_product_hats,
     _max_speed,
+    _negative,
     _parseval_dot,
     _require_same_grid,
     curl_2d,
@@ -195,7 +196,7 @@ class _Vorticity:
         grid.irfftn(s_hat, band=work, out=s)
         acc = _div_hat(grid, (grid.rfftn(np.multiply(s, u, out=prod), band=work,
                                          out=work.spectrum) for u in self.u), band=True)
-        return np.negative(acc, out=acc)
+        return _negative(acc, acc)
 
 
 def _rk4_stage(hats: tuple, dt: float, rhs: Callable[[tuple, bool], tuple]) -> tuple:

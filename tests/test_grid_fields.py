@@ -10,6 +10,7 @@ from eulerlab.grid_fields import (
     _dealiased_product_tensor,
     _div_hat,
     _leray_hats,
+    _negative,
     divergence,
     gradient,
     inner,
@@ -461,8 +462,8 @@ class TestProductTensor:
 
 
 class TestInPlaceAccumulation:
-    """``_div_hat`` and ``_leray_hats`` accumulate in place, bitwise equal
-    to their former out-of-place expressions."""
+    """``_div_hat``, ``_leray_hats`` and ``_negative`` work in place, bitwise
+    equal to their former out-of-place expressions."""
 
     @staticmethod
     def old_div_hat(grid, hats):
@@ -486,6 +487,30 @@ class TestInPlaceAccumulation:
         assert np.array_equal(_div_hat(grid, hats), self.old_div_hat(grid, hats))
         for new, old in zip(_leray_hats(grid, hats), self.old_leray_hats(grid, hats)):
             assert np.array_equal(new, old)
+
+    @pytest.mark.parametrize("dims,n", [(2, 64), (3, 16)])
+    def test_work_arrays_hold_the_fresh_bytes(self, dims, n):
+        # out=, scale= and term= move where the results go, not their bits
+        grid = make_grid(dims, n)
+        hats = [c.hat for c in random_band_limited_velocity(grid, n // 2, seed=22).components]
+        out, scale, term = (np.empty(grid.rshape, dtype=complex) for _ in range(3))
+        assert _div_hat(grid, hats, out=out, term=term) is out
+        assert out.tobytes() == _div_hat(grid, hats).tobytes()
+        work = [h.copy() for h in hats]
+        projected = _leray_hats(grid, work, work, scale, term)
+        assert all(p is w for p, w in zip(projected, work))
+        for p, fresh in zip(projected, _leray_hats(grid, hats)):
+            assert p.tobytes() == fresh.tobytes()
+
+    def test_negative_is_numpys_complex_negative(self):
+        grid = make_grid(2, 16)
+        hat = random_band_limited_scalar(grid, 8, seed=24).hat.copy()
+        hat[0, :5] = [0.0, complex(-0.0, 0.0), complex(-0.0, -0.0), complex(np.nan, -np.inf),
+                      complex(np.inf, 0.0)]
+        out = np.empty_like(hat)
+        assert _negative(hat, out) is out
+        assert out.tobytes() == np.negative(hat).tobytes()
+        assert _negative(hat, hat).tobytes() == out.tobytes()
 
     @pytest.mark.parametrize("dims,n", [(2, 64), (3, 16)])
     def test_band_divergence_is_the_full_one_on_the_band(self, dims, n):
