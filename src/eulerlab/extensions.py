@@ -110,23 +110,6 @@ POISSON_MAX_ITER = 500
 
 
 # ---------------------------------------------------------------------------
-# density transport
-
-
-def _transport_tendency(grid: PeriodicGrid, rho: np.ndarray, u: Sequence[np.ndarray],
-                        work: Optional["_DensityWork"] = None) -> np.ndarray:
-    """``-div(rho u)`` in spectral form (zero mode exactly untouched), fresh;
-    given ``work``, the products and their spectra go into its arrays."""
-    if work is None:
-        flux = [_dealiased_product(grid, rho, ui) for ui in u]
-    else:
-        flux = [_dealiased_product(grid, rho, ui, out=out, samples=work.product)
-                for ui, out in zip(u, work.products)]
-    div = _div_hat(grid, flux, term=None if work is None else work.term)
-    return _negative(div, div)
-
-
-# ---------------------------------------------------------------------------
 # inhomogeneous solver
 
 
@@ -171,6 +154,17 @@ class _DensityWork:
         self.residual, self.direction, self.z, self.image, self.term = np.empty(
             (5, *grid.rshape), dtype=complex)
         self.flux = np.empty((dims, *grid.rshape), dtype=complex)
+
+
+def _transport_tendency(work: _DensityWork, rho: np.ndarray,
+                        u: Sequence[np.ndarray]) -> np.ndarray:
+    """``-div(rho u)`` in spectral form (zero mode exactly untouched), fresh;
+    the products and their spectra go into ``work``'s arrays."""
+    grid = work.grid
+    flux = [_dealiased_product(grid, rho, ui, out=out, samples=work.product)
+            for ui, out in zip(u, work.products)]
+    div = _div_hat(grid, flux, term=work.term)
+    return _negative(div, div)
 
 
 def _neg_div_flux(work: _DensityWork, coef: np.ndarray, p_hat: np.ndarray, out: np.ndarray,
@@ -338,7 +332,7 @@ def inhom_solve(
         rho, u = grid.irfftn(hats[0], out=work.rho), work.u
         for h, ui in zip(hats[1:], u):
             grid.irfftn(h, out=ui)
-        d_rho = _transport_tendency(grid, rho, u, work)
+        d_rho = _transport_tendency(work, rho, u)
         d_u, p_hat = _inhom_velocity_tendency(work, rho, u, p_hat)
         return (d_rho, *d_u), _max_speed(u) if with_speed else None
 

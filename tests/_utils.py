@@ -15,7 +15,7 @@ from eulerlab.grid_fields import (
     curl_2d,
     leray_project,
 )
-from eulerlab.extensions import POISSON_TOLERANCE, _transport_tendency
+from eulerlab.extensions import POISSON_TOLERANCE
 from eulerlab.solver import RecordedStates, TimeProfile, _rk4_stage
 
 
@@ -106,6 +106,23 @@ class FullLayoutVorticity:
         return p_hat, (u1, u2)
 
 
+def div_onto_zeros(grid: PeriodicGrid, hats) -> np.ndarray:
+    """``sum_j i k_j h_j`` added onto a zeroed array, fresh: the spectral
+    divergence as the solvers summed it before they started from the first
+    term, which moves no value (at most the sign of a zero)."""
+    acc = np.zeros(grid.rshape, dtype=complex)
+    for ik, h in zip(grid.ik, hats):
+        acc += ik * h
+    return acc
+
+
+def dealiased(grid: PeriodicGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The 2/3-dealiased half-spectrum of ``a * b``, fresh."""
+    hat = grid.rfftn(a * b)
+    hat *= grid.dealias_mask
+    return hat
+
+
 def full_layout_run(u0: VelocityField, dt: float, steps: int, theta=None, g=None) -> list:
     """The spectral states of ``steps`` RK4 steps of ``solve`` (``theta``
     None) or ``boussinesq_solve`` on :class:`FullLayoutVorticity`, the
@@ -122,7 +139,8 @@ def full_layout_run(u0: VelocityField, dt: float, steps: int, theta=None, g=None
         if theta is None:
             return (dw,), None
         dw += torque * hs[1]
-        return (dw, _transport_tendency(grid, grid.irfftn(hs[1]), u)), None
+        theta_phys = grid.irfftn(hs[1])
+        return (dw, -div_onto_zeros(grid, [dealiased(grid, theta_phys, ui) for ui in u])), None
 
     states = [hats]
     for _ in range(steps):
@@ -141,20 +159,9 @@ def allocating_inhom_run(rho0: ScalarField, u0: VelocityField, dt: float, steps:
     dims = grid.dims
     inv_k2 = grid.inv_k_squared
 
-    def div(hats):
-        acc = np.zeros(grid.rshape, dtype=complex)
-        for ik, h in zip(grid.ik, hats):
-            acc += ik * h
-        return acc
-
-    def product(a, b):
-        hat = grid.rfftn(a * b)
-        hat *= grid.dealias_mask
-        return hat
-
     def neg_div_flux(coef, p_hat):
         flux = [grid.rfftn(coef * grid.irfftn(ik * p_hat)) for ik in grid.ik]
-        acc = div(flux)
+        acc = div_onto_zeros(grid, flux)
         return np.negative(acc, out=acc), flux
 
     def precondition(rho, r):
@@ -204,10 +211,11 @@ def allocating_inhom_run(rho0: ScalarField, u0: VelocityField, dt: float, steps:
         nonlocal p_hat
         rho = grid.irfftn(hats[0])
         u = [grid.irfftn(h) for h in hats[1:]]
-        d_rho = -div([product(rho, ui) for ui in u])
-        table = {(i, j): product(u[i], u[j]) for i in range(dims) for j in range(i, dims)}
-        adv = [div([table[min(i, j), max(i, j)] for j in range(dims)]) for i in range(dims)]
-        bgp, p_hat = pressure(rho, -div(adv), p_hat)
+        d_rho = -div_onto_zeros(grid, [dealiased(grid, rho, ui) for ui in u])
+        table = {(i, j): dealiased(grid, u[i], u[j]) for i in range(dims) for j in range(i, dims)}
+        adv = [div_onto_zeros(grid, [table[min(i, j), max(i, j)] for j in range(dims)])
+               for i in range(dims)]
+        bgp, p_hat = pressure(rho, -div_onto_zeros(grid, adv), p_hat)
         return (d_rho, *_leray_hats(grid, [-adv[i] - bgp[i] for i in range(dims)])), None
 
     hats = tuple(f.hat * grid.dealias_mask for f in (rho0, *u0.components))
