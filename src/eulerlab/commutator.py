@@ -19,24 +19,37 @@ constant as the route's budget.
 
 Quadratic products are evaluated pointwise and 2/3-dealiased before any
 derivative is taken, matching the solver convention, so every term is the
-Galerkin product of band-limited fields.
+Galerkin product of band-limited fields.  A dealiased spectrum is zero
+outside the compressed dealias band (``grid.band_shape``, 44% of a
+half-spectrum at 512^2), so the sweeps take every product in the grid's
+band mode, with transient scratch, and keep only band spectra:
+``div(v (x) v)``, the product table, ``m_ij``, the gradient factors and
+the band entries of the kernel's multiplier, each bitwise the whole
+half-spectrum's entries on the band.  Only the mollified samples
+``v_eps`` and ``u_eps`` come from whole half-spectra, since the fields
+need not be band-limited.
 
 An epsilon sweep builds the transformed terms that do not depend on
 epsilon once (``div(v (x) v)``; the product spectra of ``u_i u_j``) and
 then spends 7 transforms per scale on the convective commutator and 5 on
 the trilinear pairing, besides the kernel's own.  The pairing never leaves
 spectral space: ``m_ij`` meets ``d_b(v_eps - u_eps)_a`` in a Parseval sum
-over half-spectra (``grid_fields._parseval_dot``, with the grid's ``ik`` and
-``parseval_weights``), and it streams: each ``m_ij`` is paired and freed
-before the next is built.  The factors ``v - u`` are not hoisted: they cost
-no transform, since the fields cache their spectra, and held for the whole
-sweep they would add one half-spectrum per component to its peak memory.
+over the band (``grid_fields._parseval_dot``, with the grid's ``band_ik``
+and the band's share of ``parseval_weights``), and it streams: each
+``m_ij`` is paired and freed before the next is built.  The factors
+``v - u`` are not hoisted: they cost no transform, since the fields cache
+their spectra, and held for the whole sweep they would add one band
+spectrum per component to its peak memory.  Across its scales a sweep
+holds its input fields (samples and cached spectra), the kernel and the
+band terms built once; a scale's peak is the mollified samples with one
+product and its forward transform's transient half-spectrum.
 The per-scale kernels return arrays, not fields, and so does
 ``_transport_at``, whose spectra the scalar-contraction audit of
-:mod:`~eulerlab.extensions` pairs the same way.  The public single-scale
-functions run the same code on terms they build themselves.
-``_sweep_problems`` is the one home of a sweep's rules; sweeps run from the
-largest scale down, whatever order the scales are given in.
+:mod:`~eulerlab.extensions` pairs the same way, on whole half-spectra.
+The public single-scale functions run the same code on terms they build
+themselves.  ``_sweep_problems`` is the one home of a sweep's rules;
+sweeps run from the largest scale down, whatever order the scales are
+given in.
 """
 
 from __future__ import annotations
@@ -52,9 +65,9 @@ from .grid_fields import (
     PeriodicGrid,
     ScalarField,
     VelocityField,
+    _band_product_tensor,
     _dealiased_product,
-    _dealiased_product_tensor,
-    _div_product_hats,
+    _div_product_bands,
     _lp_norm,
     _parseval_dot,
 )
@@ -119,57 +132,62 @@ def _sweep_problems(route: Route, epsilons: Sequence[float], grid: PeriodicGrid,
 def _convective_at(v: VelocityField, div_raw: Sequence[np.ndarray],
                    kernel: MollifierKernel) -> list[np.ndarray]:
     """The convective commutator's component samples at one scale, given
-    ``div_raw``, the spectra ``_div_product_hats`` of ``v``: 7 transforms."""
+    ``div_raw``, the band spectra ``_div_product_bands`` of ``v``: 7
+    transforms, the last 5 in band mode."""
     grid = v.grid
-    mult = kernel.multiplier
-    v_eps = [grid.irfftn(c.hat * mult) for c in v.components]
-    hats = _div_product_hats(grid, v_eps)
+    v_eps = [grid.irfftn(c.hat * kernel.multiplier) for c in v.components]
+    bands = _div_product_bands(grid, v_eps)
     del v_eps  # free the mollified samples before the inverse transforms
-    for h, raw in zip(hats, div_raw):
-        h -= raw * mult
-    return [grid.irfftn(h) for h in hats]
+    mult = grid.to_band(kernel.multiplier)
+    for b, raw in zip(bands, div_raw):
+        b -= raw * mult
+    return [grid.irfftn(b, band=True) for b in bands]
 
 
 def convective_commutator(v: VelocityField, kernel: MollifierKernel) -> VelocityField:
     """``div(v_eps (x) v_eps) - (div(v (x) v))_eps`` as a vector field."""
     if v.grid != kernel.grid:
         raise GridMismatchError("field and kernel live on different grids")
-    div_raw = _div_product_hats(v.grid, [c.values for c in v.components])
+    div_raw = _div_product_bands(v.grid, [c.values for c in v.components])
     return VelocityField.from_arrays(v.grid, _convective_at(v, div_raw, kernel))
 
 
 def _cet_at(u: VelocityField, v: VelocityField, products: Sequence[Sequence[np.ndarray]],
             kernel: MollifierKernel) -> float:
-    """The trilinear pairing at one scale, given ``products``, the spectra
-    ``_dealiased_product_tensor`` of ``u``: 5 transforms.
+    """The trilinear pairing at one scale, given ``products``, the band
+    spectra ``_band_product_tensor`` of ``u``: 5 transforms, the last 3 in
+    band mode.
 
     ``m_ij = (u_i u_j)_eps - u_eps,i u_eps,j`` is symmetric, so each
-    unordered pair is built once, paired with both ``d_j(v_eps - u_eps)_i``
-    and ``d_i(v_eps - u_eps)_j`` through ``_parseval_dot`` and freed, so
-    neither factor is transformed back; the gradient factors are rebuilt
-    from the fields' cached spectra for each pairing, and the terms are
-    summed in row-major order.
+    unordered pair is built once on the band, paired with both
+    ``d_j(v_eps - u_eps)_i`` and ``d_i(v_eps - u_eps)_j`` through
+    ``_parseval_dot`` with the band's share of the Parseval weights and
+    freed, so neither factor is transformed back; the gradient factors are
+    rebuilt on the band from the fields' cached spectra for each pairing,
+    and the terms are summed in row-major order.
     """
     grid = u.grid
-    mult = kernel.multiplier
+    mult = grid.to_band(kernel.multiplier)
+    weights = grid.parseval_weights[: 2 * grid.band_shape[-1]]  # the band's columns
 
     def grad_diff(a: int, b: int) -> np.ndarray:
-        """``d_b(v_eps - u_eps)_a``, built in place: one half-spectrum."""
-        g = v.components[a].hat - u.components[a].hat
+        """``d_b(v_eps - u_eps)_a``, built in place: one band spectrum."""
+        g = grid.to_band(v.components[a].hat)
+        g -= grid.to_band(u.components[a].hat)
         g *= mult
-        g *= grid.ik[b]
+        g *= grid.band_ik[b]
         return g
 
-    u_eps = [grid.irfftn(c.hat * mult) for c in u.components]
+    u_eps = [grid.irfftn(c.hat * kernel.multiplier) for c in u.components]
     terms = [[0.0] * grid.dims for _ in range(grid.dims)]
     for i in range(grid.dims):
         for j in range(i, grid.dims):
-            m = _dealiased_product(grid, u_eps[i], u_eps[j])
+            m = grid.rfftn(u_eps[i] * u_eps[j], band=True)
             if j == grid.dims - 1:
                 u_eps[i] = None  # its last product
             np.subtract(products[i][j] * mult, m, out=m)
             for a, b in {(i, j), (j, i)}:
-                terms[a][b] = _parseval_dot(m, grad_diff(a, b), grid.parseval_weights)
+                terms[a][b] = _parseval_dot(m, grad_diff(a, b), weights)
             del m  # free m_ij before the next product is transformed
     total = 0.0
     for row in terms:
@@ -184,7 +202,7 @@ def cet_trilinear(u: VelocityField, v: VelocityField, kernel: MollifierKernel) -
     grid = u.grid
     if grid != v.grid or grid != kernel.grid:
         raise GridMismatchError("fields and kernel live on different grids")
-    products = _dealiased_product_tensor(grid, [c.values for c in u.components])
+    products = _band_product_tensor(grid, [c.values for c in u.components])
     return _cet_at(u, v, products, kernel)
 
 
@@ -256,10 +274,10 @@ def _sweep(route: Route, fields: Sequence[VelocityField], seminorms: Sequence[fl
     v = fields[-1]
     if route.pair:
         u = fields[0]
-        products = _dealiased_product_tensor(grid, [c.values for c in u.components])
+        products = _band_product_tensor(grid, [c.values for c in u.components])
         magnitudes = [abs(_cet_at(u, v, products, make_kernel(grid, eps))) for eps in epsilons]
     else:
-        div_raw = _div_product_hats(grid, [c.values for c in v.components])
+        div_raw = _div_product_bands(grid, [c.values for c in v.components])
         magnitudes = [_lp_norm(grid, _convective_at(v, div_raw, make_kernel(grid, eps)),
                                p_int / 2.0) for eps in epsilons]
     if all(m <= VACUOUS_MAGNITUDE for m in magnitudes):

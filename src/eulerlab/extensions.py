@@ -419,10 +419,10 @@ def boussinesq_solve(
 
     def rhs(hats: tuple, with_speed: bool) -> tuple:
         wh, th = hats
-        dw, u = vort.advect(wh)
+        dw, _ = vort.advect(wh)
         dw += torque_symbol * th
         dth = vort.transport(th)
-        return (dw, dth), _max_speed(u) if with_speed else None
+        return (dw, dth), vort.speed() if with_speed else None
 
     hats = (grid.to_band(curl_2d(u0).hat), grid.to_band(theta0.hat))
     traj = integrate(grid, hats, rhs, _band_states(grid, vort.biot_savart, "theta"),

@@ -15,6 +15,15 @@ derivative symbols ``ik`` and the interleaved ``parseval_weights`` that
 the pressure CG and the weak-form audit all read them; no other module
 rebuilds them.
 
+Every 2/3-dealiased spectrum is zero outside the compressed dealias band
+(``band_shape``), and the grid's band mode maps samples to that band and
+back in any dimension, bitwise the whole transforms on the band, with the
+complex passes pruned to it.  The vorticity solvers step on the band, and
+the commutator sweeps and the weak-form audit take their products on it
+(:func:`_band_product_tensor`, :func:`_div_product_bands`); the
+variable-density stage, the transport commutator and the pressure
+recovery keep whole half-spectra.
+
 Conventions
 -----------
 * Axis ``i`` of a value array corresponds to coordinate ``x_{i+1}``; sample
@@ -69,9 +78,9 @@ class PeriodicGrid:
     mask ``band_mask(dealias_kmax)``, the ``band_index`` of that band's
     compressed layout (``band_shape``), the derivative symbols on it
     (``band_ik``) and the interleaved ``parseval_weights``; all are
-    read-only.  Every
-    transform goes through :meth:`rfftn` and :meth:`irfftn`, whose band
-    mode maps a 2-D grid's samples to the compressed band and back.
+    read-only.  Every transform goes through :meth:`rfftn` and
+    :meth:`irfftn`, whose band mode maps the samples to the compressed band
+    and back in every dimension.
     """
 
     def __init__(self, dims: int, n_per_axis: int):
@@ -136,6 +145,18 @@ class PeriodicGrid:
         self.band_index = np.ix_(*[rows] * (dims - 1), np.arange(k + 1))
         self.band_ik = tuple(np.take(ik, idx.ravel(), axis=axis)
                              for axis, (ik, idx) in enumerate(zip(self.ik, self.band_index)))
+        # The band transforms' indices: the band's blocks of rows, one of
+        # 0..k or -k..-1 on each leading axis (slices that fit whole and
+        # band rows alike), and per leading axis the groups of lines its
+        # complex pass runs over, whole rows on the axes up to it and a
+        # block of band rows on each later leading axis.
+        block_rows = (slice(None, k + 1), slice(-k, None))
+        self._band_columns = (slice(None, k + 1),)
+        self._row_blocks = list(itertools.product(block_rows, repeat=dims - 1))
+        self._pass_index = [
+            [(slice(None),) * (axis + 1) + block + self._band_columns
+             for block in itertools.product(block_rows, repeat=dims - 2 - axis)]
+            for axis in range(dims - 1)]
 
         # Parseval weights w over the last half-spectrum axis, with sum_x f g
         # = sum_k w Re(conj(F) G) for real fields on N points: 1/N on the
@@ -202,45 +223,57 @@ class PeriodicGrid:
         hat[self.band_index] = band
         return hat
 
-    def rfftn(self, values: np.ndarray, band: "_BandWork" = None,
+    def rfftn(self, values: np.ndarray, band: Union["_BandWork", bool] = None,
               out: np.ndarray = None) -> np.ndarray:
         """Half-spectrum of the real samples ``values`` (numpy's ``rfftn``),
         in ``out`` when given, else fresh.
 
-        Given ``band``, a ``_BandWork`` of this 2-D grid, the compressed
-        dealias band (:attr:`band_shape`), bitwise
-        ``rfftn(values)[band_index]``: numpy's two passes in numpy's order,
-        but the complex pass over axis 0 runs only over the band's columns,
-        and the passes write into ``band``'s arrays.
+        Given ``band``, the compressed dealias band (:attr:`band_shape`),
+        bitwise ``rfftn(values)[band_index]``: numpy's passes in numpy's
+        order, the real pass over the last axis and then the complex passes
+        from the last leading axis to the first, but each complex pass runs
+        in place over the band's columns and the band rows of the leading
+        axes already passed.  ``band`` is a :class:`_BandWork` of this
+        grid, whose ``half`` the passes run in, or True for a transient
+        array of the call's own.
         """
-        if band is None:
+        if not band:
             return np.fft.rfftn(values, out=out)
-        k = self.dealias_kmax
-        half = np.fft.rfft(values, axis=-1, out=band.half)
-        columns = np.fft.fft(half[:, : k + 1], axis=0, out=band.full[:, : k + 1])
+        half = np.fft.rfft(values, axis=-1, out=band.half if band is not True else None)
+        for axis in reversed(range(self.dims - 1)):
+            for index in self._pass_index[axis]:
+                lines = half[index]
+                np.fft.fft(lines, axis=axis, out=lines)
         out = np.empty(self.band_shape, dtype=complex) if out is None else out
-        out[: k + 1] = columns[: k + 1]
-        out[k + 1 :] = columns[-k:]
+        for block in self._row_blocks:
+            out[block] = half[block + self._band_columns]
         return out
 
-    def irfftn(self, hat: np.ndarray, band: "_BandWork" = None,
+    def irfftn(self, hat: np.ndarray, band: Union["_BandWork", bool] = None,
                out: np.ndarray = None) -> np.ndarray:
         """Real samples of the half-spectrum ``hat`` (numpy's ``irfftn``),
         in ``out`` when given, else fresh.
 
-        Given ``band``, a ``_BandWork`` of this 2-D grid, ``hat`` is the
-        compressed dealias band and the result is bitwise
-        ``irfftn(from_band(hat))``: the complex pass over axis 0 runs only
-        over the band's columns, on a zero-padded copy in ``band``'s arrays.
+        Given ``band`` (as for :meth:`rfftn`, whose ``full`` the passes run
+        in), ``hat`` is the compressed dealias band and the result is
+        bitwise ``irfftn(from_band(hat))``: the band is scattered into a
+        half-spectrum that is zero beyond its columns, and the complex
+        passes from the first axis on run in place over the band's columns
+        and the band rows of the leading axes not yet passed, each after
+        zeroing its own axis's rows off the band.
         """
-        if band is None:
+        if not band:
             return np.fft.irfftn(hat, s=self.shape, axes=tuple(range(self.dims)), out=out)
+        full = band.full if band is not True else np.zeros(self.rshape, dtype=complex)
+        for block in self._row_blocks:
+            full[block + self._band_columns] = hat[block]
         k = self.dealias_kmax
-        padded = band.padded  # zero outside the band rows
-        padded[: k + 1] = hat[: k + 1]
-        padded[-k:] = hat[k + 1 :]
-        np.fft.ifft(padded, axis=0, out=band.full[:, : k + 1])
-        return np.fft.irfft(band.full, n=self.n_per_axis, axis=-1, out=out)
+        for axis in range(self.dims - 1):
+            for index in self._pass_index[axis]:
+                lines = full[index]
+                lines[(slice(None),) * axis + (slice(k + 1, -k),)] = 0.0  # rows off the band
+                np.fft.ifft(lines, axis=axis, out=lines)
+        return np.fft.irfft(full, n=self.n_per_axis, axis=-1, out=out)
 
     def __eq__(self, other) -> bool:
         return (
@@ -258,22 +291,17 @@ class PeriodicGrid:
 
 class _BandWork:
     """The scratch of :meth:`PeriodicGrid.rfftn` and :meth:`~PeriodicGrid.irfftn`
-    in band mode on a 2-D grid, which passing one selects, so a caller that
-    keeps one allocates nothing full-size per transform.  ``half`` takes
-    the forward real pass; ``full``, zero beyond the band columns, takes
-    either complex pass over those columns and feeds the inverse real pass;
-    ``padded``, zero outside the band rows, is the inverse complex pass's
-    input.  ``spectrum`` is a band spectrum for a caller's temporaries,
-    which no transform touches."""
+    in band mode, which passing one selects, so a caller that keeps one
+    allocates nothing full-size per transform.  ``half`` holds the forward
+    passes; ``full``, zero beyond the band columns, holds the inverse ones.
+    ``spectrum`` is a band spectrum for a caller's temporaries, which no
+    transform touches."""
 
-    __slots__ = ("half", "full", "padded", "spectrum")
+    __slots__ = ("half", "full", "spectrum")
 
     def __init__(self, grid: PeriodicGrid):
-        if grid.dims != 2:
-            raise ConfigurationError(f"band transforms support dims=2 only, got dims={grid.dims}")
         self.half = np.empty(grid.rshape, dtype=complex)
         self.full = np.zeros(grid.rshape, dtype=complex)
-        self.padded = np.zeros((grid.n_per_axis, grid.dealias_kmax + 1), dtype=complex)
         self.spectrum = np.empty(grid.band_shape, dtype=complex)
 
 
@@ -389,18 +417,22 @@ class VelocityField:
 Field = Union[ScalarField, VelocityField]
 
 
-def _squared_magnitude(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Pointwise ``|a|^2`` of the component samples ``arrays``, fresh."""
-    sq = arrays[0] * arrays[0]
+def _squared_magnitude(arrays: Sequence[np.ndarray], out: np.ndarray = None,
+                       term: np.ndarray = None) -> np.ndarray:
+    """Pointwise ``|a|^2`` of the component samples ``arrays``, in ``out``
+    when given, else fresh; ``term``, when given, takes each later square."""
+    sq = np.multiply(arrays[0], arrays[0], out=out)
     for c in arrays[1:]:
-        sq += c * c
+        sq += np.multiply(c, c, out=term)
     return sq
 
 
-def _max_speed(arrays: Sequence[np.ndarray]) -> float:
+def _max_speed(arrays: Sequence[np.ndarray], out: np.ndarray = None,
+               term: np.ndarray = None) -> float:
     """Largest pointwise Euclidean norm of the component samples ``arrays``:
-    one square root, of the largest square (bitwise the max magnitude)."""
-    return math.sqrt(float(_squared_magnitude(arrays).max()))
+    one square root, of the largest square (bitwise the max magnitude),
+    squared in ``out`` and ``term`` when given."""
+    return math.sqrt(float(_squared_magnitude(arrays, out, term).max()))
 
 
 def _require_same_grid(a, b) -> None:
@@ -426,25 +458,40 @@ def _dealiased_product(grid: PeriodicGrid, a: np.ndarray, b: np.ndarray,
     return hat
 
 
+def _symmetric_table(product: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                     arrays: Sequence[np.ndarray]) -> list[list[np.ndarray]]:
+    """Table of ``product(a_i, a_j)``, built in row order once per unordered
+    pair: entries ``[i][j]`` and ``[j][i]`` are one array, since the
+    pointwise product commutes exactly in floating point."""
+    dims = len(arrays)
+    table = [[None] * dims for _ in range(dims)]
+    for i in range(dims):
+        for j in range(i, dims):
+            table[i][j] = table[j][i] = product(arrays[i], arrays[j])
+    return table
+
+
 def _dealiased_product_tensor(
     grid: PeriodicGrid, arrays: Sequence[np.ndarray],
     out: Iterable[np.ndarray] = None, samples: np.ndarray = None,
 ) -> list[list[np.ndarray]]:
     """Symmetric table of the half-spectra of ``a_i * a_j``, 2/3-dealiased.
 
-    Entries ``[i][j]`` and ``[j][i]`` are one array, transformed once: the
-    pointwise product commutes exactly in floating point.  Given ``out``,
-    one half-spectrum per unordered pair in row order, and ``samples``, the
-    table is written into them, as :func:`_dealiased_product` would be.
+    Given ``out``, one half-spectrum per unordered pair in row order, and
+    ``samples``, the table is written into them, as
+    :func:`_dealiased_product` would be.
     """
-    dims = len(arrays)
     spectra = itertools.repeat(None) if out is None else iter(out)
-    table = [[None] * dims for _ in range(dims)]
-    for i in range(dims):
-        for j in range(i, dims):
-            table[i][j] = table[j][i] = _dealiased_product(
-                grid, arrays[i], arrays[j], next(spectra), samples)
-    return table
+    return _symmetric_table(
+        lambda a, b: _dealiased_product(grid, a, b, next(spectra), samples), arrays)
+
+
+def _band_product_tensor(grid: PeriodicGrid,
+                         arrays: Sequence[np.ndarray]) -> list[list[np.ndarray]]:
+    """The table of :func:`_dealiased_product_tensor` on the compressed
+    dealias band, bitwise its entries there: one band transform per
+    unordered pair, with scratch of its own, and no mask."""
+    return _symmetric_table(lambda a, b: grid.rfftn(a * b, band=True), arrays)
 
 
 def _div_hat(grid: PeriodicGrid, hats: Iterable[np.ndarray], band: bool = False,
@@ -475,10 +522,11 @@ def _negative(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _div_product_hats(grid: PeriodicGrid, arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
+def _div_product_bands(grid: PeriodicGrid, arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Spectral ``div(a (x) a)``, ``sum_j d_j(a_i a_j)`` per component, of the
-    samples ``arrays``: the dealiased product table, one divergence per row."""
-    return [_div_hat(grid, row) for row in _dealiased_product_tensor(grid, arrays)]
+    samples ``arrays``, on the compressed dealias band: the band product
+    table, one divergence per row."""
+    return [_div_hat(grid, row, band=True) for row in _band_product_tensor(grid, arrays)]
 
 
 def _leray_hats(grid: PeriodicGrid, hats: Sequence[np.ndarray],
@@ -540,8 +588,13 @@ def _lp_norm(grid: PeriodicGrid, arrays: Sequence[np.ndarray], p_int: float) -> 
     component samples ``arrays`` (one array: its absolute value)."""
     if not p_int >= 1.0:
         raise ConfigurationError(f"p must be >= 1, got {p_int}")
-    mag = np.abs(arrays[0]) if len(arrays) == 1 else np.sqrt(_squared_magnitude(arrays))
-    return float((np.sum(mag**p_int) * grid.cell_volume) ** (1.0 / p_int))
+    if len(arrays) == 1:
+        mag = np.abs(arrays[0])
+    else:
+        mag = _squared_magnitude(arrays)
+        np.sqrt(mag, out=mag)
+    mag **= p_int  # in place, through the scalar-power path of mag**p_int
+    return float((np.sum(mag) * grid.cell_volume) ** (1.0 / p_int))
 
 
 def lp_norm(f: Field, p_int: float) -> float:

@@ -19,9 +19,10 @@ outside which every dealiased spectrum is zero: the state, its RK4 stages
 and the symbols hold only the band, and the transforms run in the grid's
 band mode, whose complex pass over axis 0 is pruned to the band's columns
 and bitwise equal to the whole half-spectrum's on the band.  The passes,
-the velocity samples, the products and the temporary band spectra write
-into work arrays that one solve allocates once (:class:`_Vorticity`), so
-a stage allocates no full-size array.
+the velocity samples, the products, the temporary band spectra and the
+first stage's squared speed write into work arrays that one solve
+allocates once (:class:`_Vorticity`), so a stage allocates no full-size
+array.
 
 A run records the integrator's own spectral state at each snapshot (for this
 solver the band vorticity spectrum alone), read-only and uncopied, and
@@ -46,7 +47,8 @@ The weak-form audit pairs recorded states with ``WeakTestFunction`` tests in
 spectral space: each pairing is a Parseval sum over the dealiased band,
 which is exact to round-off because the test's band check admits only tests
 band-limited below the dealias cutoff.  The audit keeps each test's band
-spectra and reads every state once.
+spectra and reads every state once; a state's products are taken in band
+mode, so no whole half-spectrum of them is built.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from .grid_fields import (
     _BandWork,
     _dealiased_product_tensor,
     _div_hat,
-    _div_product_hats,
+    _div_product_bands,
     _max_speed,
     _negative,
     _parseval_dot,
@@ -148,7 +150,8 @@ class _Vorticity:
     ``k0 k1``, which vanish at k = 0.  The work arrays are the band
     transforms' scratch (whose ``spectrum`` takes the velocity spectra and
     the temporary product spectra), the velocity samples ``u`` and two
-    sample-space product buffers; each call overwrites them.  A recorded
+    sample-space product buffers, which also take :meth:`speed`'s squares;
+    each call overwrites them.  A recorded
     trajectory keeps the Biot-Savart pairs only."""
 
     def __init__(self, u0: VelocityField):
@@ -197,6 +200,12 @@ class _Vorticity:
         acc = _div_hat(grid, (grid.rfftn(np.multiply(s, u, out=prod), band=work,
                                          out=work.spectrum) for u in self.u), band=True)
         return _negative(acc, acc)
+
+    def speed(self) -> float:
+        """The largest speed of the velocity ``u`` of the last :meth:`advect`,
+        squared in the sample-space product buffers, which are free once
+        :meth:`advect` and :meth:`transport` have returned."""
+        return _max_speed(self.u, *self.products)
 
 
 def _rk4_stage(hats: tuple, dt: float, rhs: Callable[[tuple, bool], tuple]) -> tuple:
@@ -438,8 +447,8 @@ def solve(
     vort = _Vorticity(u0)
 
     def rhs(hats: tuple, with_speed: bool) -> tuple:
-        dw, u = vort.advect(hats[0])
-        return (dw,), _max_speed(u) if with_speed else None
+        dw, _ = vort.advect(hats[0])
+        return (dw,), vort.speed() if with_speed else None
 
     w_hat = grid.to_band(curl_2d(u0).hat)
     return integrate(grid, (w_hat,), rhs, _band_states(grid, vort.biot_savart, "vorticity"),
@@ -597,16 +606,17 @@ def _integrate_against(values: Sequence[float], times: Sequence[float],
 
 def _band_spectra(u: VelocityField) -> tuple:
     """What a weak-form test pairs with at a state of velocity ``u``, as
-    spectra on the dealiased band: ``u`` and ``-div(u (x) u)``, components
-    end to end, and ``-div u``.  The velocity spectra are the components'
-    cached ones; the products cost one transform per pair of components."""
+    flattened spectra on the compressed dealias band: ``u`` and
+    ``-div(u (x) u)``, components end to end, and ``-div u``.  The velocity
+    spectra are the band entries of the components' cached ones; the
+    products cost one band transform per pair of components.  All three are
+    bitwise the whole half-spectra's entries on ``grid.dealias_mask``."""
     grid = u.grid
-    mask = grid.dealias_mask
-    hats = [c.hat for c in u.components]
-    flux = _div_product_hats(grid, [c.values for c in u.components])
-    return (np.concatenate([h[mask] for h in hats]),
-            np.concatenate([-h[mask] for h in flux]),
-            -_div_hat(grid, hats)[mask])
+    hats = [grid.to_band(c.hat) for c in u.components]
+    flux = np.concatenate(_div_product_bands(grid, [c.values for c in u.components]), axis=None)
+    div = _div_hat(grid, hats, band=True)
+    return (np.concatenate(hats, axis=None), _negative(flux, flux),
+            _negative(div, div).ravel())
 
 
 def weak_residuals(traj: Trajectory, tests: Iterable[WeakTestFunction]) -> list[float]:
@@ -632,14 +642,16 @@ def weak_residuals(traj: Trajectory, tests: Iterable[WeakTestFunction]) -> list[
     dropped before the next is read.
     """
     grid = traj.grid
-    mask = grid.dealias_mask
     band = []
     for test in tests:
         _require_same_grid(traj, test.spatial)
         band.append((test.temporal, isinstance(test.spatial, VelocityField),
-                     np.concatenate([c.hat[mask] for c in test.spatial.components])))
-    # the band's share of the interleaved weights, then one copy per component
-    weights = np.repeat(np.broadcast_to(grid.parseval_weights[::2], grid.rshape)[mask], 2)
+                     np.concatenate([grid.to_band(c.hat) for c in test.spatial.components],
+                                    axis=None)))
+    # the interleaved weights of the band's columns, once per band row, then
+    # one copy per component
+    columns = grid.band_shape[-1]
+    weights = np.tile(grid.parseval_weights[: 2 * columns], math.prod(grid.band_shape[:-1]))
     vector_weights = np.tile(weights, grid.dims)
     volume = grid.cell_volume
     series = [[] for _ in band]

@@ -10,6 +10,8 @@ from eulerlab.grid_fields import (
     PeriodicGrid,
     ScalarField,
     VelocityField,
+    _dealiased_product_tensor,
+    _div_hat,
     _leray_hats,
     _parseval_dot,
     curl_2d,
@@ -121,6 +123,22 @@ def dealiased(grid: PeriodicGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     hat = grid.rfftn(a * b)
     hat *= grid.dealias_mask
     return hat
+
+
+def masked_band_spectra(u: VelocityField) -> tuple:
+    """What a weak-form test pairs with at a state of velocity ``u``, taken
+    on whole half-spectra and gathered through ``grid.dealias_mask``, as
+    ``solver._band_spectra`` took it before the band transforms: its
+    oracle.  ``u`` and ``-div(u (x) u)``, components end to end, and
+    ``-div u``."""
+    grid = u.grid
+    mask = grid.dealias_mask
+    hats = [c.hat for c in u.components]
+    flux = [_div_hat(grid, row)
+            for row in _dealiased_product_tensor(grid, [c.values for c in u.components])]
+    return (np.concatenate([h[mask] for h in hats]),
+            np.concatenate([-h[mask] for h in flux]),
+            -_div_hat(grid, hats)[mask])
 
 
 def full_layout_run(u0: VelocityField, dt: float, steps: int, theta=None, g=None) -> list:

@@ -501,10 +501,12 @@ class TestSweep:
 
 
 class TestMemory:
-    """The CET sweep holds only the product table across scales, and one
-    scale's pairing streams ``m_ij`` pair by pair (``tracemalloc`` sees
-    numpy's data buffers; the bounds sit between the streamed and the
-    all-at-once layouts, 3 vs 5 held and 5 vs 8-9 transient)."""
+    """The CET sweep holds only the band product table across scales, and
+    one scale's pairing streams ``m_ij`` pair by pair on the band
+    (``tracemalloc`` sees numpy's data buffers; at 64^2 a band spectrum is
+    0.45 half-spectra, and the bounds sit between the band table and the
+    whole one, 1.35 vs 3 held, and between the streamed and the all-at-once
+    pairings, 5.1 vs about 8 transient)."""
 
     @pytest.fixture
     def fields(self):
@@ -516,25 +518,25 @@ class TestMemory:
         return u, v
 
     def test_cet_raw_holds_only_products(self, fields):
-        from eulerlab.grid_fields import _dealiased_product_tensor
+        from eulerlab.grid_fields import _band_product_tensor
 
         u, _ = fields
         raw, held, _ = traced_half_spectra(
-            u.grid, lambda: _dealiased_product_tensor(u.grid, [c.values for c in u.components]))
+            u.grid, lambda: _band_product_tensor(u.grid, [c.values for c in u.components]))
         assert len(raw) == 2
-        assert held <= 3.5
+        assert held <= 1.5
 
     def test_cet_at_transient_peak(self, fields):
         from eulerlab.commutator import _cet_at
-        from eulerlab.grid_fields import _dealiased_product_tensor
+        from eulerlab.grid_fields import _band_product_tensor
 
         u, v = fields
-        products = _dealiased_product_tensor(u.grid, [c.values for c in u.components])
+        products = _band_product_tensor(u.grid, [c.values for c in u.components])
         kernel = make_kernel(u.grid, 0.25)
         value, _, peak = traced_half_spectra(
             u.grid, lambda: _cet_at(u, v, products, kernel))
         assert value == cet_trilinear(u, v, kernel)
-        assert peak <= 6.0
+        assert peak <= 5.5
 
 
 class TestSweepProblems:

@@ -6,11 +6,16 @@ from eulerlab.grid_fields import (
     ScalarField,
     VelocityField,
     _BandWork,
+    _band_product_tensor,
     _dealiased_product,
     _dealiased_product_tensor,
     _div_hat,
+    _div_product_bands,
     _leray_hats,
+    _lp_norm,
+    _max_speed,
     _negative,
+    _squared_magnitude,
     divergence,
     gradient,
     inner,
@@ -263,6 +268,24 @@ class TestThreeDimensional:
         # |Omega| = 8 in 3D
         assert lp_norm(one, 2.0) == pytest.approx(np.sqrt(8.0), abs=1e-12)
 
+    @pytest.mark.parametrize("p_int", [1.0, 1.5, 2.0, 2.5, 3.0])
+    def test_lp_norm_in_place_is_bitwise_the_fresh_form(self, p_int):
+        """The root and the power taken in place in the squared magnitude's
+        one buffer give the bits of ``sum(sqrt(|a|^2) ** p)``."""
+        grid = make_grid(2, 32)
+        arrays = [c.values for c in random_band_limited_velocity(grid, 12, seed=26).components]
+        for comps in (arrays[:1], arrays):
+            mag = np.abs(comps[0]) if len(comps) == 1 else np.sqrt(_squared_magnitude(comps))
+            expect = float((np.sum(mag**p_int) * grid.cell_volume) ** (1.0 / p_int))
+            assert _lp_norm(grid, comps, p_int) == expect
+
+    def test_max_speed_in_buffers_is_bitwise_the_fresh_one(self):
+        grid = make_grid(2, 32)
+        arrays = [c.values for c in random_band_limited_velocity(grid, 12, seed=27).components]
+        out, term = np.empty(grid.shape), np.empty(grid.shape)
+        assert _max_speed(arrays, out, term) == _max_speed(arrays)
+        assert out.tobytes() == _squared_magnitude(arrays).tobytes()
+
 
 class TestResample:
     def test_band_limited_restriction_exact(self):
@@ -392,7 +415,7 @@ class TestBandTransforms:
             assert np.array_equal(np.broadcast_to(band_ik, grid.band_shape), grid.to_band(ik))
             assert not band_ik.flags.writeable
 
-    @pytest.mark.parametrize("dims,band", [(2, False), (3, False), (2, True)])
+    @pytest.mark.parametrize("dims,band", [(2, False), (3, False), (2, True), (3, True)])
     def test_out_receives_the_result(self, dims, band):
         """``out=`` takes the result, bitwise the fresh one, with and
         without the band."""
@@ -437,9 +460,23 @@ class TestBandTransforms:
                 assert got is out
                 assert np.array_equal(got, expect)
 
-    def test_band_work_needs_a_2d_grid(self):
-        with pytest.raises(ConfigurationError, match="dims=2 only, got dims=3"):
-            _BandWork(make_grid(3, 16))
+    @pytest.mark.parametrize("dims", [2, 3])
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_round_trip_is_bitwise_in_every_dimension(self, dims, n):
+        """Both directions, with a kept ``_BandWork`` and with scratch of the
+        call's own, against numpy's whole transforms, compared through the
+        float64 views, so signed zeros count."""
+        grid = make_grid(dims, n)
+        gen = np.random.default_rng(3 * n + dims)
+        work = _BandWork(grid)
+        for _ in range(2):  # the kept work arrays are reused
+            x = gen.standard_normal(grid.shape)
+            expect = np.fft.rfftn(x)[grid.band_index].view(np.float64)
+            band = self.random_band(grid, gen)
+            samples = grid.irfftn(grid.from_band(band)).view(np.float64)
+            for mode in (work, True):
+                assert np.array_equal(grid.rfftn(x, band=mode).view(np.float64), expect)
+                assert np.array_equal(grid.irfftn(band, band=mode).view(np.float64), samples)
 
 
 class TestProductTensor:
@@ -459,6 +496,25 @@ class TestProductTensor:
         calls = count_transforms(monkeypatch)
         _dealiased_product_tensor(grid, arrays)
         assert calls == ["rfftn"] * 6
+        _band_product_tensor(grid, arrays)
+        assert calls == ["rfftn"] * 12
+
+    @pytest.mark.parametrize("dims,n", [(2, 64), (3, 16)])
+    def test_band_table_is_the_whole_table_on_the_band(self, dims, n):
+        """The band product table and its row divergences are bitwise the
+        whole dealiased ones' band entries, on fields that are not
+        band-limited."""
+        grid = make_grid(dims, n)
+        arrays = [c.values for c in random_band_limited_velocity(grid, n // 2, seed=25).components]
+        whole = _dealiased_product_tensor(grid, arrays)
+        table = _band_product_tensor(grid, arrays)
+        for i in range(dims):
+            for j in range(dims):
+                assert table[i][j] is table[j][i]
+                assert table[i][j].shape == grid.band_shape
+                assert table[i][j].tobytes() == whole[i][j][grid.band_index].tobytes()
+        for got, row in zip(_div_product_bands(grid, arrays), whole):
+            assert got.tobytes() == grid.to_band(_div_hat(grid, row)).tobytes()
 
 
 class TestInPlaceAccumulation:

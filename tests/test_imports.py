@@ -105,6 +105,35 @@ def test_only_the_grid_calls_numpy_fft():
     assert sorted(found) == []
 
 
+def test_audits_take_their_products_on_the_band():
+    """The commutator sweeps and the weak-form audit take every dealiased
+    product in band mode, so none fills a whole half-spectrum: ``commutator``
+    never names the whole-layout product table ``_dealiased_product_tensor``
+    or ``dealias_mask``, and names the single whole-layout product
+    ``_dealiased_product`` only to import it for ``_transport_at``, whose
+    spectra the scalar-contraction audit pairs whole; ``solver._band_spectra``
+    and ``weak_residuals`` name none of the three."""
+    whole = {"_dealiased_product", "_dealiased_product_tensor", "dealias_mask"}
+    found = set()
+    for stem, only in (("commutator", None), ("solver", {"_band_spectra", "weak_residuals"})):
+        path = PACKAGE / f"{stem}.py"
+        for statement in ast.parse(path.read_text(), filename=str(path)).body:
+            scope = getattr(statement, "name", None)  # None for imports and assignments
+            if only is not None and scope not in only:
+                continue
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, (ast.Attribute, ast.alias)):
+                    name = node.attr if isinstance(node, ast.Attribute) else node.name
+                else:
+                    continue
+                if name in whole and not (name == "_dealiased_product"
+                                          and scope in (None, "_transport_at")):
+                    found.add(f"{stem}.{scope}:{node.lineno} {name}")
+    assert sorted(found) == []
+
+
 def test_no_code_compares_a_quantity_name():
     """A sweep's rules key on its ``Route``, not on the name of its quantity:
     no comparison in a package module has a route's quantity name as an

@@ -23,6 +23,7 @@ from eulerlab.solver import (
     cosine_window,
     enstrophy,
     kinetic_energy,
+    _band_spectra,
     _band_states,
     _integrate_against,
     _rk4_stage,
@@ -48,6 +49,7 @@ from _utils import (
     full_layout_run,
     count_transforms,
     linear_window,
+    masked_band_spectra,
     random_band_limited_scalar,
     random_band_limited_velocity,
     traced_half_spectra,
@@ -209,6 +211,8 @@ class TestStressForm:
         for a, b in zip((u1, u2), u.components):
             assert np.max(np.abs(a - b.values)) <= 1e-12 * max_norm(u)
         assert _max_speed((u1, u2)) == pytest.approx(u.max_speed(), rel=1e-12)
+        # squared in the product buffers: the bits of the fresh squares
+        assert vort.speed() == _max_speed((u1, u2))
         # one square root, of the largest square: bitwise the max magnitude
         for w in (u0, u):
             speed = np.sqrt(_squared_magnitude([c.values for c in w.components]))
@@ -652,6 +656,16 @@ class TestWeakResidual:
         for i in range(count):
             yield WeakTestFunction(low_mode_divfree(grid, 3, seed=1003 + i), cosine_window(T))
             yield WeakTestFunction(low_mode_scalar(grid, 3, seed=2003 + i), cosine_window(T))
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_band_spectra_are_the_masked_whole_spectra(self, n):
+        """The band transforms give, bitwise, the whole half-spectra's
+        entries on the dealias mask, on a state that is not band-limited."""
+        grid = make_grid(2, n)
+        u = random_band_limited_velocity(grid, n // 2, seed=7, divfree=True)
+        for got, expect in zip(_band_spectra(u), masked_band_spectra(u), strict=True):
+            assert got.shape == expect.shape
+            assert got.tobytes() == expect.tobytes()
 
     def test_band_pairings_match_physical_sums(self):
         # real dynamics, so the momentum residual is well above round-off
