@@ -551,8 +551,9 @@ def _parseval_dot(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> float:
     """``sum_k w Re(conj(a) b)`` of two C-contiguous half-spectra in one
     einsum pass over their interleaved real views: no ``w * b`` temporary,
     and no multithreaded BLAS to wake, as ``np.vdot`` would.  ``weights`` is
-    ``grid.parseval_weights`` for whole half-spectra, or those weights
-    broadcast and masked alike for spectra taken on a band."""
+    ``grid.parseval_weights`` for whole half-spectra, or the share of the
+    band's columns, ``parseval_weights[: 2 * band_shape[-1]]``, for band
+    spectra (tiled once per band row for flattened ones)."""
     return float(np.einsum("ij,ij,j->", a.view(np.float64).reshape(-1, weights.size),
                            b.view(np.float64).reshape(-1, weights.size), weights))
 

@@ -268,24 +268,6 @@ class TestThreeDimensional:
         # |Omega| = 8 in 3D
         assert lp_norm(one, 2.0) == pytest.approx(np.sqrt(8.0), abs=1e-12)
 
-    @pytest.mark.parametrize("p_int", [1.0, 1.5, 2.0, 2.5, 3.0])
-    def test_lp_norm_in_place_is_bitwise_the_fresh_form(self, p_int):
-        """The root and the power taken in place in the squared magnitude's
-        one buffer give the bits of ``sum(sqrt(|a|^2) ** p)``."""
-        grid = make_grid(2, 32)
-        arrays = [c.values for c in random_band_limited_velocity(grid, 12, seed=26).components]
-        for comps in (arrays[:1], arrays):
-            mag = np.abs(comps[0]) if len(comps) == 1 else np.sqrt(_squared_magnitude(comps))
-            expect = float((np.sum(mag**p_int) * grid.cell_volume) ** (1.0 / p_int))
-            assert _lp_norm(grid, comps, p_int) == expect
-
-    def test_max_speed_in_buffers_is_bitwise_the_fresh_one(self):
-        grid = make_grid(2, 32)
-        arrays = [c.values for c in random_band_limited_velocity(grid, 12, seed=27).components]
-        out, term = np.empty(grid.shape), np.empty(grid.shape)
-        assert _max_speed(arrays, out, term) == _max_speed(arrays)
-        assert out.tobytes() == _squared_magnitude(arrays).tobytes()
-
 
 class TestResample:
     def test_band_limited_restriction_exact(self):
@@ -567,6 +549,24 @@ class TestInPlaceAccumulation:
         assert _negative(hat, out) is out
         assert out.tobytes() == np.negative(hat).tobytes()
         assert _negative(hat, hat).tobytes() == out.tobytes()
+
+    @pytest.mark.parametrize("p_int", [1.0, 1.5, 2.0, 2.5, 3.0])
+    def test_lp_norm_in_place_is_bitwise_the_fresh_form(self, p_int):
+        """The root and the power taken in place in the squared magnitude's
+        one buffer give the bits of ``sum(sqrt(|a|^2) ** p)``."""
+        grid = make_grid(2, 32)
+        arrays = [c.values for c in random_band_limited_velocity(grid, 12, seed=26).components]
+        for comps in (arrays[:1], arrays):
+            mag = np.abs(comps[0]) if len(comps) == 1 else np.sqrt(_squared_magnitude(comps))
+            expect = float((np.sum(mag**p_int) * grid.cell_volume) ** (1.0 / p_int))
+            assert _lp_norm(grid, comps, p_int) == expect
+
+    def test_max_speed_in_buffers_is_bitwise_the_fresh_one(self):
+        grid = make_grid(2, 32)
+        arrays = [c.values for c in random_band_limited_velocity(grid, 12, seed=27).components]
+        out, term = np.empty(grid.shape), np.empty(grid.shape)
+        assert _max_speed(arrays, out, term) == _max_speed(arrays)
+        assert out.tobytes() == _squared_magnitude(arrays).tobytes()
 
     @pytest.mark.parametrize("dims,n", [(2, 64), (3, 16)])
     def test_band_divergence_is_the_full_one_on_the_band(self, dims, n):
